@@ -20,6 +20,7 @@ from .pipeline import (
 )
 from .rough import (
     approx_quality,
+    core,
     disc_function,
     disc_matrix,
     lower_approx,
@@ -85,6 +86,7 @@ __all__ = [
     "back_analyze",
     "classify",
     "close_open",
+    "core",
     "disc_function",
     "disc_matrix",
     "displacement_proxy",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError, UsageError
-from .rough import reducts
+from .rough import core, reducts
 from .rules import (
     Condition,
     DecisionPart,
@@ -41,7 +41,14 @@ from .som import (
     reduce_prototypes,
     train,
 )
-from .table import DecisionTable, GranularTable, scale_minmax, split_random, transform_scale
+from .table import (
+    DecisionTable,
+    GranularTable,
+    scale_minmax,
+    split_random,
+    split_train_size,
+    transform_scale,
+)
 
 # Documented reconstruction notes echoed into every report.
 POLICY_NOTES = (
@@ -182,6 +189,12 @@ def close_open(table: DecisionTable, decision: str, cfg: PipelineConfig) -> RunR
         raise DataError("cannot run the pipeline on an empty table")
     if decision not in table.decision_names:
         raise UsageError(f"{decision!r} is not a decision attribute")
+    if split_train_size(len(table), cfg.train_fraction) == len(table):
+        # Accuracy over an empty test split is vacuous, not earned.
+        raise DataError(
+            f"train_fraction {cfg.train_fraction} leaves no test objects "
+            f"out of {len(table)}"
+        )
 
     iterations: list[Iteration] = []
     candidates = []  # (sort_key, accepted, iteration, ruleset, run_artifacts)
@@ -366,13 +379,13 @@ def back_analyze(
         for c in rule.conditions:
             freq[c.attribute] = freq.get(c.attribute, 0) + 1
 
-    core = frozenset()
+    core_attrs = frozenset()
     universe = sorted(freq)
     if granular is not None:
-        core = reducts(granular, "decision_relative", decision=attr).core
+        core_attrs = core(granular, decision=attr)
         universe = sorted(set(universe) | set(granular.condition_names))
     ranked = sorted(
-        ((a, a in core, freq.get(a, 0)) for a in universe),
+        ((a, a in core_attrs, freq.get(a, 0)) for a in universe),
         key=lambda e: (not e[1], -e[2], e[0]),
     )
 

@@ -8,6 +8,13 @@ enumeration kept as an independent oracle for all of it.
 Objects agreeing on every attribute of a subset B fall into one block;
 a missing value is tolerant (it matches anything), and blocks are then
 grown greedily in object-id order so the result stays deterministic.
+
+reducts and core build the clauses from distinct object classes, not
+object pairs: a clause depends only on the two objects' vectors (and, in
+decision_relative mode, on positive-region membership and decisions), so
+each pair of classes is compared once. The core is read off the singleton
+clauses without expanding the DNF. disc_matrix keeps the pairwise form as
+the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -15,12 +22,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import UsageError
+from .errors import DataError, UsageError
 from .table import DecisionTable
 
 # Exhaustive subset search is exponential; instances here are small by
 # construction, anything bigger is a caller mistake.
 MAX_EXHAUSTIVE_ATTRS = 16
+
+# The prime implicants of a discernibility function can grow exponentially
+# in the attribute count; past this many the expansion stops with an error.
+MAX_IMPLICANTS = 5000
 
 
 @dataclass(frozen=True)
@@ -82,7 +93,11 @@ def partition_by(table: DecisionTable, attrs) -> Partition:
 
     With missing values the relation is a tolerance, not an equivalence;
     each object joins the first existing block it is tolerant with every
-    member of, scanning objects in id order.
+    member of, scanning objects in id order. The blocks therefore depend
+    on that order: renumbering objects can regroup them. Objects with
+    identical vectors always share a block, whatever the order (an earlier
+    block that rejected one rejects the other, and every member of the
+    first one's block is tolerant with both); _clauses relies on this.
     """
     attrs = list(attrs)
     cols = [table.column(a) for a in attrs]  # raises UsageError on unknown names
@@ -168,6 +183,47 @@ def approx_quality(table: DecisionTable, attrs, decision=None) -> float:
     return len(positive_region(table, attrs, decision)) / len(table)
 
 
+def _object_keys(table: DecisionTable, mode: str, decision=None) -> tuple[list, list]:
+    """The attributes a mode compares, and per object a (vector, tag) key.
+
+    The vector holds the object's values on those attributes. The tag is
+    None in plain mode; in decision_relative mode it is (in the positive
+    region, decision vector). Two objects' matrix entry depends on their
+    keys alone.
+    """
+    if mode == "plain":
+        return table.names, [(row, None) for row in table.rows]
+    if mode != "decision_relative":
+        raise UsageError(f"unknown discernibility mode {mode!r}")
+    conds = table.condition_names
+    d_attrs = _decision_attrs(table, decision)
+    pos = positive_region(table, conds, d_attrs)
+    c_idx = [table.col_index(a) for a in conds]
+    d_idx = [table.col_index(d) for d in d_attrs]
+    keys = [
+        (tuple(row[j] for j in c_idx), (oid in pos, tuple(row[j] for j in d_idx)))
+        for oid, row in zip(table.object_ids, table.rows)
+    ]
+    return conds, keys
+
+
+def _needed(tag_a, tag_b) -> bool:
+    """Whether a pair must be told apart: always in plain mode; in
+    decision_relative mode when both are positive with different decisions
+    or exactly one of them is positive."""
+    if tag_a is None:
+        return True
+    (pos_a, dec_a), (pos_b, dec_b) = tag_a, tag_b
+    return dec_a != dec_b if pos_a and pos_b else pos_a != pos_b
+
+
+def _separating(attrs, vec_a, vec_b) -> frozenset:
+    """Attributes on which both values are present and differ."""
+    return frozenset(
+        a for a, x, y in zip(attrs, vec_a, vec_b) if x is not None and y is not None and x != y
+    )
+
+
 def disc_matrix(
     table: DecisionTable, mode: str = "decision_relative", decision=None
 ) -> DiscernibilityMatrix:
@@ -179,53 +235,39 @@ def disc_matrix(
     separation the positive region depends on: both objects positive with
     different decisions, or exactly one of them positive. Hitting these
     entries is exactly what preserves the quality of approximation.
+
+    This is the O(n^2) reference; reducts and core work from the same
+    clauses over distinct object classes.
     """
-    ids = list(table.object_ids)
+    attrs, keys = _object_keys(table, mode, decision)
+    ids = table.object_ids
     entries = {}
-    if mode == "plain":
-        attrs = table.names
-        cols = {a: table.column(a) for a in attrs}
-        pos_of = {oid: k for k, oid in enumerate(ids)}
-        for j_idx, i_idx in itertools.combinations(range(len(ids)), 2):
-            i, j = ids[i_idx], ids[j_idx]
-            diff = frozenset(
-                a
-                for a in attrs
-                if cols[a][pos_of[i]] is not None
-                and cols[a][pos_of[j]] is not None
-                and cols[a][pos_of[i]] != cols[a][pos_of[j]]
-            )
-            entries[(max(i, j), min(i, j))] = diff
-    elif mode == "decision_relative":
-        conds = table.condition_names
-        d_attrs = _decision_attrs(table, decision)
-        pos = positive_region(table, conds, d_attrs)
-        cols = {a: table.column(a) for a in conds}
-        pos_of = {oid: k for k, oid in enumerate(ids)}
-
-        def dvec(oid):
-            return tuple(table.value(oid, d) for d in d_attrs)
-
-        for j_idx, i_idx in itertools.combinations(range(len(ids)), 2):
-            i, j = ids[i_idx], ids[j_idx]
-            in_pos_i, in_pos_j = i in pos, j in pos
-            if in_pos_i and in_pos_j:
-                needed = dvec(i) != dvec(j)
-            else:
-                needed = in_pos_i != in_pos_j
-            if not needed:
-                entries[(max(i, j), min(i, j))] = frozenset()
-                continue
-            entries[(max(i, j), min(i, j))] = frozenset(
-                a
-                for a in conds
-                if cols[a][pos_of[i]] is not None
-                and cols[a][pos_of[j]] is not None
-                and cols[a][pos_of[i]] != cols[a][pos_of[j]]
-            )
-    else:
-        raise UsageError(f"unknown discernibility mode {mode!r}")
+    for (id_a, (vec_a, tag_a)), (id_b, (vec_b, tag_b)) in itertools.combinations(
+        zip(ids, keys), 2
+    ):
+        entries[(max(id_a, id_b), min(id_a, id_b))] = (
+            _separating(attrs, vec_a, vec_b) if _needed(tag_a, tag_b) else frozenset()
+        )
     return DiscernibilityMatrix(entries=entries, universe=frozenset(ids), mode=mode)
+
+
+def _clauses(table: DecisionTable, mode: str = "decision_relative", decision=None) -> set:
+    """The non-empty entries of disc_matrix, from one object per class.
+
+    Objects with equal keys (see _object_keys) get equal entries against
+    every other object and an empty entry against each other, so comparing
+    each pair of distinct keys once yields the same clause family. Under
+    tolerant grouping this holds because identical vectors always share a
+    partition_by block, hence the same positive-region membership.
+    """
+    attrs, keys = _object_keys(table, mode, decision)
+    clauses = {
+        _separating(attrs, vec_a, vec_b)
+        for (vec_a, tag_a), (vec_b, tag_b) in itertools.combinations(set(keys), 2)
+        if _needed(tag_a, tag_b)
+    }
+    clauses.discard(frozenset())
+    return clauses
 
 
 def _absorb(sets) -> frozenset:
@@ -238,26 +280,53 @@ def _absorb(sets) -> frozenset:
     return frozenset(kept)
 
 
+def _implicants(cnf: frozenset) -> frozenset:
+    """Minimal hitting sets of an absorbed clause family.
+
+    Clause-by-clause distribution, shortest clauses first, on attribute
+    bit masks. An implicant that hits the clause is kept; one that misses
+    it grows by each clause attribute. Since the implicants before a step
+    form an antichain, no grown set contains another one or a kept one, so
+    absorption only has to drop grown sets holding a kept implicant, and
+    such a kept implicant holds the attribute just added. Raises DataError
+    once more than MAX_IMPLICANTS survive a step.
+    """
+    names = sorted({a for c in cnf for a in c})
+    bit = {a: 1 << k for k, a in enumerate(names)}
+    implicants = [0]
+    for clause in sorted(cnf, key=lambda c: (len(c), tuple(sorted(c)))):
+        mask = sum(bit[a] for a in clause)
+        kept = [m for m in implicants if m & mask]
+        missing = [m for m in implicants if not m & mask]
+        implicants = list(kept)
+        for a in sorted(clause):
+            b = bit[a]
+            holders = [k for k in kept if k & b]
+            for m in missing:
+                g = m | b
+                if not any(k & g == k for k in holders):
+                    implicants.append(g)
+            if len(implicants) > MAX_IMPLICANTS:
+                raise DataError(
+                    f"discernibility function exceeds {MAX_IMPLICANTS} implicants "
+                    f"({len(names)} attributes, {len(cnf)} clauses)"
+                )
+    return frozenset(frozenset(a for a in names if m & bit[a]) for m in implicants)
+
+
 def disc_function(matrix: DiscernibilityMatrix) -> BoolFormula:
     """CNF over the non-empty matrix entries, and its prime implicants.
 
-    The DNF comes from clause-by-clause distribution with absorption,
-    shortest clauses first; since every literal is positive the implicants
-    are the minimal hitting sets of the clause family.
+    Since every literal is positive the implicants are the minimal hitting
+    sets of the clause family.
     """
-    clauses = _absorb(c for c in matrix.entries.values() if c)
-    ordered = sorted(clauses, key=lambda c: (len(c), tuple(sorted(c))))
-    implicants: set[frozenset] = {frozenset()}
-    for clause in ordered:
-        grown: set[frozenset] = set()
-        for imp in implicants:
-            if imp & clause:
-                grown.add(imp)
-            else:
-                for a in clause:
-                    grown.add(imp | {a})
-        implicants = set(_absorb(grown))
-    return BoolFormula(cnf=clauses, dnf=frozenset(implicants))
+    return _formula(c for c in matrix.entries.values() if c)
+
+
+def _formula(clauses) -> BoolFormula:
+    """Absorbed CNF of non-empty clauses, and its prime implicants."""
+    cnf = _absorb(clauses)
+    return BoolFormula(cnf=cnf, dnf=_implicants(cnf))
 
 
 def reducts_from_formula(f: BoolFormula) -> ReductSet:
@@ -267,8 +336,20 @@ def reducts_from_formula(f: BoolFormula) -> ReductSet:
 
 
 def reducts(table: DecisionTable, mode: str = "decision_relative", decision=None) -> ReductSet:
-    """Reducts through the discernibility function."""
-    return reducts_from_formula(disc_function(disc_matrix(table, mode, decision)))
+    """Reducts through the discernibility function over object classes."""
+    return reducts_from_formula(_formula(_clauses(table, mode, decision)))
+
+
+def core(table: DecisionTable, decision=None) -> frozenset:
+    """Decision-relative core without the implicant expansion.
+
+    An attribute lies in every reduct exactly when it alone tells some
+    needed pair apart, i.e. when it forms a singleton clause (Skowron &
+    Rauszer 1992).
+    """
+    return frozenset(
+        a for c in _clauses(table, "decision_relative", decision) if len(c) == 1 for a in c
+    )
 
 
 def reducts_exhaustive(

@@ -56,6 +56,7 @@ class DecisionTable:
     specs: tuple[AttributeSpec, ...]
     rows: tuple[tuple, ...]
     object_ids: tuple[int, ...] = ()
+    _row_of: dict = field(init=False, repr=False, compare=False)  # object id -> row index
 
     def __post_init__(self):
         names = [s.name for s in self.specs]
@@ -68,8 +69,10 @@ class DecisionTable:
             object.__setattr__(self, "object_ids", tuple(range(len(self.rows))))
         elif len(self.object_ids) != len(self.rows):
             raise DataError("object_ids length does not match row count")
-        if len(set(self.object_ids)) != len(self.object_ids):
+        row_of = {oid: i for i, oid in enumerate(self.object_ids)}
+        if len(row_of) != len(self.object_ids):
             raise DataError("object ids must be unique")
+        object.__setattr__(self, "_row_of", row_of)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -103,7 +106,10 @@ class DecisionTable:
         return [row[j] for row in self.rows]
 
     def value(self, object_id: int, name: str):
-        i = self.object_ids.index(object_id)
+        try:
+            i = self._row_of[object_id]
+        except KeyError:
+            raise UsageError(f"unknown object id {object_id}") from None
         return self.rows[i][self.col_index(name)]
 
     def _clone(self, specs, rows, object_ids) -> "DecisionTable":
@@ -162,8 +168,8 @@ class GranularTable(DecisionTable):
 def load_table(csv_text: str, schema: list[AttributeSpec]) -> DecisionTable:
     """Parse a CSV body (one header row) against an explicit schema.
 
-    Cells are decimal or scientific-notation numbers; the literal ``?``
-    marks a missing value. Object id = 0-based row index.
+    Cells are finite decimal or scientific-notation numbers; the literal
+    ``?`` marks a missing value. Object id = 0-based row index.
     """
     schema = list(schema)
     if not any(s.role == "condition" for s in schema):
@@ -196,11 +202,14 @@ def load_table(csv_text: str, schema: list[AttributeSpec]) -> DecisionTable:
                 parsed.append(None)
                 continue
             try:
-                parsed.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise DataError(
                     f"row {ln_no - 1}, column {header[j]!r}: cannot parse {cell!r} as a number"
                 ) from None
+            if not math.isfinite(value):
+                raise DataError(f"row {ln_no - 1}, column {header[j]!r}: {cell!r} is not finite")
+            parsed.append(value)
         rows.append(tuple(parsed))
     return DecisionTable(specs=tuple(schema), rows=tuple(rows))
 
@@ -252,20 +261,25 @@ def dump_schema(specs: list[AttributeSpec]) -> str:
     return json.dumps(records, indent=2) + "\n"
 
 
+def split_train_size(n: int, train_fraction: float) -> int:
+    """Training-split size for n objects: round(fraction * n), at least 1."""
+    if not 0.0 < train_fraction <= 1.0:
+        raise UsageError("train_fraction must be in (0, 1]")
+    return max(1, int(math.floor(train_fraction * n + 0.5)))
+
+
 def split_random(
     table: DecisionTable, train_fraction: float, seed: int
 ) -> tuple[DecisionTable, DecisionTable]:
     """Disjoint train/test partition of the object ids.
 
-    |train| = round(fraction * |U|) with a floor of 1; the same seed
-    always produces the same split.
+    |train| = split_train_size(|U|, fraction); the same seed always
+    produces the same split.
     """
     if len(table) == 0:
         raise DataError("cannot split an empty table")
-    if not 0.0 < train_fraction <= 1.0:
-        raise UsageError("train_fraction must be in (0, 1]")
     n = len(table)
-    n_train = max(1, int(math.floor(train_fraction * n + 0.5)))
+    n_train = split_train_size(n, train_fraction)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     train_ids = sorted(table.object_ids[i] for i in perm[:n_train])

@@ -2,6 +2,9 @@
 
 import importlib.resources
 import json
+import random
+import time
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +45,30 @@ class TestExitCodes:
         code = _run("discretize", "--data", str(empty), "--schema", SCHEMA,
                     "--out", str(tmp_path / "o"))
         assert code == 2
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_cell_is_2(self, tmp_path, capsys, cell):
+        lines = Path(CORPUS).read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[2] = cell
+        lines[3] = ",".join(cells)
+        data = tmp_path / "runs.csv"
+        data.write_text("\n".join(lines) + "\n")
+        code = _run("pipeline", "--data", str(data), "--schema", SCHEMA,
+                    "--decision", "mvv", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "row 2" in capsys.readouterr().err
+
+    def test_empty_test_split_is_2(self, tmp_path):
+        code = _run("pipeline", "--data", CORPUS, "--schema", SCHEMA, "--decision", "mvv",
+                    "--el", "0.0", "--train_fraction", "1.0", "--out", str(tmp_path / "a"))
+        assert code == 2
+        one_row = tmp_path / "one.csv"
+        one_row.write_text("\n".join(Path(CORPUS).read_text().splitlines()[:2]) + "\n")
+        code = _run("pipeline", "--data", str(one_row), "--schema", SCHEMA,
+                    "--decision", "mvv", "--el", "0.0", "--out", str(tmp_path / "b"))
+        assert code == 2
+        assert not (tmp_path / "a" / "report.json").exists()
 
     def test_el_not_met_is_3(self, tmp_path):
         code = _run("pipeline", "--data", CORPUS, "--schema", SCHEMA,
@@ -172,6 +199,25 @@ class TestReducts:
         lines = out.read_text().splitlines()
         assert lines[-1].startswith("CORE: ")
         assert len(lines) >= 2
+
+    def test_implicant_blowup_is_2(self, tmp_path, capsys):
+        """22 conditions over 40 random rows have over 10,000 reducts; the
+        expansion stops at its bound with a data error instead of running on."""
+        rng = random.Random(5)
+        names = [f"c{i}" for i in range(22)] + ["d"]
+        schema = [{"name": n, "role": "condition"} for n in names[:-1]]
+        schema.append({"name": "d", "role": "decision"})
+        (tmp_path / "schema.json").write_text(json.dumps(schema))
+        rows = [",".join(f"{rng.uniform(1, 100):.6f}" for _ in names) for _ in range(40)]
+        (tmp_path / "runs.csv").write_text(",".join(names) + "\n" + "\n".join(rows) + "\n")
+        t0 = time.monotonic()
+        code = _run("reducts", "--data", str(tmp_path / "runs.csv"),
+                    "--schema", str(tmp_path / "schema.json"))
+        elapsed = time.monotonic() - t0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "implicants" in err and "Traceback" not in err
+        assert elapsed < 60.0, f"bounded expansion took {elapsed:.1f}s"
 
 
 class TestRulesCommand:

@@ -79,6 +79,14 @@ class TestCloseOpen:
         assert rep.el_met
         assert rep.best_iteration.budget == 1
 
+    def test_empty_test_split_rejected(self):
+        """A split with nothing held out would report a vacuous accuracy."""
+        with pytest.raises(DataError, match="no test objects"):
+            close_open(jeffrey_table(), "mvv", PipelineConfig(train_fraction=1.0, el=0.0))
+        one_row = jeffrey_table().subset([0])
+        with pytest.raises(DataError, match="no test objects"):
+            close_open(one_row, "mvv", PipelineConfig(el=0.0))
+
     def test_unattainable_threshold_flags_not_met(self):
         cfg = PipelineConfig(el=1.0, max_open_steps=2)
         rep = close_open(jeffrey_table(), "mvv", cfg)

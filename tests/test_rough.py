@@ -4,12 +4,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import somrough.rough
 from somrough.corpus import jeffrey_table
-from somrough.errors import UsageError
+from somrough.errors import DataError, UsageError
 from somrough.rough import (
+    _absorb,
+    _clauses,
     approx_quality,
     approximate,
+    core,
     disc_function,
     disc_matrix,
     lower_approx,
@@ -176,6 +182,68 @@ class TestDiscFunction:
         )
         f = disc_function(m)
         assert f.cnf == frozenset({frozenset({"a"})})
+
+
+@st.composite
+def _tables(draw, missing=True):
+    """Small tables: cells in {1, 2, 3} (or missing), one or two decision
+    attributes, distinct object ids in shuffled order."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 4))
+    n_dec = draw(st.integers(1, 2))
+    cell = st.sampled_from([1.0, 2.0, 3.0] + ([None] if missing else []))
+    rows = draw(st.lists(st.tuples(*[cell] * (k + n_dec)), min_size=n, max_size=n))
+    ids = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
+    specs = [AttributeSpec(f"a{i}", "condition") for i in range(k)]
+    specs += [AttributeSpec(f"d{i}", "decision") for i in range(n_dec)]
+    return DecisionTable(specs=tuple(specs), rows=tuple(rows), object_ids=tuple(ids))
+
+
+# Objects 0 and 1 share a pure block but not a decision vector: only
+# object 1 must be told apart from object 2.
+SPLIT_CLASS = DecisionTable(
+    specs=(
+        AttributeSpec("a0", "condition"),
+        AttributeSpec("d0", "decision"),
+        AttributeSpec("d1", "decision"),
+    ),
+    rows=((1.0, 1.0, None), (1.0, 1.0, 2.0), (2.0, 1.0, None)),
+    object_ids=(7, 3, 5),
+)
+
+
+class TestClassClauses:
+    @settings(max_examples=300, deadline=None)
+    @given(_tables())
+    @example(SPLIT_CLASS)
+    def test_clauses_match_pairwise_matrix(self, t):
+        """Clauses over distinct object classes equal the non-empty pairwise
+        entries after absorption, in both modes, missing cells included;
+        the core read off singleton clauses equals the reducts' core."""
+        for mode in ("plain", "decision_relative"):
+            pairwise = _absorb(c for c in disc_matrix(t, mode).entries.values() if c)
+            assert _absorb(_clauses(t, mode)) == pairwise, mode
+        assert core(t) == reducts(t, "decision_relative").core
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tables(missing=False))
+    def test_core_matches_exhaustive_oracle(self, t):
+        """On complete tables all three routes to the core agree. (With
+        missing cells the tolerant positive region of a subset is not
+        monotone, and the enumeration oracle can disagree with any
+        discernibility-based core.)"""
+        assert core(t) == reducts(t).core == reducts_exhaustive(t).core
+
+
+class TestImplicantBound:
+    def test_disc_function_raises_past_bound(self, monkeypatch):
+        # Clauses {a0, b0}, ..., {a3, b3} have 2^4 = 16 minimal hitting sets.
+        entries = {(i + 1, 0): frozenset({f"a{i}", f"b{i}"}) for i in range(4)}
+        m = DiscernibilityMatrix(entries=entries, universe=frozenset(range(5)), mode="plain")
+        assert len(disc_function(m).dnf) == 16
+        monkeypatch.setattr(somrough.rough, "MAX_IMPLICANTS", 15)
+        with pytest.raises(DataError):
+            disc_function(m)
 
 
 class TestExhaustiveOracle:

@@ -57,6 +57,11 @@ class TestLoadTable:
         with pytest.raises(DataError, match="cannot parse"):
             load_table("a0,a1,d\n1,x,3\n", _schema())
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "Infinity"])
+    def test_non_finite_cell_rejected(self, cell):
+        with pytest.raises(DataError, match=r"row 1, column 'a1'.*not finite"):
+            load_table(f"a0,a1,d\n1,2,3\n4,{cell},6\n", _schema())
+
     def test_header_order_independent(self):
         t = load_table("d,a1,a0\n9,2,1\n", _schema())
         assert t.rows[0] == (1.0, 2.0, 9.0)
@@ -178,6 +183,15 @@ class TestInvariants:
     def test_missing_decision_rejected_at_load(self):
         with pytest.raises(DataError):
             load_table("a\n1\n", [AttributeSpec("a", "condition")])
+
+    def test_value_by_non_contiguous_ids(self):
+        t = DecisionTable(
+            specs=tuple(_schema(1)), rows=((1.0, 2.0), (3.0, 4.0)), object_ids=(9, 4)
+        )
+        assert t.value(4, "a0") == 3.0
+        assert t.value(9, "d") == 2.0
+        with pytest.raises(UsageError, match="unknown object id"):
+            t.value(5, "a0")
 
     def test_unknown_attribute_is_usage_error(self):
         t = jeffrey_table()
