@@ -48,7 +48,6 @@ from .som import (
     assign_granule,
     fit_discretizer,
     quantization_error,
-    reduce_prototypes,
     train,
     winner,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "parse_rules",
     "partition_by",
     "quantization_error",
-    "reduce_prototypes",
     "reducts",
     "reducts_exhaustive",
     "render_rule",

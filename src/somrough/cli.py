@@ -109,8 +109,8 @@ def _resolve(args) -> dict:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
@@ -204,9 +204,9 @@ def cmd_backanalyze(args) -> int:
         rules = report_rules_from_json(doc)
         granular = granular_from_json(doc)
         decision = doc["decision"]
-    except (KeyError, TypeError, ValueError) as exc:
+        disc = granular.discretizers.get(decision)  # TypeError on an unhashable name
+    except (KeyError, TypeError, ValueError, UsageError) as exc:
         raise DataError(f"malformed report file: {exc}") from None
-    disc = granular.discretizers.get(decision)
     if disc is None:
         raise DataError(f"report carries no quantizer for {decision!r}")
     granule = granulate_observation(disc, args.observe)

@@ -17,6 +17,7 @@ parameter bundles, with a reduct-based sensitivity ranking.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,22 +34,8 @@ from .rules import (
     induce_cover,
     render_rule,
 )
-from .som import (
-    Discretizer,
-    SomConfig,
-    assign_granule,
-    fit_table_discretizer,
-    reduce_prototypes,
-    train,
-)
-from .table import (
-    DecisionTable,
-    GranularTable,
-    scale_minmax,
-    split_random,
-    split_train_size,
-    transform_scale,
-)
+from .som import Discretizer, assign_granule, fit_table_discretizer
+from .table import DecisionTable, GranularTable, split_random, split_train_size
 
 # Documented reconstruction notes echoed into every report.
 POLICY_NOTES = (
@@ -71,7 +58,6 @@ class PipelineConfig:
     max_open_steps: int = 10  # budget adjustments allowed per run
     seed: int = 0
     semantics: str = "cumulative"
-    reduce_grid: tuple[int, int] | None = None  # optional prototype reduction
 
     def __post_init__(self):
         if self.runs < 1 or self.max_closed < 1:
@@ -120,30 +106,20 @@ class RunReport:
 
 
 @dataclass(frozen=True)
-class Interval:
-    attribute: str
-    lo: float | None  # None = unbounded below
-    hi: float | None  # None = unbounded above
-
-    def contains(self, v: float) -> bool:
-        if self.lo is not None and v < self.lo:
-            return False
-        if self.hi is not None and v > self.hi:
-            return False
-        return True
-
-
-@dataclass(frozen=True)
 class ParameterEstimate:
     """Back-analysis output: alternative condition bundles, one per
     matched rule, plus a sensitivity ranking of the condition attributes."""
 
     decision: str
     observed_granule: int
-    bundles: tuple[tuple[Interval, ...], ...]
     matched_rules: tuple[Rule, ...]
     sensitivity: tuple[tuple[str, bool, int], ...]  # (attribute, in_core, frequency)
     no_match: bool
+
+    @property
+    def bundles(self) -> tuple[tuple[Condition, ...], ...]:
+        """One bundle of raw-unit conditions per matched rule."""
+        return tuple(r.conditions for r in self.matched_rules)
 
 
 def granulate(
@@ -214,8 +190,6 @@ def close_open(table: DecisionTable, decision: str, cfg: PipelineConfig) -> RunR
         for index in range(1, cfg.max_iterations + 1):
             split_seed = int(rng.integers(2**31 - 1))
             train_t, test_t = split_random(gtable, cfg.train_fraction, split_seed)
-            if cfg.reduce_grid is not None:
-                train_t = reduce_train(table, train_t, cfg.reduce_grid, split_seed)
             cons = replace(cfg.constraints, max_rules=budget)
             rs = induce_cover(train_t, decision, cons, cfg.semantics)
             acc = accuracy(rs, test_t, decision)
@@ -281,67 +255,6 @@ def close_open(table: DecisionTable, decision: str, cfg: PipelineConfig) -> RunR
     )
 
 
-def reduce_train(
-    raw: DecisionTable, train_granular: GranularTable, grid: tuple[int, int], seed: int
-) -> GranularTable:
-    """Optional prototype reduction of a training split.
-
-    A small map is trained on the split's scaled condition rows; each
-    non-empty node becomes one synthetic training object whose condition
-    labels come from quantizing the prototype vector and whose decision
-    labels are the majority vote of its members (ties to the smaller,
-    higher-valued label).
-    """
-    ids = list(train_granular.object_ids)
-    raw_train = raw.subset(ids)
-    conds = raw.condition_names
-    cols = {}
-    scaled_cols = {}
-    for name in conds:
-        spec = raw.spec(name)
-        transformed = transform_scale(raw_train.column(name), spec.scale)
-        scaled, (lo, hi) = scale_minmax(transformed)
-        cols[name] = (lo, hi, spec.scale)
-        scaled_cols[name] = [np.nan if v is None else v for v in scaled]
-    x = np.array([scaled_cols[n] for n in conds], dtype=float).T
-
-    som = train(x, SomConfig(grid=grid, seed=seed))
-    protos = reduce_prototypes(som, x)
-
-    discs = train_granular.discretizers
-    rows = []
-    for weight, members in protos:
-        cells = []
-        for s in train_granular.specs:
-            if s.role == "condition":
-                lo, hi, scale = cols[s.name]
-                v01 = float(weight[conds.index(s.name)])
-                raw_v = v01 * (hi - lo) + lo if hi > lo else lo
-                if scale == "log10":
-                    raw_v = 10.0**raw_v
-                cells.append(assign_granule(discs[s.name], raw_v))
-            else:
-                labels = [
-                    train_granular.rows[m][train_granular.col_index(s.name)] for m in members
-                ]
-                labels = [l for l in labels if l is not None]
-                if not labels:
-                    cells.append(None)
-                else:
-                    counts = {}
-                    for l in labels:
-                        counts[l] = counts.get(l, 0) + 1
-                    top = max(counts.values())
-                    cells.append(min(l for l, c in counts.items() if c == top))
-        rows.append(tuple(cells))
-    return GranularTable(
-        specs=train_granular.specs,
-        rows=tuple(rows),
-        object_ids=tuple(range(len(rows))),
-        discretizers=discs,
-    )
-
-
 def granulate_observation(disc: Discretizer, measured: float) -> int:
     """Granule of a monitored value; out-of-range values take the nearest
     extreme band."""
@@ -360,7 +273,7 @@ def back_analyze(
     """Invert an observed decision granule into parameter bundles.
 
     Every rule whose decision band covers the observed granule contributes
-    one bundle of raw-unit intervals; bundles are alternative (disjunctive)
+    one bundle of raw-unit conditions; bundles are alternative (disjunctive)
     explanations. When the granulated table is available, reduct cores mark
     which attributes the sensitivity ranking flags first.
     """
@@ -370,31 +283,17 @@ def back_analyze(
     matched = tuple(
         r for r in rs.rules if r.decision.attribute == attr and r.decision.covers(label)
     )
-    bundles = tuple(
-        tuple(Interval(c.attribute, c.lo, c.hi) for c in rule.conditions) for rule in matched
-    )
-
-    freq: dict[str, int] = {}
-    for rule in matched:
-        for c in rule.conditions:
-            freq[c.attribute] = freq.get(c.attribute, 0) + 1
-
+    freq = Counter(c.attribute for r in matched for c in r.conditions)
     core_attrs = frozenset()
-    universe = sorted(freq)
+    attrs = set(freq)
     if granular is not None:
         core_attrs = core(granular, decision=attr)
-        universe = sorted(set(universe) | set(granular.condition_names))
-    ranked = sorted(
-        ((a, a in core_attrs, freq.get(a, 0)) for a in universe),
-        key=lambda e: (not e[1], -e[2], e[0]),
-    )
-
+        attrs |= set(granular.condition_names)
     return ParameterEstimate(
         decision=attr,
         observed_granule=label,
-        bundles=bundles,
         matched_rules=matched,
-        sensitivity=tuple(ranked),
+        sensitivity=_rank(attrs, core_attrs, freq),
         no_match=not matched,
     )
 
@@ -407,13 +306,15 @@ def sensitivity(granular: GranularTable, decision: str) -> tuple[tuple[str, bool
     core attributes are indispensable to reproduce the decision structure.
     """
     rs = reducts(granular, "decision_relative", decision=decision)
-    freq = {a: sum(1 for r in rs.reducts if a in r) for a in granular.condition_names}
-    return tuple(
-        sorted(
-            ((a, a in rs.core, freq[a]) for a in granular.condition_names),
-            key=lambda e: (not e[1], -e[2], e[0]),
-        )
-    )
+    freq = Counter(a for r in rs.reducts for a in r)
+    return _rank(granular.condition_names, rs.core, freq)
+
+
+def _rank(attrs, core_attrs, freq: Counter) -> tuple[tuple[str, bool, int], ...]:
+    """(attribute, in core, frequency) entries: core first, then by falling
+    frequency, then by name."""
+    entries = ((a, a in core_attrs, freq[a]) for a in attrs)
+    return tuple(sorted(entries, key=lambda e: (not e[1], -e[2], e[0])))
 
 
 # --- JSON serialization ----------------------------------------------------
@@ -568,7 +469,7 @@ def estimate_to_json(est: ParameterEstimate) -> str:
         "observed_granule": est.observed_granule,
         "no_match": est.no_match,
         "bundles": [
-            [{"attribute": iv.attribute, "lo": iv.lo, "hi": iv.hi} for iv in bundle]
+            [{"attribute": c.attribute, "lo": c.lo, "hi": c.hi} for c in bundle]
             for bundle in est.bundles
         ],
         "matched_rules": [_rule_dict(r) for r in est.matched_rules],

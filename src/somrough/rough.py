@@ -41,24 +41,8 @@ class Partition:
     blocks: tuple[frozenset, ...]
     universe: frozenset
 
-    def block_of(self, object_id: int) -> frozenset:
-        for b in self.blocks:
-            if object_id in b:
-                return b
-        raise UsageError(f"object {object_id} not in universe")
-
     def as_set(self) -> frozenset:
         return frozenset(self.blocks)
-
-
-@dataclass(frozen=True)
-class Approximation:
-    lower: frozenset
-    upper: frozenset
-
-    @property
-    def boundary(self) -> frozenset:
-        return self.upper - self.lower
 
 
 @dataclass(frozen=True)
@@ -142,10 +126,6 @@ def upper_approx(p: Partition, x) -> frozenset:
     """Union of blocks meeting x."""
     x = frozenset(x)
     return frozenset(i for b in p.blocks if b & x for i in b)
-
-
-def approximate(p: Partition, x) -> Approximation:
-    return Approximation(lower=lower_approx(p, x), upper=upper_approx(p, x))
 
 
 def _pure(table: DecisionTable, block: frozenset, decision_attrs: list[str]) -> bool:

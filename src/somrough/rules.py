@@ -293,17 +293,6 @@ def _grow_rule(
     )
 
 
-def strength(rule: Rule, table: GranularTable) -> float:
-    """Matching-and-correct objects over the size of the decision band."""
-    rows = _rows_as_dicts(table)
-    dec = rule.decision
-    satisfying = [i for i in rows if dec.covers(rows[i].get(dec.attribute))]
-    if not satisfying:
-        raise DataError(f"decision band of {dec.attribute!r} matches no object")
-    matching = [i for i in satisfying if rule.matches_row(rows[i])]
-    return len(matching) / len(satisfying)
-
-
 def classify(rs: RuleSet, row: dict):
     """Weighted vote of all matching rules; None means abstain.
 

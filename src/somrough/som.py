@@ -76,10 +76,6 @@ class SomMap:
     def dim(self) -> int:
         return self.weights.shape[1]
 
-    def coords(self, i: int) -> tuple[int, int]:
-        nx = self.grid[0]
-        return (i % nx, i // nx)
-
 
 def _as_matrix(data, dim: int | None = None) -> np.ndarray:
     x = np.asarray(data, dtype=float)
@@ -232,16 +228,6 @@ def _train_line(x: np.ndarray, config: SomConfig, init: np.ndarray) -> SomMap:
     return SomMap(grid=config.grid, weights=weights, qe_log=tuple(qe_log))
 
 
-def reduce_prototypes(som: SomMap, data) -> list[tuple[np.ndarray, list[int]]]:
-    """Collapse the data onto the map: one (weight, member ids) entry per
-    node that wins at least one row."""
-    x = _as_matrix(data, som.dim)
-    members: dict[int, list[int]] = {}
-    for i, row in enumerate(x):
-        members.setdefault(int(np.argmin(_sq_distances(som.weights, row))), []).append(i)
-    return [(som.weights[node].copy(), ids) for node, ids in sorted(members.items())]
-
-
 @dataclass(frozen=True)
 class Discretizer:
     """Ordinal quantizer for one attribute.
@@ -370,6 +356,8 @@ def fit_table_discretizer(table, name: str, granules: int, seed: int) -> Discret
 # (log10 attributes would lose everything in raw fixed-point):
 #
 #   name=<attr> scale=<scale> centers=<v1>,<v2>,... cuts=<w1>,...
+#
+# The record is for people; report.json carries the form that is read back.
 
 
 def discretizer_record(d: Discretizer) -> str:
@@ -381,19 +369,3 @@ def discretizer_record(d: Discretizer) -> str:
         f"cuts={','.join(f'{c:.6f}' for c in cuts_t)}"
     )
 
-
-def parse_discretizer_record(line: str) -> Discretizer:
-    fields = {}
-    for token in line.split():
-        if "=" not in token:
-            raise DataError(f"malformed discretizer record field {token!r}")
-        key, _, value = token.partition("=")
-        fields[key] = value
-    try:
-        scale = fields["scale"]
-        centers = tuple(inverse_scale(float(v), scale) for v in fields["centers"].split(","))
-        cuts_field = fields.get("cuts", "")
-        cuts = tuple(inverse_scale(float(v), scale) for v in cuts_field.split(",") if v)
-        return Discretizer(name=fields["name"], scale=scale, centers=centers, cuts=cuts)
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"malformed discretizer record: {exc}") from None

@@ -241,16 +241,20 @@ def load_schema(json_text: str) -> list[AttributeSpec]:
         raise DataError("schema must be a JSON array of attribute records")
     specs = []
     for rec in records:
-        if "name" not in rec or "role" not in rec:
-            raise DataError("schema record needs at least 'name' and 'role'")
-        specs.append(
-            AttributeSpec(
+        if not isinstance(rec, dict) or "name" not in rec or "role" not in rec:
+            raise DataError("schema record must be an object with at least 'name' and 'role'")
+        if not isinstance(rec["name"], str):
+            raise DataError(f"schema record name must be a string, got {rec['name']!r}")
+        try:
+            spec = AttributeSpec(
                 name=rec["name"],
                 role=rec["role"],
                 scale=rec.get("scale", "linear"),
                 units=rec.get("units", ""),
             )
-        )
+        except UsageError as exc:
+            raise DataError(str(exc)) from None
+        specs.append(spec)
     return specs
 
 

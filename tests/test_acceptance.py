@@ -225,7 +225,7 @@ def test_c7_surrogate_recovery():
         )
         truth = dict(zip(table.names, table.rows[row_id]))
         if not est.no_match and any(
-            all(iv.contains(truth[iv.attribute]) for iv in bundle) for bundle in est.bundles
+            all(c.matches_raw(truth[c.attribute]) for c in bundle) for bundle in est.bundles
         ):
             recovered += 1
 

@@ -1,5 +1,6 @@
 """Exit-code contract and output shape of the command-line interface."""
 
+import copy
 import importlib.resources
 import json
 import random
@@ -84,6 +85,93 @@ class TestExitCodes:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["el_met"] is True
         assert len(doc["iterations"]) == 1
+
+
+def _binary_file(tmp_path):
+    path = tmp_path / "binary"
+    path.write_bytes(b"\xff\xfe\x00\x80cp,phip\n\xc3(\n")
+    return str(path)
+
+
+def _schema_file(tmp_path, records):
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(records))
+    return str(path)
+
+
+def _corpus_schema_with(tmp_path, key, value):
+    records = json.loads(Path(SCHEMA).read_text())
+    records[0][key] = value
+    return _schema_file(tmp_path, records)
+
+
+def _report_with(tmp_path, doc, where, value):
+    """A copy of a report with the value at one key path replaced."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _discretize(tmp_path, data=CORPUS, schema=SCHEMA):
+    return ["discretize", "--data", data, "--schema", schema, "--out", str(tmp_path / "o")]
+
+
+def _backanalyze(report):
+    return ["backanalyze", "--report", report, "--observe", "5.787e-4"]
+
+
+# Each case builds the argv of one call on a bad input file.
+BAD_INPUTS = {
+    "binary-data": lambda tmp, _: _discretize(tmp, data=_binary_file(tmp)),
+    "binary-schema": lambda tmp, _: _discretize(tmp, schema=_binary_file(tmp)),
+    "binary-config": lambda tmp, _: _discretize(tmp) + ["--config", _binary_file(tmp)],
+    "schema-of-numbers": lambda tmp, _: _discretize(tmp, schema=_schema_file(tmp, [1])),
+    "schema-of-strings": lambda tmp, _: _discretize(tmp, schema=_schema_file(tmp, ["name"])),
+    "schema-of-key-strings": lambda tmp, _: _discretize(
+        tmp, schema=_schema_file(tmp, ["name,role"])
+    ),
+    "schema-list-name": lambda tmp, _: _discretize(
+        tmp, schema=_corpus_schema_with(tmp, "name", ["cp"])
+    ),
+    "schema-bad-role": lambda tmp, _: _discretize(
+        tmp, schema=_corpus_schema_with(tmp, "role", "bogus")
+    ),
+    "report-centers-not-decreasing": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("discretizers", "mvv", "centers"), [1.0, 2.0, 3.0])
+    ),
+    "report-unknown-decision-kind": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("best", "rules", 0, "decision", "kind"), "sometimes")
+    ),
+    "report-unknown-role": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("granular", "roles", 0), "bogus")
+    ),
+    "report-list-decision": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("decision",), ["mvv"])
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def corpus_report_doc(tmp_path_factory):
+    out = tmp_path_factory.mktemp("report")
+    _run("pipeline", "--data", CORPUS, "--schema", SCHEMA, "--decision", "mvv",
+         "--out", str(out))
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["best"]["rules"], "corrupting a rule needs a report with rules"
+    return doc
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_file_is_2(case, tmp_path, capsys, corpus_report_doc):
+    """Unreadable or malformed input files are data errors, never tracebacks."""
+    argv = BAD_INPUTS[case](tmp_path, corpus_report_doc)
+    assert _run(*argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 class TestDiscretize:

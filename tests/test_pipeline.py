@@ -7,7 +7,6 @@ import pytest
 from somrough.corpus import JEFFREY_OBSERVED_RATE_MS, jeffrey_table
 from somrough.errors import DataError, UsageError
 from somrough.pipeline import (
-    Interval,
     PipelineConfig,
     back_analyze,
     close_open,
@@ -15,12 +14,11 @@ from somrough.pipeline import (
     granular_from_json,
     granulate,
     granulate_observation,
-    reduce_train,
     report_rules_from_json,
     report_to_json,
     sensitivity,
 )
-from somrough.rules import RuleConstraints, RuleSet, accuracy, parse_rules
+from somrough.rules import Condition, RuleConstraints, RuleSet, accuracy, parse_rules
 from somrough.som import Discretizer
 from somrough.table import AttributeSpec, GranularTable, split_random
 
@@ -234,24 +232,6 @@ class TestSensitivity:
             assert freq[a] >= 1
 
 
-class TestReduceTrain:
-    def test_prototypes_shrink_split(self):
-        t = jeffrey_table()
-        g = granulate(t, 3, seed=0)
-        train, _ = split_random(g, 0.7, 11)
-        reduced = reduce_train(t, train, (3, 3), seed=11)
-        assert 1 <= len(reduced) <= 9
-        assert reduced.names == g.names
-        for name in reduced.names:
-            for v in reduced.column(name):
-                assert v is None or 1 <= v <= 3
-
-    def test_pipeline_accepts_reduction(self):
-        cfg = PipelineConfig(reduce_grid=(3, 3), max_open_steps=2)
-        rep = close_open(jeffrey_table(), "mvv", cfg)
-        assert rep.total_iterations >= 1
-
-
 class TestReportJson:
     def test_roundtrip(self, corpus_report):
         doc = json.loads(report_to_json(corpus_report))
@@ -282,8 +262,8 @@ class TestReportJson:
 
 class TestIntervals:
     def test_contains(self):
-        iv = Interval("x", 1.0, 2.0)
-        assert iv.contains(1.0) and iv.contains(2.0) and iv.contains(1.5)
-        assert not iv.contains(0.9) and not iv.contains(2.1)
-        assert Interval("x", None, 5.0).contains(-1e30)
-        assert Interval("x", 5.0, None).contains(1e30)
+        c = Condition("x", 1.0, 2.0)
+        assert c.matches_raw(1.0) and c.matches_raw(2.0) and c.matches_raw(1.5)
+        assert not c.matches_raw(0.9) and not c.matches_raw(2.1)
+        assert Condition("x", None, 5.0).matches_raw(-1e30)
+        assert Condition("x", 5.0, None).matches_raw(1e30)

@@ -14,7 +14,6 @@ from somrough.rough import (
     _absorb,
     _clauses,
     approx_quality,
-    approximate,
     core,
     disc_function,
     disc_matrix,
@@ -105,8 +104,8 @@ class TestApproximations:
 
     def test_boundary(self):
         p = partition_by(jeffrey_table(), B6)
-        a = approximate(p, {0, 5})
-        assert a.boundary == frozenset({0, 5, 6, 8})
+        x = {0, 5}
+        assert upper_approx(p, x) - lower_approx(p, x) == frozenset({0, 5, 6, 8})
 
 
 class TestApproxQuality:

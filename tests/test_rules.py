@@ -18,7 +18,6 @@ from somrough.rules import (
     parse_rules,
     render_rule,
     render_rules,
-    strength,
 )
 from somrough.table import AttributeSpec, GranularTable
 
@@ -110,24 +109,18 @@ class TestStrength:
     def test_full_class(self):
         rs = induce_cover(TOY, "d", LOOSE, semantics="exact")
         rule = next(r for r in rs.rules if r.decision.granule == 1)
-        assert strength(rule, TOY) == 1.0
+        assert rule.strength == 1.0
         assert rule.support == 2
 
     def test_partial_class(self):
+        """Strength divides by the whole decision class, not by the objects
+        still uncovered when the rule grows."""
         t = _gtable({"a": [1, 2, 2]}, [1, 1, 1])
-        rule = Rule(
-            conditions=(Condition("a", labels=frozenset({1})),),
-            decision=DecisionPart("d", "exactly", 1),
-        )
-        assert strength(rule, t) == pytest.approx(1 / 3)
-
-    def test_empty_class_rejected(self):
-        rule = Rule(
-            conditions=(Condition("a", labels=frozenset({1})),),
-            decision=DecisionPart("d", "exactly", 9),
-        )
-        with pytest.raises(DataError):
-            strength(rule, TOY)
+        rs = induce_cover(t, "d", LOOSE, semantics="exact")
+        rule = rs.rules[1]
+        assert rule.conditions[0].labels == frozenset({1})
+        assert rule.support == 1
+        assert rule.strength == pytest.approx(1 / 3)
 
 
 class TestClassify:

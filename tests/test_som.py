@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from somrough.corpus import jeffrey_table
 from somrough.errors import DataError, UsageError
@@ -16,9 +18,7 @@ from somrough.som import (
     discretizer_record,
     fit_discretizer,
     fit_table_discretizer,
-    parse_discretizer_record,
     quantization_error,
-    reduce_prototypes,
     train,
     update_step,
     winner,
@@ -139,6 +139,39 @@ class TestTrain:
         with pytest.raises(DataError):
             train([], SomConfig(grid=(2, 1)))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8),
+        nodes=st.integers(2, 5),
+        epochs=st.integers(1, 4),
+        eta0=st.sampled_from([0.3, 0.8, 1.0]),
+        radius0=st.sampled_from([None, 0.0, 1.0]),
+        seed=st.integers(0, 99),
+    )
+    def test_line_fast_path_matches_update_step(self, values, nodes, epochs, eta0, radius0, seed):
+        """G x 1 maps on complete 1-D data take a plain-float path; its
+        weights and error trace equal presentation-by-presentation
+        update_step under the same linear eta/radius schedule."""
+        cfg = SomConfig(grid=(nodes, 1), epochs=epochs, eta0=eta0, radius0=radius0)
+        x = np.array(values).reshape(-1, 1)
+        init = np.random.default_rng(seed).uniform(-10.0, 10.0, size=(nodes, 1))
+        got = train(x, cfg, init_weights=init)
+
+        def qe(w):
+            return quantization_error(SomMap(grid=cfg.grid, weights=w), x)
+
+        w = init.copy()
+        qe_log = [qe(w)]
+        total, t = epochs * len(x), 0
+        for _ in range(epochs):
+            for row in x:
+                frac = 1.0 - t / total
+                w = update_step(w, row, cfg.grid, eta0 * frac, cfg.start_radius * frac)
+                t += 1
+            qe_log.append(qe(w))
+        assert np.array_equal(got.weights, w)
+        assert got.qe_log == tuple(qe_log)
+
 
 class TestQuantizationError:
     def test_perfect_fit_is_zero(self):
@@ -156,29 +189,6 @@ class TestQuantizationError:
         before = quantization_error(m, data)
         moved = SomMap(grid=(2, 1), weights=np.array([[1.0], [10.0]]))
         assert quantization_error(moved, data) <= before
-
-
-class TestReducePrototypes:
-    def test_single_node_takes_all(self):
-        m = SomMap(grid=(1, 1), weights=np.array([[0.5]]))
-        protos = reduce_prototypes(m, [[0.0], [1.0], [0.4]])
-        assert len(protos) == 1
-        assert protos[0][1] == [0, 1, 2]
-
-    def test_exact_copies_cluster_alone(self):
-        data = np.array([[0.0], [5.0], [9.0]])
-        m = SomMap(grid=(3, 1), weights=data.copy())
-        protos = reduce_prototypes(m, data)
-        assert [ids for _, ids in protos] == [[0], [1], [2]]
-
-    def test_corpus_partition(self):
-        t = jeffrey_table()
-        X = scaled_matrix(t)
-        m = train(X, SomConfig(grid=(3, 3), seed=1))
-        protos = reduce_prototypes(m, X)
-        assert len(protos) <= 9
-        all_ids = sorted(i for _, ids in protos for i in ids)
-        assert all_ids == list(range(12))
 
 
 class TestFitDiscretizer:
@@ -258,22 +268,25 @@ class TestAssignGranule:
                 assert l1 >= l2
 
 
+def _record_fields(line: str) -> dict:
+    return dict(token.split("=", 1) for token in line.split())
+
+
 class TestDiscretizerRecords:
     def test_roundtrip_linear(self):
         t = jeffrey_table()
         d = fit_table_discretizer(t, "cb", 3, seed=0)
-        back = parse_discretizer_record(discretizer_record(d))
-        assert back.name == "cb" and back.scale == "linear"
-        assert back.centers == pytest.approx(d.centers, abs=1e-5)
-        assert back.cuts == pytest.approx(d.cuts, abs=1e-5)
+        rec = _record_fields(discretizer_record(d))
+        assert rec["name"] == "cb" and rec["scale"] == "linear"
+        centers = [float(v) for v in rec["centers"].split(",")]
+        cuts = [float(v) for v in rec["cuts"].split(",")]
+        assert centers == pytest.approx(d.centers, abs=1e-5)
+        assert cuts == pytest.approx(d.cuts, abs=1e-5)
 
     def test_roundtrip_log10(self):
         """Log-scale records keep precision for tiny velocities."""
         t = jeffrey_table()
         d = fit_table_discretizer(t, "mvv", 3, seed=0)
-        back = parse_discretizer_record(discretizer_record(d))
-        assert back.cuts == pytest.approx(d.cuts, rel=1e-5)
-
-    def test_malformed_record(self):
-        with pytest.raises(DataError):
-            parse_discretizer_record("name=x scale=linear centers=oops cuts=")
+        rec = _record_fields(discretizer_record(d))
+        cuts = [10.0 ** float(v) for v in rec["cuts"].split(",")]
+        assert cuts == pytest.approx(d.cuts, rel=1e-5)
