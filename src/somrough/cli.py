@@ -245,6 +245,8 @@ def cmd_reducts(args) -> int:
     s = _resolve(args)
     table = _load_inputs(args)
     decision = s.get("decision")
+    if decision is not None and decision not in table.decision_names:
+        raise UsageError(f"{decision!r} is not a decision attribute")
     g = granulate(table, granules=s["granules"], seed=s["seed"])
     rs = reducts(g, args.mode, decision=decision)
     text = reduct_report(rs)

@@ -454,7 +454,8 @@ def granular_from_json(doc: dict) -> GranularTable:
     specs = tuple(
         AttributeSpec(name, role) for name, role in zip(g["attributes"], g["roles"])
     )
-    rows = tuple(tuple(None if v is None else int(v) for v in row) for row in g["rows"])
+    # Labels go in as read: GranularTable rejects anything but a positive int.
+    rows = tuple(tuple(row) for row in g["rows"])
     return GranularTable(
         specs=specs,
         rows=rows,

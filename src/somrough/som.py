@@ -66,7 +66,7 @@ class SomMap:
 
     grid: tuple[int, int]
     weights: np.ndarray  # shape (nodes, dim)
-    qe_log: tuple[float, ...] = ()  # error before training, then per epoch
+    qe_log: tuple[float, ...] = ()  # error before training, then per epoch; empty if untraced
 
     @property
     def nodes(self) -> int:
@@ -147,13 +147,21 @@ def update_step(
     return out
 
 
-def train(data, config: SomConfig, init_weights: np.ndarray | None = None) -> SomMap:
+def train(
+    data, config: SomConfig, init_weights: np.ndarray | None = None, *, trace: bool = True
+) -> SomMap:
     """Train a map over the data's bounding box.
 
     Weights start as seeded uniform draws inside the per-component data
     range (or from ``init_weights`` when given); each epoch presents the
     rows in order, and both the learning rate and the neighborhood radius
     decay linearly to zero over the total number of presentations.
+
+    With ``trace`` (the default) the map carries its quantization error
+    before training and after every epoch in ``qe_log``. Quantizer fitting
+    passes ``trace=False``: it never reads the trace, which would cost
+    about as much as the training itself, and ``qe_log`` is then empty.
+    The weights do not depend on ``trace``.
     """
     x = _as_matrix(data)
     n, dim = x.shape
@@ -168,11 +176,11 @@ def train(data, config: SomConfig, init_weights: np.ndarray | None = None) -> So
         weights = init_weights.astype(float).copy()
 
     if dim == 1 and config.grid[1] == 1 and not np.isnan(x).any():
-        return _train_line(x, config, weights)
+        return _train_line(x, config, weights, trace)
 
     total = config.epochs * n
     t = 0
-    qe_log = [_qe(weights, x)]
+    qe_log = [_qe(weights, x)] if trace else []
     for _ in range(config.epochs):
         for row in x:
             frac = 1.0 - t / total
@@ -180,16 +188,20 @@ def train(data, config: SomConfig, init_weights: np.ndarray | None = None) -> So
                 weights, row, config.grid, config.eta0 * frac, config.start_radius * frac
             )
             t += 1
-        qe_log.append(_qe(weights, x))
+        if trace:
+            qe_log.append(_qe(weights, x))
     return SomMap(grid=config.grid, weights=weights, qe_log=tuple(qe_log))
 
 
-def _train_line(x: np.ndarray, config: SomConfig, init: np.ndarray) -> SomMap:
+def _train_line(x: np.ndarray, config: SomConfig, init: np.ndarray, trace: bool) -> SomMap:
     """Plain-float training for G x 1 maps on complete 1-D data.
 
     Same arithmetic as the general path, presentation for presentation
     (the blended update keeps it bit-identical); quantizer fitting calls
     this thousands of times, and array dispatch would dominate the cost.
+    Once the integer radius is 0 (at once for G = 2, after the first
+    presentation for G = 3) only the winner moves, so the neighborhood
+    loop is skipped there.
     """
     values = [float(v) for v in x[:, 0]]
     n = len(values)
@@ -205,25 +217,28 @@ def _train_line(x: np.ndarray, config: SomConfig, init: np.ndarray) -> SomMap:
             s += min((wi - v) * (wi - v) for wi in w)
         return s / n
 
-    qe_log = [qe()]
+    qe_log = [qe()] if trace else []
     t = 0
     for _ in range(config.epochs):
         for v in values:
             frac = 1.0 - t / total
             eta = eta0 * frac
-            radius = radius0 * frac
-            best, best_d = 0, None
-            for i in range(m):
+            radius = int(radius0 * frac)
+            best = 0
+            best_d = (v - w[0]) * (v - w[0])
+            for i in range(1, m):
                 d = (v - w[i]) * (v - w[i])
-                if best_d is None or d < best_d:
+                if d < best_d:
                     best, best_d = i, d
-            lo = max(0, best - int(radius))
-            hi = min(m - 1, best + int(radius))
-            one_m_eta = 1.0 - eta
-            for i in range(lo, hi + 1):
-                w[i] = one_m_eta * w[i] + eta * v
+            if radius == 0:
+                w[best] = (1.0 - eta) * w[best] + eta * v
+            else:
+                one_m_eta = 1.0 - eta
+                for i in range(max(0, best - radius), min(m - 1, best + radius) + 1):
+                    w[i] = one_m_eta * w[i] + eta * v
             t += 1
-        qe_log.append(qe())
+        if trace:
+            qe_log.append(qe())
     weights = np.array([[wi] for wi in w])
     return SomMap(grid=config.grid, weights=weights, qe_log=tuple(qe_log))
 
@@ -324,7 +339,7 @@ def fit_discretizer(
         cfg = SomConfig(
             grid=(granules, 1), epochs=epochs, eta0=eta0, seed=seed + 1000003 * attempt
         )
-        d = build(train(data, cfg))
+        d = build(train(data, cfg, trace=False))
         if d is not None:
             return d
 
@@ -333,7 +348,7 @@ def fit_discretizer(
     positions = np.linspace(0, len(distinct) - 1, granules)
     init = np.array([[distinct_scaled] for distinct_scaled in _pick(scaled, positions)])
     cfg = SomConfig(grid=(granules, 1), epochs=epochs, eta0=eta0, radius0=0.0, seed=seed)
-    d = build(train(data, cfg, init_weights=init))
+    d = build(train(data, cfg, init_weights=init, trace=False))
     if d is None:
         raise DataError(f"could not separate {granules} quantizer centers")
     return d

@@ -45,8 +45,9 @@ class SlopeParams:
 
     def __post_init__(self):
         for name in ("cohesion", "friction", "slope", "weight", "area", "steepness"):
-            if getattr(self, name) <= 0:
-                raise UsageError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise UsageError(f"{name} must be positive and finite")
         if not 0.0 < self.friction < 90.0:
             raise UsageError("friction angle must be in (0, 90) degrees")
         if not 0.0 < self.slope < 90.0:
@@ -102,8 +103,8 @@ def generate_table(
 
     rows = []
     for i in range(count):
-        p = SlopeParams(**{name: float(samples[name][i]) for name in names})
-        proxy = displacement_proxy(factor_of_safety(p), steepness)
+        p = SlopeParams(**{name: float(samples[name][i]) for name in names}, steepness=steepness)
+        proxy = displacement_proxy(factor_of_safety(p), p.steepness)
         rows.append(tuple(float(samples[name][i]) for name in names) + (proxy,))
 
     units = {"cohesion": "kPa", "friction": "deg", "slope": "deg", "weight": "kN", "area": "m2"}

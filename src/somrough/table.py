@@ -139,6 +139,8 @@ class GranularTable(DecisionTable):
 
     ``discretizers`` records, per attribute, the quantizer that produced
     the labels so raw observations can be mapped into the same vocabulary.
+    Labels are checked once, when a table is constructed; projections and
+    subsets of a checked table skip the per-cell check.
     """
 
     discretizers: dict = field(default_factory=dict)
@@ -149,7 +151,7 @@ class GranularTable(DecisionTable):
             for s, v in zip(self.specs, row):
                 if v is None:
                     continue
-                if not isinstance(v, (int, np.integer)) or v < 1:
+                if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                     raise DataError(
                         f"row {i}, attribute {s.name!r}: granule label must be a positive int"
                     )
@@ -160,9 +162,19 @@ class GranularTable(DecisionTable):
                     )
 
     def _clone(self, specs, rows, object_ids) -> "GranularTable":
+        # The rows come from this table, whose labels were checked: bypass
+        # __init__ and run only DecisionTable's structural checks.
         kept = {s.name for s in specs}
-        discs = {k: v for k, v in self.discretizers.items() if k in kept}
-        return GranularTable(specs=specs, rows=rows, object_ids=object_ids, discretizers=discs)
+        out = object.__new__(GranularTable)
+        for name, value in (
+            ("specs", specs),
+            ("rows", rows),
+            ("object_ids", object_ids),
+            ("discretizers", {k: v for k, v in self.discretizers.items() if k in kept}),
+        ):
+            object.__setattr__(out, name, value)
+        DecisionTable.__post_init__(out)
+        return out
 
 
 def load_table(csv_text: str, schema: list[AttributeSpec]) -> DecisionTable:

@@ -153,6 +153,18 @@ BAD_INPUTS = {
     "report-list-decision": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("decision",), ["mvv"])
     ),
+    "report-label-zero": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("granular", "rows", 0, 0), 0)
+    ),
+    "report-label-float": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("granular", "rows", 0, 0), 1.5)
+    ),
+    "report-label-string": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("granular", "rows", 0, 0), "1")
+    ),
+    "report-label-above-granules": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("granular", "rows", 0, 0), 4)
+    ),
 }
 
 
@@ -270,6 +282,14 @@ class TestSurrogate:
         for line in body:
             assert 10.0 <= float(line.split(",")[0]) <= 11.0
 
+    @pytest.mark.parametrize("steepness", ["nan", "inf"])
+    def test_non_finite_steepness_is_1(self, tmp_path, capsys, steepness):
+        code = _run("surrogate", "--count", "10", "--steepness", steepness,
+                    "--out", str(tmp_path))
+        assert code == 1
+        assert "steepness" in capsys.readouterr().err
+        assert not (tmp_path / "runs.csv").exists()
+
     def test_deterministic(self, tmp_path):
         _run("surrogate", "--count", "10", "--seed", "2", "--out", str(tmp_path / "a"))
         _run("surrogate", "--count", "10", "--seed", "2", "--out", str(tmp_path / "b"))
@@ -287,6 +307,14 @@ class TestReducts:
         lines = out.read_text().splitlines()
         assert lines[-1].startswith("CORE: ")
         assert len(lines) >= 2
+
+    def test_condition_attribute_as_decision_is_1(self, tmp_path, capsys):
+        out = tmp_path / "reducts.txt"
+        code = _run("reducts", "--data", CORPUS, "--schema", SCHEMA,
+                    "--decision", "cb", "--out", str(out))
+        assert code == 1
+        assert "'cb' is not a decision attribute" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_implicant_blowup_is_2(self, tmp_path, capsys):
         """22 conditions over 40 random rows have over 10,000 reducts; the

@@ -23,6 +23,7 @@ from somrough.som import (
     update_step,
     winner,
 )
+from somrough.surrogate import generate_table
 from somrough.table import scaled_matrix, transform_scale
 
 
@@ -172,6 +173,37 @@ class TestTrain:
         assert np.array_equal(got.weights, w)
         assert got.qe_log == tuple(qe_log)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.lists(
+            st.lists(st.floats(-10.0, 10.0) | st.just(math.nan), min_size=2, max_size=2),
+            min_size=1,
+            max_size=6,
+        ).filter(lambda rows: all(any(not math.isnan(r[j]) for r in rows) for j in (0, 1))),
+        line=st.booleans(),
+        grid=st.sampled_from([(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)]),
+        epochs=st.integers(1, 3),
+        eta0=st.sampled_from([0.3, 0.8, 1.0]),
+        radius0=st.sampled_from([None, 0.0, 1.0]),
+        seed=st.integers(0, 99),
+    )
+    def test_untraced_weights_equal_traced(
+        self, data, line, grid, epochs, eta0, radius0, seed
+    ):
+        """trace=False skips the error trace and nothing else, on the G x 1
+        fast path (complete 1-D data) and on the general loop (2-D grids,
+        2-D data, missing cells)."""
+        x = np.array(data)
+        if line:
+            x = np.nan_to_num(x[:, :1], nan=0.5)
+            grid = (grid[0] * grid[1], 1)
+        cfg = SomConfig(grid=grid, epochs=epochs, eta0=eta0, radius0=radius0, seed=seed)
+        traced = train(x, cfg)
+        untraced = train(x, cfg, trace=False)
+        assert np.array_equal(untraced.weights, traced.weights)
+        assert untraced.qe_log == ()
+        assert len(traced.qe_log) == epochs + 1
+
 
 class TestQuantizationError:
     def test_perfect_fit_is_zero(self):
@@ -239,6 +271,64 @@ class TestFitDiscretizer:
             d = fit_table_discretizer(t, "tb", 3, seed=seed)
             labels = {assign_granule(d, v) for v in t.column("tb")}
             assert labels == {1, 2, 3}
+
+
+# Reference quantizers (name, centers, cuts), recorded with the traced
+# trainer. Any change to the training loop must reproduce them to the bit.
+JEFFREY_G3_SEED0 = (
+    ("cp", (3.0985347608447613, 2.6280034465811557, 2.0), (2.8632691037129585, 2.314001723290578)),
+    ("phip", (35.0, 30.0, 25.0), (32.5, 27.5)),
+    (
+        "cb",
+        (375587.63078350364, 299999.99999999994, 220000.0),
+        (337793.8153917518, 259999.99999999997),
+    ),
+    ("phib", (42.548277087632044, 35.0, 25.0), (38.77413854381602, 30.0)),
+    ("csz", (1500.0, 900.672358605868, 500.0), (1200.336179302934, 700.3361793029339)),
+    (
+        "phisz",
+        (15.824229347117612, 10.000000000000002, 6.603408219091133),
+        (12.912114673558808, 8.301704109545568),
+    ),
+    ("tp", (2710000.0, 1000000.0, 428901.4), (1855000.0, 714450.7)),
+    # Six box-seeded draws fail on this heavily tied column: quantile fallback.
+    ("tb", (1130000.0, 679999.9999999992, 42844.4), (904999.9999999995, 361422.1999999996)),
+    (
+        "tmd",
+        (1.077632961225802e-06, 2.199999999999984e-11, 7.800000000000007e-16),
+        (4.8690784699948586e-09, 1.309961831505021e-13),
+    ),
+    (
+        "mvv",
+        (7.871100930389467e-14, 1.1027465533789049e-15, 2.2911378457676284e-22),
+        (9.316560214094315e-15, 5.026474274017745e-19),
+    ),
+)
+
+SURROGATE_500_SEED1_G2_SEED0 = (
+    ("cohesion", (67.84993471575773, 23.87270615901251), (45.86132043738512,)),
+    ("friction", (23.047634724175847, 17.043438702318834), (20.04553671324734,)),
+    ("slope", (45.49828596957227, 44.496607175323774), (44.99744657244803,)),
+    ("weight", (1025.1432611471444, 975.1096587183678), (1000.126459932756,)),
+    ("area", (40.50539853066354, 39.504873986219344), (40.00513625844144,)),
+    ("displacement", (0.02531913132090321, 9.98440453849508e-08), (5.0278867297422176e-05,)),
+)
+
+
+class TestPinnedQuantizers:
+    def test_corpus_g3(self):
+        t = jeffrey_table()
+        assert [n for n, _, _ in JEFFREY_G3_SEED0] == t.names
+        for name, centers, cuts in JEFFREY_G3_SEED0:
+            d = fit_table_discretizer(t, name, 3, seed=0)
+            assert (d.centers, d.cuts) == (centers, cuts), name
+
+    def test_surrogate_g2(self):
+        t = generate_table(count=500, seed=1)
+        assert [n for n, _, _ in SURROGATE_500_SEED1_G2_SEED0] == t.names
+        for name, centers, cuts in SURROGATE_500_SEED1_G2_SEED0:
+            d = fit_table_discretizer(t, name, 2, seed=0)
+            assert (d.centers, d.cuts) == (centers, cuts), name
 
 
 class TestAssignGranule:

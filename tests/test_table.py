@@ -6,9 +6,11 @@ import pytest
 
 from somrough.corpus import jeffrey_table
 from somrough.errors import DataError, UsageError
+from somrough.som import Discretizer
 from somrough.table import (
     AttributeSpec,
     DecisionTable,
+    GranularTable,
     infer_scale,
     load_schema,
     load_table,
@@ -197,3 +199,35 @@ class TestInvariants:
         t = jeffrey_table()
         with pytest.raises(UsageError):
             t.col_index("nope")
+
+
+class TestGranularLabels:
+    SPECS = (AttributeSpec("a", "condition"), AttributeSpec("d", "decision"))
+    DISCS = {"a": Discretizer("a", "linear", (3.0, 2.0, 1.0), (2.5, 1.5))}
+
+    @pytest.mark.parametrize("label", [0, -1, 1.5, 2.0, "1", True])
+    def test_bad_label_rejected(self, label):
+        with pytest.raises(DataError, match="granule label must be a positive int"):
+            GranularTable(specs=self.SPECS, rows=((1, 1), (label, 2)), discretizers=self.DISCS)
+
+    def test_label_above_granule_count_rejected(self):
+        with pytest.raises(DataError, match="exceeds granule count 3"):
+            GranularTable(specs=self.SPECS, rows=((3, 1), (4, 2)), discretizers=self.DISCS)
+
+    def test_clones_keep_structure_and_quantizers(self):
+        t = GranularTable(
+            specs=self.SPECS,
+            rows=((1, 1), (None, 2), (3, 9)),
+            object_ids=(7, 2, 5),
+            discretizers=self.DISCS,
+        )
+        sub = t.subset([5, 7])
+        assert sub == GranularTable(
+            specs=self.SPECS, rows=((1, 1), (3, 9)), object_ids=(7, 5), discretizers=self.DISCS
+        )
+        assert sub.value(5, "a") == 3
+        proj = t.project(["d"])
+        assert isinstance(proj, GranularTable)
+        assert proj.discretizers == {}
+        assert proj.rows == ((1,), (2,), (9,))
+        assert proj.object_ids == (7, 2, 5)
