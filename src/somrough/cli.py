@@ -204,9 +204,11 @@ def cmd_backanalyze(args) -> int:
         rules = report_rules_from_json(doc)
         granular = granular_from_json(doc)
         decision = doc["decision"]
-        disc = granular.discretizers.get(decision)  # TypeError on an unhashable name
+        if decision not in granular.decision_names:
+            raise ValueError(f"{decision!r} is not a decision attribute")
     except (KeyError, TypeError, ValueError, UsageError) as exc:
         raise DataError(f"malformed report file: {exc}") from None
+    disc = granular.discretizers.get(decision)
     if disc is None:
         raise DataError(f"report carries no quantizer for {decision!r}")
     granule = granulate_observation(disc, args.observe)

@@ -192,35 +192,42 @@ def induce_cover(
     if semantics not in SEMANTICS:
         raise UsageError(f"semantics must be one of {SEMANTICS}")
 
-    rows = _rows_as_dicts(train)
     ids = list(train.object_ids)
+    label_of = dict(zip(ids, train.column(decision)))
     g_count = _granule_count(train, decision)
     cond_attrs = train.condition_names
 
     if semantics == "exact":
-        present = sorted({rows[i][decision] for i in ids if rows[i][decision] is not None})
+        present = sorted({g for g in label_of.values() if g is not None})
         targets = [DecisionPart(decision, "exactly", g) for g in present]
     else:
         targets = [DecisionPart(decision, "at_most", g) for g in range(1, g_count)]
 
-    # Candidate label intervals per attribute: every contiguous proper
-    # sub-range of 1..G.
-    candidates: dict[str, list[Condition]] = {}
+    # Candidate label intervals per attribute, each with the ids it
+    # matches: every contiguous proper sub-range of 1..G. A missing label
+    # matches nothing.
+    candidates: dict[str, list[tuple[Condition, frozenset]]] = {}
     for attr in cond_attrs:
+        ids_of: dict[int, set] = {}
+        for oid, g in zip(ids, train.column(attr)):
+            if g is not None:
+                ids_of.setdefault(g, set()).add(oid)
         ga = _granule_count(train, attr)
         conds = []
         for g_lo in range(1, ga + 1):
             for g_hi in range(g_lo, ga + 1):
                 if g_lo == 1 and g_hi == ga:
                     continue
-                conds.append(_interval_condition(train, attr, g_lo, g_hi))
+                cond = _interval_condition(train, attr, g_lo, g_hi)
+                matched = frozenset().union(*(ids_of.get(g, ()) for g in cond.labels))
+                conds.append((cond, matched))
         candidates[attr] = conds
 
     rules: list[Rule] = []
-    covered: set[int] = set()
+    covered: set[int] = set()  # objects some rule matches and concludes correctly
 
     for part in targets:
-        positives = {i for i in ids if part.covers(rows[i][decision])}
+        positives = {i for i in ids if part.covers(label_of[i])}
         negatives = set(ids) - positives
         if not positives:
             continue
@@ -228,35 +235,29 @@ def induce_cover(
             remaining = positives - covered
             if not remaining:
                 break
-            rule = _grow_rule(
-                part, rows, ids, remaining, positives, negatives, cond_attrs, candidates,
-                constraints,
+            grown = _grow_rule(
+                part, ids, remaining, positives, negatives, cond_attrs, candidates, constraints
             )
-            if rule is None:
+            if grown is None:
                 break
+            rule, cover = grown
             rules.append(rule)
-            covered |= {i for i in positives if rule.matches_row(rows[i])}
+            covered |= cover & positives
         if len(rules) >= constraints.max_rules:
             break
 
-    uncovered = tuple(
-        i
-        for i in ids
-        if not any(r.matches_row(rows[i]) and r.decision.covers(rows[i][decision]) for r in rules)
-    )
     return RuleSet(
         rules=tuple(rules),
         constraints=constraints,
-        uncovered=uncovered,
+        uncovered=tuple(i for i in ids if i not in covered),
         semantics=semantics,
     )
 
 
-def _grow_rule(
-    part, rows, ids, remaining, positives, negatives, cond_attrs, candidates, constraints
-):
-    """One greedy conjunction for the given decision part, or None if the
-    grown rule fails the consistency or strength gates."""
+def _grow_rule(part, ids, remaining, positives, negatives, cond_attrs, candidates, constraints):
+    """One greedy conjunction for the given decision part and the ids it
+    matches, or None if the grown rule fails the consistency or strength
+    gates."""
     chosen: list[Condition] = []
     used: set[str] = set()
     cover = set(ids)
@@ -265,8 +266,8 @@ def _grow_rule(
         for a_idx, attr in enumerate(cond_attrs):
             if attr in used:
                 continue
-            for c_idx, cond in enumerate(candidates[attr]):
-                cov = {i for i in cover if cond.matches_label(rows[i].get(attr))}
+            for c_idx, (cond, matched) in enumerate(candidates[attr]):
+                cov = cover & matched
                 new_pos = len(cov & remaining)
                 if new_pos == 0:
                     continue
@@ -288,9 +289,8 @@ def _grow_rule(
     strength_val = support / len(positives)
     if support == 0 or strength_val < constraints.min_strength:
         return None
-    return Rule(
-        conditions=tuple(chosen), decision=part, support=support, strength=strength_val
-    )
+    rule = Rule(conditions=tuple(chosen), decision=part, support=support, strength=strength_val)
+    return rule, cover
 
 
 def classify(rs: RuleSet, row: dict):

@@ -196,12 +196,25 @@ def train(
 def _train_line(x: np.ndarray, config: SomConfig, init: np.ndarray, trace: bool) -> SomMap:
     """Plain-float training for G x 1 maps on complete 1-D data.
 
-    Same arithmetic as the general path, presentation for presentation
-    (the blended update keeps it bit-identical); quantizer fitting calls
-    this thousands of times, and array dispatch would dominate the cost.
-    Once the integer radius is 0 (at once for G = 2, after the first
-    presentation for G = 3) only the winner moves, so the neighborhood
-    loop is skipped there.
+    Same arithmetic as the general path, presentation for presentation;
+    quantizer fitting calls this thousands of times, and array dispatch
+    would dominate the cost. Training runs in two phases:
+
+    - a neighborhood prefix: the presentations whose integer radius
+      ``int(radius0 * frac)`` is still positive (none for G = 2, the first
+      one for G = 3, none for the quantile fallback) move the winner's
+      grid neighborhood;
+    - a winner-only suffix: once the radius has dropped to 0 it stays 0,
+      because ``frac`` never increases, and only the winner moves. Each
+      epoch takes its learning rates from one list, each still
+      ``eta0 * (1.0 - t / total)``, and for G = 2 and G = 3 the winner
+      search is unrolled onto local floats.
+
+    The weights stay bit-identical to ``update_step``: every rate, every
+    squared distance ``(v - w) * (v - w)`` and every blended update
+    ``(1.0 - eta) * w + eta * v`` is the same float expression in the same
+    order, and strict ``<`` comparisons in node order still give a tie to
+    the lowest node.
     """
     values = [float(v) for v in x[:, 0]]
     n = len(values)
@@ -219,24 +232,67 @@ def _train_line(x: np.ndarray, config: SomConfig, init: np.ndarray, trace: bool)
 
     qe_log = [qe()] if trace else []
     t = 0
+    coupled = True  # still inside the neighborhood prefix
     for _ in range(config.epochs):
-        for v in values:
-            frac = 1.0 - t / total
-            eta = eta0 * frac
-            radius = int(radius0 * frac)
-            best = 0
-            best_d = (v - w[0]) * (v - w[0])
-            for i in range(1, m):
-                d = (v - w[i]) * (v - w[i])
-                if d < best_d:
-                    best, best_d = i, d
-            if radius == 0:
-                w[best] = (1.0 - eta) * w[best] + eta * v
-            else:
+        suffix = values
+        if coupled:
+            for k, v in enumerate(values):
+                frac = 1.0 - t / total
+                radius = int(radius0 * frac)
+                if radius == 0:
+                    coupled = False
+                    suffix = values[k:]
+                    break
+                eta = eta0 * frac
+                best = 0
+                best_d = (v - w[0]) * (v - w[0])
+                for i in range(1, m):
+                    d = (v - w[i]) * (v - w[i])
+                    if d < best_d:
+                        best, best_d = i, d
                 one_m_eta = 1.0 - eta
                 for i in range(max(0, best - radius), min(m - 1, best + radius) + 1):
                     w[i] = one_m_eta * w[i] + eta * v
-            t += 1
+                t += 1
+            else:
+                suffix = ()
+        etas = [eta0 * (1.0 - s / total) for s in range(t, t + len(suffix))]
+        t += len(suffix)
+        if m == 2:
+            w0, w1 = w
+            for v, eta in zip(suffix, etas):
+                e0 = v - w0
+                e1 = v - w1
+                if e1 * e1 < e0 * e0:
+                    w1 = (1.0 - eta) * w1 + eta * v
+                else:
+                    w0 = (1.0 - eta) * w0 + eta * v
+            w = [w0, w1]
+        elif m == 3:
+            w0, w1, w2 = w
+            for v, eta in zip(suffix, etas):
+                d0 = (v - w0) * (v - w0)
+                d1 = (v - w1) * (v - w1)
+                d2 = (v - w2) * (v - w2)
+                if d1 < d0:
+                    if d2 < d1:
+                        w2 = (1.0 - eta) * w2 + eta * v
+                    else:
+                        w1 = (1.0 - eta) * w1 + eta * v
+                elif d2 < d0:
+                    w2 = (1.0 - eta) * w2 + eta * v
+                else:
+                    w0 = (1.0 - eta) * w0 + eta * v
+            w = [w0, w1, w2]
+        else:
+            for v, eta in zip(suffix, etas):
+                best = 0
+                best_d = (v - w[0]) * (v - w[0])
+                for i in range(1, m):
+                    d = (v - w[i]) * (v - w[i])
+                    if d < best_d:
+                        best, best_d = i, d
+                w[best] = (1.0 - eta) * w[best] + eta * v
         if trace:
             qe_log.append(qe())
     weights = np.array([[wi] for wi in w])

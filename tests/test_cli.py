@@ -153,6 +153,9 @@ BAD_INPUTS = {
     "report-list-decision": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("decision",), ["mvv"])
     ),
+    "report-decision-condition": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("decision",), "cb")
+    ),
     "report-label-zero": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("granular", "rows", 0, 0), 0)
     ),

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from somrough.errors import DataError, UsageError
+from somrough.pipeline import granulate
 from somrough.rules import (
     Condition,
     DecisionPart,
@@ -19,6 +20,7 @@ from somrough.rules import (
     render_rule,
     render_rules,
 )
+from somrough.surrogate import generate_table
 from somrough.table import AttributeSpec, GranularTable
 
 GOLDEN = Path(__file__).parent / "data" / "jeffrey_rules_golden.txt"
@@ -103,6 +105,51 @@ class TestInduceCover:
     def test_bad_decision_name(self):
         with pytest.raises(UsageError):
             induce_cover(TOY, "a", LOOSE)
+
+
+# induce_cover on granulate(generate_table(count=200, seed=3), 2, seed=0)
+# under the criterion-7 limits, recorded from the per-object matching
+# implementation: rules.txt text, (support, strength) per rule, uncovered ids.
+CRITERION7 = RuleConstraints(min_strength=0.0, max_length=3, max_rules=8)
+SURROGATE_200_PIN = {
+    "exact": (
+        "Rule 1. (cohesion<=45.763243) & (area<=40.004679) => (displacement exactly 1);\n"
+        "Rule 2. (cohesion>=45.763243) => (displacement exactly 2);\n",
+        ((56, 0.5894736842105263), (100, 0.9523809523809523)),
+        (
+            3, 9, 14, 17, 19, 23, 26, 28, 31, 32, 39, 49, 54, 63, 64, 66, 68, 69, 70,
+            79, 81, 87, 92, 98, 101, 105, 106, 111, 113, 116, 127, 140, 144, 147, 151,
+            156, 161, 162, 166, 169, 170, 179, 185, 187,
+        ),
+    ),
+    "cumulative": (
+        "Rule 1. (cohesion<=45.763243) & (area<=40.004679) => (displacement at most 1);\n",
+        ((56, 0.5894736842105263),),
+        (
+            0, 1, 2, 3, 4, 7, 8, 9, 10, 11, 12, 13, 14, 16, 17, 18, 19, 21, 22, 23, 25,
+            26, 27, 28, 29, 31, 32, 33, 34, 36, 37, 38, 39, 40, 41, 44, 45, 46, 47, 48,
+            49, 50, 51, 52, 53, 54, 55, 56, 59, 61, 63, 64, 66, 67, 68, 69, 70, 74, 75,
+            76, 77, 78, 79, 80, 81, 82, 83, 85, 87, 88, 89, 90, 92, 93, 95, 97, 98, 99,
+            101, 102, 105, 106, 107, 108, 109, 111, 113, 114, 116, 118, 119, 120, 122,
+            124, 125, 126, 127, 128, 130, 131, 132, 134, 135, 137, 138, 139, 140, 141,
+            142, 144, 146, 147, 148, 149, 151, 153, 154, 155, 156, 157, 158, 159, 161,
+            162, 163, 164, 165, 166, 167, 168, 169, 170, 171, 172, 175, 177, 179, 183,
+            184, 185, 186, 187, 193, 199,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("semantics", sorted(SURROGATE_200_PIN))
+def test_induce_cover_pinned_on_surrogate(semantics):
+    """Rule growth over a 200-row granulated surrogate reproduces the
+    recorded rules, scores and uncovered objects exactly."""
+    text, scores, uncovered = SURROGATE_200_PIN[semantics]
+    g = granulate(generate_table(count=200, seed=3), 2, seed=0)
+    rs = induce_cover(g, "displacement", CRITERION7, semantics=semantics)
+    assert render_rules(rs) == text
+    assert tuple((r.support, r.strength) for r in rs.rules) == scores
+    assert rs.uncovered == uncovered
 
 
 class TestStrength:

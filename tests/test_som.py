@@ -26,6 +26,9 @@ from somrough.som import (
 from somrough.surrogate import generate_table
 from somrough.table import scaled_matrix, transform_scale
 
+# Coarse grid of halves: many exact ties between squared distances.
+HALVES = st.integers(-8, 8).map(lambda k: k / 2)
+
 
 def _kmeans1d(values, G):
     """Exact 1-D G-clustering oracle: enumerate contiguous splits, min SSE.
@@ -140,22 +143,28 @@ class TestTrain:
         with pytest.raises(DataError):
             train([], SomConfig(grid=(2, 1)))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(
-        values=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8),
-        nodes=st.integers(2, 5),
-        epochs=st.integers(1, 4),
+        values=st.lists(HALVES, min_size=1, max_size=8),
+        init_values=st.lists(HALVES | st.floats(-10.0, 10.0), min_size=7, max_size=7),
+        nodes=st.integers(2, 7),
+        epochs=st.integers(1, 6),
         eta0=st.sampled_from([0.3, 0.8, 1.0]),
-        radius0=st.sampled_from([None, 0.0, 1.0]),
-        seed=st.integers(0, 99),
+        radius0=st.sampled_from([None, 0.0, 1.0, 2.5]),
     )
-    def test_line_fast_path_matches_update_step(self, values, nodes, epochs, eta0, radius0, seed):
+    def test_line_fast_path_matches_update_step(
+        self, values, init_values, nodes, epochs, eta0, radius0
+    ):
         """G x 1 maps on complete 1-D data take a plain-float path; its
         weights and error trace equal presentation-by-presentation
-        update_step under the same linear eta/radius schedule."""
+        update_step under the same linear eta/radius schedule.
+
+        Values on a grid of halves give exact distance ties; radius0 = 2.5
+        and up to six epochs let the neighborhood prefix cross epoch
+        boundaries."""
         cfg = SomConfig(grid=(nodes, 1), epochs=epochs, eta0=eta0, radius0=radius0)
         x = np.array(values).reshape(-1, 1)
-        init = np.random.default_rng(seed).uniform(-10.0, 10.0, size=(nodes, 1))
+        init = np.array(init_values[:nodes]).reshape(-1, 1)
         got = train(x, cfg, init_weights=init)
 
         def qe(w):
@@ -305,6 +314,105 @@ JEFFREY_G3_SEED0 = (
     ),
 )
 
+# G = 4 and G = 5 keep a neighborhood (radius > 0) for the first third
+# and the first half of the presentations. Columns with fewer distinct
+# values than granules cannot be quantized and are left out; the others
+# marked "fallback" fail all six box-seeded draws (each of which still
+# runs the neighborhood prefix) and take the quantile-seeded fallback.
+JEFFREY_G4_SEED0 = (
+    (
+        "cp",  # fallback
+        (3.2, 3.000000000000001, 2.6280034465811557, 2.0),
+        (3.1000000000000005, 2.8140017232905783, 2.314001723290578),
+    ),
+    (
+        "cb",  # fallback
+        (400000.0, 362800.34465811565, 299999.99999999994, 220000.0),
+        (381400.1723290578, 331400.1723290578, 259999.99999999997),
+    ),
+    ("phib", (45.0, 40.0, 35.0, 25.0), (42.5, 37.5, 30.0)),  # fallback
+    (
+        "csz",  # fallback
+        (1500.0, 1000.0, 799.9999999999998, 500.0),
+        (1250.0, 899.9999999999999, 649.9999999999999),
+    ),
+    (
+        "phisz",
+        (20.0, 14.999999999999996, 10.000000000000002, 6.603408219091133),
+        (17.5, 12.5, 8.301704109545568),
+    ),
+    (
+        "tmd",
+        (
+            3.838213881700281e-06,
+            5.537109383145577e-08,
+            2.199999999999984e-11,
+            7.800000000000007e-16,
+        ),
+        (4.610055324926393e-07, 1.1037046997689261e-09, 1.309961831505021e-13),
+    ),
+    (
+        "mvv",
+        (
+            7.871100930389467e-14,
+            1.1027465533789049e-15,
+            4.1000000000000164e-22,
+            1.8824725428466308e-22,
+        ),
+        (9.316560214094315e-15, 6.724032174858692e-19, 2.7781536000860635e-22),
+    ),
+)
+
+JEFFREY_G5_SEED0 = (
+    (
+        "cp",  # fallback
+        (3.2, 3.000000000000001, 2.75, 2.5000000000000004, 2.0),
+        (3.1000000000000005, 2.8750000000000004, 2.625, 2.25),
+    ),
+    (
+        "cb",  # fallback
+        (400000.0, 375000.0000000001, 350000.0000000001, 299999.99999999994, 220000.0),
+        (387500.00000000006, 362500.0000000001, 325000.0, 259999.99999999997),
+    ),
+    (
+        "phisz",
+        (19.999999999693998, 14.999999999999996, 10.000000000089393, 7.678130586708223, 5.0),
+        (17.499999999847, 12.500000000044695, 8.839065293398807, 6.339065293354111),
+    ),
+    (
+        "tmd",
+        (
+            8.280707388971337e-06,
+            2.1366712143243092e-06,
+            5.537109383145577e-08,
+            2.2000000011928208e-11,
+            7.800000004709051e-16,
+        ),
+        (
+            4.206322516433764e-06,
+            3.4396194890615684e-07,
+            1.10370470006814e-09,
+            1.309961832255578e-13,
+        ),
+    ),
+    (
+        "mvv",  # fallback
+        (
+            2.955764401418018e-13,
+            3.260186440355699e-14,
+            1.1027465533789049e-15,
+            4.1000000000000164e-22,
+            1.8824725428466308e-22,
+        ),
+        (
+            9.816487672476884e-14,
+            5.995964776810224e-15,
+            6.724032174858692e-19,
+            2.7781536000860635e-22,
+        ),
+    ),
+)
+
 SURROGATE_500_SEED1_G2_SEED0 = (
     ("cohesion", (67.84993471575773, 23.87270615901251), (45.86132043738512,)),
     ("friction", (23.047634724175847, 17.043438702318834), (20.04553671324734,)),
@@ -322,6 +430,24 @@ class TestPinnedQuantizers:
         for name, centers, cuts in JEFFREY_G3_SEED0:
             d = fit_table_discretizer(t, name, 3, seed=0)
             assert (d.centers, d.cuts) == (centers, cuts), name
+
+    def _check_corpus(self, granules, pinned):
+        t = jeffrey_table()
+        fitted = {name for name, _, _ in pinned}
+        for name in t.names:
+            if name in fitted:
+                continue
+            with pytest.raises(DataError):
+                fit_table_discretizer(t, name, granules, seed=0)
+        for name, centers, cuts in pinned:
+            d = fit_table_discretizer(t, name, granules, seed=0)
+            assert (d.centers, d.cuts) == (centers, cuts), name
+
+    def test_corpus_g4(self):
+        self._check_corpus(4, JEFFREY_G4_SEED0)
+
+    def test_corpus_g5(self):
+        self._check_corpus(5, JEFFREY_G5_SEED0)
 
     def test_surrogate_g2(self):
         t = generate_table(count=500, seed=1)
