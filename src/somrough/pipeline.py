@@ -17,11 +17,11 @@ parameter bundles, with a reduct-based sensitivity ranking.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
+from . import _pcg
 from .errors import DataError, UsageError
 from .rough import core, reducts
 from .rules import (
@@ -180,7 +180,7 @@ def close_open(table: DecisionTable, decision: str, cfg: PipelineConfig) -> RunR
         run_seed = cfg.seed + run
         gtable = granulate(table, cfg.granules, seed=run_seed)
         artifacts = (gtable.discretizers, gtable)
-        rng = np.random.default_rng(run_seed)
+        rng = _pcg.Stream(run_seed)
 
         budget = 1
         fails_here = 0
@@ -188,7 +188,7 @@ def close_open(table: DecisionTable, decision: str, cfg: PipelineConfig) -> RunR
         open_steps = 0
         stop = "iteration cap"
         for index in range(1, cfg.max_iterations + 1):
-            split_seed = int(rng.integers(2**31 - 1))
+            split_seed = rng.integers(2**31 - 1)
             train_t, test_t = split_random(gtable, cfg.train_fraction, split_seed)
             cons = replace(cfg.constraints, max_rules=budget)
             rs = induce_cover(train_t, decision, cons, cfg.semantics)
@@ -258,7 +258,7 @@ def close_open(table: DecisionTable, decision: str, cfg: PipelineConfig) -> RunR
 def granulate_observation(disc: Discretizer, measured: float) -> int:
     """Granule of a monitored value; out-of-range values take the nearest
     extreme band."""
-    if measured is None or not np.isfinite(measured):
+    if measured is None or not math.isfinite(measured):
         raise UsageError("measured value must be finite")
     label = assign_granule(disc, measured)
     assert label is not None

@@ -225,10 +225,13 @@ def induce_cover(
 
     rules: list[Rule] = []
     covered: set[int] = set()  # objects some rule matches and concludes correctly
+    # An object with a missing decision is evidence for no target and
+    # against none: it is never a positive and never a negative.
+    decided = {i for i in ids if label_of[i] is not None}
 
     for part in targets:
         positives = {i for i in ids if part.covers(label_of[i])}
-        negatives = set(ids) - positives
+        negatives = decided - positives
         if not positives:
             continue
         while len(rules) < constraints.max_rules:
@@ -322,13 +325,18 @@ def classify(rs: RuleSet, row: dict):
 
 
 def accuracy(rs: RuleSet, test: GranularTable, decision: str) -> float:
-    """Correct fraction on held-out objects; abstentions count as wrong."""
+    """Correct fraction on the held-out objects that have a decision;
+    abstentions count as wrong. Objects whose decision is missing are not
+    scored, and a test set with none left scores 0.0."""
     rows = _rows_as_dicts(test)
     if not rows:
         log.warning("accuracy over an empty test set is vacuously 1.0")
         return 1.0
-    correct = sum(1 for r in rows.values() if classify(rs, r) == r.get(decision))
-    return correct / len(rows)
+    scored = [r for r in rows.values() if r.get(decision) is not None]
+    if not scored:
+        return 0.0
+    correct = sum(1 for r in scored if classify(rs, r) == r[decision])
+    return correct / len(scored)
 
 
 # --- rendering and parsing -------------------------------------------------

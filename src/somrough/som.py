@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _pcg
 from .errors import DataError, UsageError
 from .table import inverse_scale, scale_minmax, transform_scale
 
@@ -48,6 +47,8 @@ class SomConfig:
             raise UsageError("epochs must be positive")
         if self.radius0 is not None and self.radius0 < 0:
             raise UsageError("radius0 must be >= 0")
+        if self.seed < 0:
+            raise UsageError("seed must be >= 0")
 
     @property
     def nodes(self) -> int:
@@ -65,19 +66,25 @@ class SomMap:
     """A trained map: grid dims, one weight vector per node, error trace."""
 
     grid: tuple[int, int]
-    weights: np.ndarray  # shape (nodes, dim)
+    weights: tuple[tuple[float, ...], ...]  # one weight vector per node
     qe_log: tuple[float, ...] = ()  # error before training, then per epoch; empty if untraced
 
     @property
     def nodes(self) -> int:
-        return self.weights.shape[0]
+        return len(self.weights)
 
     @property
     def dim(self) -> int:
-        return self.weights.shape[1]
+        return len(self.weights[0])
 
 
-def _as_matrix(data, dim: int | None = None) -> np.ndarray:
+# numpy serves the general (2-D) trainer and the array helpers below; each
+# imports it when called, so the G x 1 quantizer path never loads it.
+
+
+def _as_matrix(data, dim: int | None = None):
+    import numpy as np
+
     x = np.asarray(data, dtype=float)
     if x.ndim == 1:
         x = x.reshape(-1, 1)
@@ -88,11 +95,13 @@ def _as_matrix(data, dim: int | None = None) -> np.ndarray:
     return x
 
 
-def _sq_distances(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _sq_distances(weights, x):
     """Squared Euclidean distance from x to every node, missing-aware.
 
     NaN components of x are excluded from the sum for every node alike.
     """
+    import numpy as np
+
     diff = weights - x
     diff = np.where(np.isnan(x), 0.0, diff)
     return np.sum(diff * diff, axis=1)
@@ -100,27 +109,33 @@ def _sq_distances(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def winner(som: SomMap, x) -> int:
     """Index of the best-matching unit; ties go to the lowest index."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != som.dim:
         raise UsageError(f"input has dimension {x.shape[0]}, map expects {som.dim}")
-    return int(np.argmin(_sq_distances(som.weights, x)))
+    return int(np.argmin(_sq_distances(np.asarray(som.weights, dtype=float), x)))
 
 
 def quantization_error(som: SomMap, data) -> float:
     """Mean squared distance from each datum to its winning node."""
+    import numpy as np
+
     x = _as_matrix(data, som.dim)
-    return _qe(som.weights, x)
+    return _qe(np.asarray(som.weights, dtype=float), x)
 
 
-def _qe(weights: np.ndarray, x: np.ndarray) -> float:
+def _qe(weights, x) -> float:
     total = 0.0
     for row in x:
-        total += float(np.min(_sq_distances(weights, row)))
+        total += float(_sq_distances(weights, row).min())
     return total / x.shape[0]
 
 
-def neighborhood(grid: tuple[int, int], center: int, radius: float) -> np.ndarray:
+def neighborhood(grid: tuple[int, int], center: int, radius: float):
     """Node indices within Chebyshev grid distance <= radius of center."""
+    import numpy as np
+
     nx, ny = grid
     cx, cy = center % nx, center // nx
     idx = np.arange(nx * ny)
@@ -129,15 +144,15 @@ def neighborhood(grid: tuple[int, int], center: int, radius: float) -> np.ndarra
     return idx[np.maximum(dx, dy) <= radius]
 
 
-def update_step(
-    weights: np.ndarray, x: np.ndarray, grid: tuple[int, int], eta: float, radius: float
-) -> np.ndarray:
+def update_step(weights, x, grid: tuple[int, int], eta: float, radius: float):
     """One presentation: move the winner's neighborhood toward x.
 
     Each updated component obeys w' = w + eta * (x - w); missing (NaN)
-    components of x leave the corresponding weights untouched. Returns a
-    new array; the input is not modified.
+    components of x leave the corresponding weights untouched. Takes and
+    returns arrays; the input is not modified.
     """
+    import numpy as np
+
     out = weights.copy()
     win = int(np.argmin(_sq_distances(out, x)))
     nodes = neighborhood(grid, win, radius)
@@ -147,15 +162,18 @@ def update_step(
     return out
 
 
-def train(
-    data, config: SomConfig, init_weights: np.ndarray | None = None, *, trace: bool = True
-) -> SomMap:
+def train(data, config: SomConfig, init_weights=None, *, trace: bool = True) -> SomMap:
     """Train a map over the data's bounding box.
 
     Weights start as seeded uniform draws inside the per-component data
-    range (or from ``init_weights`` when given); each epoch presents the
-    rows in order, and both the learning rate and the neighborhood radius
-    decay linearly to zero over the total number of presentations.
+    range (or from ``init_weights``, one row per node, when given); each
+    epoch presents the rows in order, and both the learning rate and the
+    neighborhood radius decay linearly to zero over the total number of
+    presentations. The draws come from the package's own stream
+    (``somrough._pcg``), node by node and component by component.
+
+    G x 1 maps on one complete column train on plain floats; every other
+    map trains on numpy arrays, imported on first use.
 
     With ``trace`` (the default) the map carries its quantization error
     before training and after every epoch in ``qe_log``. Quantizer fitting
@@ -163,20 +181,33 @@ def train(
     about as much as the training itself, and ``qe_log`` is then empty.
     The weights do not depend on ``trace``.
     """
+    values = _line_values(data) if config.grid[1] == 1 else None
+    if values:
+        if init_weights is None:
+            lo, hi = min(values), max(values)
+            init = [u * (hi - lo) + lo for u in _pcg.Stream(config.seed).uniform(config.nodes)]
+        else:
+            try:
+                init = [float(v) for (v,) in init_weights]
+            except (TypeError, ValueError):
+                init = None
+            if init is None or len(init) != config.nodes:
+                raise UsageError("init_weights shape does not match grid and data dimension")
+        return _train_line(values, config, init, trace)
+
+    import numpy as np
+
     x = _as_matrix(data)
     n, dim = x.shape
     if init_weights is None:
-        rng = np.random.default_rng(config.seed)
+        draws = np.array(_pcg.Stream(config.seed).uniform(config.nodes * dim))
         lo = np.nanmin(x, axis=0)
         hi = np.nanmax(x, axis=0)
-        weights = rng.uniform(size=(config.nodes, dim)) * (hi - lo) + lo
+        weights = draws.reshape(config.nodes, dim) * (hi - lo) + lo
     else:
-        if init_weights.shape != (config.nodes, dim):
+        weights = np.array(init_weights, dtype=float)
+        if weights.shape != (config.nodes, dim):
             raise UsageError("init_weights shape does not match grid and data dimension")
-        weights = init_weights.astype(float).copy()
-
-    if dim == 1 and config.grid[1] == 1 and not np.isnan(x).any():
-        return _train_line(x, config, weights, trace)
 
     total = config.epochs * n
     t = 0
@@ -190,10 +221,27 @@ def train(
             t += 1
         if trace:
             qe_log.append(_qe(weights, x))
+    weights = tuple(tuple(row) for row in weights.tolist())
     return SomMap(grid=config.grid, weights=weights, qe_log=tuple(qe_log))
 
 
-def _train_line(x: np.ndarray, config: SomConfig, init: np.ndarray, trace: bool) -> SomMap:
+def _line_values(data) -> list[float] | None:
+    """The rows as plain floats when every row is one present number, else
+    None."""
+    values = []
+    for row in data:
+        try:
+            (v,) = row
+            v = float(v)
+        except (TypeError, ValueError):
+            return None
+        if math.isnan(v):
+            return None
+        values.append(v)
+    return values
+
+
+def _train_line(values: list[float], config: SomConfig, w: list[float], trace: bool) -> SomMap:
     """Plain-float training for G x 1 maps on complete 1-D data.
 
     Same arithmetic as the general path, presentation for presentation;
@@ -216,10 +264,8 @@ def _train_line(x: np.ndarray, config: SomConfig, init: np.ndarray, trace: bool)
     order, and strict ``<`` comparisons in node order still give a tie to
     the lowest node.
     """
-    values = [float(v) for v in x[:, 0]]
     n = len(values)
     m = config.nodes
-    w = [float(v) for v in init[:, 0]]
     eta0 = config.eta0
     radius0 = config.start_radius
     total = config.epochs * n
@@ -295,8 +341,7 @@ def _train_line(x: np.ndarray, config: SomConfig, init: np.ndarray, trace: bool)
                 w[best] = (1.0 - eta) * w[best] + eta * v
         if trace:
             qe_log.append(qe())
-    weights = np.array([[wi] for wi in w])
-    return SomMap(grid=config.grid, weights=weights, qe_log=tuple(qe_log))
+    return SomMap(grid=config.grid, weights=tuple((wi,) for wi in w), qe_log=tuple(qe_log))
 
 
 @dataclass(frozen=True)
@@ -401,13 +446,20 @@ def fit_discretizer(
 
     # Fallback: centers seeded on quantiles of the distinct values and no
     # neighborhood coupling, which cannot starve a node.
-    positions = np.linspace(0, len(distinct) - 1, granules)
-    init = np.array([[distinct_scaled] for distinct_scaled in _pick(scaled, positions)])
+    positions = _linspace(len(distinct) - 1, granules)
+    init = [[distinct_scaled] for distinct_scaled in _pick(scaled, positions)]
     cfg = SomConfig(grid=(granules, 1), epochs=epochs, eta0=eta0, radius0=0.0, seed=seed)
     d = build(train(data, cfg, init_weights=init, trace=False))
     if d is None:
         raise DataError(f"could not separate {granules} quantizer centers")
     return d
+
+
+def _linspace(stop: int, num: int) -> list[float]:
+    """``np.linspace(0, stop, num)`` for stop >= 1 and num >= 2: the same
+    float operations (k * (stop / (num - 1)), last point exactly stop)."""
+    step = stop / (num - 1)
+    return [k * step for k in range(num - 1)] + [float(stop)]
 
 
 def _pick(scaled_values, positions) -> list[float]:

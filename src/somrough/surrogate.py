@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DataError, UsageError
 from .table import AttributeSpec, DecisionTable, infer_scale
 
@@ -78,7 +76,14 @@ def generate_table(
     steepness: float = DEFAULT_STEEPNESS,
 ) -> DecisionTable:
     """Seeded Latin-hypercube sample of slope parameters with the proxy
-    response as decision column. Emits the standard ingestion format."""
+    response as decision column. Emits the standard ingestion format.
+
+    The sample is drawn with numpy's ``default_rng(seed)``: ``somrough
+    surrogate`` is the one command that needs numpy, and its tables may
+    change with the installed numpy version.
+    """
+    import numpy as np
+
     ranges = dict(DEFAULT_RANGES if ranges is None else ranges)
     unknown = set(ranges) - set(DEFAULT_RANGES)
     if unknown:

@@ -4,6 +4,9 @@ import copy
 import importlib.resources
 import json
 import random
+import subprocess
+import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -46,6 +49,24 @@ class TestExitCodes:
         code = _run("discretize", "--data", str(empty), "--schema", SCHEMA,
                     "--out", str(tmp_path / "o"))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("pipeline", "--decision", "mvv", "--out"),
+            ("discretize", "--out"),
+            ("rules", "--decision", "mvv", "--out"),
+            ("reducts", "--out"),
+        ],
+    )
+    def test_negative_seed_is_1(self, tmp_path, capsys, extra):
+        """Seeds feed the random stream, which takes non-negative ints only
+        (a ValueError traceback before)."""
+        code = _run(*extra, str(tmp_path / "o"), "--data", CORPUS, "--schema", SCHEMA,
+                    "--seed", "-1")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "seed must be >= 0" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
     def test_non_finite_cell_is_2(self, tmp_path, capsys, cell):
@@ -360,3 +381,35 @@ class TestConfigParsing:
     def test_bad_value_rejected(self):
         with pytest.raises(DataError):
             parse_config_file("seed = abc\n")
+
+
+def test_cli_path_loads_no_numpy(tmp_path):
+    """Importing the package and running every command but ``surrogate``
+    on the corpus never imports numpy."""
+    script = textwrap.dedent(
+        f"""
+        import sys
+        import somrough
+        assert "numpy" not in sys.modules, "import somrough"
+        from somrough.cli import main
+        from somrough.corpus import JEFFREY_OBSERVED_RATE_MS
+        data, schema, out = {CORPUS!r}, {SCHEMA!r}, {str(tmp_path)!r}
+        inputs = ["--data", data, "--schema", schema]
+        codes = [
+            main(["pipeline", *inputs, "--decision", "mvv", "--out", out + "/p"]),
+            main(["backanalyze", "--report", out + "/p/report.json",
+                  "--observe", repr(JEFFREY_OBSERVED_RATE_MS), "--out", out + "/e.json"]),
+            main(["reducts", *inputs, "--out", out + "/r.txt"]),
+            main(["discretize", *inputs, "--out", out + "/d"]),
+            main(["rules", *inputs, "--decision", "mvv", "--out", out + "/rl"]),
+        ]
+        assert codes == [3, 0, 0, 0, 0], codes
+        assert "numpy" not in sys.modules, "cli commands"
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert done.returncode == 0, done.stderr

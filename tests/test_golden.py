@@ -1,0 +1,107 @@
+"""Byte-identity of the CLI outputs for fixed inputs and seeds.
+
+The SHA-256 digests were recorded before the random stream moved into the
+package (``somrough._pcg``), when numpy's ``default_rng`` drew the initial
+map weights, the split seeds and the splits. Any change to the quantizer,
+the splitting or the rule layer that moves one byte of ``report.json``,
+``rules.txt`` or ``estimate.json`` fails here.
+"""
+
+import hashlib
+import importlib.resources
+import random
+
+import pytest
+
+from somrough.cli import main
+from somrough.corpus import JEFFREY_OBSERVED_RATE_MS
+from somrough.surrogate import (
+    DECISION_NAME,
+    DEFAULT_RANGES,
+    SlopeParams,
+    displacement_proxy,
+    factor_of_safety,
+)
+from somrough.table import AttributeSpec, DecisionTable, dump_schema, infer_scale, to_csv
+
+DATA_DIR = importlib.resources.files("somrough.data")
+CORPUS = str(DATA_DIR.joinpath("jeffrey_runs.csv"))
+SCHEMA = str(DATA_DIR.joinpath("jeffrey_schema.json"))
+
+CRITERION7_FLAGS = (
+    "--granules", "2", "--semantics", "exact", "--min_strength", "0",
+    "--max_length", "3", "--max_rules", "8", "--runs", "1",
+)
+
+
+def slope_table(count: int, seed: int) -> DecisionTable:
+    """Uniform slope parameters from ``random.Random(seed)`` and their
+    displacement proxy; no numpy draw is involved."""
+    rnd = random.Random(seed)
+    names = list(DEFAULT_RANGES)
+    rows = []
+    for _ in range(count):
+        params = {n: rnd.uniform(*DEFAULT_RANGES[n]) for n in names}
+        proxy = displacement_proxy(factor_of_safety(SlopeParams(**params)))
+        rows.append(tuple(params[n] for n in names) + (proxy,))
+    specs = [AttributeSpec(n, "condition") for n in names]
+    specs.append(AttributeSpec(DECISION_NAME, "decision", infer_scale([r[-1] for r in rows])))
+    return DecisionTable(specs=tuple(specs), rows=tuple(rows))
+
+
+def _sha(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_cli(tmp_path, data, schema, flags, observed) -> dict:
+    """Exit codes and output digests of one ``pipeline`` + ``backanalyze``."""
+    out = tmp_path / "out"
+    est = tmp_path / "estimate.json"
+    rc_p = main(["pipeline", "--data", data, "--schema", schema, "--out", str(out), *flags])
+    rc_b = main(["backanalyze", "--report", str(out / "report.json"),
+                 "--observe", repr(observed), "--out", str(est)])
+    return {
+        "rc": (rc_p, rc_b),
+        "report.json": _sha(out / "report.json"),
+        "rules.txt": _sha(out / "rules.txt"),
+        "estimate.json": _sha(est) if est.exists() else None,
+    }
+
+
+GOLDEN = {
+    "corpus-0": {
+        "rc": (3, 0),
+        "report.json": "401889c8a1e242d2b6ddc6d66241726bf3bdab189225483754c65fbbe84aa750",
+        "rules.txt": "b03fa775349ef4528ea5e5d47bae3a23a33f8048efa1c93c1780444cd62b0989",
+        "estimate.json": "bc726cebaffb1d8d80c61684c816f1f7037b082b8ec997a02508c5e28c748a56",
+    },
+    "corpus-2": {
+        "rc": (3, 0),
+        "report.json": "c723275a72b1edf2d6a87ce58dbbb4b351d417697d5b6046f3a902296ed8ef11",
+        "rules.txt": "91e94c5cc19d98319f072fff89160536871e15053f6e9280b02dce0b6252c039",
+        "estimate.json": "4a5311986d08b492904602db475fc15835d6e16f2a88d2fc9b5d1c6b8a6e613c",
+    },
+    "slope200-0": {
+        "rc": (3, 0),
+        "report.json": "b8b5040e4d452cf5ad9c2a6bc0bd560e9974ca1fde1a67319184f849bb210318",
+        "rules.txt": "58cafacc1204533b9f529093ef1ad0da4355b5ddeeab6c54f0cebd3ea8f417b9",
+        "estimate.json": "4a4035deeceaa5e82bb4f7e1c7d17d42121a5f4693115899b3fed69438978168",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_corpus_outputs_pinned(tmp_path, seed):
+    got = run_cli(tmp_path, CORPUS, SCHEMA, ("--decision", "mvv", "--seed", str(seed)),
+                  JEFFREY_OBSERVED_RATE_MS)
+    assert got == GOLDEN[f"corpus-{seed}"]
+
+
+def test_slope_table_outputs_pinned(tmp_path):
+    table = slope_table(200, seed=3)
+    data, schema = tmp_path / "runs.csv", tmp_path / "schema.json"
+    data.write_text(to_csv(table))
+    schema.write_text(dump_schema(list(table.specs)))
+    observed = max(table.column(DECISION_NAME))
+    got = run_cli(tmp_path, str(data), str(schema), (*CRITERION7_FLAGS, "--seed", "0"), observed)
+    assert got == GOLDEN["slope200-0"]

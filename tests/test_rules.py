@@ -238,6 +238,35 @@ class TestAccuracy:
         assert accuracy(rs, TOY.subset([]), "d") == 1.0
 
 
+# Object 1 shares a = 1 with the only class-1 object but its decision is
+# missing ("?" in the CSV).
+MASKED = _gtable({"a": [1, 1, 2, 2]}, [1, None, 2, 2])
+
+
+class TestMissingDecision:
+    @pytest.mark.parametrize("semantics", ["exact", "cumulative"])
+    def test_masked_object_is_not_a_negative(self, semantics):
+        """The rule a = 1 => d 1 holds on every object with a decision; the
+        masked object must not veto it."""
+        rs = induce_cover(MASKED, "d", LOOSE, semantics=semantics)
+        first = [r for r in rs.rules if r.decision.granule == 1]
+        assert len(first) == 1
+        assert first[0].conditions[0].labels == frozenset({1})
+        assert (first[0].support, first[0].strength) == (1, 1.0)
+        assert 0 not in rs.uncovered and 1 in rs.uncovered
+
+    def test_masked_test_object_is_not_scored(self):
+        rs = induce_cover(MASKED, "d", LOOSE, semantics="exact")
+        assert accuracy(rs, MASKED, "d") == 1.0  # objects 0, 2, 3
+        # An abstention on the masked object is no correct answer.
+        empty = RuleSet(rules=(), constraints=LOOSE)
+        assert accuracy(empty, MASKED, "d") == 0.0
+
+    def test_no_decided_test_object_scores_zero(self):
+        empty = RuleSet(rules=(), constraints=LOOSE)
+        assert accuracy(empty, MASKED.subset([1]), "d") == 0.0
+
+
 class TestGrammar:
     def test_render_two_condition_rule(self):
         rule = Rule(

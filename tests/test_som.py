@@ -14,6 +14,7 @@ from somrough.som import (
     Discretizer,
     SomConfig,
     SomMap,
+    _linspace,
     assign_granule,
     discretizer_record,
     fit_discretizer,
@@ -143,6 +144,24 @@ class TestTrain:
         with pytest.raises(DataError):
             train([], SomConfig(grid=(2, 1)))
 
+    @pytest.mark.parametrize(
+        "grid, dim", [((2, 1), 1), ((3, 1), 1), ((6, 1), 1), ((2, 2), 2), ((3, 1), 3)]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 2, 2**70])
+    def test_default_start_is_numpy_default_rng(self, grid, dim, seed):
+        """Without init_weights, a map starts from numpy's
+        default_rng(seed).uniform(size=(nodes, dim)) stretched over each
+        component's data range, on the G x 1 path and on the general one.
+        One short epoch at a small rate keeps the start visible; qe_log[0]
+        is the error of the start itself."""
+        x = np.random.default_rng(99).uniform(-3.0, 5.0, size=(9, dim))
+        cfg = SomConfig(grid=grid, epochs=1, eta0=0.1, seed=seed)
+        lo, hi = x.min(axis=0), x.max(axis=0)
+        init = np.random.default_rng(seed).uniform(size=(cfg.nodes, dim)) * (hi - lo) + lo
+        got, want = train(x, cfg), train(x, cfg, init_weights=init)
+        assert got.weights == want.weights
+        assert got.qe_log == want.qe_log
+
     @settings(max_examples=400, deadline=None)
     @given(
         values=st.lists(HALVES, min_size=1, max_size=8),
@@ -230,6 +249,13 @@ class TestQuantizationError:
         before = quantization_error(m, data)
         moved = SomMap(grid=(2, 1), weights=np.array([[1.0], [10.0]]))
         assert quantization_error(moved, data) <= before
+
+
+@settings(max_examples=300, deadline=None)
+@given(stop=st.integers(1, 100_000), num=st.integers(2, 64))
+def test_fallback_positions_match_linspace(stop, num):
+    """The quantile fallback's positions are np.linspace's, bit for bit."""
+    assert _linspace(stop, num) == np.linspace(0, stop, num).tolist()
 
 
 class TestFitDiscretizer:
