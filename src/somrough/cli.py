@@ -260,66 +260,96 @@ def cmd_reducts(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="somrough", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_settings(p, keys):
+    p.add_argument("--config", help="flat key = value settings file")
+    for key in keys:
+        p.add_argument(f"--{key}", type=CONFIG_KEYS[key], default=None)
 
-    def add_settings(p, keys):
-        p.add_argument("--config", help="flat key = value settings file")
-        for key in keys:
-            p.add_argument(f"--{key}", type=CONFIG_KEYS[key], default=None)
 
-    common_rule_keys = ("granules", "min_strength", "max_length", "max_rules", "semantics")
+def _table_command(keys):
+    """Arguments of a command that reads a table and writes to --out."""
 
-    p = sub.add_parser("discretize", help="fit quantizers and emit the granulated table")
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--out", required=True)
-    add_settings(p, ("granules", "seed"))
-    p.set_defaults(func=cmd_discretize)
+    def add_args(p):
+        p.add_argument("--data", required=True)
+        p.add_argument("--schema", required=True)
+        p.add_argument("--out", required=True)
+        _add_settings(p, keys)
 
-    p = sub.add_parser("rules", help="induce a rule cover on the full table")
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--out", required=True)
-    add_settings(p, common_rule_keys + ("seed", "decision"))
-    p.set_defaults(func=cmd_rules)
+    return add_args
 
-    p = sub.add_parser("pipeline", help="run the close-open iteration")
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--out", required=True)
-    add_settings(p, tuple(CONFIG_KEYS))
-    p.set_defaults(func=cmd_pipeline)
 
-    p = sub.add_parser("backanalyze", help="invert an observation with a pipeline report")
+def _backanalyze_args(p):
     p.add_argument("--report", required=True)
     p.add_argument("--observe", type=float, required=True, help="measured decision value")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_backanalyze)
 
-    p = sub.add_parser("surrogate", help="generate a synthetic run table")
+
+def _surrogate_args(p):
     p.add_argument("--count", type=int, default=30)
     p.add_argument("--ranges", help="JSON file: {parameter: [low, high]}")
     p.add_argument("--steepness", type=float, default=DEFAULT_STEEPNESS)
     p.add_argument("--out", required=True)
-    add_settings(p, ("seed",))
-    p.set_defaults(func=cmd_surrogate)
+    _add_settings(p, ("seed",))
 
-    p = sub.add_parser("reducts", help="reduct and core report for a table")
+
+def _reducts_args(p):
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--mode", choices=("plain", "decision_relative"), default="decision_relative")
     p.add_argument("--out")
-    add_settings(p, ("granules", "seed", "decision"))
-    p.set_defaults(func=cmd_reducts)
+    _add_settings(p, ("granules", "seed", "decision"))
 
+
+_RULE_KEYS = ("granules", "min_strength", "max_length", "max_rules", "semantics")
+
+# name -> (help, handler, adds the command's arguments), in help order
+COMMANDS = {
+    "discretize": (
+        "fit quantizers and emit the granulated table",
+        cmd_discretize,
+        _table_command(("granules", "seed")),
+    ),
+    "rules": (
+        "induce a rule cover on the full table",
+        cmd_rules,
+        _table_command(_RULE_KEYS + ("seed", "decision")),
+    ),
+    "pipeline": (
+        "run the close-open iteration", cmd_pipeline, _table_command(tuple(CONFIG_KEYS))
+    ),
+    "backanalyze": (
+        "invert an observation with a pipeline report", cmd_backanalyze, _backanalyze_args
+    ),
+    "surrogate": ("generate a synthetic run table", cmd_surrogate, _surrogate_args),
+    "reducts": ("reduct and core report for a table", cmd_reducts, _reducts_args),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The ``somrough`` argument parser with one subparser per command.
+
+    With ``command`` set to one of ``COMMANDS``, only that command's
+    subparser is registered. It parses that command's arguments exactly as
+    the full parser does, and it costs less to build, which counts on
+    every short CLI call. The full parser (``command=None``) is needed for
+    top-level help and to name the choices when the command is unknown.
+    Parse errors raise ``UsageError`` with argparse's message.
+    """
+    parser = _Parser(prog="somrough", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, add_args) in COMMANDS.items():
+        if command is None or name == command:
+            p = sub.add_parser(name, help=help_text)
+            add_args(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 
 from . import _pcg
 from .errors import DataError, UsageError
@@ -166,20 +167,22 @@ def train(data, config: SomConfig, init_weights=None, *, trace: bool = True) -> 
     """Train a map over the data's bounding box.
 
     Weights start as seeded uniform draws inside the per-component data
-    range (or from ``init_weights``, one row per node, when given); each
-    epoch presents the rows in order, and both the learning rate and the
-    neighborhood radius decay linearly to zero over the total number of
-    presentations. The draws come from the package's own stream
-    (``somrough._pcg``), node by node and component by component.
+    range (or from ``init_weights``, one row per node, when given). The
+    rows are presented in order, epoch after epoch, in one pass of
+    ``total = epochs * n`` presentations; presentation ``s`` trains at rate
+    ``eta0 * (1 - s / total)`` and radius ``radius0 * (1 - s / total)``.
+    The draws come from the package's own stream (``somrough._pcg``), node
+    by node and component by component.
 
     G x 1 maps on one complete column train on plain floats; every other
     map trains on numpy arrays, imported on first use.
 
     With ``trace`` (the default) the map carries its quantization error
-    before training and after every epoch in ``qe_log``. Quantizer fitting
-    passes ``trace=False``: it never reads the trace, which would cost
-    about as much as the training itself, and ``qe_log`` is then empty.
-    The weights do not depend on ``trace``.
+    before training and after every epoch in ``qe_log``: the pass is split
+    at each epoch end to measure it. Quantizer fitting passes
+    ``trace=False``: it never reads the trace, which would cost about as
+    much as the training itself, and ``qe_log`` is then empty. The weights
+    do not depend on ``trace``.
     """
     values = _line_values(data) if config.grid[1] == 1 else None
     if values:
@@ -246,18 +249,13 @@ def _train_line(values: list[float], config: SomConfig, w: list[float], trace: b
 
     Same arithmetic as the general path, presentation for presentation;
     quantizer fitting calls this thousands of times, and array dispatch
-    would dominate the cost. Training runs in two phases:
-
-    - a neighborhood prefix: the presentations whose integer radius
-      ``int(radius0 * frac)`` is still positive (none for G = 2, the first
-      one for G = 3, none for the quantile fallback) move the winner's
-      grid neighborhood;
-    - a winner-only suffix: once the radius has dropped to 0 it stays 0,
-      because ``frac`` never increases, and only the winner moves. Each
-      epoch takes its learning rates from one list, each still
-      ``eta0 * (1.0 - t / total)``, and for G = 2 and G = 3 the winner
-      search is unrolled onto local floats.
-
+    would dominate the cost. All epochs stream by in one pass of
+    presentations ``s = 0 .. total - 1``, each with ``frac = 1.0 - s / total``
+    from its own index: a neighborhood prefix while ``int(radius0 * frac)``
+    is positive (empty for G = 2 and the quantile fallback, one presentation
+    for G = 3), then a winner-only suffix (``_winner_only``), since ``frac``
+    never increases and the radius stays 0 once it gets there.
+    A traced run cuts the same pass at each epoch end to log the error.
     The weights stay bit-identical to ``update_step``: every rate, every
     squared distance ``(v - w) * (v - w)`` and every blended update
     ``(1.0 - eta) * w + eta * v`` is the same float expression in the same
@@ -265,83 +263,85 @@ def _train_line(values: list[float], config: SomConfig, w: list[float], trace: b
     the lowest node.
     """
     n = len(values)
-    m = config.nodes
     eta0 = config.eta0
     radius0 = config.start_radius
     total = config.epochs * n
+    prefix = 0
+    while prefix < total and int(radius0 * (1.0 - prefix / total)) > 0:
+        prefix += 1
+    stream = zip(range(total), chain.from_iterable(repeat(values, config.epochs)))
 
     def qe() -> float:
-        s = 0.0
+        acc = 0.0
         for v in values:
-            s += min((wi - v) * (wi - v) for wi in w)
-        return s / n
+            acc += min((wi - v) * (wi - v) for wi in w)
+        return acc / n
 
     qe_log = [qe()] if trace else []
-    t = 0
-    coupled = True  # still inside the neighborhood prefix
-    for _ in range(config.epochs):
-        suffix = values
-        if coupled:
-            for k, v in enumerate(values):
-                frac = 1.0 - t / total
-                radius = int(radius0 * frac)
-                if radius == 0:
-                    coupled = False
-                    suffix = values[k:]
-                    break
-                eta = eta0 * frac
-                best = 0
-                best_d = (v - w[0]) * (v - w[0])
-                for i in range(1, m):
-                    d = (v - w[i]) * (v - w[i])
-                    if d < best_d:
-                        best, best_d = i, d
-                one_m_eta = 1.0 - eta
-                for i in range(max(0, best - radius), min(m - 1, best + radius) + 1):
-                    w[i] = one_m_eta * w[i] + eta * v
-                t += 1
-            else:
-                suffix = ()
-        etas = [eta0 * (1.0 - s / total) for s in range(t, t + len(suffix))]
-        t += len(suffix)
-        if m == 2:
-            w0, w1 = w
-            for v, eta in zip(suffix, etas):
-                e0 = v - w0
-                e1 = v - w1
-                if e1 * e1 < e0 * e0:
-                    w1 = (1.0 - eta) * w1 + eta * v
-                else:
-                    w0 = (1.0 - eta) * w0 + eta * v
-            w = [w0, w1]
-        elif m == 3:
-            w0, w1, w2 = w
-            for v, eta in zip(suffix, etas):
-                d0 = (v - w0) * (v - w0)
-                d1 = (v - w1) * (v - w1)
-                d2 = (v - w2) * (v - w2)
-                if d1 < d0:
-                    if d2 < d1:
-                        w2 = (1.0 - eta) * w2 + eta * v
-                    else:
-                        w1 = (1.0 - eta) * w1 + eta * v
-                elif d2 < d0:
-                    w2 = (1.0 - eta) * w2 + eta * v
-                else:
-                    w0 = (1.0 - eta) * w0 + eta * v
-            w = [w0, w1, w2]
-        else:
-            for v, eta in zip(suffix, etas):
-                best = 0
-                best_d = (v - w[0]) * (v - w[0])
-                for i in range(1, m):
-                    d = (v - w[i]) * (v - w[i])
-                    if d < best_d:
-                        best, best_d = i, d
-                w[best] = (1.0 - eta) * w[best] + eta * v
+    done = 0
+    for end in range(n, total + 1, n) if trace else (total,):
+        coupled = max(0, min(end, prefix) - done)
+        for s, v in islice(stream, coupled):
+            frac = 1.0 - s / total
+            radius = int(radius0 * frac)
+            eta = eta0 * frac
+            best = 0
+            best_d = (v - w[0]) * (v - w[0])
+            for i in range(1, len(w)):
+                d = (v - w[i]) * (v - w[i])
+                if d < best_d:
+                    best, best_d = i, d
+            one_m_eta = 1.0 - eta
+            for i in range(max(0, best - radius), min(len(w) - 1, best + radius) + 1):
+                w[i] = one_m_eta * w[i] + eta * v
+        w = _winner_only(w, islice(stream, end - done - coupled), eta0, total)
+        done = end
         if trace:
             qe_log.append(qe())
     return SomMap(grid=config.grid, weights=tuple((wi,) for wi in w), qe_log=tuple(qe_log))
+
+
+def _winner_only(w: list[float], stream, eta0: float, total: int) -> list[float]:
+    """Move only the winner toward each ``(s, v)`` presentation, at rate
+    ``eta0 * (1.0 - s / total)``; G = 2 and 3 unroll onto local floats."""
+    if len(w) == 2:
+        w0, w1 = w
+        for s, v in stream:
+            e0 = v - w0
+            e1 = v - w1
+            eta = eta0 * (1.0 - s / total)
+            if e1 * e1 < e0 * e0:
+                w1 = (1.0 - eta) * w1 + eta * v
+            else:
+                w0 = (1.0 - eta) * w0 + eta * v
+        return [w0, w1]
+    if len(w) == 3:
+        w0, w1, w2 = w
+        for s, v in stream:
+            d0 = (v - w0) * (v - w0)
+            d1 = (v - w1) * (v - w1)
+            d2 = (v - w2) * (v - w2)
+            eta = eta0 * (1.0 - s / total)
+            if d1 < d0:
+                if d2 < d1:
+                    w2 = (1.0 - eta) * w2 + eta * v
+                else:
+                    w1 = (1.0 - eta) * w1 + eta * v
+            elif d2 < d0:
+                w2 = (1.0 - eta) * w2 + eta * v
+            else:
+                w0 = (1.0 - eta) * w0 + eta * v
+        return [w0, w1, w2]
+    for s, v in stream:
+        best = 0
+        best_d = (v - w[0]) * (v - w[0])
+        for i in range(1, len(w)):
+            d = (v - w[i]) * (v - w[i])
+            if d < best_d:
+                best, best_d = i, d
+        eta = eta0 * (1.0 - s / total)
+        w[best] = (1.0 - eta) * w[best] + eta * v
+    return w
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from somrough.cli import main, parse_config_file
-from somrough.errors import DataError
+from somrough.cli import COMMANDS, CONFIG_KEYS, build_parser, main, parse_config_file
+from somrough.errors import DataError, UsageError
 
 DATA_DIR = importlib.resources.files("somrough.data")
 CORPUS = str(DATA_DIR.joinpath("jeffrey_runs.csv"))
@@ -381,6 +383,103 @@ class TestConfigParsing:
     def test_bad_value_rejected(self):
         with pytest.raises(DataError):
             parse_config_file("seed = abc\n")
+
+
+# A complete, valid argv per command, and every flag any command defines,
+# plus one that none defines: for each command some of these are unknown.
+VALID_ARGV = {
+    "discretize": ["--data", "d.csv", "--schema", "s.json", "--out", "o"],
+    "rules": ["--data", "d.csv", "--schema", "s.json", "--out", "o"],
+    "pipeline": ["--data", "d.csv", "--schema", "s.json", "--out", "o"],
+    "backanalyze": ["--report", "r.json", "--observe", "0.5"],
+    "surrogate": ["--out", "o"],
+    "reducts": ["--data", "d.csv", "--schema", "s.json"],
+}
+FLAGS = sorted(
+    {"--data", "--schema", "--out", "--config", "--report", "--observe", "--count",
+     "--ranges", "--steepness", "--mode", "--bogus"} | {f"--{k}" for k in CONFIG_KEYS}
+)
+# Typed values that parse as int, float or neither, choices, and empty.
+VALUES = st.sampled_from(
+    ["3", "-1", "0.5", "1e-3", "nan", "abc", "", "mvv", "plain", "decision_relative", "x"]
+)
+
+
+@st.composite
+def _argv_tokens(draw):
+    """One argument in one of the forms argparse accepts or rejects:
+    ``--flag value``, ``--flag=value``, a prefix of a flag (unique,
+    ambiguous or unknown for the command), a flag missing its value, or a
+    stray positional."""
+    flag = draw(st.sampled_from(FLAGS))
+    value = draw(VALUES)
+    form = draw(st.sampled_from(["pair", "equals", "prefix", "bare", "stray"]))
+    if form == "pair":
+        return [flag, value]
+    if form == "equals":
+        return [f"{flag}={value}"]
+    if form == "prefix":
+        return [flag[: draw(st.integers(3, len(flag)))], value]
+    if form == "bare":
+        return [flag]
+    return [value or "x"]
+
+
+def _parse_outcome(parser, argv):
+    try:
+        ns = parser.parse_args(argv)
+    except UsageError as exc:
+        return "usage error", str(exc)
+    # repr, not ==: a "nan" value never equals itself.
+    return "parsed", repr(sorted(vars(ns).items()))
+
+
+class TestSingleCommandParser:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @settings(max_examples=150, deadline=None)
+    @given(
+        valid=st.booleans(),
+        tokens=st.lists(_argv_tokens(), max_size=6),
+        drop=st.integers(0, 8),
+    )
+    def test_matches_full_parser(self, command, valid, tokens, drop):
+        """The parser holding only the invoked command gives the same
+        Namespace, or the same usage error, as the parser holding all six,
+        on valid and invalid values, --flag=value, abbreviated, unknown,
+        repeated and missing flags."""
+        base = VALID_ARGV[command] if valid else VALID_ARGV[command][drop:]
+        argv = [command, *base, *(t for token in tokens for t in token)]
+        assert _parse_outcome(build_parser(command), argv) == _parse_outcome(
+            build_parser(), argv
+        )
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["-h"]] + [
+        [command, flag] for command in sorted(COMMANDS) for flag in ("--help", "-h")
+    ])
+    def test_help_matches_full_parser(self, argv, capsys):
+        """``somrough --help`` and ``somrough <command> --help`` print the
+        full parser's text and exit 0; empty argv is the full parser's usage
+        error."""
+        try:
+            build_parser().parse_args(argv)
+        except UsageError as exc:
+            want = (1, "", f"usage error: {exc}\n")
+        except SystemExit as exc:
+            want = (exc.code, capsys.readouterr().out, "")
+        capsys.readouterr()
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        out, err = capsys.readouterr()
+        assert (got, out, err) == want
+        assert want[0] == (1 if not argv else 0)
+
+    def test_unknown_command_names_every_choice(self, capsys):
+        assert main(["bogus"]) == 1
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        assert all(repr(name) in err for name in COMMANDS)
 
 
 def test_cli_path_loads_no_numpy(tmp_path):

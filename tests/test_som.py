@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from somrough.corpus import jeffrey_table
@@ -162,6 +162,7 @@ class TestTrain:
         assert got.weights == want.weights
         assert got.qe_log == want.qe_log
 
+    @pytest.mark.parametrize("trace", [True, False])
     @settings(max_examples=400, deadline=None)
     @given(
         values=st.lists(HALVES, min_size=1, max_size=8),
@@ -169,22 +170,29 @@ class TestTrain:
         nodes=st.integers(2, 7),
         epochs=st.integers(1, 6),
         eta0=st.sampled_from([0.3, 0.8, 1.0]),
-        radius0=st.sampled_from([None, 0.0, 1.0, 2.5]),
+        radius0=st.sampled_from([None, 0.0, 1.0, 2.5, 3.7]),
+    )
+    @example(values=[1.5], init_values=[0.0] * 7, nodes=5, epochs=1, eta0=0.8, radius0=3.7)
+    @example(
+        values=[0.5, -2.0, 3.0], init_values=[1.0] * 7, nodes=7, epochs=4, eta0=0.8, radius0=3.7
     )
     def test_line_fast_path_matches_update_step(
-        self, values, init_values, nodes, epochs, eta0, radius0
+        self, trace, values, init_values, nodes, epochs, eta0, radius0
     ):
         """G x 1 maps on complete 1-D data take a plain-float path; its
-        weights and error trace equal presentation-by-presentation
-        update_step under the same linear eta/radius schedule.
+        weights equal presentation-by-presentation update_step under the
+        same linear eta/radius schedule, traced or not. A traced run also
+        logs the error before training and after each epoch; an untraced
+        one logs nothing.
 
         Values on a grid of halves give exact distance ties; radius0 = 2.5
-        and up to six epochs let the neighborhood prefix cross epoch
-        boundaries."""
+        and 3.7 with up to six epochs let the neighborhood prefix cross
+        epoch boundaries, and with one value and one epoch radius0 = 3.7
+        keeps the whole run inside it."""
         cfg = SomConfig(grid=(nodes, 1), epochs=epochs, eta0=eta0, radius0=radius0)
         x = np.array(values).reshape(-1, 1)
         init = np.array(init_values[:nodes]).reshape(-1, 1)
-        got = train(x, cfg, init_weights=init)
+        got = train(x, cfg, init_weights=init, trace=trace)
 
         def qe(w):
             return quantization_error(SomMap(grid=cfg.grid, weights=w), x)
@@ -199,7 +207,7 @@ class TestTrain:
                 t += 1
             qe_log.append(qe(w))
         assert np.array_equal(got.weights, w)
-        assert got.qe_log == tuple(qe_log)
+        assert got.qe_log == (tuple(qe_log) if trace else ())
 
     @settings(max_examples=100, deadline=None)
     @given(
