@@ -136,7 +136,7 @@ class RuleConstraints:
 class RuleSet:
     rules: tuple[Rule, ...]
     constraints: RuleConstraints
-    uncovered: tuple[int, ...] = ()
+    uncovered: tuple[int, ...] = ()  # objects with a decision that no rule covers
     semantics: str = "cumulative"
 
 
@@ -252,7 +252,7 @@ def induce_cover(
     return RuleSet(
         rules=tuple(rules),
         constraints=constraints,
-        uncovered=tuple(i for i in ids if i not in covered),
+        uncovered=tuple(i for i in ids if i in decided and i not in covered),
         semantics=semantics,
     )
 

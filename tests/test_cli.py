@@ -1,11 +1,15 @@
 """Exit-code contract and output shape of the command-line interface."""
 
+import contextlib
 import copy
 import importlib.resources
+import io
 import json
 import random
+import shutil
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 from pathlib import Path
@@ -512,3 +516,81 @@ def test_cli_path_loads_no_numpy(tmp_path):
         env={"PYTHONPATH": src, "PATH": ""},
     )
     assert done.returncode == 0, done.stderr
+
+
+# Cells of generated run tables: missing, repeated small values, large and
+# tiny magnitudes, negatives (invalid under log10) and a malformed token.
+CELLS = st.one_of(
+    st.sampled_from(["?", "?", "0", "1", "2.5", "-3", "1e3", "7e-9", "x"]),
+    st.integers(-20, 20).map(str),
+    st.floats(-1e6, 1e6, allow_nan=False, width=32).map(repr),
+)
+
+
+@st.composite
+def _run_table(draw):
+    """CSV and schema text: one to three rows, or a few more, one to three
+    condition columns and a decision column, each column free, constant
+    or all missing, with a linear or log10 scale."""
+    n_rows = draw(st.sampled_from([1, 2, 3, 4, 6, 9]))
+    names = [f"c{i}" for i in range(draw(st.integers(1, 3)))] + ["d"]
+    columns = []
+    for _ in names:
+        kind = draw(st.sampled_from(["free"] * 6 + ["constant", "missing"]))
+        if kind == "free":
+            columns.append(draw(st.lists(CELLS, min_size=n_rows, max_size=n_rows)))
+        else:
+            columns.append([draw(CELLS) if kind == "constant" else "?"] * n_rows)
+    rows = [",".join(col[i] for col in columns) for i in range(n_rows)]
+    csv_text = "\n".join([",".join(names), *rows]) + "\n"
+    schema = [
+        {"name": n, "role": "decision" if n == "d" else "condition",
+         "scale": draw(st.sampled_from(["linear"] * 5 + ["log10"]))}
+        for n in names
+    ]
+    return csv_text, json.dumps(schema)
+
+
+def _outputs(root: Path) -> dict:
+    return {
+        str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()
+    }
+
+
+def _call_in(root: Path, argv: list[str]):
+    """Exit code, stdout, stderr and written files of one ``main`` call in
+    a fresh ``out`` directory under ``root``."""
+    shutil.rmtree(root / "out", ignore_errors=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue(), _outputs(root / "out")
+
+
+class TestFuzzedTables:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        table=_run_table(),
+        command=st.sampled_from(["pipeline", "reducts", "discretize"]),
+        granules=st.integers(2, 3),
+        seed=st.integers(0, 3),
+    )
+    def test_exit_contract_and_determinism(self, table, command, granules, seed):
+        """Every generated table ends in exit 0-3 with no exception, and
+        two identical calls print and write the same bytes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "runs.csv").write_text(table[0])
+            (root / "schema.json").write_text(table[1])
+            argv = [command, "--data", str(root / "runs.csv"), "--schema",
+                    str(root / "schema.json"), "--granules", str(granules), "--seed", str(seed)]
+            if command == "reducts":
+                argv += ["--mode", "decision_relative", "--decision", "d",
+                         "--out", str(root / "out" / "reducts.txt")]
+            else:
+                argv += ["--out", str(root / "out")]
+            if command == "pipeline":
+                argv += ["--decision", "d", "--max_open_steps", "2"]
+            first = _call_in(root, argv)
+            assert first[0] in (0, 1, 2, 3)
+            assert _call_in(root, argv) == first

@@ -1,9 +1,13 @@
 """Tests for granulation, the close-open loop, and back analysis."""
 
 import json
+import os
+import random
+import threading
 
 import pytest
 
+from somrough import pipeline
 from somrough.corpus import JEFFREY_OBSERVED_RATE_MS, jeffrey_table
 from somrough.errors import DataError, UsageError
 from somrough.pipeline import (
@@ -20,7 +24,8 @@ from somrough.pipeline import (
 )
 from somrough.rules import Condition, RuleConstraints, RuleSet, accuracy, parse_rules
 from somrough.som import Discretizer
-from somrough.table import AttributeSpec, GranularTable, split_random
+from somrough.surrogate import generate_table
+from somrough.table import AttributeSpec, DecisionTable, GranularTable, split_random
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +52,175 @@ class TestGranulate:
         t = jeffrey_table()
         again = granulate(t, discretizers=corpus_granular.discretizers)
         assert again.rows == corpus_granular.rows
+
+
+def _bits(discretizers: dict) -> list:
+    """Discretizers in dict order, every float as ``float.hex``."""
+    return [
+        (name, d.name, d.scale, [c.hex() for c in d.centers], [c.hex() for c in d.cuts])
+        for name, d in discretizers.items()
+    ]
+
+
+def _masked(table: DecisionTable, frac: float, seed: int) -> DecisionTable:
+    rnd = random.Random(seed)
+    rows = tuple(tuple(None if rnd.random() < frac else v for v in r) for r in table.rows)
+    return DecisionTable(specs=table.specs, rows=rows)
+
+
+def _quantizable(table: DecisionTable, granules: int) -> DecisionTable:
+    """The columns with at least ``granules`` distinct present values."""
+    return table.project(
+        [n for n in table.names if len({v for v in table.column(n) if v is not None}) >= granules]
+    )
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def fits_here(monkeypatch):
+    """Names of the attributes fitted in this process, in call order."""
+    names = []
+    real = pipeline.fit_table_discretizer
+
+    def spy(table, name, granules, seed):
+        names.append(name)
+        return real(table, name, granules, seed)
+
+    monkeypatch.setattr(pipeline, "fit_table_discretizer", spy)
+    return names
+
+
+class TestTwoProcessFits:
+    """Above the work threshold, with two CPUs and one thread, a forked
+    helper fits the odd-indexed attributes. Nothing observable may differ
+    from the serial loop except which process fitted what."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+
+    @staticmethod
+    def both_ways(monkeypatch, fit):
+        monkeypatch.setattr(pipeline, "_FORK_MIN_PRESENTATIONS", float("inf"))
+        serial = fit()
+        monkeypatch.setattr(pipeline, "_FORK_MIN_PRESENTATIONS", 0)
+        forked = fit()
+        _no_child_left()
+        return serial, forked
+
+    @pytest.mark.parametrize(
+        "table, granules",
+        [(_quantizable(jeffrey_table(), g), g) for g in (2, 3, 4, 5)]
+        + [
+            (generate_table(count=60, seed=11), 2),
+            (generate_table(count=200, seed=12), 3),
+            (_masked(generate_table(count=80, seed=13), 0.05, seed=7), 2),
+        ],
+        ids=["corpus-2", "corpus-3", "corpus-4", "corpus-5", "surrogate60", "surrogate200",
+             "masked80"],
+    )
+    def test_equals_serial(self, monkeypatch, fits_here, table, granules):
+        serial, forked = self.both_ways(
+            monkeypatch, lambda: granulate(table, granules, seed=5)
+        )
+        assert _bits(forked.discretizers) == _bits(serial.discretizers)
+        assert forked.rows == serial.rows
+        names = list(table.names)
+        # The serial call fitted all; this process then fitted only the evens.
+        assert fits_here == names + names[0::2]
+
+    def test_small_table_stays_serial(self, fits_here):
+        table = jeffrey_table()  # 12 rows x 200 epochs x 10 columns = 24,000
+        assert len(table) * 200 * len(table.names) < pipeline._FORK_MIN_PRESENTATIONS
+        granulate(table, 3, seed=0)
+        assert fits_here == list(table.names)
+
+    def test_one_cpu_stays_serial(self, monkeypatch, fits_here):
+        monkeypatch.setattr(pipeline, "_FORK_MIN_PRESENTATIONS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0}, raising=False)
+        table = jeffrey_table()
+        granulate(table, 3, seed=0)
+        assert fits_here == list(table.names)
+
+    def test_live_thread_stays_serial(self, monkeypatch, fits_here):
+        monkeypatch.setattr(pipeline, "_FORK_MIN_PRESENTATIONS", 0)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(30,))
+        waiter.start()
+        try:
+            table = jeffrey_table()
+            granulate(table, 3, seed=0)
+        finally:
+            release.set()
+            waiter.join(30)
+        assert not waiter.is_alive()
+        assert fits_here == list(table.names)
+
+    def test_first_error_in_table_order(self, monkeypatch):
+        """Attribute 1 (the helper's) and attribute 2 (this process's) both
+        fail; the serial loop raises attribute 1's error."""
+        rows = [
+            (float(i), float(i % 2), 1.0, float(i * i), float(i % 5)) for i in range(20)
+        ]
+        specs = tuple(AttributeSpec(n, "condition") for n in ("a", "b", "c", "e")) + (
+            AttributeSpec("d", "decision"),
+        )
+        table = DecisionTable(specs=specs, rows=tuple(rows))
+        messages = []
+        for threshold in (float("inf"), 0):
+            monkeypatch.setattr(pipeline, "_FORK_MIN_PRESENTATIONS", threshold)
+            with pytest.raises(DataError) as err:
+                granulate(table, 3, seed=0)
+            messages.append(str(err.value))
+            _no_child_left()
+        assert messages[0] == messages[1] == "column has 2 distinct values, fewer than 3 granules"
+
+    def test_helper_death_gives_serial_result(self, monkeypatch, fits_here):
+        table = generate_table(count=60, seed=11)
+        names = list(table.names)
+        caller = os.getpid()
+        spy = pipeline.fit_table_discretizer
+
+        def dies_in_helper(t, name, granules, seed):
+            if os.getpid() != caller and name == names[3]:
+                os._exit(1)  # after fitting names[1], before sending anything
+            return spy(t, name, granules, seed)
+
+        monkeypatch.setattr(pipeline, "fit_table_discretizer", dies_in_helper)
+        serial, forked = self.both_ways(monkeypatch, lambda: granulate(table, 2, seed=5))
+        assert _bits(forked.discretizers) == _bits(serial.discretizers)
+        # Evens fitted here, then the helper's whole share refitted in table order.
+        assert fits_here == names + names[0::2] + names[1::2]
+
+    def test_failed_fork_fits_here(self, monkeypatch, fits_here):
+        def no_fork():
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        table = generate_table(count=60, seed=11)
+        serial, forked = self.both_ways(monkeypatch, lambda: granulate(table, 2, seed=5))
+        assert _bits(forked.discretizers) == _bits(serial.discretizers)
+        assert fits_here == list(table.names) * 2
+
+    def test_interrupt_reaps_helper(self, monkeypatch):
+        table = generate_table(count=60, seed=11)
+        spy = pipeline.fit_table_discretizer
+        caller = os.getpid()
+
+        def interrupted(t, name, granules, seed):
+            if os.getpid() == caller and name == table.names[2]:
+                raise KeyboardInterrupt
+            return spy(t, name, granules, seed)
+
+        monkeypatch.setattr(pipeline, "fit_table_discretizer", interrupted)
+        monkeypatch.setattr(pipeline, "_FORK_MIN_PRESENTATIONS", 0)
+        with pytest.raises(KeyboardInterrupt):
+            granulate(table, 2, seed=5)
+        _no_child_left()
 
 
 class TestMissingValues:

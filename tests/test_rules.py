@@ -253,7 +253,7 @@ class TestMissingDecision:
         assert len(first) == 1
         assert first[0].conditions[0].labels == frozenset({1})
         assert (first[0].support, first[0].strength) == (1, 1.0)
-        assert 0 not in rs.uncovered and 1 in rs.uncovered
+        assert 0 not in rs.uncovered and 1 not in rs.uncovered
 
     def test_masked_test_object_is_not_scored(self):
         rs = induce_cover(MASKED, "d", LOOSE, semantics="exact")
