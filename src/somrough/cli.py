@@ -230,8 +230,10 @@ def cmd_surrogate(args) -> int:
     if args.ranges:
         try:
             raw = json.loads(_read(args.ranges))
+            if not isinstance(raw, dict):
+                raise TypeError("expected an object of [low, high] pairs")
             ranges = {k: (float(v[0]), float(v[1])) for k, v in raw.items()}
-        except (ValueError, TypeError, IndexError) as exc:
+        except (ValueError, TypeError, IndexError, KeyError) as exc:
             raise DataError(f"malformed ranges file: {exc}") from None
     table = generate_table(
         ranges=ranges, count=args.count, seed=s["seed"], steepness=args.steepness

@@ -37,7 +37,7 @@ from .rules import (
     induce_cover,
     render_rule,
 )
-from .som import Discretizer, assign_granule, fit_table_discretizer
+from .som import FIT_EPOCHS, Discretizer, assign_granule, fit_table_discretizer
 from .table import DecisionTable, GranularTable, split_random, split_train_size
 
 # Documented reconstruction notes echoed into every report.
@@ -49,7 +49,7 @@ POLICY_NOTES = (
     "test splits share one granule vocabulary",
 )
 
-# Fit presentations (rows x 200 epochs x columns) below which a forked
+# Fit presentations (rows x FIT_EPOCHS x columns) below which a forked
 # helper costs more than it saves. Forking cost about 5 ms on a 2-core VM,
 # so the fits broke even near 48,000 presentations (a 40-row, six-column
 # table); the 12-row, ten-column corpus (24,000) stays serial.
@@ -178,7 +178,8 @@ def _fit_all(table: DecisionTable, granules: int, seed: int) -> dict:
 def _fork_pays(table: DecisionTable) -> bool:
     """Whether a helper process would shorten the fits: enough work, a
     second CPU, and no other thread (fork is unsafe with threads)."""
-    if len(table) * 200 * len(table.names) < _FORK_MIN_PRESENTATIONS or not hasattr(os, "fork"):
+    work = len(table) * FIT_EPOCHS * len(table.names)
+    if work < _FORK_MIN_PRESENTATIONS or not hasattr(os, "fork"):
         return False
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     return len(cpus) >= 2 and threading.active_count() == 1
@@ -204,8 +205,7 @@ def _fit_split(table: DecisionTable, granules: int, jobs: list) -> dict:
             out = []
             try:
                 for name, s in jobs[1::2]:
-                    d = fit_table_discretizer(table, name, granules, s)
-                    out.append((d.name, d.scale, d.centers, d.cuts))
+                    out.append(_discretizer_dict(fit_table_discretizer(table, name, granules, s)))
             except Exception:
                 pass  # the caller refits this attribute and raises its error
             payload = marshal.dumps(out)
@@ -234,8 +234,8 @@ def _fit_split(table: DecisionTable, granules: int, jobs: list) -> dict:
     if status != 0:
         return fitted
     try:
-        for name, scale, centers, cuts in marshal.loads(payload):
-            fitted[name] = Discretizer(name=name, scale=scale, centers=centers, cuts=cuts)
+        for record in marshal.loads(payload):
+            fitted[record["name"]] = discretizer_from_dict(record)
     except (EOFError, ValueError, TypeError):
         pass  # a short payload: the missing attributes are refitted
     return fitted
@@ -454,9 +454,13 @@ def _discretizer_dict(d: Discretizer) -> dict:
 
 
 def discretizer_from_dict(d: dict) -> Discretizer:
-    return Discretizer(
-        name=d["name"], scale=d["scale"], centers=tuple(d["centers"]), cuts=tuple(d["cuts"])
-    )
+    """Inverse of ``_discretizer_dict``; centers and cuts must be JSON
+    numbers, ints or finite floats (``ValueError`` otherwise)."""
+    centers, cuts = tuple(d["centers"]), tuple(d["cuts"])
+    for v in centers + cuts:
+        if type(v) is not int and not (type(v) is float and math.isfinite(v)):
+            raise ValueError(f"quantizer of {d['name']!r}: {v!r} is not a finite number")
+    return Discretizer(name=d["name"], scale=d["scale"], centers=centers, cuts=cuts)
 
 
 def report_to_json(report: RunReport) -> str:
@@ -535,10 +539,15 @@ def granular_from_json(doc: dict) -> GranularTable:
     """Rebuild the granulated table (and quantizers) embedded in a report."""
     from .table import AttributeSpec
 
-    discs = {
-        name: discretizer_from_dict(d) for name, d in doc.get("discretizers", {}).items()
-    }
+    discs = doc.get("discretizers", {})
+    if not isinstance(discs, dict):
+        raise TypeError("discretizers must be an object keyed by attribute")
+    discs = {name: discretizer_from_dict(d) for name, d in discs.items()}
     g = doc["granular"]
+    if not all(isinstance(name, str) for name in g["attributes"]):
+        raise TypeError("granular attribute names must be strings")
+    if not all(type(oid) is int for oid in g["object_ids"]):
+        raise TypeError("granular object ids must be integers")
     specs = tuple(
         AttributeSpec(name, role) for name, role in zip(g["attributes"], g["roles"])
     )

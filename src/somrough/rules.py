@@ -14,14 +14,11 @@ granulated objects). Labels run 1 = highest value band, so a decision
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 
 from .errors import DataError, UsageError
 from .table import GranularTable
-
-log = logging.getLogger(__name__)
 
 SEMANTICS = ("cumulative", "exact")
 
@@ -327,12 +324,9 @@ def classify(rs: RuleSet, row: dict):
 def accuracy(rs: RuleSet, test: GranularTable, decision: str) -> float:
     """Correct fraction on the held-out objects that have a decision;
     abstentions count as wrong. Objects whose decision is missing are not
-    scored, and a test set with none left scores 0.0."""
-    rows = _rows_as_dicts(test)
-    if not rows:
-        log.warning("accuracy over an empty test set is vacuously 1.0")
-        return 1.0
-    scored = [r for r in rows.values() if r.get(decision) is not None]
+    scored, and a test set with none left, an empty one included, scores
+    0.0: no accuracy is earned without objects to earn it on."""
+    scored = [r for r in _rows_as_dicts(test).values() if r.get(decision) is not None]
     if not scored:
         return 0.0
     correct = sum(1 for r in scored if classify(rs, r) == r[decision])

@@ -27,6 +27,10 @@ from .table import inverse_scale, scale_minmax, transform_scale
 # quantiles of the distinct values.
 _FIT_RETRIES = 6
 
+# Training schedule of every quantizer fit.
+FIT_EPOCHS = 200
+FIT_ETA0 = 0.8
+
 
 @dataclass(frozen=True)
 class SomConfig:
@@ -174,17 +178,16 @@ def train(data, config: SomConfig, init_weights=None, *, trace: bool = True) -> 
     The draws come from the package's own stream (``somrough._pcg``), node
     by node and component by component.
 
-    G x 1 maps on one complete column train on plain floats; every other
-    map trains on numpy arrays, imported on first use.
-
     With ``trace`` (the default) the map carries its quantization error
-    before training and after every epoch in ``qe_log``: the pass is split
-    at each epoch end to measure it. Quantizer fitting passes
-    ``trace=False``: it never reads the trace, which would cost about as
-    much as the training itself, and ``qe_log`` is then empty. The weights
-    do not depend on ``trace``.
+    before training and after every epoch in ``qe_log``. Quantizer fitting
+    passes ``trace=False``: it never reads the trace, and ``qe_log`` is then
+    empty. The weights do not depend on ``trace``.
+
+    An untraced G x 1 map on one complete column trains on plain floats
+    (``_train_line``); every other map, traced ones included, runs the
+    general loop on numpy arrays, imported on first use.
     """
-    values = _line_values(data) if config.grid[1] == 1 else None
+    values = _line_values(data) if config.grid[1] == 1 and not trace else None
     if values:
         if init_weights is None:
             lo, hi = min(values), max(values)
@@ -196,7 +199,7 @@ def train(data, config: SomConfig, init_weights=None, *, trace: bool = True) -> 
                 init = None
             if init is None or len(init) != config.nodes:
                 raise UsageError("init_weights shape does not match grid and data dimension")
-        return _train_line(values, config, init, trace)
+        return _train_line(values, config, init)
 
     import numpy as np
 
@@ -244,8 +247,8 @@ def _line_values(data) -> list[float] | None:
     return values
 
 
-def _train_line(values: list[float], config: SomConfig, w: list[float], trace: bool) -> SomMap:
-    """Plain-float training for G x 1 maps on complete 1-D data.
+def _train_line(values: list[float], config: SomConfig, w: list[float]) -> SomMap:
+    """Plain-float, untraced training for G x 1 maps on complete 1-D data.
 
     Same arithmetic as the general path, presentation for presentation;
     quantizer fitting calls this thousands of times, and array dispatch
@@ -255,50 +258,34 @@ def _train_line(values: list[float], config: SomConfig, w: list[float], trace: b
     is positive (empty for G = 2 and the quantile fallback, one presentation
     for G = 3), then a winner-only suffix (``_winner_only``), since ``frac``
     never increases and the radius stays 0 once it gets there.
-    A traced run cuts the same pass at each epoch end to log the error.
     The weights stay bit-identical to ``update_step``: every rate, every
     squared distance ``(v - w) * (v - w)`` and every blended update
     ``(1.0 - eta) * w + eta * v`` is the same float expression in the same
     order, and strict ``<`` comparisons in node order still give a tie to
     the lowest node.
     """
-    n = len(values)
     eta0 = config.eta0
     radius0 = config.start_radius
-    total = config.epochs * n
+    total = config.epochs * len(values)
     prefix = 0
     while prefix < total and int(radius0 * (1.0 - prefix / total)) > 0:
         prefix += 1
     stream = zip(range(total), chain.from_iterable(repeat(values, config.epochs)))
-
-    def qe() -> float:
-        acc = 0.0
-        for v in values:
-            acc += min((wi - v) * (wi - v) for wi in w)
-        return acc / n
-
-    qe_log = [qe()] if trace else []
-    done = 0
-    for end in range(n, total + 1, n) if trace else (total,):
-        coupled = max(0, min(end, prefix) - done)
-        for s, v in islice(stream, coupled):
-            frac = 1.0 - s / total
-            radius = int(radius0 * frac)
-            eta = eta0 * frac
-            best = 0
-            best_d = (v - w[0]) * (v - w[0])
-            for i in range(1, len(w)):
-                d = (v - w[i]) * (v - w[i])
-                if d < best_d:
-                    best, best_d = i, d
-            one_m_eta = 1.0 - eta
-            for i in range(max(0, best - radius), min(len(w) - 1, best + radius) + 1):
-                w[i] = one_m_eta * w[i] + eta * v
-        w = _winner_only(w, islice(stream, end - done - coupled), eta0, total)
-        done = end
-        if trace:
-            qe_log.append(qe())
-    return SomMap(grid=config.grid, weights=tuple((wi,) for wi in w), qe_log=tuple(qe_log))
+    for s, v in islice(stream, prefix):
+        frac = 1.0 - s / total
+        radius = int(radius0 * frac)
+        eta = eta0 * frac
+        best = 0
+        best_d = (v - w[0]) * (v - w[0])
+        for i in range(1, len(w)):
+            d = (v - w[i]) * (v - w[i])
+            if d < best_d:
+                best, best_d = i, d
+        one_m_eta = 1.0 - eta
+        for i in range(max(0, best - radius), min(len(w) - 1, best + radius) + 1):
+            w[i] = one_m_eta * w[i] + eta * v
+    w = _winner_only(w, stream, eta0, total)
+    return SomMap(grid=config.grid, weights=tuple((wi,) for wi in w))
 
 
 def _winner_only(w: list[float], stream, eta0: float, total: int) -> list[float]:
@@ -393,8 +380,6 @@ def fit_discretizer(
     granules: int,
     scale: str = "linear",
     seed: int = 0,
-    epochs: int = 200,
-    eta0: float = 0.8,
     name: str = "",
 ) -> Discretizer:
     """Quantize one attribute into ordered granules with a G x 1 map.
@@ -404,7 +389,9 @@ def fit_discretizer(
     points are midpoints between adjacent centers, computed in the
     transformed space and mapped back to raw units. Draws that leave two
     centers collapsed or a granule empty are retried with derived seeds,
-    then with quantile-seeded winner-only training.
+    then with quantile-seeded winner-only training. A column needs at
+    least G distinct values after the conditioning: values it maps to one
+    float count as one.
     """
     if granules < 2:
         raise UsageError("granule count must be at least 2")
@@ -412,12 +399,12 @@ def fit_discretizer(
     if not present:
         raise DataError("cannot discretize a column with no present values")
     transformed = transform_scale(present, scale)
-    distinct = sorted(set(transformed))
+    scaled, (lo, hi) = scale_minmax(transformed)
+    distinct = sorted(set(scaled))
     if len(distinct) < granules:
         raise DataError(
             f"column has {len(distinct)} distinct values, fewer than {granules} granules"
         )
-    scaled, (lo, hi) = scale_minmax(transformed)
     data = [[v] for v in scaled]
 
     def build(som: SomMap) -> Discretizer | None:
@@ -438,7 +425,7 @@ def fit_discretizer(
 
     for attempt in range(_FIT_RETRIES):
         cfg = SomConfig(
-            grid=(granules, 1), epochs=epochs, eta0=eta0, seed=seed + 1000003 * attempt
+            grid=(granules, 1), epochs=FIT_EPOCHS, eta0=FIT_ETA0, seed=seed + 1000003 * attempt
         )
         d = build(train(data, cfg, trace=False))
         if d is not None:
@@ -446,9 +433,8 @@ def fit_discretizer(
 
     # Fallback: centers seeded on quantiles of the distinct values and no
     # neighborhood coupling, which cannot starve a node.
-    positions = _linspace(len(distinct) - 1, granules)
-    init = [[distinct_scaled] for distinct_scaled in _pick(scaled, positions)]
-    cfg = SomConfig(grid=(granules, 1), epochs=epochs, eta0=eta0, radius0=0.0, seed=seed)
+    init = [[distinct[int(round(p))]] for p in _linspace(len(distinct) - 1, granules)]
+    cfg = SomConfig(grid=(granules, 1), epochs=FIT_EPOCHS, eta0=FIT_ETA0, radius0=0.0, seed=seed)
     d = build(train(data, cfg, init_weights=init, trace=False))
     if d is None:
         raise DataError(f"could not separate {granules} quantizer centers")
@@ -460,11 +446,6 @@ def _linspace(stop: int, num: int) -> list[float]:
     float operations (k * (stop / (num - 1)), last point exactly stop)."""
     step = stop / (num - 1)
     return [k * step for k in range(num - 1)] + [float(stop)]
-
-
-def _pick(scaled_values, positions) -> list[float]:
-    distinct = sorted(set(scaled_values))
-    return [distinct[int(round(p))] for p in positions]
 
 
 def fit_table_discretizer(table, name: str, granules: int, seed: int) -> Discretizer:

@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from somrough.cli import COMMANDS, CONFIG_KEYS, build_parser, main, parse_config_file
@@ -152,6 +152,12 @@ def _backanalyze(report):
     return ["backanalyze", "--report", report, "--observe", "5.787e-4"]
 
 
+def _surrogate_ranges(tmp_path, ranges):
+    path = tmp_path / "ranges.json"
+    path.write_text(json.dumps(ranges))
+    return ["surrogate", "--count", "5", "--ranges", str(path), "--out", str(tmp_path / "o")]
+
+
 # Each case builds the argv of one call on a bad input file.
 BAD_INPUTS = {
     "binary-data": lambda tmp, _: _discretize(tmp, data=_binary_file(tmp)),
@@ -195,6 +201,23 @@ BAD_INPUTS = {
     "report-label-above-granules": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("granular", "rows", 0, 0), 4)
     ),
+    "report-null-attribute": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("granular", "attributes", 0), None)
+    ),
+    "report-null-object-id": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("granular", "object_ids", 0), None)
+    ),
+    "report-discretizers-list": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("discretizers",), [1, 2])
+    ),
+    "report-string-centers": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("discretizers", "mvv", "centers"), ["c", "b", "a"])
+    ),
+    "report-string-cuts": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("discretizers", "mvv", "cuts"), ["b", "a"])
+    ),
+    "ranges-list": lambda tmp, _: _surrogate_ranges(tmp, [1, 2]),
+    "ranges-object-bounds": lambda tmp, _: _surrogate_ranges(tmp, {"cohesion": {"lo": 1}}),
 }
 
 
@@ -488,13 +511,15 @@ class TestSingleCommandParser:
 
 def test_cli_path_loads_no_numpy(tmp_path):
     """Importing the package and running every command but ``surrogate``
-    on the corpus never imports numpy."""
+    on the corpus never imports numpy, and nothing on that path imports
+    logging."""
     script = textwrap.dedent(
         f"""
         import sys
         import somrough
         assert "numpy" not in sys.modules, "import somrough"
         from somrough.cli import main
+        assert "logging" not in sys.modules, "import somrough.cli"
         from somrough.corpus import JEFFREY_OBSERVED_RATE_MS
         data, schema, out = {CORPUS!r}, {SCHEMA!r}, {str(tmp_path)!r}
         inputs = ["--data", data, "--schema", schema]
@@ -508,6 +533,7 @@ def test_cli_path_loads_no_numpy(tmp_path):
         ]
         assert codes == [3, 0, 0, 0, 0], codes
         assert "numpy" not in sys.modules, "cli commands"
+        assert "logging" not in sys.modules, "cli commands"
         """
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -567,6 +593,15 @@ def _call_in(root: Path, argv: list[str]):
     return rc, out.getvalue(), err.getvalue(), _outputs(root / "out")
 
 
+def _assert_contract(root: Path, argv: list[str]):
+    """Exit 0-3, no traceback, and the same bytes from a second call."""
+    first = _call_in(root, argv)
+    event(f"exit {first[0]}")
+    assert first[0] in (0, 1, 2, 3)
+    assert "Traceback" not in first[2]
+    assert _call_in(root, argv) == first
+
+
 class TestFuzzedTables:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -574,6 +609,17 @@ class TestFuzzedTables:
         command=st.sampled_from(["pipeline", "reducts", "discretize"]),
         granules=st.integers(2, 3),
         seed=st.integers(0, 3),
+    )
+    # Min-max scaling maps 0 and 1.4e-45 to one float, which left the
+    # quantile fallback two distinct values for three centers (an
+    # IndexError before).
+    @example(
+        table=("c0,d\n0,?\n-1,?\n1.4e-45,?\n", json.dumps(
+            [{"name": "c0", "role": "condition"}, {"name": "d", "role": "decision"}]
+        )),
+        command="discretize",
+        granules=3,
+        seed=0,
     )
     def test_exit_contract_and_determinism(self, table, command, granules, seed):
         """Every generated table ends in exit 0-3 with no exception, and
@@ -591,6 +637,90 @@ class TestFuzzedTables:
                 argv += ["--out", str(root / "out")]
             if command == "pipeline":
                 argv += ["--decision", "d", "--max_open_steps", "2"]
-            first = _call_in(root, argv)
-            assert first[0] in (0, 1, 2, 3)
-            assert _call_in(root, argv) == first
+            _assert_contract(root, argv)
+
+
+# Config lines: settings of every key with values it accepts (three times
+# as likely) and values it rejects, bounded so that one pipeline call on
+# the corpus stays short; comments, blanks, unknown keys and lines
+# without "=".
+CONFIG_VALUES = {
+    "granules": (["2", "3", "4"], ["1", "x"]),
+    "min_strength": (["0", "0.6", "1"], ["-0.5", "1.5", "nan", "x"]),
+    "max_length": (["1", "2", "3"], ["0", "-1", "2.5"]),
+    "max_rules": (["1", "3", "6"], ["0", "-2"]),
+    "el": (["0", "0.5", "0.8", "1"], ["-1", "2", "nan", "inf"]),
+    "runs": (["1", "2"], ["0", "-1", "1.0"]),
+    "max_closed": (["1", "2", "3"], ["0"]),
+    "train_fraction": (["0", "0.3", "0.7", "0.95", "1"], ["1.5", "-0.2", "nan"]),
+    "max_open_steps": (["0", "1", "3"], ["-1"]),
+    "seed": (["0", "1", "7"], ["-1", "2e3", "x"]),
+    "semantics": (["cumulative", "exact"], ["bogus", ""]),
+    "decision": (["mvv"], ["cb", "nope", ""]),
+}
+CONFIG_SETTING = st.sampled_from(sorted(CONFIG_VALUES)).flatmap(
+    lambda key: st.sampled_from(3 * CONFIG_VALUES[key][0] + CONFIG_VALUES[key][1]).map(
+        lambda value: f"{key} = {value}"
+    )
+)
+CONFIG_LINES = st.one_of(
+    CONFIG_SETTING,
+    CONFIG_SETTING,
+    CONFIG_SETTING,
+    st.sampled_from(["", "# comment", "  el=0.5 # c"]),
+    st.sampled_from(["bogus = 1", "el", "= 3", "seed == 1"]),
+)
+
+
+class TestFuzzedConfig:
+    @settings(max_examples=60, deadline=None)
+    @given(lines=st.lists(CONFIG_LINES, max_size=6))
+    def test_exit_contract_and_determinism(self, lines):
+        """Every generated config file for ``pipeline`` on the corpus ends
+        in exit 0-3 with no traceback, and two identical calls print and
+        write the same bytes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            # The corpus has two decision attributes; later lines may
+            # name another one or none.
+            (root / "run.cfg").write_text("\n".join(["decision = mvv", *lines]) + "\n")
+            _assert_contract(root, [
+                "pipeline", "--data", CORPUS, "--schema", SCHEMA,
+                "--config", str(root / "run.cfg"), "--out", str(root / "out"),
+            ])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.just(10**400) | st.floats()
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _key_path(draw, doc):
+    """A path from the root of ``doc`` to one of its values."""
+    path, node = [], doc
+    while isinstance(node, (dict, list)) and node and (not path or draw(st.booleans())):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        path.append(key)
+        node = node[key]
+    return path
+
+
+class TestFuzzedReport:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_exit_contract_and_determinism(self, corpus_report_doc, data):
+        """``backanalyze`` on the corpus report with the value at one key
+        path replaced by any JSON value ends in exit 0-3 with no
+        traceback, and two identical calls print and write the same
+        bytes."""
+        path = data.draw(_key_path(corpus_report_doc), label="path")
+        value = data.draw(JSON_VALUES, label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            report = _report_with(root, corpus_report_doc, path, value)
+            _assert_contract(root, _backanalyze(report) + ["--out", str(root / "out" / "e.json")])

@@ -234,8 +234,10 @@ class TestAccuracy:
         assert accuracy(rs, t, "d") == pytest.approx(0.8)
 
     def test_empty_test_vacuous(self):
+        """An empty test set earns nothing: 0.0, as when no test object
+        has a decision, not a vacuous 1.0."""
         rs = induce_cover(TOY, "d", LOOSE, semantics="exact")
-        assert accuracy(rs, TOY.subset([]), "d") == 1.0
+        assert accuracy(rs, TOY.subset([]), "d") == 0.0
 
 
 # Object 1 shares a = 1 with the only class-1 object but its decision is

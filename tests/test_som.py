@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from somrough import som
 from somrough.corpus import jeffrey_table
 from somrough.errors import DataError, UsageError
 from somrough.som import (
@@ -151,16 +152,18 @@ class TestTrain:
     def test_default_start_is_numpy_default_rng(self, grid, dim, seed):
         """Without init_weights, a map starts from numpy's
         default_rng(seed).uniform(size=(nodes, dim)) stretched over each
-        component's data range, on the G x 1 path and on the general one.
-        One short epoch at a small rate keeps the start visible; qe_log[0]
-        is the error of the start itself."""
+        component's data range, on the G x 1 path (untraced 1-D data) and
+        on the general one. One short epoch at a small rate keeps the start
+        visible; in a traced map qe_log[0] is the error of the start itself."""
         x = np.random.default_rng(99).uniform(-3.0, 5.0, size=(9, dim))
         cfg = SomConfig(grid=grid, epochs=1, eta0=0.1, seed=seed)
         lo, hi = x.min(axis=0), x.max(axis=0)
         init = np.random.default_rng(seed).uniform(size=(cfg.nodes, dim)) * (hi - lo) + lo
-        got, want = train(x, cfg), train(x, cfg, init_weights=init)
-        assert got.weights == want.weights
-        assert got.qe_log == want.qe_log
+        for trace in (True, False):
+            got = train(x, cfg, trace=trace)
+            want = train(x, cfg, init_weights=init, trace=trace)
+            assert got.weights == want.weights
+            assert got.qe_log == want.qe_log
 
     @pytest.mark.parametrize("trace", [True, False])
     @settings(max_examples=400, deadline=None)
@@ -179,11 +182,11 @@ class TestTrain:
     def test_line_fast_path_matches_update_step(
         self, trace, values, init_values, nodes, epochs, eta0, radius0
     ):
-        """G x 1 maps on complete 1-D data take a plain-float path; its
-        weights equal presentation-by-presentation update_step under the
-        same linear eta/radius schedule, traced or not. A traced run also
-        logs the error before training and after each epoch; an untraced
-        one logs nothing.
+        """Untraced G x 1 maps on complete 1-D data take a plain-float
+        path, traced ones the general loop; the weights of both equal
+        presentation-by-presentation update_step under the same linear
+        eta/radius schedule. A traced run also logs the error before
+        training and after each epoch; an untraced one logs nothing.
 
         Values on a grid of halves give exact distance ties; radius0 = 2.5
         and 3.7 with up to six epochs let the neighborhood prefix cross
@@ -226,9 +229,10 @@ class TestTrain:
     def test_untraced_weights_equal_traced(
         self, data, line, grid, epochs, eta0, radius0, seed
     ):
-        """trace=False skips the error trace and nothing else, on the G x 1
-        fast path (complete 1-D data) and on the general loop (2-D grids,
-        2-D data, missing cells)."""
+        """trace=False skips the error trace and nothing else. On complete
+        1-D data this pits the plain-float G x 1 path against the general
+        loop; otherwise (2-D grids, 2-D data, missing cells) both runs take
+        the general loop."""
         x = np.array(data)
         if line:
             x = np.nan_to_num(x[:, :1], nan=0.5)
@@ -300,6 +304,31 @@ class TestFitDiscretizer:
     def test_too_few_distinct_values(self):
         with pytest.raises(DataError):
             fit_discretizer([1.0, 1.0, 2.0], 3)
+
+    def test_values_merged_by_scaling_count_once(self):
+        """Min-max scaling maps 0 and 1.4e-45 to one float (0 - (-1) and
+        1.4e-45 - (-1) both round to 1.0), which leaves two distinct values
+        for three granules: a data error, not an IndexError."""
+        with pytest.raises(DataError, match="column has 2 distinct values, fewer than 3"):
+            fit_discretizer([0.0, -1.0, 1.4e-45], 3)
+
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_quantile_fallback_on_merged_values(self, seed, monkeypatch):
+        """Three values after scaling (0 and 1e-300 merge), tied so that
+        all six box-seeded draws fail at these seeds: the fallback seeds
+        its centers on the three scaled values and separates them."""
+        seeded = []
+
+        def counting_train(data, config, init_weights=None, **kwargs):
+            seeded.append(init_weights is not None)
+            return train(data, config, init_weights, **kwargs)
+
+        monkeypatch.setattr(som, "train", counting_train)
+        col = [-1.0] * 6 + [-0.4135] * 2 + [0.0] * 2 + [1e-300] * 2
+        d = fit_discretizer(col, 3, seed=seed)
+        assert seeded == [False] * 6 + [True]
+        assert [assign_granule(d, v) for v in col] == [3] * 6 + [2] * 2 + [1] * 4
+        assert d.centers == (0.0, -0.41350000000000076, -1.0)
 
     def test_deterministic(self):
         t = jeffrey_table()
