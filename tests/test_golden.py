@@ -49,6 +49,18 @@ def slope_table(count: int, seed: int) -> DecisionTable:
     return DecisionTable(specs=tuple(specs), rows=tuple(rows))
 
 
+def masked_table(table: DecisionTable, seed: int, rate: float = 0.05, decisions: int = 4):
+    """``table`` with about ``rate`` of its condition cells and ``decisions``
+    decision cells blanked, chosen by ``random.Random(seed)``."""
+    rnd = random.Random(seed)
+    dec = table.col_index(DECISION_NAME)
+    rows = [[None if j != dec and rnd.random() < rate else v for j, v in enumerate(row)]
+            for row in table.rows]
+    for i in rnd.sample(range(len(rows)), decisions):
+        rows[i][dec] = None
+    return DecisionTable(specs=table.specs, rows=tuple(map(tuple, rows)))
+
+
 def _sha(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -87,6 +99,18 @@ GOLDEN = {
         "rules.txt": "58cafacc1204533b9f529093ef1ad0da4355b5ddeeab6c54f0cebd3ea8f417b9",
         "estimate.json": "4a4035deeceaa5e82bb4f7e1c7d17d42121a5f4693115899b3fed69438978168",
     },
+    "slope200-masked-0": {
+        "rc": (0, 0),
+        "report.json": "0bcd30ad329bbb757cd8aeb4c37a1fb0b4fbfe22649c442b30028cb234f4fde2",
+        "rules.txt": "1e004f7c8263b55d4958fe4668c27cfedd8fbf24afe943507cefe6a6bb9b6eb7",
+        "estimate.json": "bbabff914ce3568c279b64a7a3ab9e5180d612a0546a61a3abd3d20d2654cc16",
+    },
+    "slope200-cumulative-g3-0": {
+        "rc": (3, 0),
+        "report.json": "ae7e8e9bffe9103f7b6ff5757049069de8ad67bd721b988ddf47b57ff9cb8887",
+        "rules.txt": "d239c6929816522b68a4a66036cff8d6a5738b0cd0885485b358e5d1b7a35cfe",
+        "estimate.json": "55ba1e30dfe62f6e762781e6fdbfbfd7af4bca75ed7be089c5b802b3ca7c813c",
+    },
 }
 
 
@@ -105,3 +129,26 @@ def test_slope_table_outputs_pinned(tmp_path):
     observed = max(table.column(DECISION_NAME))
     got = run_cli(tmp_path, str(data), str(schema), (*CRITERION7_FLAGS, "--seed", "0"), observed)
     assert got == GOLDEN["slope200-0"]
+
+
+# (golden key, table, pipeline flags): the masked table exercises missing
+# condition and decision cells, the cumulative run G = 3 downward bands.
+SLOPE_VARIANTS = {
+    "slope200-masked-0": (True, (*CRITERION7_FLAGS, "--seed", "0")),
+    "slope200-cumulative-g3-0": (False, ("--granules", "3", "--semantics", "cumulative",
+                                         "--seed", "0")),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SLOPE_VARIANTS))
+def test_slope_table_variants_pinned(tmp_path, key):
+    masked, flags = SLOPE_VARIANTS[key]
+    table = slope_table(200, seed=3)
+    if masked:
+        table = masked_table(table, seed=11)
+    data, schema = tmp_path / "runs.csv", tmp_path / "schema.json"
+    data.write_text(to_csv(table))
+    schema.write_text(dump_schema(list(table.specs)))
+    observed = max(v for v in table.column(DECISION_NAME) if v is not None)
+    got = run_cli(tmp_path, str(data), str(schema), flags, observed)
+    assert got == GOLDEN[key]
