@@ -277,10 +277,10 @@ def close_open(table: DecisionTable, decision: str, cfg: PipelineConfig) -> RunR
         stop = "iteration cap"
         for index in range(1, cfg.max_iterations + 1):
             split_seed = rng.integers(2**31 - 1)
-            train_t, test_t = split_random(gtable, cfg.train_fraction, split_seed)
+            train, test = split_random(gtable, cfg.train_fraction, split_seed)
             cons = replace(cfg.constraints, max_rules=budget)
-            rs = induce_cover(train_t, decision, cons, cfg.semantics)
-            acc = accuracy(rs, test_t, decision)
+            rs = induce_cover(gtable, decision, cons, cfg.semantics, train)
+            acc = accuracy(rs, gtable, decision, test)
             accepted = acc >= cfg.el
             it = Iteration(
                 run=run,

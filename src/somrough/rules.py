@@ -10,6 +10,11 @@ Conditions carry both raw-unit bounds (for rendering and back analysis)
 and the equivalent granule-label set (authoritative when matching
 granulated objects). Labels run 1 = highest value band, so a decision
 "at most g" names the g highest bands.
+
+Induction and scoring run on one granulated table and a row mask (see
+``table``): a candidate condition matches the OR of its labels' row
+masks, a rule's cover is the ``&`` of its conditions' masks, and rows that
+share a condition vector are classified with one vote.
 """
 
 from __future__ import annotations
@@ -137,11 +142,11 @@ class RuleSet:
     semantics: str = "cumulative"
 
 
-def _granule_count(table: GranularTable, attr: str) -> int:
-    d = getattr(table, "discretizers", {}).get(attr)
+def _granule_count(table: GranularTable, attr: str, rows: int) -> int:
+    d = table.discretizers.get(attr)
     if d is not None:
         return d.granules
-    labels = [v for v in table.column(attr) if v is not None]
+    labels = [g for g, m in table.masks()[0][attr].items() if m & rows]
     if not labels:
         raise DataError(f"attribute {attr!r} has no labels to infer a granule count from")
     return max(labels)
@@ -151,7 +156,7 @@ def _interval_condition(table: GranularTable, attr: str, g_lo: int, g_hi: int) -
     """Condition for granule labels g_lo..g_hi, with raw bounds when the
     table carries the attribute's quantizer (cut k sits between labels k
     and k+1, so labels {lo..hi} span (cut_hi, cut_{lo-1}])."""
-    disc = getattr(table, "discretizers", {}).get(attr)
+    disc = table.discretizers.get(attr)
     labels = frozenset(range(g_lo, g_hi + 1))
     if disc is None:
         return Condition(attribute=attr, labels=labels)
@@ -161,20 +166,15 @@ def _interval_condition(table: GranularTable, attr: str, g_lo: int, g_hi: int) -
     return Condition(attribute=attr, lo=lo, hi=hi, labels=labels)
 
 
-def _rows_as_dicts(table: GranularTable) -> dict[int, dict]:
-    names = table.names
-    return {
-        oid: dict(zip(names, row)) for oid, row in zip(table.object_ids, table.rows)
-    }
-
-
 def induce_cover(
-    train: GranularTable,
+    table: GranularTable,
     decision: str,
     constraints: RuleConstraints,
     semantics: str = "cumulative",
+    rows: int | None = None,
 ) -> RuleSet:
-    """Greedy sequential covering of the training objects.
+    """Greedy sequential covering of the training rows: the row mask
+    ``rows`` of ``table``, or every row when it is None.
 
     Targets are each decision class (exact semantics) or each proper
     downward band "at most g" (cumulative). A rule grows one condition at
@@ -184,59 +184,53 @@ def induce_cover(
     clears the floor. Covered positives leave the pool until everything
     coverable is covered or the rule budget runs out.
     """
-    if decision not in train.decision_names:
+    if decision not in table.decision_names:
         raise UsageError(f"{decision!r} is not a decision attribute")
     if semantics not in SEMANTICS:
         raise UsageError(f"semantics must be one of {SEMANTICS}")
 
-    ids = list(train.object_ids)
-    label_of = dict(zip(ids, train.column(decision)))
-    g_count = _granule_count(train, decision)
-    cond_attrs = train.condition_names
-
+    if rows is None:
+        rows = (1 << len(table)) - 1
+    label_masks = table.masks()[0]
+    by_label = {g: m & rows for g, m in label_masks[decision].items() if m & rows}
+    g_count = _granule_count(table, decision, rows)
     if semantics == "exact":
-        present = sorted({g for g in label_of.values() if g is not None})
-        targets = [DecisionPart(decision, "exactly", g) for g in present]
+        targets = [DecisionPart(decision, "exactly", g) for g in sorted(by_label)]
     else:
         targets = [DecisionPart(decision, "at_most", g) for g in range(1, g_count)]
 
-    # Candidate label intervals per attribute, each with the ids it
-    # matches: every contiguous proper sub-range of 1..G. A missing label
-    # matches nothing.
-    candidates: dict[str, list[tuple[Condition, frozenset]]] = {}
-    for attr in cond_attrs:
-        ids_of: dict[int, set] = {}
-        for oid, g in zip(ids, train.column(attr)):
-            if g is not None:
-                ids_of.setdefault(g, set()).add(oid)
-        ga = _granule_count(train, attr)
-        conds = []
+    # Candidate label intervals (g_lo, g_hi) per attribute, each with the
+    # rows it matches: every contiguous proper sub-range of 1..G. A missing
+    # label matches nothing. Only chosen candidates become Conditions.
+    candidates: dict[str, list[tuple[int, int, int]]] = {}
+    for attr in table.condition_names:
+        ga = _granule_count(table, attr, rows)
+        intervals = []
         for g_lo in range(1, ga + 1):
+            matched = 0
             for g_hi in range(g_lo, ga + 1):
-                if g_lo == 1 and g_hi == ga:
-                    continue
-                cond = _interval_condition(train, attr, g_lo, g_hi)
-                matched = frozenset().union(*(ids_of.get(g, ()) for g in cond.labels))
-                conds.append((cond, matched))
-        candidates[attr] = conds
+                matched |= label_masks[attr].get(g_hi, 0)
+                if g_lo > 1 or g_hi < ga:
+                    intervals.append((g_lo, g_hi, matched))
+        candidates[attr] = intervals
 
     rules: list[Rule] = []
-    covered: set[int] = set()  # objects some rule matches and concludes correctly
-    # An object with a missing decision is evidence for no target and
-    # against none: it is never a positive and never a negative.
-    decided = {i for i in ids if label_of[i] is not None}
+    covered = 0  # rows some rule matches and concludes correctly
+    # A row with a missing decision is evidence for no target and against
+    # none: it is never a positive and never a negative.
+    decided = sum(by_label.values())
 
     for part in targets:
-        positives = {i for i in ids if part.covers(label_of[i])}
-        negatives = decided - positives
+        positives = sum(m for g, m in by_label.items() if part.covers(g))
+        negatives = decided & ~positives
         if not positives:
             continue
         while len(rules) < constraints.max_rules:
-            remaining = positives - covered
+            remaining = positives & ~covered
             if not remaining:
                 break
             grown = _grow_rule(
-                part, ids, remaining, positives, negatives, cond_attrs, candidates, constraints
+                table, part, rows, remaining, positives, negatives, candidates, constraints
             )
             if grown is None:
                 break
@@ -249,44 +243,44 @@ def induce_cover(
     return RuleSet(
         rules=tuple(rules),
         constraints=constraints,
-        uncovered=tuple(i for i in ids if i in decided and i not in covered),
+        uncovered=table.ids_in(decided & ~covered),
         semantics=semantics,
     )
 
 
-def _grow_rule(part, ids, remaining, positives, negatives, cond_attrs, candidates, constraints):
-    """One greedy conjunction for the given decision part and the ids it
-    matches, or None if the grown rule fails the consistency or strength
-    gates."""
+def _grow_rule(table, part, rows, remaining, positives, negatives, candidates, constraints):
+    """One greedy conjunction for the given decision part and the row mask
+    it matches, or None if the grown rule fails the consistency or
+    strength gates."""
     chosen: list[Condition] = []
     used: set[str] = set()
-    cover = set(ids)
+    cover = rows
     while len(chosen) < constraints.max_length:
         best = None
-        for a_idx, attr in enumerate(cond_attrs):
+        for a_idx, (attr, intervals) in enumerate(candidates.items()):
             if attr in used:
                 continue
-            for c_idx, (cond, matched) in enumerate(candidates[attr]):
+            for c_idx, (g_lo, g_hi, matched) in enumerate(intervals):
                 cov = cover & matched
-                new_pos = len(cov & remaining)
+                new_pos = (cov & remaining).bit_count()
                 if new_pos == 0:
                     continue
-                n_neg = len(cov & negatives)
+                n_neg = (cov & negatives).bit_count()
                 key = (-new_pos, n_neg, a_idx, c_idx)
                 if best is None or key < best[0]:
-                    best = (key, cond, cov)
+                    best = (key, attr, g_lo, g_hi, cov)
         if best is None:
             break
-        _, cond, cover = best
-        chosen.append(cond)
-        used.add(cond.attribute)
+        _, attr, g_lo, g_hi, cover = best
+        chosen.append(_interval_condition(table, attr, g_lo, g_hi))
+        used.add(attr)
         if not cover & negatives:
             break
 
     if not chosen or cover & negatives:
         return None
-    support = len(cover & positives)
-    strength_val = support / len(positives)
+    support = (cover & positives).bit_count()
+    strength_val = support / positives.bit_count()
     if support == 0 or strength_val < constraints.min_strength:
         return None
     rule = Rule(conditions=tuple(chosen), decision=part, support=support, strength=strength_val)
@@ -321,16 +315,27 @@ def classify(rs: RuleSet, row: dict):
     return tied[0] if len(tied) == 1 else None
 
 
-def accuracy(rs: RuleSet, test: GranularTable, decision: str) -> float:
-    """Correct fraction on the held-out objects that have a decision;
-    abstentions count as wrong. Objects whose decision is missing are not
-    scored, and a test set with none left, an empty one included, scores
-    0.0: no accuracy is earned without objects to earn it on."""
-    scored = [r for r in _rows_as_dicts(test).values() if r.get(decision) is not None]
+def accuracy(rs: RuleSet, table: GranularTable, decision: str, rows: int | None = None) -> float:
+    """Correct fraction of the held-out rows (the row mask ``rows``, or
+    every row when it is None) that have a decision; abstentions count as
+    wrong. Rows whose decision is missing are not scored, and with none
+    left, an empty mask included, the score is 0.0: no accuracy is earned
+    without objects to earn it on. Rules condition on condition
+    attributes only, so rows sharing a condition vector share one vote."""
+    label_masks, vectors = table.masks()
+    by_label = label_masks.get(decision, {})
+    scored = sum(by_label.values())
+    if rows is not None:
+        scored &= rows
     if not scored:
         return 0.0
-    correct = sum(1 for r in scored if classify(rs, r) == r[decision])
-    return correct / len(scored)
+    names = table.condition_names
+    correct = 0
+    for vec, m in vectors.items():
+        if m & scored:
+            pred = classify(rs, dict(zip(names, vec)))
+            correct += (m & scored & by_label.get(pred, 0)).bit_count()
+    return correct / scored.bit_count()
 
 
 # --- rendering and parsing -------------------------------------------------

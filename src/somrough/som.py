@@ -399,7 +399,7 @@ def fit_discretizer(
     if not present:
         raise DataError("cannot discretize a column with no present values")
     transformed = transform_scale(present, scale)
-    scaled, (lo, hi) = scale_minmax(transformed)
+    scaled, (lo, hi) = scale_minmax(transformed, name)
     distinct = sorted(set(scaled))
     if len(distinct) < granules:
         raise DataError(

@@ -4,6 +4,11 @@ A table is a universe of objects described by condition and decision
 attributes. Cells are floats or ``None`` (the missing marker, written
 ``?`` in CSV). After discretization the same shape holds granule labels
 (1 = highest value band) instead of raw numbers.
+
+Sets of objects are row masks: Python ints whose bit i stands for the
+table's row i, so a split is two masks over one table, intersections are
+``&`` and counts are ``int.bit_count``. A granulated table keeps, per
+attribute and label, the mask of the rows holding that label.
 """
 
 from __future__ import annotations
@@ -47,10 +52,9 @@ class AttributeSpec:
 class DecisionTable:
     """Objects x attributes matrix with stable object ids.
 
-    Rows are tuples of ``float | None``; ``object_ids`` stay attached to
-    their rows under projection and splitting. Tables built from external
-    data should come through :func:`load_table`, which additionally
-    requires at least one condition and one decision attribute.
+    Rows are tuples of ``float | None``, each with its object id. Tables
+    built from external data should come through :func:`load_table`, which
+    additionally requires at least one condition and one decision attribute.
     """
 
     specs: tuple[AttributeSpec, ...]
@@ -112,25 +116,10 @@ class DecisionTable:
             raise UsageError(f"unknown object id {object_id}") from None
         return self.rows[i][self.col_index(name)]
 
-    def _clone(self, specs, rows, object_ids) -> "DecisionTable":
-        return DecisionTable(specs=specs, rows=rows, object_ids=object_ids)
-
-    def project(self, names: list[str]) -> "DecisionTable":
-        """Keep only the named columns; object ids are preserved."""
-        idx = [self.col_index(n) for n in names]
-        specs = tuple(self.specs[j] for j in idx)
-        rows = tuple(tuple(row[j] for j in idx) for row in self.rows)
-        return self._clone(specs, rows, self.object_ids)
-
-    def subset(self, ids: list[int]) -> "DecisionTable":
-        """Rows for the given object ids, in the table's stored order."""
-        keep = set(ids)
-        pairs = [(oid, row) for oid, row in zip(self.object_ids, self.rows) if oid in keep]
-        return self._clone(
-            self.specs,
-            tuple(row for _, row in pairs),
-            tuple(oid for oid, _ in pairs),
-        )
+    def ids_in(self, rows: int) -> tuple[int, ...]:
+        """Object ids of the rows in a row mask, in stored order."""
+        bits = f"{rows:0{len(self.rows)}b}"[::-1]
+        return tuple(oid for oid, bit in zip(self.object_ids, bits) if bit == "1")
 
 
 @dataclass(frozen=True)
@@ -139,11 +128,12 @@ class GranularTable(DecisionTable):
 
     ``discretizers`` records, per attribute, the quantizer that produced
     the labels so raw observations can be mapped into the same vocabulary.
-    Labels are checked once, when a table is constructed; projections and
-    subsets of a checked table skip the per-cell check.
+    Labels are checked once, when a table is constructed.
     """
 
     discretizers: dict = field(default_factory=dict)
+    # Built on first use by masks().
+    _masks: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -162,20 +152,22 @@ class GranularTable(DecisionTable):
                         f"row {i}, attribute {s.name!r}: label {v} exceeds granule count {d.granules}"
                     )
 
-    def _clone(self, specs, rows, object_ids) -> "GranularTable":
-        # The rows come from this table, whose labels were checked: bypass
-        # __init__ and run only DecisionTable's structural checks.
-        kept = {s.name for s in specs}
-        out = object.__new__(GranularTable)
-        for name, value in (
-            ("specs", specs),
-            ("rows", rows),
-            ("object_ids", object_ids),
-            ("discretizers", {k: v for k, v in self.discretizers.items() if k in kept}),
-        ):
-            object.__setattr__(out, name, value)
-        DecisionTable.__post_init__(out)
-        return out
+    def masks(self) -> tuple[dict, dict]:
+        """Row masks ``({attribute: {label: rows}}, {condition vector: rows})``.
+        An attribute's label masks are disjoint; a missing cell is in none."""
+        if self._masks is None:
+            labels = {name: {} for name in self.names}
+            vectors: dict[tuple, int] = {}
+            cond = [j for j, s in enumerate(self.specs) if s.role == "condition"]
+            for i, row in enumerate(self.rows):
+                bit = 1 << i
+                for by_label, v in zip(labels.values(), row):
+                    if v is not None:
+                        by_label[v] = by_label.get(v, 0) | bit
+                vec = tuple(row[j] for j in cond)
+                vectors[vec] = vectors.get(vec, 0) | bit
+            object.__setattr__(self, "_masks", (labels, vectors))
+        return self._masks
 
 
 def load_table(csv_text: str, schema: list[AttributeSpec]) -> DecisionTable:
@@ -286,10 +278,8 @@ def split_train_size(n: int, train_fraction: float) -> int:
     return max(1, int(math.floor(train_fraction * n + 0.5)))
 
 
-def split_random(
-    table: DecisionTable, train_fraction: float, seed: int
-) -> tuple[DecisionTable, DecisionTable]:
-    """Disjoint train/test partition of the object ids.
+def split_random(table: DecisionTable, train_fraction: float, seed: int) -> tuple[int, int]:
+    """Disjoint train/test partition of the rows, as two row masks.
 
     |train| = split_train_size(|U|, fraction); the same seed always
     produces the same split.
@@ -301,15 +291,15 @@ def split_random(
     # The test split is the tail of numpy's default_rng(seed).permutation(n);
     # the Fisher-Yates steps that settle it are the only ones needed.
     perm = _pcg.Stream(seed).permutation(n, tail=n - n_train)
-    train_ids = sorted(table.object_ids[i] for i in perm[:n_train])
-    test_ids = sorted(table.object_ids[i] for i in perm[n_train:])
-    return table.subset(train_ids), table.subset(test_ids)
+    test = sum(1 << i for i in perm[n_train:])
+    return ((1 << n) - 1) ^ test, test
 
 
-def scale_minmax(values: list) -> tuple[list, tuple[float, float]]:
+def scale_minmax(values: list, name: str = "") -> tuple[list, tuple[float, float]]:
     """Map values to [0, 1]; a constant column maps to all 0.5.
 
-    Missing entries are ignored for the min/max and passed through.
+    Missing entries are ignored for the min/max and passed through. A
+    column whose span ``hi - lo`` overflows is a data error naming ``name``.
     """
     present = [v for v in values if v is not None]
     if not present:
@@ -318,6 +308,8 @@ def scale_minmax(values: list) -> tuple[list, tuple[float, float]]:
     if hi == lo:
         return [None if v is None else 0.5 for v in values], (lo, hi)
     span = hi - lo
+    if math.isinf(span):
+        raise DataError(f"column {name!r}: span {lo!r} to {hi!r} exceeds the float range")
     return [None if v is None else (v - lo) / span for v in values], (lo, hi)
 
 
@@ -370,6 +362,6 @@ def scaled_matrix(table: DecisionTable, names: list[str] | None = None):
     cols = []
     for name in names:
         spec = table.spec(name)
-        scaled, _ = scale_minmax(transform_scale(table.column(name), spec.scale))
+        scaled, _ = scale_minmax(transform_scale(table.column(name), spec.scale), name)
         cols.append([math.nan if v is None else v for v in scaled])
     return np.array(cols, dtype=float).T

@@ -114,8 +114,9 @@ def test_c4_pipeline_constraint_soundness():
     assert rules, "expected at least one emitted rule on the corpus"
     assert len(rules) <= cfg.constraints.max_rules
 
-    train, _ = split_random(report.granular, cfg.train_fraction, report.best_iteration.split_seed)
-    rows = [dict(zip(train.names, row)) for row in train.rows]
+    g = report.granular
+    train, _ = split_random(g, cfg.train_fraction, report.best_iteration.split_seed)
+    rows = [dict(zip(g.names, row)) for i, row in enumerate(g.rows) if train >> i & 1]
     for rule in rules:
         assert rule.length <= cfg.constraints.max_length
         # independent re-scoring by direct counting over the split

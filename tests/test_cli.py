@@ -724,3 +724,66 @@ class TestFuzzedReport:
             root = Path(tmp)
             report = _report_with(root, corpus_report_doc, path, value)
             _assert_contract(root, _backanalyze(report) + ["--out", str(root / "out" / "e.json")])
+
+
+# --observe values: any float's repr (nan, +-inf, subnormals included),
+# overflowing and malformed numerals, and free text.
+OBSERVE_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.floats(allow_subnormal=True, min_value=-1e-300, max_value=1e-300).map(repr),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "5e-324", "1e-400",
+                     "", " ", "x", "1,5", "0x10", "1e", "--1", "-h", "5.787e-4"]),
+    st.text(max_size=8),
+)
+
+
+class TestFuzzedObserve:
+    @settings(max_examples=120, deadline=None)
+    @given(text=OBSERVE_TEXT, joined=st.booleans())
+    @example(text="-inf", joined=True)
+    @example(text="1e400", joined=False)
+    def test_exit_contract(self, corpus_report_doc, text, joined):
+        """``backanalyze`` on the corpus report with any ``--observe``
+        text exits 0, 1 or 2 without a traceback, and an estimate written
+        on exit 0 is JSON."""
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            report = root / "report.json"
+            report.write_text(json.dumps(corpus_report_doc))
+            observe = [f"--observe={text}"] if joined else ["--observe", text]
+            rc, _, err, outputs = _call_in(root, [
+                "backanalyze", "--report", str(report), *observe,
+                "--out", str(root / "out" / "e.json"),
+            ])
+            event(f"exit {rc}")
+            assert rc in (0, 1, 2)
+            assert "Traceback" not in err
+            if rc == 0:
+                json.loads(outputs["e.json"])
+
+
+def test_overflowing_span_is_data_error(tmp_path):
+    """A column spanning more than the float range is a data error that
+    says so, raised before any numpy import."""
+    (tmp_path / "runs.csv").write_text("x,d\n1e308,1\n-1e308,2\n0,3\n5,4\n")
+    (tmp_path / "schema.json").write_text(json.dumps(
+        [{"name": "x", "role": "condition"}, {"name": "d", "role": "decision"}]
+    ))
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from somrough.cli import main
+        root = {str(tmp_path)!r}
+        rc = main(["discretize", "--data", root + "/runs.csv", "--schema",
+                   root + "/schema.json", "--granules", "2", "--out", root + "/o"])
+        assert rc == 2, rc
+        assert "numpy" not in sys.modules
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert done.returncode == 0, done.stderr
+    assert "data error: column 'x': span -1e+308 to 1e+308 exceeds the float range" in done.stderr

@@ -85,5 +85,5 @@ def test_split_random_partial_shuffle(seed, n, fraction):
     n_train = split_train_size(n, fraction)
     perm = np.random.default_rng(seed).permutation(n)
     train, test = split_random(table, fraction, seed)
-    assert train.object_ids == tuple(sorted(table.object_ids[i] for i in perm[:n_train]))
-    assert test.object_ids == tuple(sorted(table.object_ids[i] for i in perm[n_train:]))
+    assert table.ids_in(train) == tuple(sorted(table.object_ids[i] for i in perm[:n_train]))
+    assert table.ids_in(test) == tuple(sorted(table.object_ids[i] for i in perm[n_train:]))

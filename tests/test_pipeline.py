@@ -70,8 +70,13 @@ def _masked(table: DecisionTable, frac: float, seed: int) -> DecisionTable:
 
 def _quantizable(table: DecisionTable, granules: int) -> DecisionTable:
     """The columns with at least ``granules`` distinct present values."""
-    return table.project(
-        [n for n in table.names if len({v for v in table.column(n) if v is not None}) >= granules]
+    keep = [
+        j for j, n in enumerate(table.names)
+        if len({v for v in table.column(n) if v is not None}) >= granules
+    ]
+    return DecisionTable(
+        specs=tuple(table.specs[j] for j in keep),
+        rows=tuple(tuple(row[j] for j in keep) for row in table.rows),
     )
 
 
@@ -255,7 +260,7 @@ class TestCloseOpen:
         """A split with nothing held out would report a vacuous accuracy."""
         with pytest.raises(DataError, match="no test objects"):
             close_open(jeffrey_table(), "mvv", PipelineConfig(train_fraction=1.0, el=0.0))
-        one_row = jeffrey_table().subset([0])
+        one_row = DecisionTable(specs=jeffrey_table().specs, rows=jeffrey_table().rows[:1])
         with pytest.raises(DataError, match="no test objects"):
             close_open(one_row, "mvv", PipelineConfig(el=0.0))
 
@@ -293,12 +298,14 @@ class TestCloseOpen:
         """Re-running classification on the logged split reproduces the
         reported best accuracy."""
         it = corpus_report.best_iteration
-        _, test = split_random(corpus_report.granular, 0.7, it.split_seed)
-        assert accuracy(corpus_report.best_rules, test, "mvv") == it.accuracy
+        g = corpus_report.granular
+        _, test = split_random(g, 0.7, it.split_seed)
+        assert accuracy(corpus_report.best_rules, g, "mvv", test) == it.accuracy
 
     def test_empty_table_rejected(self):
         with pytest.raises(DataError):
-            close_open(jeffrey_table().subset([]), "mvv", PipelineConfig())
+            empty = DecisionTable(specs=jeffrey_table().specs, rows=())
+            close_open(empty, "mvv", PipelineConfig())
 
     def test_non_decision_rejected(self):
         with pytest.raises(UsageError):

@@ -1,4 +1,4 @@
-"""Tests for table ingestion, projection, scaling and splitting."""
+"""Tests for table ingestion, row masks, scaling and splitting."""
 
 import math
 
@@ -85,19 +85,19 @@ class TestSplitRandom:
     def test_full_retention(self):
         t = jeffrey_table()
         train, test = split_random(t, 1.0, seed=3)
-        assert len(train) == 12 and len(test) == 0
+        assert len(t.ids_in(train)) == 12 and t.ids_in(test) == ()
 
     def test_deterministic(self):
         t = jeffrey_table()
         a = split_random(t, 0.7, seed=42)
         b = split_random(t, 0.7, seed=42)
-        assert a[0].object_ids == b[0].object_ids
-        assert a[1].object_ids == b[1].object_ids
+        assert t.ids_in(a[0]) == t.ids_in(b[0])
+        assert t.ids_in(a[1]) == t.ids_in(b[1])
 
     def test_rounding(self):
-        t = jeffrey_table().subset(list(range(10)))
+        t = DecisionTable(specs=jeffrey_table().specs, rows=jeffrey_table().rows[:10])
         train, test = split_random(t, 0.7, seed=0)
-        assert len(train) == 7 and len(test) == 3
+        assert train.bit_count() == 7 and test.bit_count() == 3
 
     def test_partition_property(self):
         """train and test always partition the universe."""
@@ -105,12 +105,12 @@ class TestSplitRandom:
         for seed in range(25):
             for frac in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
                 train, test = split_random(t, frac, seed)
-                got = set(train.object_ids) | set(test.object_ids)
+                got = set(t.ids_in(train)) | set(t.ids_in(test))
                 assert got == set(t.object_ids)
-                assert not set(train.object_ids) & set(test.object_ids)
+                assert not set(t.ids_in(train)) & set(t.ids_in(test))
 
     def test_empty_table_rejected(self):
-        t = jeffrey_table().subset([])
+        t = DecisionTable(specs=jeffrey_table().specs, rows=())
         with pytest.raises(DataError):
             split_random(t, 0.5, seed=0)
 
@@ -149,14 +149,24 @@ class TestProjection:
 
         t = jeffrey_table()
         names = ["cp", "phip", "csz"]
+        idx = [t.col_index(n) for n in names]
+        proj = DecisionTable(
+            specs=tuple(t.spec(n) for n in names),
+            rows=tuple(tuple(row[j] for j in idx) for row in t.rows),
+        )
         p_full = partition_by(t, names)
-        p_proj = partition_by(t.project(names), names)
+        p_proj = partition_by(proj, names)
         assert p_full.blocks == p_proj.blocks
 
     def test_object_ids_stable(self):
+        """A row mask names rows by position; ids_in maps it back to the
+        object ids of those rows, in stored order."""
         t = jeffrey_table()
-        sub = t.subset([3, 5, 7]).project(["cb", "mvv"])
-        assert sub.object_ids == (3, 5, 7)
+        sub = DecisionTable(
+            specs=t.specs, rows=tuple(t.rows[i] for i in (7, 3, 5)), object_ids=(7, 3, 5)
+        )
+        assert sub.ids_in(0b110) == (3, 5)
+        assert sub.ids_in(0b111) == (7, 3, 5)
         assert sub.value(3, "cb") == 3.75e05
 
 
@@ -214,20 +224,19 @@ class TestGranularLabels:
         with pytest.raises(DataError, match="exceeds granule count 3"):
             GranularTable(specs=self.SPECS, rows=((3, 1), (4, 2)), discretizers=self.DISCS)
 
-    def test_clones_keep_structure_and_quantizers(self):
+    def test_row_masks(self):
+        """Bit i of a mask is row i; a missing cell is in no label's mask."""
         t = GranularTable(
             specs=self.SPECS,
-            rows=((1, 1), (None, 2), (3, 9)),
-            object_ids=(7, 2, 5),
+            rows=((1, 1), (None, 2), (3, 1), (1, 2)),
+            object_ids=(7, 2, 5, 4),
             discretizers=self.DISCS,
         )
-        sub = t.subset([5, 7])
-        assert sub == GranularTable(
-            specs=self.SPECS, rows=((1, 1), (3, 9)), object_ids=(7, 5), discretizers=self.DISCS
-        )
-        assert sub.value(5, "a") == 3
-        proj = t.project(["d"])
-        assert isinstance(proj, GranularTable)
-        assert proj.discretizers == {}
-        assert proj.rows == ((1,), (2,), (9,))
-        assert proj.object_ids == (7, 2, 5)
+        labels, vectors = t.masks()
+        assert labels == {"a": {1: 0b1001, 3: 0b0100}, "d": {1: 0b0101, 2: 0b1010}}
+        assert vectors == {(1,): 0b1001, (None,): 0b0010, (3,): 0b0100}
+        assert t.masks() is t.masks()
+        assert t.ids_in(labels["a"][1]) == (7, 4)
+        # The masks take no part in equality.
+        assert t == GranularTable(specs=self.SPECS, rows=t.rows, object_ids=t.object_ids,
+                                  discretizers=self.DISCS)
