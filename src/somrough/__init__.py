@@ -16,7 +16,6 @@ from .pipeline import (
     close_open,
     granulate,
     granulate_observation,
-    sensitivity,
 )
 from .rough import (
     approx_quality,
@@ -107,7 +106,6 @@ __all__ = [
     "render_rule",
     "render_rules",
     "scale_minmax",
-    "sensitivity",
     "split_random",
     "train",
     "upper_approx",

@@ -20,6 +20,8 @@ from .pipeline import (
     PipelineConfig,
     back_analyze,
     close_open,
+    config_from_settings,
+    config_settings,
     estimate_to_json,
     granular_from_json,
     granulate,
@@ -38,36 +40,10 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_EL_NOT_MET = 3
 
-# Keys a config file may set; every one has a same-named flag.
-CONFIG_KEYS = {
-    "granules": int,
-    "min_strength": float,
-    "max_length": int,
-    "max_rules": int,
-    "el": float,
-    "runs": int,
-    "max_closed": int,
-    "train_fraction": float,
-    "max_open_steps": int,
-    "seed": int,
-    "semantics": str,
-    "decision": str,
-}
-
-DEFAULTS = {
-    "granules": 3,
-    "min_strength": 0.60,
-    "max_length": 2,
-    "max_rules": 5,
-    "el": 0.80,
-    "runs": 1,
-    "max_closed": 2,
-    "train_fraction": 0.7,
-    "max_open_steps": 10,
-    "seed": 0,
-    "semantics": "cumulative",
-    "decision": None,
-}
+# Keys a config file may set, each with a same-named flag: the fields of
+# PipelineConfig and RuleConstraints, with their defaults, plus the decision.
+DEFAULTS = {**config_settings(PipelineConfig()), "decision": None}
+CONFIG_KEYS = {key: str if value is None else type(value) for key, value in DEFAULTS.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,26 +100,6 @@ def _load_inputs(args):
     return load_table(_read(args.data), schema)
 
 
-def _constraints(s: dict) -> RuleConstraints:
-    return RuleConstraints(
-        min_strength=s["min_strength"], max_length=s["max_length"], max_rules=s["max_rules"]
-    )
-
-
-def _pipeline_config(s: dict) -> PipelineConfig:
-    return PipelineConfig(
-        runs=s["runs"],
-        max_closed=s["max_closed"],
-        el=s["el"],
-        constraints=_constraints(s),
-        train_fraction=s["train_fraction"],
-        granules=s["granules"],
-        max_open_steps=s["max_open_steps"],
-        seed=s["seed"],
-        semantics=s["semantics"],
-    )
-
-
 def _need_decision(table, settings) -> str:
     decision = settings.get("decision")
     if decision is None:
@@ -173,7 +129,7 @@ def cmd_rules(args) -> int:
     table = _load_inputs(args)
     decision = _need_decision(table, s)
     g = granulate(table, granules=s["granules"], seed=s["seed"])
-    rs = induce_cover(g, decision, _constraints(s), s["semantics"])
+    rs = induce_cover(g, decision, config_from_settings(s, RuleConstraints), s["semantics"])
     _write(Path(args.out) / "rules.txt", render_rules(rs))
     print(
         f"{len(rs.rules)} rule(s), {len(rs.uncovered)} uncovered object(s)", file=sys.stderr
@@ -185,7 +141,7 @@ def cmd_pipeline(args) -> int:
     s = _resolve(args)
     table = _load_inputs(args)
     decision = _need_decision(table, s)
-    report = close_open(table, decision, _pipeline_config(s))
+    report = close_open(table, decision, config_from_settings(s))
     out = Path(args.out)
     _write(out / "report.json", report_to_json(report))
     _write(out / "rules.txt", render_rules(report.best_rules))
@@ -233,7 +189,7 @@ def cmd_surrogate(args) -> int:
             if not isinstance(raw, dict):
                 raise TypeError("expected an object of [low, high] pairs")
             ranges = {k: (float(v[0]), float(v[1])) for k, v in raw.items()}
-        except (ValueError, TypeError, IndexError, KeyError) as exc:
+        except (ValueError, TypeError, IndexError, KeyError, OverflowError) as exc:
             raise DataError(f"malformed ranges file: {exc}") from None
     table = generate_table(
         ranges=ranges, count=args.count, seed=s["seed"], steepness=args.steepness

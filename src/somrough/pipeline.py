@@ -22,11 +22,14 @@ import math
 import os
 import threading
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import _pcg
 from .errors import DataError, UsageError
-from .rough import core, reducts
+from .rough import core
+# Not called here: perfbench/tracer.py wraps ``somrough.pipeline.reducts``
+# by name, so the name stays importable from this module.
+from .rough import reducts  # noqa: F401
 from .rules import (
     Condition,
     DecisionPart,
@@ -84,6 +87,32 @@ class PipelineConfig:
         return 1 + self.max_closed * self.max_open_steps
 
 
+def config_settings(cfg) -> dict:
+    """The run settings of a ``PipelineConfig`` as flat ``key: value``
+    pairs, in field order, with the ``RuleConstraints`` fields where
+    ``constraints`` sits. These keys are the config-file keys and flags of
+    the CLI, and ``report.json`` echoes them in this order."""
+    out = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name == "constraints":
+            out.update(config_settings(value))
+        else:
+            out[f.name] = value
+    return out
+
+
+def config_from_settings(settings: dict, cls=PipelineConfig):
+    """Inverse of ``config_settings``: a ``PipelineConfig`` (or, with
+    ``cls=RuleConstraints``, only the constraints) from flat settings.
+    Keys of neither dataclass are ignored; a missing one is a KeyError."""
+    return cls(**{
+        f.name: settings[f.name] if f.name != "constraints"
+        else config_from_settings(settings, RuleConstraints)
+        for f in fields(cls)
+    })
+
+
 @dataclass(frozen=True)
 class Iteration:
     run: int
@@ -103,8 +132,7 @@ class RunReport:
     best_rules: RuleSet
     best_accuracy: float
     best_iteration: Iteration
-    discretizers: dict  # of the best run, keyed by attribute
-    granular: GranularTable  # of the best run
+    granular: GranularTable  # of the best run, with its quantizers
     el_met: bool
     stop_reason: str
     notes: tuple[str, ...] = POLICY_NOTES
@@ -131,28 +159,20 @@ class ParameterEstimate:
         return tuple(r.conditions for r in self.matched_rules)
 
 
-def granulate(
-    table: DecisionTable, granules: int = 3, seed: int = 0, discretizers: dict | None = None
-) -> GranularTable:
+def granulate(table: DecisionTable, granules: int = 3, seed: int = 0) -> GranularTable:
     """Quantize every column; label 1 is always the highest value band.
 
     Discretizers are fitted per attribute with seeds derived from the base
-    seed, or reused when passed in (e.g. to granulate test data with the
-    training vocabulary).
+    seed.
     """
-    if discretizers is None:
-        discretizers = _fit_all(table, granules, seed)
-    rows = []
-    for row in table.rows:
-        rows.append(
-            tuple(
-                assign_granule(discretizers[s.name], v) if s.name in discretizers else None
-                for s, v in zip(table.specs, row)
-            )
-        )
+    discretizers = _fit_all(table, granules, seed)
+    columns = [discretizers[name] for name in table.names]
+    rows = tuple(
+        tuple(assign_granule(d, v) for d, v in zip(columns, row)) for row in table.rows
+    )
     return GranularTable(
         specs=table.specs,
-        rows=tuple(rows),
+        rows=rows,
         object_ids=table.object_ids,
         discretizers=discretizers,
     )
@@ -261,13 +281,12 @@ def close_open(table: DecisionTable, decision: str, cfg: PipelineConfig) -> RunR
         )
 
     iterations: list[Iteration] = []
-    candidates = []  # (sort_key, accepted, iteration, ruleset, run_artifacts)
+    candidates = []  # (sort_key, accepted, iteration, ruleset, granulated table)
     stop_reasons = []
 
     for run in range(cfg.runs):
         run_seed = cfg.seed + run
         gtable = granulate(table, cfg.granules, seed=run_seed)
-        artifacts = (gtable.discretizers, gtable)
         rng = _pcg.Stream(run_seed)
 
         budget = 1
@@ -294,7 +313,7 @@ def close_open(table: DecisionTable, decision: str, cfg: PipelineConfig) -> RunR
             iterations.append(it)
             total_len = sum(r.length for r in rs.rules)
             candidates.append(
-                ((-acc, len(rs.rules), total_len, len(iterations)), accepted, it, rs, artifacts)
+                ((-acc, len(rs.rules), total_len, len(iterations)), accepted, it, rs, gtable)
             )
 
             if accepted:
@@ -328,7 +347,7 @@ def close_open(table: DecisionTable, decision: str, cfg: PipelineConfig) -> RunR
 
     accepted_pool = [c for c in candidates if c[1]]
     pool = accepted_pool or candidates
-    key, _, best_it, best_rs, (discs, gtable) = min(pool, key=lambda c: c[0])
+    _, _, best_it, best_rs, gtable = min(pool, key=lambda c: c[0])
     return RunReport(
         config=cfg,
         decision=decision,
@@ -336,7 +355,6 @@ def close_open(table: DecisionTable, decision: str, cfg: PipelineConfig) -> RunR
         best_rules=best_rs,
         best_accuracy=best_it.accuracy,
         best_iteration=best_it,
-        discretizers=discs,
         granular=gtable,
         el_met=bool(accepted_pool),
         stop_reason="; ".join(stop_reasons),
@@ -377,32 +395,16 @@ def back_analyze(
     if granular is not None:
         core_attrs = core(granular, decision=attr)
         attrs |= set(granular.condition_names)
+    # (attribute, in core, frequency): core first, then by falling
+    # frequency, then by name.
+    entries = ((a, a in core_attrs, freq[a]) for a in attrs)
     return ParameterEstimate(
         decision=attr,
         observed_granule=label,
         matched_rules=matched,
-        sensitivity=_rank(attrs, core_attrs, freq),
+        sensitivity=tuple(sorted(entries, key=lambda e: (not e[1], -e[2], e[0]))),
         no_match=not matched,
     )
-
-
-def sensitivity(granular: GranularTable, decision: str) -> tuple[tuple[str, bool, int], ...]:
-    """Condition attributes ranked by reduct membership.
-
-    Key: core membership first, then how many reducts use the attribute,
-    then name. The reduct set acts as a cheap global sensitivity screen:
-    core attributes are indispensable to reproduce the decision structure.
-    """
-    rs = reducts(granular, "decision_relative", decision=decision)
-    freq = Counter(a for r in rs.reducts for a in r)
-    return _rank(granular.condition_names, rs.core, freq)
-
-
-def _rank(attrs, core_attrs, freq: Counter) -> tuple[tuple[str, bool, int], ...]:
-    """(attribute, in core, frequency) entries: core first, then by falling
-    frequency, then by name."""
-    entries = ((a, a in core_attrs, freq[a]) for a in attrs)
-    return tuple(sorted(entries, key=lambda e: (not e[1], -e[2], e[0])))
 
 
 # --- JSON serialization ----------------------------------------------------
@@ -464,37 +466,13 @@ def discretizer_from_dict(d: dict) -> Discretizer:
 
 
 def report_to_json(report: RunReport) -> str:
-    cfg = report.config
     doc = {
-        "config": {
-            "runs": cfg.runs,
-            "max_closed": cfg.max_closed,
-            "el": cfg.el,
-            "min_strength": cfg.constraints.min_strength,
-            "max_length": cfg.constraints.max_length,
-            "max_rules": cfg.constraints.max_rules,
-            "train_fraction": cfg.train_fraction,
-            "granules": cfg.granules,
-            "max_open_steps": cfg.max_open_steps,
-            "seed": cfg.seed,
-            "semantics": cfg.semantics,
-        },
+        "config": config_settings(report.config),
         "decision": report.decision,
         "el_met": report.el_met,
         "stop_reason": report.stop_reason,
         "notes": list(report.notes),
-        "iterations": [
-            {
-                "run": it.run,
-                "index": it.index,
-                "split_seed": it.split_seed,
-                "budget": it.budget,
-                "n_rules": it.n_rules,
-                "accuracy": it.accuracy,
-                "accepted": it.accepted,
-            }
-            for it in report.iterations
-        ],
+        "iterations": [asdict(it) for it in report.iterations],
         "best": {
             "accuracy": report.best_accuracy,
             "run": report.best_iteration.run,
@@ -508,7 +486,8 @@ def report_to_json(report: RunReport) -> str:
             ],
         },
         "discretizers": {
-            name: _discretizer_dict(d) for name, d in sorted(report.discretizers.items())
+            name: _discretizer_dict(d)
+            for name, d in sorted(report.granular.discretizers.items())
         },
         "granular": {
             "attributes": report.granular.names,
@@ -522,14 +501,9 @@ def report_to_json(report: RunReport) -> str:
 
 def report_rules_from_json(doc: dict) -> RuleSet:
     best = doc["best"]
-    cons = RuleConstraints(
-        min_strength=doc["config"]["min_strength"],
-        max_length=doc["config"]["max_length"],
-        max_rules=doc["config"]["max_rules"],
-    )
     return RuleSet(
         rules=tuple(rule_from_dict(r) for r in best["rules"]),
-        constraints=cons,
+        constraints=config_from_settings(doc["config"], RuleConstraints),
         uncovered=tuple(best.get("uncovered", ())),
         semantics=best.get("semantics", "cumulative"),
     )

@@ -59,7 +59,10 @@ def factor_of_safety(p: SlopeParams) -> float:
         raise UsageError("slope angle too close to zero")
     phi = math.radians(p.friction)
     resisting = p.cohesion * p.area + p.weight * math.cos(theta) * math.tan(phi)
-    return resisting / (p.weight * math.sin(theta))
+    driving = p.weight * math.sin(theta)
+    if driving == 0.0:  # a subnormal weight on a near-flat plane
+        raise UsageError("driving force underflows to zero")
+    return resisting / driving
 
 
 def displacement_proxy(fs: float, steepness: float = DEFAULT_STEEPNESS) -> float:
@@ -82,8 +85,6 @@ def generate_table(
     surrogate`` is the one command that needs numpy, and its tables may
     change with the installed numpy version.
     """
-    import numpy as np
-
     ranges = dict(DEFAULT_RANGES if ranges is None else ranges)
     unknown = set(ranges) - set(DEFAULT_RANGES)
     if unknown:
@@ -93,8 +94,17 @@ def generate_table(
     if count < 1:
         raise UsageError("count must be >= 1")
     for name, (lo, hi) in ranges.items():
+        # Each draw is lo + (hi - lo) * (stratum + u) / count with
+        # stratum + u < count, so a finite (hi - lo) * count keeps it finite.
+        if not all(map(math.isfinite, (lo, hi, (hi - lo) * count))):
+            raise DataError(
+                f"range for {name} [{lo!r}, {hi!r}]: low, high and "
+                f"(high - low) x count ({count}) must be finite"
+            )
         if not lo < hi:
             raise DataError(f"range for {name} must have low < high")
+
+    import numpy as np
 
     rng = np.random.default_rng(seed)
     names = list(DEFAULT_RANGES)

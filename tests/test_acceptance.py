@@ -218,7 +218,7 @@ def test_c7_surrogate_recovery():
         met += 1
         rng = np.random.default_rng(5000 + trial)
         row_id = int(rng.choice(top_decile))
-        disc = report.discretizers[DECISION_NAME]
+        disc = report.granular.discretizers[DECISION_NAME]
         est = back_analyze(
             report.best_rules,
             (DECISION_NAME, granulate_observation(disc, proxy[row_id])),

@@ -12,14 +12,20 @@ import sys
 import tempfile
 import textwrap
 import time
+import typing
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from somrough.cli import COMMANDS, CONFIG_KEYS, build_parser, main, parse_config_file
+from somrough.cli import COMMANDS, CONFIG_KEYS, DEFAULTS, build_parser, main, parse_config_file
 from somrough.errors import DataError, UsageError
+from somrough.pipeline import PipelineConfig
+from somrough.rules import RuleConstraints
+from somrough.surrogate import DEFAULT_RANGES
 
 DATA_DIR = importlib.resources.files("somrough.data")
 CORPUS = str(DATA_DIR.joinpath("jeffrey_runs.csv"))
@@ -334,6 +340,27 @@ class TestSurrogate:
         body = (tmp_path / "runs.csv").read_text().splitlines()[1:]
         for line in body:
             assert 10.0 <= float(line.split(",")[0]) <= 11.0
+
+    @pytest.mark.parametrize("text", [
+        '{"cohesion": [-1e308, 1e308]}',
+        '{"cohesion": [-Infinity, 5]}',
+        '{"friction": [1, 1e308]}',
+    ])
+    def test_overflowing_range_is_2(self, tmp_path, capsys, text):
+        """A range whose bounds or (high - low) x count are not finite is a
+        data error naming the parameter and the range, raised before any
+        draw, so numpy warns of no overflow."""
+        ranges = tmp_path / "ranges.json"
+        ranges.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = _run("surrogate", "--count", "5", "--ranges", str(ranges),
+                        "--out", str(tmp_path / "o"))
+        assert code == 2
+        name, (lo, hi) = next(iter(json.loads(text).items()))
+        assert f"range for {name} [{float(lo)!r}, {float(hi)!r}]" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("steepness", ["nan", "inf"])
     def test_non_finite_steepness_is_1(self, tmp_path, capsys, steepness):
@@ -760,6 +787,119 @@ class TestFuzzedObserve:
             assert "Traceback" not in err
             if rc == 0:
                 json.loads(outputs["e.json"])
+
+
+# --ranges files: sorted pairs of plausible slope values under known
+# names (many of them pass every check); pairs of any float (nan, +-inf
+# and subnormals included), the float extremes and an int too large for a
+# float; non-numbers and unknown names.
+PLAUSIBLE = st.floats(min_value=1e-3, max_value=80.0)
+RANGE_NUMBERS = st.one_of(
+    PLAUSIBLE,
+    st.floats(),
+    st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 2.2e-308, 0.0, 10**400]),
+)
+RANGE_PAIRS = st.one_of(
+    st.lists(RANGE_NUMBERS, min_size=2, max_size=2).map(sorted),
+    st.lists(RANGE_NUMBERS, min_size=2, max_size=2),
+    st.lists(RANGE_NUMBERS | st.none() | st.booleans() | st.text(max_size=3), max_size=3),
+    JSON_VALUES,
+)
+KNOWN_NAMES = st.sampled_from(list(DEFAULT_RANGES))
+RANGE_FILES = st.one_of(
+    st.dictionaries(KNOWN_NAMES, st.lists(PLAUSIBLE, min_size=2, max_size=2).map(sorted)),
+    st.dictionaries(KNOWN_NAMES, RANGE_PAIRS, max_size=2),
+    st.dictionaries(st.sampled_from([*DEFAULT_RANGES, "bogus", ""]), RANGE_PAIRS, max_size=5),
+    JSON_VALUES,
+)
+
+
+class TestFuzzedRanges:
+    @settings(max_examples=150, deadline=None)
+    @given(ranges=RANGE_FILES)
+    @example(ranges={"cohesion": [10**400, 5]})
+    # A subnormal weight on a near-flat slope: the driving force
+    # underflows to zero.
+    @example(ranges={"weight": [5e-324, 1e-323], "slope": [1e-7, 2e-7]})
+    def test_exit_contract(self, ranges):
+        """``surrogate`` with any JSON ranges file exits 0, 1 or 2 without a
+        traceback or a numpy RuntimeWarning."""
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "ranges.json").write_text(json.dumps(ranges))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc, _, err, _ = _call_in(root, [
+                    "surrogate", "--count", "5", "--ranges", str(root / "ranges.json"),
+                    "--out", str(root / "out"),
+                ])
+            event(f"exit {rc}")
+            assert rc in (0, 1, 2)
+            assert "Traceback" not in err
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _setting_names() -> list:
+    """PipelineConfig's fields in order, RuleConstraints' in place of
+    ``constraints``."""
+    return [
+        g.name
+        for f in fields(PipelineConfig)
+        for g in (fields(RuleConstraints) if f.name == "constraints" else [f])
+    ]
+
+
+# A value other than the default for every setting, in field order.
+NON_DEFAULT = {
+    "runs": 2,
+    "max_closed": 1,
+    "el": 0.5,
+    "min_strength": 0.5,
+    "max_length": 3,
+    "max_rules": 4,
+    "train_fraction": 0.6,
+    "granules": 2,
+    "max_open_steps": 2,
+    "seed": 3,
+    "semantics": "exact",
+}
+
+
+class TestSettingsSchema:
+    """The run settings are the fields of PipelineConfig and RuleConstraints;
+    the config keys, their parse types, the flags and the report's echo
+    all follow from them."""
+
+    def test_fields_are_keys_with_default_and_type(self):
+        defaults = {**vars(PipelineConfig()), **vars(RuleConstraints())}
+        hints = {
+            **typing.get_type_hints(PipelineConfig), **typing.get_type_hints(RuleConstraints)
+        }
+        names = _setting_names()
+        assert list(CONFIG_KEYS) == list(DEFAULTS) == names + ["decision"]
+        for name in names:
+            assert CONFIG_KEYS[name] is hints[name], name
+            assert type(DEFAULTS[name]) is hints[name], name
+            assert DEFAULTS[name] == defaults[name], name
+
+    def test_every_key_is_a_pipeline_flag(self):
+        argv = ["pipeline", "--data", "d", "--schema", "s", "--out", "o"]
+        for key, value in NON_DEFAULT.items():
+            argv += [f"--{key}", str(value)]
+        args = build_parser("pipeline").parse_args(argv + ["--decision", "mvv"])
+        parsed = {key: getattr(args, key) for key in CONFIG_KEYS}
+        assert parsed == {**NON_DEFAULT, "decision": "mvv"}
+
+    def test_config_file_echoed_in_report(self, tmp_path):
+        assert list(NON_DEFAULT) == _setting_names()
+        assert all(NON_DEFAULT[k] != DEFAULTS[k] for k in NON_DEFAULT)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in NON_DEFAULT.items()) + "decision = mvv\n")
+        code = _run("pipeline", "--data", CORPUS, "--schema", SCHEMA, "--config", str(cfg),
+                    "--out", str(tmp_path / "out"))
+        assert code in (0, 3)
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert list(doc["config"].items()) == list(NON_DEFAULT.items())
 
 
 def test_overflowing_span_is_data_error(tmp_path):

@@ -20,12 +20,11 @@ from somrough.pipeline import (
     granulate_observation,
     report_rules_from_json,
     report_to_json,
-    sensitivity,
 )
 from somrough.rules import Condition, RuleConstraints, RuleSet, accuracy, parse_rules
 from somrough.som import Discretizer
 from somrough.surrogate import generate_table
-from somrough.table import AttributeSpec, DecisionTable, GranularTable, split_random
+from somrough.table import AttributeSpec, DecisionTable, split_random
 
 
 @pytest.fixture(scope="module")
@@ -47,11 +46,6 @@ class TestGranulate:
     def test_decision_partition(self, corpus_granular):
         labels = corpus_granular.column("mvv")
         assert sorted(i + 1 for i, l in enumerate(labels) if l == 1) == [1, 3, 6, 8, 10]
-
-    def test_reuses_given_discretizers(self, corpus_granular):
-        t = jeffrey_table()
-        again = granulate(t, discretizers=corpus_granular.discretizers)
-        assert again.rows == corpus_granular.rows
 
 
 def _bits(discretizers: dict) -> list:
@@ -382,37 +376,6 @@ class TestBackAnalyze:
         assert ranked_names[: len(core_flagged)] == core_flagged
 
 
-class TestSensitivity:
-    def test_single_reduct_table(self):
-        t = GranularTable(
-            specs=(AttributeSpec("a", "condition"), AttributeSpec("d", "decision")),
-            rows=((1, 1), (2, 2), (2, 2)),
-        )
-        ranking = sensitivity(t, "d")
-        assert ranking[0] == ("a", True, 1)
-
-    def test_duplicated_column_symmetry(self):
-        t = GranularTable(
-            specs=(
-                AttributeSpec("a", "condition"),
-                AttributeSpec("a2", "condition"),
-                AttributeSpec("d", "decision"),
-            ),
-            rows=((1, 1, 1), (2, 2, 2)),
-        )
-        ranking = dict((a, (c, f)) for a, c, f in sensitivity(t, "d"))
-        assert ranking["a"] == ranking["a2"]
-        assert ranking["a"][0] is False  # neither is core
-
-    def test_all_core(self, corpus_granular):
-        ranking = sensitivity(corpus_granular, "mvv")
-        assert len(ranking) == 8
-        core = [a for a, in_core, _ in ranking if in_core]
-        freq = {a: f for a, _, f in ranking}
-        for a in core:
-            assert freq[a] >= 1
-
-
 class TestReportJson:
     def test_roundtrip(self, corpus_report):
         doc = json.loads(report_to_json(corpus_report))
@@ -422,7 +385,7 @@ class TestReportJson:
         assert rs.rules == corpus_report.best_rules.rules
         g = granular_from_json(doc)
         assert g.rows == corpus_report.granular.rows
-        assert g.discretizers == corpus_report.discretizers
+        assert g.discretizers == corpus_report.granular.discretizers
         assert [s.role for s in g.specs] == [s.role for s in corpus_report.granular.specs]
 
     def test_estimate_json_shape(self, corpus_report):
