@@ -520,13 +520,13 @@ def granular_from_json(doc: dict) -> GranularTable:
     g = doc["granular"]
     if not all(isinstance(name, str) for name in g["attributes"]):
         raise TypeError("granular attribute names must be strings")
-    if not all(type(oid) is int for oid in g["object_ids"]):
+    if not set(map(type, g["object_ids"])) <= {int}:
         raise TypeError("granular object ids must be integers")
     specs = tuple(
         AttributeSpec(name, role) for name, role in zip(g["attributes"], g["roles"])
     )
     # Labels go in as read: GranularTable rejects anything but a positive int.
-    rows = tuple(tuple(row) for row in g["rows"])
+    rows = tuple(map(tuple, g["rows"]))
     return GranularTable(
         specs=specs,
         rows=rows,

@@ -9,12 +9,12 @@ Objects agreeing on every attribute of a subset B fall into one block;
 a missing value is tolerant (it matches anything), and blocks are then
 grown greedily in object-id order so the result stays deterministic.
 
-reducts and core build the clauses from distinct object classes, not
-object pairs: a clause depends only on the two objects' vectors (and, in
-decision_relative mode, on positive-region membership and decisions), so
-each pair of classes is compared once. The core is read off the singleton
-clauses without expanding the DNF. disc_matrix keeps the pairwise form as
-the reference the tests compare against.
+Partitions, positive regions, reducts and the core work over distinct
+object classes: one pass over the rows groups equal vectors, and a clause
+depends only on two classes' vectors (and, in decision_relative mode, on
+positive-region membership and decisions), so each pair of classes is
+compared once. The core is read off the singleton clauses without
+expanding the DNF. disc_matrix keeps the pairwise form as the reference.
 """
 
 from __future__ import annotations
@@ -68,8 +68,20 @@ class ReductSet:
     core: frozenset
 
 
-def _tolerant_equal(a, b) -> bool:
-    return a is None or b is None or a == b
+def _classes(table: DecisionTable, attrs, d_attrs=()) -> dict:
+    """Object ids per distinct (vector on attrs, vector on d_attrs) pair, in
+    first-occurrence order: one pass in object-id order groups equal rows,
+    and only the distinct rows are projected."""
+    c_idx = [table.col_index(a) for a in attrs]  # raises UsageError on unknown names
+    d_idx = [table.col_index(a) for a in d_attrs]
+    by_row: dict[tuple, list] = {}
+    for oid, row in sorted(zip(table.object_ids, table.rows)):  # unique ids: rows never compared
+        by_row.setdefault(row, []).append(oid)
+    classes: dict[tuple, list] = {}
+    for row, members in by_row.items():
+        key = (tuple([row[j] for j in c_idx]), tuple([row[j] for j in d_idx]))
+        classes.setdefault(key, []).extend(members)
+    return classes
 
 
 def partition_by(table: DecisionTable, attrs) -> Partition:
@@ -81,39 +93,23 @@ def partition_by(table: DecisionTable, attrs) -> Partition:
     on that order: renumbering objects can regroup them. Objects with
     identical vectors always share a block, whatever the order (an earlier
     block that rejected one rejects the other, and every member of the
-    first one's block is tolerant with both); _clauses relies on this.
+    first one's block is tolerant with both), so the scan runs over the
+    distinct vectors in order of first occurrence and gives the same blocks.
     """
-    attrs = list(attrs)
-    cols = [table.column(a) for a in attrs]  # raises UsageError on unknown names
-    n = len(table)
-    vectors = [tuple(col[i] for col in cols) for i in range(n)]
-    ids = table.object_ids
-
-    if not any(v is None for vec in vectors for v in vec):
-        groups: dict[tuple, list] = {}
-        for oid, vec in zip(ids, vectors):
-            groups.setdefault(vec, []).append(oid)
-        blocks = [frozenset(members) for members in groups.values()]
-    else:
-        block_members: list[list[int]] = []
-        block_vectors: list[list[tuple]] = []
-        order = sorted(range(n), key=lambda i: ids[i])
-        for i in order:
-            vec = vectors[i]
-            for members, vecs in zip(block_members, block_vectors):
-                if all(
-                    all(_tolerant_equal(a, b) for a, b in zip(vec, other)) for other in vecs
-                ):
-                    members.append(ids[i])
-                    vecs.append(vec)
-                    break
-            else:
-                block_members.append([ids[i]])
-                block_vectors.append([vec])
-        blocks = [frozenset(m) for m in block_members]
-
+    classes = {vec: ids for (vec, _), ids in _classes(table, list(attrs)).items()}
+    # Distinct complete vectors are never tolerant with each other.
+    missing = any(None in vec for vec in classes)
+    groups: list[list[tuple]] = []
+    for vec in classes:
+        for group in groups if missing else ():
+            if all(x is None or y is None or x == y for other in group for x, y in zip(vec, other)):
+                group.append(vec)
+                break
+        else:
+            groups.append([vec])
+    blocks = [frozenset(oid for vec in group for oid in classes[vec]) for group in groups]
     blocks.sort(key=min)
-    return Partition(blocks=tuple(blocks), universe=frozenset(ids))
+    return Partition(blocks=tuple(blocks), universe=frozenset(table.object_ids))
 
 
 def lower_approx(p: Partition, x) -> frozenset:
@@ -128,16 +124,6 @@ def upper_approx(p: Partition, x) -> frozenset:
     return frozenset(i for b in p.blocks if b & x for i in b)
 
 
-def _pure(table: DecisionTable, block: frozenset, decision_attrs: list[str]) -> bool:
-    """A block is pure when, per decision attribute, all present values agree."""
-    for d in decision_attrs:
-        seen = {table.value(i, d) for i in block}
-        seen.discard(None)
-        if len(seen) > 1:
-            return False
-    return True
-
-
 def _decision_attrs(table: DecisionTable, decision) -> list[str]:
     if decision is None:
         names = table.decision_names
@@ -149,11 +135,27 @@ def _decision_attrs(table: DecisionTable, decision) -> list[str]:
     return [table.spec(d).name for d in decision]
 
 
+def _class_keys(table: DecisionTable, attrs, d_attrs=None) -> dict:
+    """Object ids per distinct (vector on attrs, tag) key, in first-occurrence
+    order. The tag is None without d_attrs, else (in the positive region,
+    decision vector). A partition_by block is in the positive region when,
+    per decision attribute, its present values agree; that is decided once
+    per block, from the block's distinct decision vectors."""
+    classes = _classes(table, attrs, d_attrs or ())
+    if d_attrs is None:
+        return {(vec, None): ids for (vec, _), ids in classes.items()}
+    block_of = {oid: k for k, b in enumerate(partition_by(table, attrs).blocks) for oid in b}
+    decisions: dict[int, set] = {}
+    for (_, dec), ids in classes.items():
+        decisions.setdefault(block_of[ids[0]], set()).add(dec)
+    pure = {k: all(len(set(v) - {None}) <= 1 for v in zip(*d)) for k, d in decisions.items()}
+    return {(vec, (pure[block_of[ids[0]]], dec)): ids for (vec, dec), ids in classes.items()}
+
+
 def positive_region(table: DecisionTable, attrs, decision=None) -> frozenset:
     """Objects whose block under attrs is decision-pure."""
-    d_attrs = _decision_attrs(table, decision)
-    p = partition_by(table, attrs)
-    return frozenset(i for b in p.blocks if _pure(table, b, d_attrs) for i in b)
+    keys = _class_keys(table, list(attrs), _decision_attrs(table, decision))
+    return frozenset(oid for (_, (pure, _)), ids in keys.items() if pure for oid in ids)
 
 
 def approx_quality(table: DecisionTable, attrs, decision=None) -> float:
@@ -163,28 +165,17 @@ def approx_quality(table: DecisionTable, attrs, decision=None) -> float:
     return len(positive_region(table, attrs, decision)) / len(table)
 
 
-def _object_keys(table: DecisionTable, mode: str, decision=None) -> tuple[list, list]:
-    """The attributes a mode compares, and per object a (vector, tag) key.
-
-    The vector holds the object's values on those attributes. The tag is
-    None in plain mode; in decision_relative mode it is (in the positive
-    region, decision vector). Two objects' matrix entry depends on their
-    keys alone.
-    """
+def _mode_keys(table: DecisionTable, mode: str, decision=None) -> tuple[list, dict]:
+    """The attributes a mode compares, and the object ids per distinct key
+    (see _class_keys): all attributes untagged in plain mode, condition
+    attributes tagged with the decisions in decision_relative mode. Two
+    objects' matrix entry depends on their keys alone."""
     if mode == "plain":
-        return table.names, [(row, None) for row in table.rows]
+        return table.names, _class_keys(table, table.names)
     if mode != "decision_relative":
         raise UsageError(f"unknown discernibility mode {mode!r}")
     conds = table.condition_names
-    d_attrs = _decision_attrs(table, decision)
-    pos = positive_region(table, conds, d_attrs)
-    c_idx = [table.col_index(a) for a in conds]
-    d_idx = [table.col_index(d) for d in d_attrs]
-    keys = [
-        (tuple(row[j] for j in c_idx), (oid in pos, tuple(row[j] for j in d_idx)))
-        for oid, row in zip(table.object_ids, table.rows)
-    ]
-    return conds, keys
+    return conds, _class_keys(table, conds, _decision_attrs(table, decision))
 
 
 def _needed(tag_a, tag_b) -> bool:
@@ -219,11 +210,12 @@ def disc_matrix(
     This is the O(n^2) reference; reducts and core work from the same
     clauses over distinct object classes.
     """
-    attrs, keys = _object_keys(table, mode, decision)
+    attrs, keys = _mode_keys(table, mode, decision)
+    key_of = {oid: key for key, ids in keys.items() for oid in ids}
     ids = table.object_ids
     entries = {}
     for (id_a, (vec_a, tag_a)), (id_b, (vec_b, tag_b)) in itertools.combinations(
-        zip(ids, keys), 2
+        ((oid, key_of[oid]) for oid in ids), 2
     ):
         entries[(max(id_a, id_b), min(id_a, id_b))] = (
             _separating(attrs, vec_a, vec_b) if _needed(tag_a, tag_b) else frozenset()
@@ -234,16 +226,16 @@ def disc_matrix(
 def _clauses(table: DecisionTable, mode: str = "decision_relative", decision=None) -> set:
     """The non-empty entries of disc_matrix, from one object per class.
 
-    Objects with equal keys (see _object_keys) get equal entries against
+    Objects with equal keys (see _mode_keys) get equal entries against
     every other object and an empty entry against each other, so comparing
     each pair of distinct keys once yields the same clause family. Under
     tolerant grouping this holds because identical vectors always share a
     partition_by block, hence the same positive-region membership.
     """
-    attrs, keys = _object_keys(table, mode, decision)
+    attrs, keys = _mode_keys(table, mode, decision)
     clauses = {
         _separating(attrs, vec_a, vec_b)
-        for (vec_a, tag_a), (vec_b, tag_b) in itertools.combinations(set(keys), 2)
+        for (vec_a, tag_a), (vec_b, tag_b) in itertools.combinations(keys, 2)
         if _needed(tag_a, tag_b)
     }
     clauses.discard(frozenset())
@@ -325,11 +317,23 @@ def core(table: DecisionTable, decision=None) -> frozenset:
 
     An attribute lies in every reduct exactly when it alone tells some
     needed pair apart, i.e. when it forms a singleton clause (Skowron &
-    Rauszer 1992).
+    Rauszer 1992). Each needed pair of distinct keys is scanned only until
+    a second separating attribute shows up.
     """
-    return frozenset(
-        a for c in _clauses(table, "decision_relative", decision) if len(c) == 1 for a in c
-    )
+    attrs, keys = _mode_keys(table, "decision_relative", decision)
+    found = set()
+    for (vec_a, tag_a), (vec_b, tag_b) in itertools.combinations(keys, 2):
+        if not _needed(tag_a, tag_b):
+            continue
+        sep = None
+        for a, x, y in zip(attrs, vec_a, vec_b):
+            if x != y and x is not None and y is not None:
+                if sep is not None:
+                    break
+                sep = a
+        else:
+            found.add(sep)
+    return frozenset(found - {None})
 
 
 def reducts_exhaustive(

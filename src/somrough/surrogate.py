@@ -10,6 +10,7 @@ safety. It preserves the qualitative signal an inversion must recover
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DataError, UsageError
@@ -93,6 +94,8 @@ def generate_table(
         ranges.setdefault(name, lo_hi)
     if count < 1:
         raise UsageError("count must be >= 1")
+    if count > sys.float_info.max:  # exact: Python compares int and float exactly
+        raise DataError(f"count {count} exceeds the float range")
     for name, (lo, hi) in ranges.items():
         # Each draw is lo + (hi - lo) * (stratum + u) / count with
         # stratum + u < count, so a finite (hi - lo) * count keeps it finite.

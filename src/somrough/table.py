@@ -137,6 +137,17 @@ class GranularTable(DecisionTable):
 
     def __post_init__(self):
         super().__post_init__()
+        # Per column, its cell types and the range of its distinct labels;
+        # only a failed check runs the row-major loop naming the first bad cell.
+        for s, col in zip(self.specs, zip(*self.rows)):
+            types = set(map(type, col)) - {type(None)}
+            if not all(t is not bool and issubclass(t, numbers.Integral) for t in types):
+                break
+            labels, d = set(col) - {None}, self.discretizers.get(s.name)
+            if labels and (min(labels) < 1 or d is not None and max(labels) > d.granules):
+                break
+        else:
+            return
         for i, row in enumerate(self.rows):
             for s, v in zip(self.specs, row):
                 if v is None:

@@ -362,6 +362,16 @@ class TestSurrogate:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "o").exists()
 
+    def test_count_past_float_range_is_2(self, tmp_path, capsys):
+        """A count that no float can hold is a data error naming the count,
+        not an OverflowError from the range check."""
+        count = "1" + "0" * 400
+        code = _run("surrogate", "--count", count, "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"count {count} exceeds the float range" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("steepness", ["nan", "inf"])
     def test_non_finite_steepness_is_1(self, tmp_path, capsys, steepness):
         code = _run("surrogate", "--count", "10", "--steepness", steepness,

@@ -19,6 +19,7 @@ from somrough.rough import (
     disc_matrix,
     lower_approx,
     partition_by,
+    positive_region,
     reduct_report,
     reducts,
     reducts_exhaustive,
@@ -232,6 +233,74 @@ class TestClassClauses:
         monotone, and the enumeration oracle can disagree with any
         discernibility-based core.)"""
         assert core(t) == reducts(t).core == reducts_exhaustive(t).core
+
+
+def _greedy_blocks(t, attrs):
+    """Per-object reference: objects in id order, each joining the first
+    block it is tolerant with every member of."""
+    blocks = []
+    for oid in sorted(t.object_ids):
+        vec = [t.value(oid, a) for a in attrs]
+        for block in blocks:
+            if all(
+                x is None or y is None or x == y
+                for other in block
+                for x, y in zip(vec, (t.value(other, a) for a in attrs))
+            ):
+                block.append(oid)
+                break
+        else:
+            blocks.append([oid])
+    return [frozenset(b) for b in blocks]
+
+
+def _pure_objects(t, attrs, d_attrs):
+    """Per-object reference: objects in blocks where, per decision
+    attribute, every pair of present values agrees."""
+    return frozenset(
+        oid
+        for block in _greedy_blocks(t, attrs)
+        if all(
+            x is None or y is None or x == y
+            for d in d_attrs
+            for x, y in itertools.combinations([t.value(i, d) for i in block], 2)
+        )
+        for oid in block
+    )
+
+
+def _pairwise_core(t):
+    """Per-object reference: attributes that alone separate a pair that
+    must be told apart."""
+    conds, decs = t.condition_names, t.decision_names
+    pos = _pure_objects(t, conds, decs)
+    found = set()
+    for a, b in itertools.combinations(t.object_ids, 2):
+        dec_a, dec_b = ([t.value(i, d) for d in decs] for i in (a, b))
+        if (a in pos) != (b in pos) or (a in pos and dec_a != dec_b):
+            cells = [(c, t.value(a, c), t.value(b, c)) for c in conds]
+            sep = [c for c, x, y in cells if x is not None and y is not None and x != y]
+            found.update(sep if len(sep) == 1 else ())
+    return frozenset(found)
+
+
+class TestClassLayerOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_tables().flatmap(lambda t: st.tuples(
+        st.just(t), st.lists(st.sampled_from(t.names), unique=True))))
+    @example((SPLIT_CLASS, ["a0", "d1"]))
+    def test_matches_per_object_reference(self, case):
+        """Blocks, positive region and core computed over distinct classes
+        equal a per-object greedy scan and purity check, on tables with
+        missing cells, shuffled sparse ids and one or two decisions."""
+        t, attrs = case
+        p = partition_by(t, attrs)
+        assert set(p.blocks) == set(_greedy_blocks(t, attrs))
+        assert [min(b) for b in p.blocks] == sorted(min(b) for b in p.blocks)
+        conds, decs = t.condition_names, t.decision_names
+        assert positive_region(t, conds) == _pure_objects(t, conds, decs)
+        assert positive_region(t, attrs, decs[-1]) == _pure_objects(t, attrs, decs[-1:])
+        assert core(t) == _pairwise_core(t)
 
 
 class TestImplicantBound:

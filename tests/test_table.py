@@ -224,6 +224,30 @@ class TestGranularLabels:
         with pytest.raises(DataError, match="exceeds granule count 3"):
             GranularTable(specs=self.SPECS, rows=((3, 1), (4, 2)), discretizers=self.DISCS)
 
+    @pytest.mark.parametrize("rows, message", [
+        # Row-major order: (row 0, b) is reported before (row 1, a).
+        (((1, 0, 1), (0, 1, 1)), "row 0, attribute 'b': granule label must be a positive int"),
+        # A set holds 1 and True as one value; True is still rejected.
+        (((1, 1, 1), (True, 1, 2)), "row 1, attribute 'a': granule label must be a positive int"),
+        (((True, 1, 1), (1, 1, 2)), "row 0, attribute 'a': granule label must be a positive int"),
+        (((3, 1, 1), (4, 1, 2)), "row 1, attribute 'a': label 4 exceeds granule count 3"),
+    ])
+    def test_error_message(self, rows, message):
+        """The per-column check falls back to the row-major scan, which
+        names the first bad cell."""
+        specs = (AttributeSpec("a", "condition"), AttributeSpec("b", "condition"), self.SPECS[1])
+        with pytest.raises(DataError) as exc:
+            GranularTable(specs=specs, rows=rows, discretizers=self.DISCS)
+        assert str(exc.value) == message
+
+    def test_numpy_integer_labels_accepted(self):
+        np = pytest.importorskip("numpy")
+        rows = ((np.int64(1), 1), (np.int64(3), 2))
+        assert GranularTable(specs=self.SPECS, rows=rows, discretizers=self.DISCS).rows == rows
+        with pytest.raises(DataError) as exc:
+            GranularTable(specs=self.SPECS, rows=((np.int64(4), 1),), discretizers=self.DISCS)
+        assert str(exc.value) == "row 0, attribute 'a': label 4 exceeds granule count 3"
+
     def test_row_masks(self):
         """Bit i of a mask is row i; a missing cell is in no label's mask."""
         t = GranularTable(
