@@ -83,88 +83,80 @@ class SomMap:
         return len(self.weights[0])
 
 
-# numpy serves the general (2-D) trainer and the array helpers below; each
-# imports it when called, so the G x 1 quantizer path never loads it.
-
-
-def _as_matrix(data, dim: int | None = None):
-    import numpy as np
-
-    x = np.asarray(data, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
-    if x.size == 0:
+def _rows(data, dim: int | None = None) -> list[tuple[float, ...]]:
+    """The rows of data as float tuples, None and NaN both read as NaN; a
+    flat sequence of numbers is read as one column."""
+    rows = []
+    for row in data:
+        try:
+            rows.append(tuple(map(float, row)))
+        except TypeError:  # a None cell, or a number of a flat sequence
+            cells = row if hasattr(row, "__iter__") else (row,)
+            rows.append(tuple(math.nan if v is None else float(v) for v in cells))
+    if not rows or not rows[0]:
         raise DataError("empty data")
-    if dim is not None and x.shape[1] != dim:
-        raise UsageError(f"vectors have dimension {x.shape[1]}, map expects {dim}")
-    return x
+    width = len(rows[0]) if dim is None else dim
+    for row in rows:
+        if len(row) != width:
+            raise UsageError(f"vectors have dimension {len(row)}, map expects {width}")
+    return rows
 
 
-def _sq_distances(weights, x):
-    """Squared Euclidean distance from x to every node, missing-aware.
-
-    NaN components of x are excluded from the sum for every node alike.
-    """
-    import numpy as np
-
-    diff = weights - x
-    diff = np.where(np.isnan(x), 0.0, diff)
-    return np.sum(diff * diff, axis=1)
+def _nearest(weights, x) -> tuple[int, float]:
+    """Index of the node nearest x and its squared distance: ``(w - x) *
+    (w - x)`` summed in component order over the components x has (not NaN),
+    with a tie going to the lowest index."""
+    best, best_d = -1, 0.0
+    for i, node in enumerate(weights):
+        d = 0.0
+        for w, v in zip(node, x):
+            if not math.isnan(v):
+                d += (w - v) * (w - v)
+        if best < 0 or d < best_d:
+            best, best_d = i, d
+    return best, best_d
 
 
 def winner(som: SomMap, x) -> int:
     """Index of the best-matching unit; ties go to the lowest index."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != som.dim:
-        raise UsageError(f"input has dimension {x.shape[0]}, map expects {som.dim}")
-    return int(np.argmin(_sq_distances(np.asarray(som.weights, dtype=float), x)))
+    (x,) = _rows([x], som.dim)
+    return _nearest(som.weights, x)[0]
 
 
 def quantization_error(som: SomMap, data) -> float:
     """Mean squared distance from each datum to its winning node."""
-    import numpy as np
-
-    x = _as_matrix(data, som.dim)
-    return _qe(np.asarray(som.weights, dtype=float), x)
+    return _qe(som.weights, _rows(data, som.dim))
 
 
-def _qe(weights, x) -> float:
+def _qe(weights, rows) -> float:
     total = 0.0
-    for row in x:
-        total += float(_sq_distances(weights, row).min())
-    return total / x.shape[0]
+    for row in rows:
+        total += _nearest(weights, row)[1]
+    return total / len(rows)
 
 
-def neighborhood(grid: tuple[int, int], center: int, radius: float):
+def neighborhood(grid: tuple[int, int], center: int, radius: float) -> list[int]:
     """Node indices within Chebyshev grid distance <= radius of center."""
-    import numpy as np
-
     nx, ny = grid
     cx, cy = center % nx, center // nx
-    idx = np.arange(nx * ny)
-    dx = np.abs(idx % nx - cx)
-    dy = np.abs(idx // nx - cy)
-    return idx[np.maximum(dx, dy) <= radius]
+    return [i for i in range(nx * ny) if max(abs(i % nx - cx), abs(i // nx - cy)) <= radius]
 
 
 def update_step(weights, x, grid: tuple[int, int], eta: float, radius: float):
     """One presentation: move the winner's neighborhood toward x.
 
-    Each updated component obeys w' = w + eta * (x - w); missing (NaN)
-    components of x leave the corresponding weights untouched. Takes and
-    returns arrays; the input is not modified.
+    Each updated component becomes ``(1.0 - eta) * w + eta * x``, a blend
+    that keeps the eta = 1 step exact; missing (NaN) components of x leave
+    the corresponding weights untouched. Takes any (nodes, dim) sequence
+    and returns a tuple of node tuples; the input is not modified.
     """
-    import numpy as np
-
-    out = weights.copy()
-    win = int(np.argmin(_sq_distances(out, x)))
-    nodes = neighborhood(grid, win, radius)
-    # Blended form keeps the eta = 1 step exact: w' = (1 - eta) w + eta x.
-    moved = (1.0 - eta) * out[nodes] + eta * x
-    out[nodes] = np.where(np.isnan(x), out[nodes], moved)
-    return out
+    near = set(neighborhood(grid, _nearest(weights, x)[0], radius))
+    return tuple(
+        tuple(w if math.isnan(v) else (1.0 - eta) * w + eta * v for w, v in zip(node, x))
+        if i in near
+        else tuple(node)
+        for i, node in enumerate(weights)
+    )
 
 
 def train(data, config: SomConfig, init_weights=None, *, trace: bool = True) -> SomMap:
@@ -183,86 +175,59 @@ def train(data, config: SomConfig, init_weights=None, *, trace: bool = True) -> 
     passes ``trace=False``: it never reads the trace, and ``qe_log`` is then
     empty. The weights do not depend on ``trace``.
 
-    An untraced G x 1 map on one complete column trains on plain floats
-    (``_train_line``); every other map, traced ones included, runs the
-    general loop on numpy arrays, imported on first use.
+    An untraced G x 1 map on one complete column trains in ``_train_line``;
+    every other map applies ``update_step`` once per presentation.
     """
-    values = _line_values(data) if config.grid[1] == 1 and not trace else None
-    if values:
-        if init_weights is None:
-            lo, hi = min(values), max(values)
-            init = [u * (hi - lo) + lo for u in _pcg.Stream(config.seed).uniform(config.nodes)]
-        else:
-            try:
-                init = [float(v) for (v,) in init_weights]
-            except (TypeError, ValueError):
-                init = None
-            if init is None or len(init) != config.nodes:
-                raise UsageError("init_weights shape does not match grid and data dimension")
-        return _train_line(values, config, init)
-
-    import numpy as np
-
-    x = _as_matrix(data)
-    n, dim = x.shape
+    rows = _rows(data)
+    dim = len(rows[0])
     if init_weights is None:
-        draws = np.array(_pcg.Stream(config.seed).uniform(config.nodes * dim))
-        lo = np.nanmin(x, axis=0)
-        hi = np.nanmax(x, axis=0)
-        weights = draws.reshape(config.nodes, dim) * (hi - lo) + lo
+        present = [[v for v in col if not math.isnan(v)] for col in zip(*rows)]
+        bounds = [(min(c), max(c)) if c else (math.nan, math.nan) for c in present]
+        draws = iter(_pcg.Stream(config.seed).uniform(config.nodes * dim))
+        weights = tuple(
+            tuple(next(draws) * (hi - lo) + lo for lo, hi in bounds) for _ in range(config.nodes)
+        )
     else:
-        weights = np.array(init_weights, dtype=float)
-        if weights.shape != (config.nodes, dim):
+        try:
+            weights = tuple(_rows(init_weights, dim))
+        except (DataError, UsageError, TypeError, ValueError):
+            weights = ()
+        if len(weights) != config.nodes:
             raise UsageError("init_weights shape does not match grid and data dimension")
 
-    total = config.epochs * n
-    t = 0
-    qe_log = [_qe(weights, x)] if trace else []
+    if config.grid[1] == 1 and dim == 1 and not trace:
+        values = [v for (v,) in rows]
+        if not any(map(math.isnan, values)):
+            return _train_line(values, config, [w for (w,) in weights])
+
+    total = config.epochs * len(rows)
+    s = 0
+    qe_log = [_qe(weights, rows)] if trace else []
     for _ in range(config.epochs):
-        for row in x:
-            frac = 1.0 - t / total
+        for row in rows:
+            frac = 1.0 - s / total
             weights = update_step(
                 weights, row, config.grid, config.eta0 * frac, config.start_radius * frac
             )
-            t += 1
+            s += 1
         if trace:
-            qe_log.append(_qe(weights, x))
-    weights = tuple(tuple(row) for row in weights.tolist())
+            qe_log.append(_qe(weights, rows))
     return SomMap(grid=config.grid, weights=weights, qe_log=tuple(qe_log))
 
 
-def _line_values(data) -> list[float] | None:
-    """The rows as plain floats when every row is one present number, else
-    None."""
-    values = []
-    for row in data:
-        try:
-            (v,) = row
-            v = float(v)
-        except (TypeError, ValueError):
-            return None
-        if math.isnan(v):
-            return None
-        values.append(v)
-    return values
-
-
 def _train_line(values: list[float], config: SomConfig, w: list[float]) -> SomMap:
-    """Plain-float, untraced training for G x 1 maps on complete 1-D data.
+    """Untraced training of a G x 1 map on complete 1-D data, on local floats.
 
-    Same arithmetic as the general path, presentation for presentation;
-    quantizer fitting calls this thousands of times, and array dispatch
-    would dominate the cost. All epochs stream by in one pass of
-    presentations ``s = 0 .. total - 1``, each with ``frac = 1.0 - s / total``
-    from its own index: a neighborhood prefix while ``int(radius0 * frac)``
-    is positive (empty for G = 2 and the quantile fallback, one presentation
-    for G = 3), then a winner-only suffix (``_winner_only``), since ``frac``
-    never increases and the radius stays 0 once it gets there.
-    The weights stay bit-identical to ``update_step``: every rate, every
-    squared distance ``(v - w) * (v - w)`` and every blended update
-    ``(1.0 - eta) * w + eta * v`` is the same float expression in the same
-    order, and strict ``<`` comparisons in node order still give a tie to
-    the lowest node.
+    Quantizer fitting calls this thousands of times. All epochs stream by
+    in one pass of presentations ``s = 0 .. total - 1``, each with ``frac =
+    1.0 - s / total`` from its own index: a neighborhood prefix while
+    ``int(radius0 * frac)`` is positive (empty for G = 2 and the quantile
+    fallback, one presentation for G = 3), then a winner-only suffix
+    (``_winner_only``), since ``frac`` never increases and the radius stays
+    0 once it gets there. The weights stay bit-identical to
+    ``update_step``'s: every rate, squared distance and blended update is
+    the same float expression in the same order, and strict ``<`` in node
+    order still gives a tie to the lowest node.
     """
     eta0 = config.eta0
     radius0 = config.start_radius

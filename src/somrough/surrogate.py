@@ -96,6 +96,8 @@ def generate_table(
         raise UsageError("count must be >= 1")
     if count > sys.float_info.max:  # exact: Python compares int and float exactly
         raise DataError(f"count {count} exceeds the float range")
+    if count > sys.maxsize:
+        raise DataError(f"count {count} exceeds the largest table size, {sys.maxsize}")
     for name, (lo, hi) in ranges.items():
         # Each draw is lo + (hi - lo) * (stratum + u) / count with
         # stratum + u < count, so a finite (hi - lo) * count keeps it finite.

@@ -361,18 +361,15 @@ def infer_scale(values: list) -> str:
 
 
 def scaled_matrix(table: DecisionTable, names: list[str] | None = None):
-    """Rows as a numpy float matrix, scale-transformed then min-max'd per
-    column.
+    """Rows as float tuples, scale-transformed then min-max'd per column.
 
     Missing cells become NaN. This is the conditioning applied before any
     distance computation on mixed-unit attributes.
     """
-    import numpy as np
-
     names = names if names is not None else table.names
     cols = []
     for name in names:
         spec = table.spec(name)
         scaled, _ = scale_minmax(transform_scale(table.column(name), spec.scale), name)
         cols.append([math.nan if v is None else v for v in scaled])
-    return np.array(cols, dtype=float).T
+    return tuple(zip(*cols))

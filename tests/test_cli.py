@@ -372,6 +372,16 @@ class TestSurrogate:
         assert f"count {count} exceeds the float range" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_count_past_largest_size_is_2(self, tmp_path, capsys):
+        """A count that fits a float but no table (above sys.maxsize) is a
+        data error naming the count, not a ValueError from numpy."""
+        count = str(10**20)
+        code = _run("surrogate", "--count", count, "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"count {count} exceeds" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("steepness", ["nan", "inf"])
     def test_non_finite_steepness_is_1(self, tmp_path, capsys, steepness):
         code = _run("surrogate", "--count", "10", "--steepness", steepness,

@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,8 +116,8 @@ class TestUpdateStep:
     def test_radius_zero_updates_winner_only(self):
         w = np.array([[0.0], [1.0], [2.0]])
         w2 = update_step(w, np.array([0.1]), (3, 1), eta=0.5, radius=0.0)
-        assert w2[0, 0] == pytest.approx(0.05)
-        assert w2[1, 0] == 1.0 and w2[2, 0] == 2.0
+        assert w2[0][0] == pytest.approx(0.05)
+        assert w2[1][0] == 1.0 and w2[2][0] == 2.0
 
     def test_input_not_modified(self):
         w = np.array([[0.0], [1.0]])
@@ -243,6 +247,88 @@ class TestTrain:
         assert np.array_equal(untraced.weights, traced.weights)
         assert untraced.qe_log == ()
         assert len(traced.qe_log) == epochs + 1
+
+
+def _numpy_update(w, x, grid, eta, radius):
+    """The map update written with numpy arrays: the winner is the masked
+    argmin of squared distances, and every node within Chebyshev grid
+    distance radius of it blends toward x on x's present components."""
+    w = np.array(w, dtype=float)
+    x = np.array(x, dtype=float)
+    diff = np.where(np.isnan(x), 0.0, w - x)
+    dist = np.sum(diff * diff, axis=1)
+    win = int(np.argmin(dist))
+    nx, ny = grid
+    idx = np.arange(nx * ny)
+    near = idx[np.maximum(np.abs(idx % nx - win % nx), np.abs(idx // nx - win // nx)) <= radius]
+    out = w.copy()
+    out[near] = np.where(np.isnan(x), w[near], (1.0 - eta) * w[near] + eta * x)
+    return win, float(dist[win]), out
+
+
+def _bits(rows):
+    return [[float(v).hex() for v in row] for row in rows]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    data=st.data(),
+    grid=st.sampled_from([(1, 1), (2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 2)]),
+    dim=st.integers(1, 7),
+    eta=st.sampled_from([0.3, 0.8, 1.0]),
+    radius=st.sampled_from([0.0, 1.0, 2.0, 2.5]) | st.floats(0.0, 2.5),
+)
+def test_update_and_winner_match_numpy_formula(data, grid, dim, eta, radius):
+    """Plain-float winner, update_step and the winner's squared distance
+    (quantization_error of x alone) equal the numpy formula bit for bit, on
+    1-D and 2-D grids with missing components in x. Weights on a grid of
+    halves give exact distance ties."""
+    value = HALVES | st.floats(-10.0, 10.0)
+    w = data.draw(
+        st.lists(st.tuples(*[value] * dim), min_size=grid[0] * grid[1], max_size=grid[0] * grid[1])
+    )
+    x = data.draw(st.lists(value | st.just(math.nan), min_size=dim, max_size=dim))
+    win, dist, want = _numpy_update(w, x, grid, eta, radius)
+    som = SomMap(grid=grid, weights=tuple(w))
+    assert winner(som, x) == win
+    assert quantization_error(som, [x]).hex() == dist.hex()
+    got = update_step(tuple(w), x, grid, eta, radius)
+    assert isinstance(got, tuple) and all(isinstance(node, tuple) for node in got)
+    assert _bits(got) == _bits(want.tolist())
+
+
+def test_map_layer_loads_no_numpy():
+    """A traced 2-D map and the helpers train and run with numpy blocked."""
+    script = textwrap.dedent(
+        """
+        import sys
+
+        class NoNumpy:
+            def find_spec(self, name, path=None, target=None):
+                if name.split(".")[0] == "numpy":
+                    raise ImportError("numpy is blocked")
+                return None
+
+        sys.meta_path.insert(0, NoNumpy())
+        from somrough.corpus import jeffrey_table
+        from somrough.som import SomConfig, quantization_error, train, update_step, winner
+        from somrough.table import scaled_matrix
+
+        x = scaled_matrix(jeffrey_table())
+        m = train(x, SomConfig(grid=(3, 3)))
+        assert len(m.qe_log) == 121 and m.qe_log[-1] <= m.qe_log[0]
+        assert 0 <= winner(m, x[0]) < 9
+        assert quantization_error(m, x) == m.qe_log[-1]
+        assert len(update_step(m.weights, x[0], m.grid, 0.5, 1.0)) == 9
+        assert "numpy" not in sys.modules
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestQuantizationError:

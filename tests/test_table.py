@@ -15,6 +15,7 @@ from somrough.table import (
     load_schema,
     load_table,
     scale_minmax,
+    scaled_matrix,
     split_random,
     to_csv,
     transform_scale,
@@ -136,6 +137,26 @@ class TestScaling:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             scale_minmax([None])
+
+    def test_scaled_matrix_conditioning(self):
+        """Rows of float tuples: a log10 column is transformed, then every
+        column is min-max'd to [0, 1]; a constant column is 0.5 and a
+        missing cell NaN."""
+        specs = (
+            AttributeSpec("v", "condition", "log10"),
+            AttributeSpec("c", "condition"),
+            AttributeSpec("k", "condition"),
+            AttributeSpec("d", "decision"),
+        )
+        rows = ((1.0, 2.0, 7.0, 0.0), (10.0, None, 7.0, 1.0), (1000.0, 6.0, 7.0, 4.0))
+        got = scaled_matrix(DecisionTable(specs=specs, rows=rows))
+        assert isinstance(got, tuple) and all(isinstance(row, tuple) for row in got)
+        assert [list(r[:1]) + list(r[2:]) for r in got] == [
+            [0.0, 0.5, 0.0],
+            [1 / 3, 0.5, 0.25],
+            [1.0, 0.5, 1.0],
+        ]
+        assert [r[1] for r in got[::2]] == [0.0, 1.0] and math.isnan(got[1][1])
 
     def test_log10_rejects_nonpositive(self):
         with pytest.raises(DataError):
