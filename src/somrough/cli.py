@@ -30,7 +30,7 @@ from .pipeline import (
     report_to_json,
 )
 from .rough import reduct_report, reducts
-from .rules import RuleConstraints, induce_cover, render_rules
+from .rules import RuleConstraints, check_semantics, induce_cover, render_rules
 from .som import discretizer_record
 from .surrogate import DEFAULT_STEEPNESS, generate_table
 from .table import dump_schema, load_schema, load_table, to_csv
@@ -128,8 +128,10 @@ def cmd_rules(args) -> int:
     s = _resolve(args)
     table = _load_inputs(args)
     decision = _need_decision(table, s)
+    constraints = config_from_settings(s, RuleConstraints)
+    check_semantics(s["semantics"])
     g = granulate(table, granules=s["granules"], seed=s["seed"])
-    rs = induce_cover(g, decision, config_from_settings(s, RuleConstraints), s["semantics"])
+    rs = induce_cover(g, decision, constraints, s["semantics"])
     _write(Path(args.out) / "rules.txt", render_rules(rs))
     print(
         f"{len(rs.rules)} rule(s), {len(rs.uncovered)} uncovered object(s)", file=sys.stderr

@@ -37,6 +37,7 @@ from .rules import (
     RuleConstraints,
     RuleSet,
     accuracy,
+    check_semantics,
     induce_cover,
     render_rule,
 )
@@ -80,6 +81,7 @@ class PipelineConfig:
             raise UsageError("granules must be >= 2")
         if self.max_open_steps < 0:
             raise UsageError("max_open_steps must be >= 0")
+        check_semantics(self.semantics)
 
     @property
     def max_iterations(self) -> int:
@@ -183,16 +185,16 @@ def _fit_all(table: DecisionTable, granules: int, seed: int) -> dict:
 
     Fits are pure functions of (table, name, granules, seed), so when the
     work pays for a fork a helper process fits the odd-indexed attributes
-    while this process fits the even ones, and the merged dict equals the
-    serial one bit for bit. Errors are raised as the serial loop raises
-    them: any attribute without a result is refitted here, in table order.
+    while this process fits the even ones, and the merged result equals
+    the serial one bit for bit. Errors are raised as the serial loop
+    raises them: unless both sides deliver every fit, all attributes are
+    refitted here, in table order.
     """
     jobs = [(name, seed + 7919 * idx) for idx, name in enumerate(table.names)]
-    fitted = _fit_split(table, granules, jobs) if _fork_pays(table) else {}
-    return {
-        name: fitted[name] if name in fitted else fit_table_discretizer(table, name, granules, s)
-        for name, s in jobs
-    }
+    fitted = _fit_split(table, granules, jobs) if _fork_pays(table) else None
+    if fitted is None:
+        fitted = [fit_table_discretizer(table, name, granules, s) for name, s in jobs]
+    return dict(zip(table.names, fitted))
 
 
 def _fork_pays(table: DecisionTable) -> bool:
@@ -205,59 +207,45 @@ def _fork_pays(table: DecisionTable) -> bool:
     return len(cpus) >= 2 and threading.active_count() == 1
 
 
-def _fit_split(table: DecisionTable, granules: int, jobs: list) -> dict:
+def _fit_split(table: DecisionTable, granules: int, jobs: list) -> list | None:
     """Fit ``jobs[0::2]`` here and ``jobs[1::2]`` in a forked helper.
 
-    Each side stops at its first exception. Returns the discretizers that
-    were fitted; a helper that failed in any way contributes nothing.
+    Returns every job's discretizer in job order, or None when the fork is
+    refused, a fit raises on either side, or the helper's payload is short
+    (the helper died or failed before sending it all). The helper never
+    outlives the call.
     """
     r, w = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process to spare: every attribute is fitted here
+    except OSError:  # no process to spare
         os.close(r)
         os.close(w)
-        return {}
+        return None
     if pid == 0:  # helper: inherits the table, writes only to the pipe, never returns
-        status = 1
         try:
             os.close(r)
-            out = []
-            try:
-                for name, s in jobs[1::2]:
-                    out.append(_discretizer_dict(fit_table_discretizer(table, name, granules, s)))
-            except Exception:
-                pass  # the caller refits this attribute and raises its error
-            payload = marshal.dumps(out)
+            payload = marshal.dumps(
+                [asdict(fit_table_discretizer(table, n, granules, s)) for n, s in jobs[1::2]]
+            )
             while payload:
                 payload = payload[os.write(w, payload) :]
-            status = 0
         finally:
-            os._exit(status)
+            os._exit(0)  # an error leaves the payload short, which the caller sees
     os.close(w)
-    fitted = {}
+    import signal  # here, not at the top: it costs every CLI call about 1 ms
+
+    fitted = [None] * len(jobs)
     try:
         with os.fdopen(r, "rb") as pipe:
-            try:
-                for name, s in jobs[0::2]:
-                    fitted[name] = fit_table_discretizer(table, name, granules, s)
-            except Exception:
-                pass  # refitted, and so raised, in table order by the caller
-            payload = pipe.read()
-    except BaseException:
-        import signal
-
-        os.kill(pid, signal.SIGKILL)
-        raise
+            fitted[0::2] = [fit_table_discretizer(table, n, granules, s) for n, s in jobs[0::2]]
+            # A short payload fails to load, or to fill the helper's slots.
+            fitted[1::2] = [discretizer_from_dict(d) for d in marshal.loads(pipe.read())]
+    except Exception:  # the caller refits every attribute, raising the serial error
+        return None
     finally:
-        _, status = os.waitpid(pid, 0)
-    if status != 0:
-        return fitted
-    try:
-        for record in marshal.loads(payload):
-            fitted[record["name"]] = discretizer_from_dict(record)
-    except (EOFError, ValueError, TypeError):
-        pass  # a short payload: the missing attributes are refitted
+        os.kill(pid, signal.SIGKILL)  # a no-op once the helper has exited
+        os.waitpid(pid, 0)
     return fitted
 
 
@@ -410,28 +398,6 @@ def back_analyze(
 # --- JSON serialization ----------------------------------------------------
 
 
-def _condition_dict(c: Condition) -> dict:
-    return {
-        "attribute": c.attribute,
-        "lo": c.lo,
-        "hi": c.hi,
-        "labels": sorted(c.labels) if c.labels is not None else None,
-    }
-
-
-def _rule_dict(r: Rule) -> dict:
-    return {
-        "conditions": [_condition_dict(c) for c in r.conditions],
-        "decision": {
-            "attribute": r.decision.attribute,
-            "kind": r.decision.kind,
-            "granule": r.decision.granule,
-        },
-        "support": r.support,
-        "strength": r.strength,
-    }
-
-
 def rule_from_dict(d: dict) -> Rule:
     conds = tuple(
         Condition(
@@ -451,12 +417,8 @@ def rule_from_dict(d: dict) -> Rule:
     )
 
 
-def _discretizer_dict(d: Discretizer) -> dict:
-    return {"name": d.name, "scale": d.scale, "centers": list(d.centers), "cuts": list(d.cuts)}
-
-
 def discretizer_from_dict(d: dict) -> Discretizer:
-    """Inverse of ``_discretizer_dict``; centers and cuts must be JSON
+    """Inverse of ``asdict`` on a ``Discretizer``; centers and cuts must be JSON
     numbers, ints or finite floats (``ValueError`` otherwise)."""
     centers, cuts = tuple(d["centers"]), tuple(d["cuts"])
     for v in centers + cuts:
@@ -480,14 +442,13 @@ def report_to_json(report: RunReport) -> str:
             "budget": report.best_iteration.budget,
             "semantics": report.best_rules.semantics,
             "uncovered": list(report.best_rules.uncovered),
-            "rules": [_rule_dict(r) for r in report.best_rules.rules],
+            "rules": [asdict(r) for r in report.best_rules.rules],
             "rules_text": [
                 render_rule(r, i) for i, r in enumerate(report.best_rules.rules, start=1)
             ],
         },
         "discretizers": {
-            name: _discretizer_dict(d)
-            for name, d in sorted(report.granular.discretizers.items())
+            name: asdict(d) for name, d in sorted(report.granular.discretizers.items())
         },
         "granular": {
             "attributes": report.granular.names,
@@ -496,7 +457,7 @@ def report_to_json(report: RunReport) -> str:
             "rows": [list(row) for row in report.granular.rows],
         },
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, default=sorted) + "\n"  # label sets as sorted lists
 
 
 def report_rules_from_json(doc: dict) -> RuleSet:
@@ -517,6 +478,9 @@ def granular_from_json(doc: dict) -> GranularTable:
     if not isinstance(discs, dict):
         raise TypeError("discretizers must be an object keyed by attribute")
     discs = {name: discretizer_from_dict(d) for name, d in discs.items()}
+    for name, d in discs.items():
+        if d.name != name:
+            raise ValueError(f"the quantizer under {name!r} is named {d.name!r}")
     g = doc["granular"]
     if not all(isinstance(name, str) for name in g["attributes"]):
         raise TypeError("granular attribute names must be strings")
@@ -544,9 +508,10 @@ def estimate_to_json(est: ParameterEstimate) -> str:
             [{"attribute": c.attribute, "lo": c.lo, "hi": c.hi} for c in bundle]
             for bundle in est.bundles
         ],
-        "matched_rules": [_rule_dict(r) for r in est.matched_rules],
+        "matched_rules": [asdict(r) for r in est.matched_rules],
         "sensitivity": [
             {"attribute": a, "core": c, "frequency": f} for a, c, f in est.sensitivity
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, default=sorted) + "\n"  # label sets as sorted lists
+

@@ -23,18 +23,28 @@ import re
 from dataclasses import dataclass
 
 from .errors import DataError, UsageError
-from .table import GranularTable
+from .table import GranularTable, is_label
 
 SEMANTICS = ("cumulative", "exact")
+
+
+def check_semantics(semantics) -> None:
+    if semantics not in SEMANTICS:
+        raise UsageError(f"semantics must be one of {SEMANTICS}")
 
 
 @dataclass(frozen=True)
 class Condition:
     """Interval constraint on one attribute.
 
-    ``lo``/``hi`` are inclusive raw-unit bounds (None = unbounded);
-    ``labels`` is the matching granule set when the source quantizer is
-    known. At least one bound or the label set must be present.
+    ``lo``/``hi`` are raw-unit bounds (None = unbounded); ``labels`` is the
+    matching granule set, non-empty positive ints, when the source
+    quantizer is known. At least one bound or the label set must be
+    present. The bounds are the quantizer's cuts, and a value on a cut
+    takes the lower band, so the labels hold exactly the values v with
+    lo < v <= hi: a value equal to ``lo`` falls in the next lower band,
+    outside the labels. ``matches_raw`` and the rule file's ``>=`` still
+    read ``lo`` as inclusive.
     """
 
     attribute: str
@@ -47,6 +57,10 @@ class Condition:
             raise UsageError("condition needs a bound or a label set")
         if self.lo is not None and self.hi is not None and not self.lo < self.hi:
             raise UsageError("between-condition needs lo < hi")
+        if self.labels is not None and not (self.labels and all(map(is_label, self.labels))):
+            raise UsageError(
+                f"condition on {self.attribute!r}: labels must be positive ints, at least one"
+            )
 
     def matches_label(self, label) -> bool:
         if label is None:
@@ -76,10 +90,12 @@ class DecisionPart:
     granule: int
 
     def __post_init__(self):
+        if not isinstance(self.attribute, str):
+            raise UsageError(f"decision attribute must be a string, got {self.attribute!r}")
         if self.kind not in ("at_most", "at_least", "exactly"):
             raise UsageError(f"unknown decision kind {self.kind!r}")
-        if self.granule < 1:
-            raise UsageError("decision granule must be >= 1")
+        if not is_label(self.granule):
+            raise UsageError(f"decision granule must be an int >= 1, got {self.granule!r}")
 
     def covers(self, label) -> bool:
         if label is None:
@@ -112,6 +128,11 @@ class Rule:
         attrs = [c.attribute for c in self.conditions]
         if len(set(attrs)) != len(attrs):
             raise UsageError("rule conditions must use distinct attributes")
+        if isinstance(self.support, bool) or not isinstance(self.support, int) or self.support < 0:
+            raise UsageError(f"rule support must be an int >= 0, got {self.support!r}")
+        s = self.strength
+        if isinstance(s, bool) or not isinstance(s, (int, float)) or not 0 <= s <= 1:
+            raise UsageError(f"rule strength must be a number in [0, 1], got {s!r}")
 
     @property
     def length(self) -> int:
@@ -140,6 +161,9 @@ class RuleSet:
     constraints: RuleConstraints
     uncovered: tuple[int, ...] = ()  # objects with a decision that no rule covers
     semantics: str = "cumulative"
+
+    def __post_init__(self):
+        check_semantics(self.semantics)
 
 
 def _granule_count(table: GranularTable, attr: str, rows: int) -> int:
@@ -186,8 +210,7 @@ def induce_cover(
     """
     if decision not in table.decision_names:
         raise UsageError(f"{decision!r} is not a decision attribute")
-    if semantics not in SEMANTICS:
-        raise UsageError(f"semantics must be one of {SEMANTICS}")
+    check_semantics(semantics)
 
     if rows is None:
         rows = (1 << len(table)) - 1

@@ -19,7 +19,7 @@ from itertools import chain, islice, repeat
 
 from . import _pcg
 from .errors import DataError, UsageError
-from .table import inverse_scale, scale_minmax, transform_scale
+from .table import SCALES, inverse_scale, scale_minmax, transform_scale
 
 # Box-seeded attempts before falling back to quantile-seeded centers.
 # Columns dominated by long runs of one value can starve a node no matter
@@ -312,6 +312,8 @@ class Discretizer:
     cuts: tuple[float, ...]
 
     def __post_init__(self):
+        if self.scale not in SCALES:
+            raise UsageError(f"quantizer of {self.name!r}: scale must be one of {SCALES}")
         if len(self.cuts) != len(self.centers) - 1:
             raise UsageError("need exactly G - 1 cuts for G centers")
         if any(b >= a for a, b in zip(self.centers, self.centers[1:])):

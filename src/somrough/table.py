@@ -17,7 +17,7 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import _pcg
 from .errors import DataError, UsageError
@@ -30,6 +30,12 @@ SCALES = ("linear", "log10")
 # Columns spanning more than this many decades default to log10 before
 # quantization; a raw-scale quantizer would collapse the small values.
 LOG_SCALE_DECADES = 3.0
+
+
+def is_label(v) -> bool:
+    """Whether ``v`` is a granule label: an int >= 1, and not a bool."""
+    # int first: the Integral ABC check is ten times slower.
+    return not isinstance(v, bool) and isinstance(v, (int, numbers.Integral)) and v >= 1
 
 
 @dataclass(frozen=True)
@@ -152,8 +158,7 @@ class GranularTable(DecisionTable):
             for s, v in zip(self.specs, row):
                 if v is None:
                     continue
-                # int first: the Integral ABC check is ten times slower.
-                if isinstance(v, bool) or not isinstance(v, (int, numbers.Integral)) or v < 1:
+                if not is_label(v):
                     raise DataError(
                         f"row {i}, attribute {s.name!r}: granule label must be a positive int"
                     )
@@ -197,9 +202,11 @@ def load_table(csv_text: str, schema: list[AttributeSpec]) -> DecisionTable:
         raise DataError("empty CSV: missing header row")
     header = [h.strip() for h in lines[0].split(",")]
     by_name = {s.name: s for s in schema}
-    for h in header:
+    for j, h in enumerate(header):
         if h not in by_name:
             raise DataError(f"unknown column {h!r} in header")
+        if h in header[:j]:
+            raise DataError(f"column {h!r} appears twice in header")
     if set(header) != set(by_name):
         missing = sorted(set(by_name) - set(header))
         raise DataError(f"header is missing columns: {missing}")
@@ -276,10 +283,8 @@ def load_schema(json_text: str) -> list[AttributeSpec]:
 
 
 def dump_schema(specs: list[AttributeSpec]) -> str:
-    records = [
-        {"name": s.name, "role": s.role, "scale": s.scale, "units": s.units} for s in specs
-    ]
-    return json.dumps(records, indent=2) + "\n"
+    """Write a schema file: one record per spec, its fields in field order."""
+    return json.dumps([asdict(s) for s in specs], indent=2) + "\n"
 
 
 def split_train_size(n: int, train_fraction: float) -> int:

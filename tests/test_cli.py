@@ -21,6 +21,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from somrough import pipeline
 from somrough.cli import COMMANDS, CONFIG_KEYS, DEFAULTS, build_parser, main, parse_config_file
 from somrough.errors import DataError, UsageError
 from somrough.pipeline import PipelineConfig
@@ -158,6 +159,21 @@ def _backanalyze(report):
     return ["backanalyze", "--report", report, "--observe", "5.787e-4"]
 
 
+def _repeated_column(tmp_path):
+    """The corpus with ``cp`` repeated as a last column, all 999."""
+    lines = Path(CORPUS).read_text().splitlines()
+    path = tmp_path / "runs.csv"
+    path.write_text("".join(
+        ln + (",cp" if i == 0 else ",999") + "\n" for i, ln in enumerate(lines)
+    ))
+    return str(path)
+
+
+def _rule_with(tmp_path, doc, where, value):
+    """A report whose first best rule has ``value`` at the key path ``where``."""
+    return _backanalyze(_report_with(tmp_path, doc, ("best", "rules", 0) + where, value))
+
+
 def _surrogate_ranges(tmp_path, ranges):
     path = tmp_path / "ranges.json"
     path.write_text(json.dumps(ranges))
@@ -222,6 +238,33 @@ BAD_INPUTS = {
     "report-string-cuts": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("discretizers", "mvv", "cuts"), ["b", "a"])
     ),
+    "report-granule-float": lambda tmp, doc: _rule_with(
+        tmp, doc, ("decision", "granule"), 1.5
+    ),
+    "report-granule-bool": lambda tmp, doc: _rule_with(tmp, doc, ("decision", "granule"), True),
+    "report-rule-decision-list": lambda tmp, doc: _rule_with(
+        tmp, doc, ("decision", "attribute"), ["mvv"]
+    ),
+    "report-labels-empty": lambda tmp, doc: _rule_with(
+        tmp, doc, ("conditions", 0, "labels"), []
+    ),
+    "report-labels-float": lambda tmp, doc: _rule_with(
+        tmp, doc, ("conditions", 0, "labels"), [1.5]
+    ),
+    "report-strength-string": lambda tmp, doc: _rule_with(tmp, doc, ("strength",), "s"),
+    "report-strength-above-1": lambda tmp, doc: _rule_with(tmp, doc, ("strength",), 7),
+    "report-support-negative": lambda tmp, doc: _rule_with(tmp, doc, ("support",), -3),
+    "report-support-null": lambda tmp, doc: _rule_with(tmp, doc, ("support",), None),
+    "report-unknown-scale": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("discretizers", "mvv", "scale"), "weird")
+    ),
+    "report-quantizer-of-other-attribute": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("discretizers", "mvv", "name"), "cb")
+    ),
+    "report-number-semantics": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("best", "semantics"), 5)
+    ),
+    "csv-repeated-column": lambda tmp, _: _discretize(tmp, data=_repeated_column(tmp)),
     "ranges-list": lambda tmp, _: _surrogate_ranges(tmp, [1, 2]),
     "ranges-object-bounds": lambda tmp, _: _surrogate_ranges(tmp, {"cohesion": {"lo": 1}}),
 }
@@ -443,6 +486,22 @@ class TestRulesCommand:
                     "--out", str(tmp_path))
         assert code == 0
         assert (tmp_path / "rules.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "rules"])
+def test_unknown_semantics_is_1_before_any_fit(command, tmp_path, capsys, monkeypatch):
+    """An unknown --semantics is rejected with the other settings, before
+    a quantizer is fitted."""
+    def no_fit(*args):
+        raise AssertionError("a quantizer was fitted")
+
+    monkeypatch.setattr(pipeline, "fit_table_discretizer", no_fit)
+    code = _run(command, "--data", CORPUS, "--schema", SCHEMA, "--decision", "mvv",
+                "--semantics", "foo", "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "semantics must be one of" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 class TestConfigParsing:

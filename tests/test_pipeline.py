@@ -192,8 +192,52 @@ class TestTwoProcessFits:
         monkeypatch.setattr(pipeline, "fit_table_discretizer", dies_in_helper)
         serial, forked = self.both_ways(monkeypatch, lambda: granulate(table, 2, seed=5))
         assert _bits(forked.discretizers) == _bits(serial.discretizers)
-        # Evens fitted here, then the helper's whole share refitted in table order.
-        assert fits_here == names + names[0::2] + names[1::2]
+        # Evens fitted here, then every attribute refitted in table order.
+        assert fits_here == names + names[0::2] + names
+
+    def test_truncated_payload_gives_serial_result(self, monkeypatch, fits_here):
+        """A helper that sends half its payload and exits 0 delivers
+        nothing: every attribute is refitted here."""
+        table = generate_table(count=60, seed=11)
+        names = list(table.names)
+        caller = os.getpid()
+        write = os.write
+
+        def half_write(fd, data):
+            if os.getpid() == caller:
+                return write(fd, data)
+            write(fd, data[: len(data) // 2])
+            return len(data)
+
+        monkeypatch.setattr(os, "write", half_write)
+        serial, forked = self.both_ways(monkeypatch, lambda: granulate(table, 2, seed=5))
+        assert _bits(forked.discretizers) == _bits(serial.discretizers)
+        assert fits_here == names + names[0::2] + names
+
+    def test_error_here_gives_serial_error(self, monkeypatch, fits_here):
+        """A fit that fails in this process while the helper succeeds gives
+        the serial loop's error, raised by a serial refit."""
+        table = generate_table(count=60, seed=11)
+        names = list(table.names)
+        caller = os.getpid()
+        spy = pipeline.fit_table_discretizer
+
+        def fails_here(t, name, granules, seed):
+            if os.getpid() == caller and name == names[2]:
+                raise DataError(f"no quantizer for {name}")
+            return spy(t, name, granules, seed)
+
+        monkeypatch.setattr(pipeline, "fit_table_discretizer", fails_here)
+        messages = []
+        for threshold in (float("inf"), 0):
+            monkeypatch.setattr(pipeline, "_FORK_MIN_PRESENTATIONS", threshold)
+            with pytest.raises(DataError) as err:
+                granulate(table, 2, seed=5)
+            messages.append(str(err.value))
+            _no_child_left()
+        assert messages == [f"no quantizer for {names[2]}"] * 2
+        # Fits that ran here: serial, the even share up to the error, the refit.
+        assert fits_here == names[:2] + names[:1] + names[:2]
 
     def test_failed_fork_fits_here(self, monkeypatch, fits_here):
         def no_fork():

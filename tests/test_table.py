@@ -11,6 +11,7 @@ from somrough.table import (
     AttributeSpec,
     DecisionTable,
     GranularTable,
+    dump_schema,
     infer_scale,
     load_schema,
     load_table,
@@ -80,6 +81,25 @@ class TestLoadTable:
     def test_schema_loader_rejects_bad_json(self):
         with pytest.raises(DataError):
             load_schema("not json")
+
+    def test_dump_schema_bytes(self):
+        """The schema file's bytes, recorded before the records were written
+        with ``dataclasses.asdict``: every field, in field order."""
+        specs = [
+            AttributeSpec("cohesion", "condition", "linear", "kPa"),
+            AttributeSpec("rate", "decision", "log10", "m/s"),
+            AttributeSpec("phi", "condition"),
+        ]
+        text = dump_schema(specs)
+        assert text == (
+            '[\n  {\n    "name": "cohesion",\n    "role": "condition",\n'
+            '    "scale": "linear",\n    "units": "kPa"\n  },\n'
+            '  {\n    "name": "rate",\n    "role": "decision",\n'
+            '    "scale": "log10",\n    "units": "m/s"\n  },\n'
+            '  {\n    "name": "phi",\n    "role": "condition",\n'
+            '    "scale": "linear",\n    "units": ""\n  }\n]\n'
+        )
+        assert load_schema(text) == specs
 
 
 class TestSplitRandom:
