@@ -10,10 +10,10 @@ met (pipeline only; outputs are still written).
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import DataError, UsageError
 from .pipeline import (
@@ -30,7 +30,7 @@ from .pipeline import (
     report_to_json,
 )
 from .rough import reduct_report, reducts
-from .rules import RuleConstraints, check_semantics, induce_cover, render_rules
+from .rules import RuleConstraints, check_rules, check_semantics, induce_cover, render_rules
 from .som import discretizer_record
 from .surrogate import DEFAULT_STEEPNESS, generate_table
 from .table import dump_schema, load_schema, load_table, to_csv
@@ -44,11 +44,6 @@ EXIT_EL_NOT_MET = 3
 # PipelineConfig and RuleConstraints, with their defaults, plus the decision.
 DEFAULTS = {**config_settings(PipelineConfig()), "decision": None}
 CONFIG_KEYS = {key: str if value is None else type(value) for key, value in DEFAULTS.items()}
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
 
 
 def parse_config_file(text: str) -> dict:
@@ -164,6 +159,7 @@ def cmd_backanalyze(args) -> int:
         decision = doc["decision"]
         if decision not in granular.decision_names:
             raise ValueError(f"{decision!r} is not a decision attribute")
+        check_rules(rules, granular, decision)
     except (KeyError, TypeError, ValueError, UsageError) as exc:
         raise DataError(f"malformed report file: {exc}") from None
     disc = granular.discretizers.get(decision)
@@ -220,96 +216,148 @@ def cmd_reducts(args) -> int:
     return EXIT_OK
 
 
-def _add_settings(p, keys):
-    p.add_argument("--config", help="flat key = value settings file")
-    for key in keys:
-        p.add_argument(f"--{key}", type=CONFIG_KEYS[key], default=None)
+def _settings(keys):
+    """``--config`` and one flag per config key, with the key's type."""
+    return (("--config", {"help": "flat key = value settings file"}),) + tuple(
+        (f"--{key}", {"type": CONFIG_KEYS[key], "default": None}) for key in keys
+    )
 
 
-def _table_command(keys):
-    """Arguments of a command that reads a table and writes to --out."""
-
-    def add_args(p):
-        p.add_argument("--data", required=True)
-        p.add_argument("--schema", required=True)
-        p.add_argument("--out", required=True)
-        _add_settings(p, keys)
-
-    return add_args
-
-
-def _backanalyze_args(p):
-    p.add_argument("--report", required=True)
-    p.add_argument("--observe", type=float, required=True, help="measured decision value")
-    p.add_argument("--out")
-
-
-def _surrogate_args(p):
-    p.add_argument("--count", type=int, default=30)
-    p.add_argument("--ranges", help="JSON file: {parameter: [low, high]}")
-    p.add_argument("--steepness", type=float, default=DEFAULT_STEEPNESS)
-    p.add_argument("--out", required=True)
-    _add_settings(p, ("seed",))
-
-
-def _reducts_args(p):
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--mode", choices=("plain", "decision_relative"), default="decision_relative")
-    p.add_argument("--out")
-    _add_settings(p, ("granules", "seed", "decision"))
+def _table_options(keys):
+    """Options of a command that reads a table and writes to --out."""
+    return (
+        ("--data", {"required": True}),
+        ("--schema", {"required": True}),
+        ("--out", {"required": True}),
+    ) + _settings(keys)
 
 
 _RULE_KEYS = ("granules", "min_strength", "max_length", "max_rules", "semantics")
 
-# name -> (help, handler, adds the command's arguments), in help order
+# name -> (help, handler, options), in help order. Each option is a flag
+# and the keyword arguments argparse's add_argument takes for it;
+# _direct_parse reads type, required, default and choices from them.
 COMMANDS = {
     "discretize": (
         "fit quantizers and emit the granulated table",
         cmd_discretize,
-        _table_command(("granules", "seed")),
+        _table_options(("granules", "seed")),
     ),
     "rules": (
         "induce a rule cover on the full table",
         cmd_rules,
-        _table_command(_RULE_KEYS + ("seed", "decision")),
+        _table_options(_RULE_KEYS + ("seed", "decision")),
     ),
     "pipeline": (
-        "run the close-open iteration", cmd_pipeline, _table_command(tuple(CONFIG_KEYS))
+        "run the close-open iteration", cmd_pipeline, _table_options(tuple(CONFIG_KEYS))
     ),
     "backanalyze": (
-        "invert an observation with a pipeline report", cmd_backanalyze, _backanalyze_args
+        "invert an observation with a pipeline report",
+        cmd_backanalyze,
+        (
+            ("--report", {"required": True}),
+            ("--observe", {"type": float, "required": True, "help": "measured decision value"}),
+            ("--out", {}),
+        ),
     ),
-    "surrogate": ("generate a synthetic run table", cmd_surrogate, _surrogate_args),
-    "reducts": ("reduct and core report for a table", cmd_reducts, _reducts_args),
+    "surrogate": (
+        "generate a synthetic run table",
+        cmd_surrogate,
+        (
+            ("--count", {"type": int, "default": 30}),
+            ("--ranges", {"help": "JSON file: {parameter: [low, high]}"}),
+            ("--steepness", {"type": float, "default": DEFAULT_STEEPNESS}),
+            ("--out", {"required": True}),
+        )
+        + _settings(("seed",)),
+    ),
+    "reducts": (
+        "reduct and core report for a table",
+        cmd_reducts,
+        (
+            ("--data", {"required": True}),
+            ("--schema", {"required": True}),
+            ("--mode", {"choices": ("plain", "decision_relative"), "default": "decision_relative"}),
+            ("--out", {}),
+        )
+        + _settings(("granules", "seed", "decision")),
+    ),
 }
 
 
-def build_parser(command: str | None = None) -> _Parser:
+def build_parser(command: str | None = None):
     """The ``somrough`` argument parser with one subparser per command.
 
     With ``command`` set to one of ``COMMANDS``, only that command's
     subparser is registered. It parses that command's arguments exactly as
-    the full parser does, and it costs less to build, which counts on
-    every short CLI call. The full parser (``command=None``) is needed for
-    top-level help and to name the choices when the command is unknown.
-    Parse errors raise ``UsageError`` with argparse's message.
+    the full parser does, and it costs less to build. The full parser
+    (``command=None``) is needed for top-level help and to name the
+    choices when the command is unknown. Parse errors raise
+    ``UsageError`` with argparse's message.
     """
-    parser = _Parser(prog="somrough", description=__doc__)
+    # Imported here: only help, abbreviations and errors need argparse,
+    # and importing it costs every call a few milliseconds.
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
+    parser = Parser(prog="somrough", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, add_args) in COMMANDS.items():
+    for name, (help_text, handler, options) in COMMANDS.items():
         if command is None or name == command:
             p = sub.add_parser(name, help=help_text)
-            add_args(p)
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
             p.set_defaults(func=handler)
     return parser
 
 
+def _direct_parse(argv: list):
+    """The namespace argparse would build for a plain argv, or None.
+
+    A plain argv is a command, then ``--flag value`` pairs: each flag the
+    exact long name of one of the command's options, given once, each
+    value not starting with ``-``, every required option given, and every
+    value of its option's type and among its choices. For anything else
+    (help, abbreviations, ``--flag=value``, repeats, negative-looking
+    values, positionals, errors) this returns None and argparse parses
+    the argv, so every message is argparse's own.
+    """
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    _, handler, options = COMMANDS[argv[0]]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) * 2 != len(argv) - 1 or not given.keys() <= dict(options).keys():
+        return None
+    ns = {"command": argv[0], "func": handler}
+    for flag, kwargs in options:
+        value = given.get(flag)
+        if value is None:
+            if kwargs.get("required"):
+                return None
+            ns[flag[2:]] = kwargs.get("default")
+            continue
+        if value.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        ns[flag[2:]] = value
+    return SimpleNamespace(**ns)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
+        args = _direct_parse(argv)
+        if args is None:
+            command = argv[0] if argv and argv[0] in COMMANDS else None
+            args = build_parser(command).parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

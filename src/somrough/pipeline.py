@@ -42,7 +42,7 @@ from .rules import (
     render_rule,
 )
 from .som import FIT_EPOCHS, Discretizer, assign_granule, fit_table_discretizer
-from .table import DecisionTable, GranularTable, split_random, split_train_size
+from .table import DecisionTable, GranularTable, json_record, split_random, split_train_size
 
 # Documented reconstruction notes echoed into every report.
 POLICY_NOTES = (
@@ -434,7 +434,7 @@ def report_to_json(report: RunReport) -> str:
         "el_met": report.el_met,
         "stop_reason": report.stop_reason,
         "notes": list(report.notes),
-        "iterations": [asdict(it) for it in report.iterations],
+        "iterations": report.iterations,
         "best": {
             "accuracy": report.best_accuracy,
             "run": report.best_iteration.run,
@@ -442,14 +442,12 @@ def report_to_json(report: RunReport) -> str:
             "budget": report.best_iteration.budget,
             "semantics": report.best_rules.semantics,
             "uncovered": list(report.best_rules.uncovered),
-            "rules": [asdict(r) for r in report.best_rules.rules],
+            "rules": report.best_rules.rules,
             "rules_text": [
                 render_rule(r, i) for i, r in enumerate(report.best_rules.rules, start=1)
             ],
         },
-        "discretizers": {
-            name: asdict(d) for name, d in sorted(report.granular.discretizers.items())
-        },
+        "discretizers": dict(sorted(report.granular.discretizers.items())),
         "granular": {
             "attributes": report.granular.names,
             "roles": [s.role for s in report.granular.specs],
@@ -457,7 +455,7 @@ def report_to_json(report: RunReport) -> str:
             "rows": [list(row) for row in report.granular.rows],
         },
     }
-    return json.dumps(doc, indent=2, default=sorted) + "\n"  # label sets as sorted lists
+    return json.dumps(doc, indent=2, default=json_record) + "\n"
 
 
 def report_rules_from_json(doc: dict) -> RuleSet:
@@ -508,10 +506,10 @@ def estimate_to_json(est: ParameterEstimate) -> str:
             [{"attribute": c.attribute, "lo": c.lo, "hi": c.hi} for c in bundle]
             for bundle in est.bundles
         ],
-        "matched_rules": [asdict(r) for r in est.matched_rules],
+        "matched_rules": est.matched_rules,
         "sensitivity": [
             {"attribute": a, "core": c, "frequency": f} for a, c, f in est.sensitivity
         ],
     }
-    return json.dumps(doc, indent=2, default=sorted) + "\n"  # label sets as sorted lists
+    return json.dumps(doc, indent=2, default=json_record) + "\n"
 

@@ -190,6 +190,40 @@ def _interval_condition(table: GranularTable, attr: str, g_lo: int, g_hi: int) -
     return Condition(attribute=attr, lo=lo, hi=hi, labels=labels)
 
 
+def check_rules(rs: RuleSet, table: GranularTable, decision: str) -> None:
+    """Raise ``UsageError`` unless ``rs`` could have been induced on
+    ``table`` for ``decision``: each condition is on a condition attribute
+    and equals the condition its label range gives (labels within the
+    attribute's granules, bounds its quantizer's cuts), each decision band
+    is on ``decision`` within its granules, and every uncovered id is an
+    object of the table."""
+    cond_names = set(table.condition_names)
+    d = table.discretizers.get(decision)
+    for rule in rs.rules:
+        part = rule.decision
+        if part.attribute != decision or d is not None and part.granule > d.granules:
+            raise UsageError(
+                f"rule decision ({part.attribute} {part.kind} {part.granule}) "
+                f"is not a band of {decision!r}"
+            )
+        for c in rule.conditions:
+            if c.attribute not in cond_names:
+                raise UsageError(f"rule condition on {c.attribute!r}, not a condition attribute")
+            g = table.discretizers.get(c.attribute)
+            if not (
+                c.labels
+                and (g is None or max(c.labels) <= g.granules)
+                and c == _interval_condition(table, c.attribute, min(c.labels), max(c.labels))
+                and bool not in (type(c.lo), type(c.hi))  # true equals a cut of 1.0
+            ):
+                raise UsageError(
+                    f"rule condition on {c.attribute!r} does not match its quantizer's granules"
+                )
+    ids = set(table.object_ids)
+    if not all(type(o) is int and o in ids for o in rs.uncovered):
+        raise UsageError("uncovered objects must be object ids of the table")
+
+
 def induce_cover(
     table: GranularTable,
     decision: str,

@@ -17,7 +17,7 @@ import io
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import _pcg
 from .errors import DataError, UsageError
@@ -282,9 +282,18 @@ def load_schema(json_text: str) -> list[AttributeSpec]:
     return specs
 
 
+def json_record(o):
+    """``json.dumps`` default: a dataclass as its fields in field order, a
+    label set as a sorted list. Unlike ``dataclasses.asdict`` it copies
+    nothing; the encoder reaches nested records through this hook."""
+    if isinstance(o, frozenset):
+        return sorted(o)
+    return {f.name: getattr(o, f.name) for f in fields(o)}
+
+
 def dump_schema(specs: list[AttributeSpec]) -> str:
     """Write a schema file: one record per spec, its fields in field order."""
-    return json.dumps([asdict(s) for s in specs], indent=2) + "\n"
+    return json.dumps(specs, indent=2, default=json_record) + "\n"
 
 
 def split_train_size(n: int, train_fraction: float) -> int:

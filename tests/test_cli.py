@@ -21,8 +21,17 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from somrough import pipeline
-from somrough.cli import COMMANDS, CONFIG_KEYS, DEFAULTS, build_parser, main, parse_config_file
+from somrough import cli, pipeline
+from somrough.cli import (
+    COMMANDS,
+    CONFIG_KEYS,
+    DEFAULTS,
+    _direct_parse,
+    build_parser,
+    main,
+    parse_config_file,
+)
+from somrough.corpus import JEFFREY_OBSERVED_RATE_MS
 from somrough.errors import DataError, UsageError
 from somrough.pipeline import PipelineConfig
 from somrough.rules import RuleConstraints
@@ -263,6 +272,25 @@ BAD_INPUTS = {
     ),
     "report-number-semantics": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("best", "semantics"), 5)
+    ),
+    # Rule records that read well alone but contradict the report's table.
+    "report-condition-unknown-attribute": lambda tmp, doc: _rule_with(
+        tmp, doc, ("conditions", 0, "attribute"), "zzz"
+    ),
+    "report-condition-label-above-granules": lambda tmp, doc: _rule_with(
+        tmp, doc, ("conditions", 0, "labels"), [7]
+    ),
+    "report-condition-bound-bool": lambda tmp, doc: _rule_with(
+        tmp, doc, ("conditions", 0, "hi"), True
+    ),
+    "report-granule-above-granules": lambda tmp, doc: _rule_with(
+        tmp, doc, ("decision", "granule"), 9
+    ),
+    "report-rule-decision-condition": lambda tmp, doc: _rule_with(
+        tmp, doc, ("decision", "attribute"), "cp"
+    ),
+    "report-uncovered-string": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("best", "uncovered"), ["x"])
     ),
     "csv-repeated-column": lambda tmp, _: _discretize(tmp, data=_repeated_column(tmp)),
     "ranges-list": lambda tmp, _: _surrogate_ranges(tmp, [1, 2]),
@@ -615,10 +643,106 @@ class TestSingleCommandParser:
         assert all(repr(name) in err for name in COMMANDS)
 
 
+# Values after a flag that argparse reads as options, so the flag lacks
+# its value ("-1" alone reads as a negative number, a value).
+DASH_VALUES = st.sampled_from(["-x", "-inf", "-1e3", "--out", "-"])
+
+
+@st.composite
+def _direct_argv(draw):
+    """A command's argv: its valid argv or that argv missing its first
+    flags, then ``--flag value`` pairs of the command's other options and
+    tokens as the single-command parser test draws them, or a flag with a
+    value that starts with a dash."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    base = VALID_ARGV[command][draw(st.sampled_from([0, 0, 0, 2, 4])):]
+    others = sorted({flag for flag, _ in COMMANDS[command][2]} - set(VALID_ARGV[command]))
+    # "3" is an int, a float and a string; "plain" is a --mode.
+    values = st.sampled_from(["3", "plain"]) | VALUES
+    pairs = draw(st.dictionaries(st.sampled_from(others), values, max_size=4))
+    dash = st.tuples(st.sampled_from(FLAGS), DASH_VALUES).map(list)
+    n = draw(st.sampled_from([0, 0, 1, 2]))
+    tokens = draw(st.lists(_argv_tokens() | dash, min_size=n, max_size=n))
+    return [command, *base, *(t for pair in pairs.items() for t in pair),
+            *(t for token in tokens for t in token)]
+
+
+_PIPELINE = ["pipeline", *VALID_ARGV["pipeline"]]
+
+
+class TestDirectParse:
+    @settings(max_examples=600, deadline=None)
+    @given(argv=_direct_argv())
+    # An ambiguous abbreviation, a repeat whose first value is bad, a
+    # repeat that argparse settles by its last value, a value argparse
+    # reads as an option, and a missing required flag.
+    @example(argv=["discretize", *VALID_ARGV["discretize"], "--s", "3"])
+    @example(argv=[*_PIPELINE, "--ma", "3"])
+    @example(argv=[*_PIPELINE, "--seed", "abc", "--seed", "3"])
+    @example(argv=["backanalyze", "--report", "r", "--observe", "x", "--observe", "1"])
+    @example(argv=[*_PIPELINE, "--out", "p"])
+    @example(argv=["reducts", *VALID_ARGV["reducts"], "--out", "-x"])
+    @example(argv=["pipeline", "--schema", "s.json", "--out", "o"])
+    def test_none_or_argparse_namespace(self, argv):
+        """The direct parse returns None or the namespace argparse builds."""
+        ns = _direct_parse(argv)
+        event("direct" if ns is not None else "argparse")
+        if ns is not None:
+            assert _parse_outcome(build_parser(), argv) == (
+                "parsed", repr(sorted(vars(ns).items()))
+            )
+
+
+def _plain_argvs(root: Path) -> list:
+    """The argv forms that perfbench and CI pass, on the corpus: exact
+    long flags, each followed by its value."""
+    out = str(root)
+    inputs = ["--data", CORPUS, "--schema", SCHEMA]
+    rule_flags = ["--granules", "2", "--semantics", "exact", "--min_strength", "0",
+                  "--max_length", "3", "--max_rules", "8"]
+    return [
+        ["pipeline", *inputs, "--out", out + "/p", "--seed", "3", "--decision", "mvv"],
+        ["pipeline", *inputs, "--decision", "mvv", "--out", out + "/q"],
+        ["pipeline", *inputs, "--out", out + "/s", "--seed", "1", *rule_flags, "--runs", "1",
+         "--decision", "mvv"],
+        ["backanalyze", "--report", out + "/p/report.json", "--observe",
+         repr(JEFFREY_OBSERVED_RATE_MS), "--out", out + "/e.json"],
+        ["backanalyze", "--report", out + "/q/report.json", "--observe",
+         "0.0005787037037037037", "--out", out + "/f.json"],
+        ["reducts", *inputs],
+        ["reducts", *inputs, "--decision", "mvv", "--out", out + "/reducts.txt"],
+        ["reducts", *inputs, "--out", out + "/r.txt", "--granules", "2", "--seed", "1",
+         "--decision", "mvv"],
+        ["rules", *inputs, "--decision", "mvv", "--out", out + "/rules"],
+        ["rules", *inputs, "--out", out + "/rules2", *rule_flags, "--seed", "1",
+         "--decision", "mvv"],
+        ["discretize", *inputs, "--out", out + "/d"],
+        ["discretize", *inputs, "--out", out + "/d2", "--granules", "2", "--seed", "1"],
+        ["surrogate", "--count", "20", "--seed", "7", "--out", out + "/table"],
+    ]
+
+
+def test_plain_argv_never_builds_argparse(tmp_path, monkeypatch):
+    """Each complete argv of VALID_ARGV parses directly to argparse's
+    namespace, and the argv forms perfbench and CI pass run without an
+    argparse parser."""
+    for command, base in VALID_ARGV.items():
+        ns = _direct_parse([command, *base])
+        assert ns is not None and vars(ns) == vars(build_parser().parse_args([command, *base]))
+
+    def no_parser(*args):
+        raise AssertionError("an argparse parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    codes = [main(argv) for argv in _plain_argvs(tmp_path)]
+    assert set(codes) <= {0, 3}, codes
+    assert (tmp_path / "e.json").exists() and (tmp_path / "table" / "runs.csv").exists()
+
+
 def test_cli_path_loads_no_numpy(tmp_path):
     """Importing the package and running every command but ``surrogate``
     on the corpus never imports numpy, and nothing on that path imports
-    logging."""
+    logging, or argparse on plain argvs."""
     script = textwrap.dedent(
         f"""
         import sys
@@ -626,6 +750,7 @@ def test_cli_path_loads_no_numpy(tmp_path):
         assert "numpy" not in sys.modules, "import somrough"
         from somrough.cli import main
         assert "logging" not in sys.modules, "import somrough.cli"
+        assert "argparse" not in sys.modules, "import somrough.cli"
         from somrough.corpus import JEFFREY_OBSERVED_RATE_MS
         data, schema, out = {CORPUS!r}, {SCHEMA!r}, {str(tmp_path)!r}
         inputs = ["--data", data, "--schema", schema]
@@ -640,6 +765,7 @@ def test_cli_path_loads_no_numpy(tmp_path):
         assert codes == [3, 0, 0, 0, 0], codes
         assert "numpy" not in sys.modules, "cli commands"
         assert "logging" not in sys.modules, "cli commands"
+        assert "argparse" not in sys.modules, "cli commands"
         """
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
