@@ -20,11 +20,11 @@ import json
 import marshal
 import math
 import os
-import threading
+import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import _pcg
+from ._record import Record, fields, replace
 from .errors import DataError, UsageError
 from .rough import core
 # Not called here: perfbench/tracer.py wraps ``somrough.pipeline.reducts``
@@ -60,12 +60,11 @@ POLICY_NOTES = (
 _FORK_MIN_PRESENTATIONS = 60_000
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(Record):
     runs: int = 1  # independent outer runs, each with derived seed
     max_closed: int = 2  # splits tried per budget level before relaxing
     el: float = 0.80  # held-out accuracy bar
-    constraints: RuleConstraints = field(default_factory=RuleConstraints)
+    constraints: RuleConstraints = RuleConstraints()  # frozen, so one shared default
     train_fraction: float = 0.7
     granules: int = 3
     max_open_steps: int = 10  # budget adjustments allowed per run
@@ -107,7 +106,7 @@ def config_settings(cfg) -> dict:
 def config_from_settings(settings: dict, cls=PipelineConfig):
     """Inverse of ``config_settings``: a ``PipelineConfig`` (or, with
     ``cls=RuleConstraints``, only the constraints) from flat settings.
-    Keys of neither dataclass are ignored; a missing one is a KeyError."""
+    Keys of neither record are ignored; a missing one is a KeyError."""
     return cls(**{
         f.name: settings[f.name] if f.name != "constraints"
         else config_from_settings(settings, RuleConstraints)
@@ -115,8 +114,7 @@ def config_from_settings(settings: dict, cls=PipelineConfig):
     })
 
 
-@dataclass(frozen=True)
-class Iteration:
+class Iteration(Record):
     run: int
     index: int  # 1-based within the run
     split_seed: int
@@ -126,8 +124,7 @@ class Iteration:
     accepted: bool
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(Record):
     config: PipelineConfig
     decision: str
     iterations: tuple[Iteration, ...]
@@ -144,8 +141,7 @@ class RunReport:
         return len(self.iterations)
 
 
-@dataclass(frozen=True)
-class ParameterEstimate:
+class ParameterEstimate(Record):
     """Back-analysis output: alternative condition bundles, one per
     matched rule, plus a sensitivity ranking of the condition attributes."""
 
@@ -199,12 +195,14 @@ def _fit_all(table: DecisionTable, granules: int, seed: int) -> dict:
 
 def _fork_pays(table: DecisionTable) -> bool:
     """Whether a helper process would shorten the fits: enough work, a
-    second CPU, and no other thread (fork is unsafe with threads)."""
+    second CPU, and no other thread (fork is unsafe with threads). A process
+    that never imported ``threading`` cannot be running a ``Thread``."""
     work = len(table) * FIT_EPOCHS * len(table.names)
     if work < _FORK_MIN_PRESENTATIONS or not hasattr(os, "fork"):
         return False
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    return len(cpus) >= 2 and threading.active_count() == 1
+    threading = sys.modules.get("threading")
+    return len(cpus) >= 2 and (threading is None or threading.active_count() == 1)
 
 
 def _fit_split(table: DecisionTable, granules: int, jobs: list) -> list | None:
@@ -226,7 +224,7 @@ def _fit_split(table: DecisionTable, granules: int, jobs: list) -> list | None:
         try:
             os.close(r)
             payload = marshal.dumps(
-                [asdict(fit_table_discretizer(table, n, granules, s)) for n, s in jobs[1::2]]
+                [json_record(fit_table_discretizer(table, n, granules, s)) for n, s in jobs[1::2]]
             )
             while payload:
                 payload = payload[os.write(w, payload) :]
@@ -418,7 +416,7 @@ def rule_from_dict(d: dict) -> Rule:
 
 
 def discretizer_from_dict(d: dict) -> Discretizer:
-    """Inverse of ``asdict`` on a ``Discretizer``; centers and cuts must be JSON
+    """Inverse of ``json_record`` on a ``Discretizer``; centers and cuts must be JSON
     numbers, ints or finite floats (``ValueError`` otherwise)."""
     centers, cuts = tuple(d["centers"]), tuple(d["cuts"])
     for v in centers + cuts:

@@ -20,8 +20,8 @@ expanding the DNF. disc_matrix keeps the pairwise form as the reference.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import DataError, UsageError
 from .table import DecisionTable
 
@@ -34,8 +34,7 @@ MAX_EXHAUSTIVE_ATTRS = 16
 MAX_IMPLICANTS = 5000
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Disjoint blocks of object ids covering the universe."""
 
     blocks: tuple[frozenset, ...]
@@ -45,8 +44,7 @@ class Partition:
         return frozenset(self.blocks)
 
 
-@dataclass(frozen=True)
-class DiscernibilityMatrix:
+class DiscernibilityMatrix(Record):
     """Attribute sets separating object pairs (i > j), by object id."""
 
     entries: dict  # (id_i, id_j) -> frozenset of attribute names
@@ -54,16 +52,14 @@ class DiscernibilityMatrix:
     mode: str
 
 
-@dataclass(frozen=True)
-class BoolFormula:
+class BoolFormula(Record):
     """A discernibility function: absorbed CNF and its prime implicants."""
 
     cnf: frozenset  # of frozensets (clauses)
     dnf: frozenset  # of frozensets (implicants, i.e. minimal hitting sets)
 
 
-@dataclass(frozen=True)
-class ReductSet:
+class ReductSet(Record):
     reducts: tuple[frozenset, ...]
     core: frozenset
 

@@ -20,8 +20,8 @@ share a condition vector are classified with one vote.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import DataError, UsageError
 from .table import GranularTable, is_label
 
@@ -33,8 +33,7 @@ def check_semantics(semantics) -> None:
         raise UsageError(f"semantics must be one of {SEMANTICS}")
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(Record):
     """Interval constraint on one attribute.
 
     ``lo``/``hi`` are raw-unit bounds (None = unbounded); ``labels`` is the
@@ -81,8 +80,7 @@ class Condition:
         return True
 
 
-@dataclass(frozen=True)
-class DecisionPart:
+class DecisionPart(Record):
     """The rule's conclusion: a granule band on the decision attribute."""
 
     attribute: str
@@ -115,8 +113,7 @@ class DecisionPart:
         return (1, -self.granule)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     conditions: tuple[Condition, ...]
     decision: DecisionPart
     support: int = 0
@@ -142,8 +139,7 @@ class Rule:
         return all(c.matches_label(row.get(c.attribute)) for c in self.conditions)
 
 
-@dataclass(frozen=True)
-class RuleConstraints:
+class RuleConstraints(Record):
     min_strength: float = 0.60
     max_length: int = 2
     max_rules: int = 5
@@ -155,8 +151,7 @@ class RuleConstraints:
             raise UsageError("max_length and max_rules must be positive")
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(Record):
     rules: tuple[Rule, ...]
     constraints: RuleConstraints
     uncovered: tuple[int, ...] = ()  # objects with a decision that no rule covers

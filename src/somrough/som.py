@@ -14,10 +14,10 @@ between adjacent centers mapped back into raw units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
 from . import _pcg
+from ._record import Record
 from .errors import DataError, UsageError
 from .table import SCALES, inverse_scale, scale_minmax, transform_scale
 
@@ -32,8 +32,7 @@ FIT_EPOCHS = 200
 FIT_ETA0 = 0.8
 
 
-@dataclass(frozen=True)
-class SomConfig:
+class SomConfig(Record):
     """Training knobs. ``radius0 = None`` means half the grid span."""
 
     grid: tuple[int, int]
@@ -66,8 +65,7 @@ class SomConfig:
         return (max(self.grid) - 1) / 2.0
 
 
-@dataclass(frozen=True)
-class SomMap:
+class SomMap(Record):
     """A trained map: grid dims, one weight vector per node, error trace."""
 
     grid: tuple[int, int]
@@ -296,8 +294,7 @@ def _winner_only(w: list[float], stream, eta0: float, total: int) -> list[float]
     return w
 
 
-@dataclass(frozen=True)
-class Discretizer:
+class Discretizer(Record):
     """Ordinal quantizer for one attribute.
 
     ``centers`` and ``cuts`` are in raw units, strictly descending; label

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import DataError, UsageError
 from .table import AttributeSpec, DecisionTable, infer_scale
 
@@ -33,8 +33,7 @@ DEFAULT_RANGES = {
 DECISION_NAME = "displacement"
 
 
-@dataclass(frozen=True)
-class SlopeParams:
+class SlopeParams(Record):
     cohesion: float  # kPa
     friction: float  # deg
     slope: float  # deg
@@ -70,7 +69,12 @@ def displacement_proxy(fs: float, steepness: float = DEFAULT_STEEPNESS) -> float
     """Movement indicator: 1 at the stability limit, decaying as FS grows."""
     if fs <= 0:
         raise UsageError("factor of safety must be positive")
-    return math.exp(-steepness * (fs - 1.0))
+    try:
+        return math.exp(-steepness * (fs - 1.0))
+    except OverflowError:  # steepness x (1 - FS) above about 709.78
+        raise UsageError(
+            f"steepness {steepness!r} overflows the displacement proxy at FS {fs!r}"
+        ) from None
 
 
 def generate_table(
@@ -94,6 +98,8 @@ def generate_table(
         ranges.setdefault(name, lo_hi)
     if count < 1:
         raise UsageError("count must be >= 1")
+    if seed < 0:
+        raise UsageError("seed must be >= 0")
     if count > sys.float_info.max:  # exact: Python compares int and float exactly
         raise DataError(f"count {count} exceeds the float range")
     if count > sys.maxsize:

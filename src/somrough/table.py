@@ -17,9 +17,9 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
 
 from . import _pcg
+from ._record import Record, fields
 from .errors import DataError, UsageError
 
 MISSING_TOKEN = "?"
@@ -38,8 +38,7 @@ def is_label(v) -> bool:
     return not isinstance(v, bool) and isinstance(v, (int, numbers.Integral)) and v >= 1
 
 
-@dataclass(frozen=True)
-class AttributeSpec:
+class AttributeSpec(Record):
     """Name, role and value scale of one table column."""
 
     name: str
@@ -54,8 +53,7 @@ class AttributeSpec:
             raise UsageError(f"attribute {self.name!r}: scale must be one of {SCALES}")
 
 
-@dataclass(frozen=True)
-class DecisionTable:
+class DecisionTable(Record):
     """Objects x attributes matrix with stable object ids.
 
     Rows are tuples of ``float | None``, each with its object id. Tables
@@ -66,7 +64,6 @@ class DecisionTable:
     specs: tuple[AttributeSpec, ...]
     rows: tuple[tuple, ...]
     object_ids: tuple[int, ...] = ()
-    _row_of: dict = field(init=False, repr=False, compare=False)  # object id -> row index
 
     def __post_init__(self):
         names = [s.name for s in self.specs]
@@ -82,7 +79,7 @@ class DecisionTable:
         row_of = {oid: i for i, oid in enumerate(self.object_ids)}
         if len(row_of) != len(self.object_ids):
             raise DataError("object ids must be unique")
-        object.__setattr__(self, "_row_of", row_of)
+        object.__setattr__(self, "_row_of", row_of)  # object id -> row index, not a field
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -128,7 +125,6 @@ class DecisionTable:
         return tuple(oid for oid, bit in zip(self.object_ids, bits) if bit == "1")
 
 
-@dataclass(frozen=True)
 class GranularTable(DecisionTable):
     """A table whose cells are granule labels (ints >= 1) or missing.
 
@@ -137,12 +133,13 @@ class GranularTable(DecisionTable):
     Labels are checked once, when a table is constructed.
     """
 
-    discretizers: dict = field(default_factory=dict)
-    # Built on first use by masks().
-    _masks: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    discretizers: dict = None  # None: a fresh empty dict
+    _masks = None  # not a field: built on first use by masks()
 
     def __post_init__(self):
         super().__post_init__()
+        if self.discretizers is None:
+            object.__setattr__(self, "discretizers", {})
         # Per column, its cell types and the range of its distinct labels;
         # only a failed check runs the row-major loop naming the first bad cell.
         for s, col in zip(self.specs, zip(*self.rows)):
@@ -283,9 +280,9 @@ def load_schema(json_text: str) -> list[AttributeSpec]:
 
 
 def json_record(o):
-    """``json.dumps`` default: a dataclass as its fields in field order, a
-    label set as a sorted list. Unlike ``dataclasses.asdict`` it copies
-    nothing; the encoder reaches nested records through this hook."""
+    """``json.dumps`` default: a record as a dict of its fields in field
+    order, a label set as a sorted list. It copies nothing; the encoder
+    reaches nested records through this hook."""
     if isinstance(o, frozenset):
         return sorted(o)
     return {f.name: getattr(o, f.name) for f in fields(o)}

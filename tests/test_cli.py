@@ -14,7 +14,6 @@ import textwrap
 import time
 import typing
 import warnings
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -22,6 +21,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from somrough import cli, pipeline
+from somrough._record import fields
 from somrough.cli import (
     COMMANDS,
     CONFIG_KEYS,
@@ -79,16 +79,27 @@ class TestExitCodes:
             ("discretize", "--out"),
             ("rules", "--decision", "mvv", "--out"),
             ("reducts", "--out"),
+            ("surrogate", "--out"),
         ],
     )
     def test_negative_seed_is_1(self, tmp_path, capsys, extra):
         """Seeds feed the random stream, which takes non-negative ints only
         (a ValueError traceback before)."""
-        code = _run(*extra, str(tmp_path / "o"), "--data", CORPUS, "--schema", SCHEMA,
-                    "--seed", "-1")
+        inputs = () if extra[0] == "surrogate" else ("--data", CORPUS, "--schema", SCHEMA)
+        code = _run(*extra, str(tmp_path / "o"), *inputs, "--seed", "-1")
         err = capsys.readouterr().err
         assert code == 1
         assert "seed must be >= 0" in err and "Traceback" not in err
+
+    def test_overflowing_steepness_is_1(self, tmp_path, capsys):
+        """A steepness whose proxy overflows for a sampled row with FS < 1
+        names the steepness (an OverflowError traceback before)."""
+        code = _run("surrogate", "--count", "3", "--steepness", "1e308",
+                    "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "steepness 1e+308 overflows" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
     def test_non_finite_cell_is_2(self, tmp_path, capsys, cell):
@@ -774,6 +785,26 @@ def test_cli_path_loads_no_numpy(tmp_path):
         env={"PYTHONPATH": src, "PATH": ""},
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_loads_no_heavy_modules():
+    """``import somrough.cli`` in an interpreter without ``site`` loads
+    neither the record machinery of ``dataclasses`` (with ``inspect``), nor
+    ``threading``, numpy, argparse or logging."""
+    script = (
+        "import sys; before = set(sys.modules); import somrough.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "somrough.cli" in loaded
+    heavy = {"dataclasses", "inspect", "threading", "numpy", "argparse", "logging"}
+    assert not loaded & heavy, sorted(loaded & heavy)
 
 
 # Cells of generated run tables: missing, repeated small values, large and

@@ -84,7 +84,8 @@ class TestLoadTable:
 
     def test_dump_schema_bytes(self):
         """The schema file's bytes, recorded before the records were written
-        with ``dataclasses.asdict``: every field, in field order."""
+        from their fields by ``table.json_record``: every field, in field
+        order."""
         specs = [
             AttributeSpec("cohesion", "condition", "linear", "kPa"),
             AttributeSpec("rate", "decision", "log10", "m/s"),
