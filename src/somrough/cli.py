@@ -186,8 +186,13 @@ def cmd_surrogate(args) -> int:
             raw = json.loads(_read(args.ranges))
             if not isinstance(raw, dict):
                 raise TypeError("expected an object of [low, high] pairs")
-            ranges = {k: (float(v[0]), float(v[1])) for k, v in raw.items()}
-        except (ValueError, TypeError, IndexError, KeyError, OverflowError) as exc:
+            for name, pair in raw.items():
+                # bool is an int subclass, so compare types exactly.
+                if not (type(pair) is list and len(pair) == 2
+                        and all(type(x) in (int, float) for x in pair)):
+                    raise TypeError(f"range for {name!r} is not a [low, high] pair of numbers")
+            ranges = {k: (float(lo), float(hi)) for k, (lo, hi) in raw.items()}
+        except (ValueError, TypeError, OverflowError) as exc:
             raise DataError(f"malformed ranges file: {exc}") from None
     table = generate_table(
         ranges=ranges, count=args.count, seed=s["seed"], steepness=args.steepness

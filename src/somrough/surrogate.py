@@ -54,27 +54,40 @@ class SlopeParams(Record):
 
 def factor_of_safety(p: SlopeParams) -> float:
     """Resisting over driving force on the failure plane."""
-    theta = math.radians(p.slope)
-    if math.sin(theta) < 1e-9:
+    return _factor_of_safety(p.cohesion, p.friction, p.slope, p.weight, p.area)
+
+
+def _factor_of_safety(cohesion, friction, slope, weight, area) -> float:
+    theta = math.radians(slope)
+    sin_theta = math.sin(theta)
+    if sin_theta < 1e-9:
         raise UsageError("slope angle too close to zero")
-    phi = math.radians(p.friction)
-    resisting = p.cohesion * p.area + p.weight * math.cos(theta) * math.tan(phi)
-    driving = p.weight * math.sin(theta)
+    phi = math.radians(friction)
+    resisting = cohesion * area + weight * math.cos(theta) * math.tan(phi)
+    driving = weight * sin_theta
     if driving == 0.0:  # a subnormal weight on a near-flat plane
         raise UsageError("driving force underflows to zero")
     return resisting / driving
 
 
 def displacement_proxy(fs: float, steepness: float = DEFAULT_STEEPNESS) -> float:
-    """Movement indicator: 1 at the stability limit, decaying as FS grows."""
+    """Movement indicator: 1 at the stability limit, decaying as FS grows.
+
+    A proxy that overflows, or underflows to zero, is a ``UsageError``.
+    """
     if fs <= 0:
         raise UsageError("factor of safety must be positive")
     try:
-        return math.exp(-steepness * (fs - 1.0))
+        proxy = math.exp(-steepness * (fs - 1.0))
     except OverflowError:  # steepness x (1 - FS) above about 709.78
         raise UsageError(
             f"steepness {steepness!r} overflows the displacement proxy at FS {fs!r}"
         ) from None
+    if proxy == 0.0:  # steepness x (FS - 1) above about 745.13
+        raise UsageError(
+            f"steepness {steepness!r} underflows the displacement proxy at FS {fs!r}"
+        )
+    return proxy
 
 
 def generate_table(
@@ -89,6 +102,14 @@ def generate_table(
     The sample is drawn with numpy's ``default_rng(seed)``: ``somrough
     surrogate`` is the one command that needs numpy, and its tables may
     change with the installed numpy version.
+
+    Rows are checked as a whole: ``SlopeParams`` validates the column
+    minima and the column maxima, and since each of its checks bounds one
+    value to an interval, both pass exactly when every row passes (the
+    range checks keep every draw finite, so no NaN hides from them). If any
+    ``UsageError`` is raised, the rows are run again one at a time, each
+    validated and then modelled, so the error raised is the first row's,
+    as if every row had been checked on its own.
     """
     ranges = dict(DEFAULT_RANGES if ranges is None else ranges)
     unknown = set(ranges) - set(DEFAULT_RANGES)
@@ -119,19 +140,24 @@ def generate_table(
 
     rng = np.random.default_rng(seed)
     names = list(DEFAULT_RANGES)
-    samples = {}
+    columns = []
     for name in names:
         lo, hi = ranges[name]
         # One stratum per row, shuffled independently per dimension.
         strata = rng.permutation(count)
         u = rng.uniform(size=count)
-        samples[name] = lo + (hi - lo) * (strata + u) / count
+        columns.append((lo + (hi - lo) * (strata + u) / count).tolist())
 
-    rows = []
-    for i in range(count):
-        p = SlopeParams(**{name: float(samples[name][i]) for name in names}, steepness=steepness)
-        proxy = displacement_proxy(factor_of_safety(p), p.steepness)
-        rows.append(tuple(float(samples[name][i]) for name in names) + (proxy,))
+    try:
+        SlopeParams(*map(min, columns), steepness=steepness)
+        SlopeParams(*map(max, columns), steepness=steepness)
+        rows = [
+            p + (displacement_proxy(_factor_of_safety(*p), steepness),) for p in zip(*columns)
+        ]
+    except UsageError:
+        for p in zip(*columns):  # raises the first failing row's error
+            displacement_proxy(factor_of_safety(SlopeParams(*p, steepness=steepness)), steepness)
+        raise
 
     units = {"cohesion": "kPa", "friction": "deg", "slope": "deg", "weight": "kN", "area": "m2"}
     specs = [AttributeSpec(n, "condition", "linear", units[n]) for n in names]

@@ -93,12 +93,27 @@ class TestExitCodes:
 
     def test_overflowing_steepness_is_1(self, tmp_path, capsys):
         """A steepness whose proxy overflows for a sampled row with FS < 1
-        names the steepness (an OverflowError traceback before)."""
+        names the steepness (an OverflowError traceback before). The low
+        cohesion puts every FS below 1, the first at about 0.46."""
+        ranges = tmp_path / "ranges.json"
+        ranges.write_text(json.dumps({"cohesion": [2, 3]}))
         code = _run("surrogate", "--count", "3", "--steepness", "1e308",
-                    "--out", str(tmp_path / "o"))
+                    "--ranges", str(ranges), "--out", str(tmp_path / "o"))
         err = capsys.readouterr().err
         assert code == 1
         assert "steepness 1e+308 overflows" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_underflowing_steepness_is_1(self, tmp_path, capsys):
+        """A steepness whose proxy underflows to zero for a sampled row with
+        FS > 1 names the steepness (a column of zeros and exit 0 before)."""
+        ranges = tmp_path / "ranges.json"
+        ranges.write_text(json.dumps({"cohesion": [80, 90]}))
+        code = _run("surrogate", "--count", "20", "--steepness", "1e4",
+                    "--ranges", str(ranges), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "steepness 10000.0 underflows" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
@@ -462,6 +477,21 @@ class TestSurrogate:
         err = capsys.readouterr().err
         assert code == 2
         assert f"count {count} exceeds" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("entry", [
+        "12", [1, 2, 3], [True, 5], [1], [None, 2], ["1", "2"], {"0": 1, "1": 2},
+    ])
+    def test_entry_not_a_pair_of_numbers_is_2(self, tmp_path, capsys, entry):
+        """Each ranges entry is a JSON array of exactly two numbers; a
+        string, a longer array or a bool was read as a range before."""
+        ranges = tmp_path / "ranges.json"
+        ranges.write_text(json.dumps({"cohesion": entry}))
+        code = _run("surrogate", "--count", "5", "--ranges", str(ranges),
+                    "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "range for 'cohesion' is not a [low, high] pair" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("steepness", ["nan", "inf"])
@@ -1057,9 +1087,14 @@ class TestFuzzedRanges:
     # A subnormal weight on a near-flat slope: the driving force
     # underflows to zero.
     @example(ranges={"weight": [5e-324, 1e-323], "slope": [1e-7, 2e-7]})
+    # Entries that are not [low, high] pairs but once read as one.
+    @example(ranges={"cohesion": "12"})
+    @example(ranges={"cohesion": [1, 2, 3]})
+    @example(ranges={"cohesion": [True, 5]})
     def test_exit_contract(self, ranges):
         """``surrogate`` with any JSON ranges file exits 0, 1 or 2 without a
-        traceback or a numpy RuntimeWarning."""
+        traceback or a numpy RuntimeWarning, and 0 only when every entry is
+        a [low, high] pair of numbers."""
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             (root / "ranges.json").write_text(json.dumps(ranges))
@@ -1073,6 +1108,15 @@ class TestFuzzedRanges:
             assert rc in (0, 1, 2)
             assert "Traceback" not in err
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            if rc == 0:
+                assert isinstance(ranges, dict) and all(map(_is_range_pair, ranges.values()))
+
+
+def _is_range_pair(value) -> bool:
+    """A JSON array of exactly two numbers, int or float but not bool."""
+    return type(value) is list and len(value) == 2 and all(
+        type(x) in (int, float) for x in value
+    )
 
 
 def _setting_names() -> list:
