@@ -15,6 +15,11 @@ depends only on two classes' vectors (and, in decision_relative mode, on
 positive-region membership and decisions), so each pair of classes is
 compared once. The core is read off the singleton clauses without
 expanding the DNF. disc_matrix keeps the pairwise form as the reference.
+
+Clauses are absorbed inside the implicant expansion: taken shortest
+first, one that contains an earlier clause is hit by every implicant so
+far and is skipped after one scan, so a wide table reaches the
+MAX_IMPLICANTS bound in seconds, with no quadratic absorption pass first.
 """
 
 from __future__ import annotations
@@ -238,34 +243,33 @@ def _clauses(table: DecisionTable, mode: str = "decision_relative", decision=Non
     return clauses
 
 
-def _absorb(sets) -> frozenset:
-    """Drop every set that contains another one (keep the minimal sets)."""
-    by_size = sorted(set(sets), key=len)
-    kept: list[frozenset] = []
-    for s in by_size:
-        if not any(k <= s for k in kept):
-            kept.append(s)
-    return frozenset(kept)
+def _implicants(clauses) -> BoolFormula:
+    """Absorbed CNF of non-empty clauses, and its minimal hitting sets.
 
-
-def _implicants(cnf: frozenset) -> frozenset:
-    """Minimal hitting sets of an absorbed clause family.
-
-    Clause-by-clause distribution, shortest clauses first, on attribute
-    bit masks. An implicant that hits the clause is kept; one that misses
-    it grows by each clause attribute. Since the implicants before a step
-    form an antichain, no grown set contains another one or a kept one, so
-    absorption only has to drop grown sets holding a kept implicant, and
-    such a kept implicant holds the attribute just added. Raises DataError
-    once more than MAX_IMPLICANTS survive a step.
+    Clause-by-clause distribution over the distinct clauses, shortest
+    first, on attribute bit masks. Every implicant hits a clause exactly
+    when it contains an earlier clause (else the earlier clauses' parts
+    outside it form a hitting set that misses it); such a clause is
+    absorbed, i.e. skipped and left out of the CNF. For any other clause,
+    an implicant that hits it is kept and one that misses it grows by each
+    clause attribute. Since the implicants before a step form an antichain,
+    no grown set contains another one or a kept one, so absorption only has
+    to drop grown sets holding a kept implicant, and such a kept implicant
+    holds the attribute just added. Raises DataError once more than
+    MAX_IMPLICANTS survive a step.
     """
-    names = sorted({a for c in cnf for a in c})
+    family = sorted(set(clauses), key=lambda c: (len(c), tuple(sorted(c))))
+    names = sorted({a for c in family for a in c})
     bit = {a: 1 << k for k, a in enumerate(names)}
     implicants = [0]
-    for clause in sorted(cnf, key=lambda c: (len(c), tuple(sorted(c)))):
+    cnf = []
+    for clause in family:
         mask = sum(bit[a] for a in clause)
-        kept = [m for m in implicants if m & mask]
         missing = [m for m in implicants if not m & mask]
+        if not missing:
+            continue
+        cnf.append(clause)
+        kept = [m for m in implicants if m & mask]
         implicants = list(kept)
         for a in sorted(clause):
             b = bit[a]
@@ -277,9 +281,10 @@ def _implicants(cnf: frozenset) -> frozenset:
             if len(implicants) > MAX_IMPLICANTS:
                 raise DataError(
                     f"discernibility function exceeds {MAX_IMPLICANTS} implicants "
-                    f"({len(names)} attributes, {len(cnf)} clauses)"
+                    f"({len(names)} attributes, {len(family)} distinct clauses)"
                 )
-    return frozenset(frozenset(a for a in names if m & bit[a]) for m in implicants)
+    dnf = frozenset(frozenset(a for a in names if m & bit[a]) for m in implicants)
+    return BoolFormula(cnf=frozenset(cnf), dnf=dnf)
 
 
 def disc_function(matrix: DiscernibilityMatrix) -> BoolFormula:
@@ -288,24 +293,18 @@ def disc_function(matrix: DiscernibilityMatrix) -> BoolFormula:
     Since every literal is positive the implicants are the minimal hitting
     sets of the clause family.
     """
-    return _formula(c for c in matrix.entries.values() if c)
+    return _implicants(c for c in matrix.entries.values() if c)
 
 
-def _formula(clauses) -> BoolFormula:
-    """Absorbed CNF of non-empty clauses, and its prime implicants."""
-    cnf = _absorb(clauses)
-    return BoolFormula(cnf=cnf, dnf=_implicants(cnf))
-
-
-def reducts_from_formula(f: BoolFormula) -> ReductSet:
-    reducts = tuple(sorted(f.dnf, key=lambda r: (len(r), tuple(sorted(r)))))
-    core = frozenset.intersection(*reducts) if reducts else frozenset()
-    return ReductSet(reducts=reducts, core=core)
+def _reduct_set(minimal) -> ReductSet:
+    """Reducts sorted by size then names, and their intersection as core."""
+    reds = tuple(sorted(minimal, key=lambda r: (len(r), tuple(sorted(r)))))
+    return ReductSet(reducts=reds, core=frozenset.intersection(*reds) if reds else frozenset())
 
 
 def reducts(table: DecisionTable, mode: str = "decision_relative", decision=None) -> ReductSet:
     """Reducts through the discernibility function over object classes."""
-    return reducts_from_formula(_formula(_clauses(table, mode, decision)))
+    return _reduct_set(_implicants(_clauses(table, mode, decision)).dnf)
 
 
 def core(table: DecisionTable, decision=None) -> frozenset:
@@ -371,9 +370,7 @@ def reducts_exhaustive(
                 continue
             if preserves(cand):
                 minimal.append(cand)
-    reds = tuple(sorted(minimal, key=lambda r: (len(r), tuple(sorted(r)))))
-    core = frozenset.intersection(*reds) if reds else frozenset()
-    return ReductSet(reducts=reds, core=core)
+    return _reduct_set(minimal)
 
 
 def reduct_report(rs: ReductSet) -> str:

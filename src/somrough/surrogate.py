@@ -67,7 +67,13 @@ def _factor_of_safety(cohesion, friction, slope, weight, area) -> float:
     driving = weight * sin_theta
     if driving == 0.0:  # a subnormal weight on a near-flat plane
         raise UsageError("driving force underflows to zero")
-    return resisting / driving
+    fs = resisting / driving
+    if not math.isfinite(fs):  # e.g. a subnormal weight: the quotient overflows
+        raise UsageError(
+            f"factor of safety overflows: resisting force {resisting!r} "
+            f"over driving force {driving!r}"
+        )
+    return fs
 
 
 def displacement_proxy(fs: float, steepness: float = DEFAULT_STEEPNESS) -> float:

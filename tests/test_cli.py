@@ -502,6 +502,20 @@ class TestSurrogate:
         assert "steepness" in capsys.readouterr().err
         assert not (tmp_path / "runs.csv").exists()
 
+    def test_subnormal_weight_is_1(self, tmp_path, capsys):
+        """A subnormal weight leaves a driving force above zero whose
+        quotient overflows; the error names the forces, not the steepness
+        (which no steepness could fix)."""
+        ranges = tmp_path / "ranges.json"
+        ranges.write_text(json.dumps({"weight": [5e-324, 1e-323]}))
+        code = _run("surrogate", "--count", "5", "--ranges", str(ranges),
+                    "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "factor of safety overflows" in err and "over driving force 5e-324" in err
+        assert "steepness" not in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_deterministic(self, tmp_path):
         _run("surrogate", "--count", "10", "--seed", "2", "--out", str(tmp_path / "a"))
         _run("surrogate", "--count", "10", "--seed", "2", "--out", str(tmp_path / "b"))
@@ -528,15 +542,22 @@ class TestReducts:
         assert "'cb' is not a decision attribute" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_implicant_blowup_is_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("n_cond, n_rows, seed, cell", [
+        (22, 40, 5, lambda rng: f"{rng.uniform(1, 100):.6f}"),
+        (40, 400, 11, lambda rng: str(rng.randint(0, 50))),
+    ], ids=["22x40", "40x400"])
+    def test_implicant_blowup_is_2(self, tmp_path, capsys, n_cond, n_rows, seed, cell):
         """22 conditions over 40 random rows have over 10,000 reducts; the
-        expansion stops at its bound with a data error instead of running on."""
-        rng = random.Random(5)
-        names = [f"c{i}" for i in range(22)] + ["d"]
+        expansion stops at its bound with a data error instead of running on.
+        40 conditions over 400 rows give over 50,000 distinct clauses, almost
+        all minimal; absorbed inside the expansion, they reach the bound in
+        seconds."""
+        rng = random.Random(seed)
+        names = [f"c{i}" for i in range(n_cond)] + ["d"]
         schema = [{"name": n, "role": "condition"} for n in names[:-1]]
         schema.append({"name": "d", "role": "decision"})
         (tmp_path / "schema.json").write_text(json.dumps(schema))
-        rows = [",".join(f"{rng.uniform(1, 100):.6f}" for _ in names) for _ in range(40)]
+        rows = [",".join(cell(rng) for _ in names) for _ in range(n_rows)]
         (tmp_path / "runs.csv").write_text(",".join(names) + "\n" + "\n".join(rows) + "\n")
         t0 = time.monotonic()
         code = _run("reducts", "--data", str(tmp_path / "runs.csv"),

@@ -11,8 +11,8 @@ import somrough.rough
 from somrough.corpus import jeffrey_table
 from somrough.errors import DataError, UsageError
 from somrough.rough import (
-    _absorb,
     _clauses,
+    _implicants,
     approx_quality,
     core,
     disc_function,
@@ -212,6 +212,12 @@ SPLIT_CLASS = DecisionTable(
 )
 
 
+def _minimal(sets) -> frozenset:
+    """Brute-force absorption: the sets with no proper subset among them."""
+    sets = set(sets)
+    return frozenset(s for s in sets if not any(t < s for t in sets))
+
+
 class TestClassClauses:
     @settings(max_examples=300, deadline=None)
     @given(_tables())
@@ -221,8 +227,8 @@ class TestClassClauses:
         entries after absorption, in both modes, missing cells included;
         the core read off singleton clauses equals the reducts' core."""
         for mode in ("plain", "decision_relative"):
-            pairwise = _absorb(c for c in disc_matrix(t, mode).entries.values() if c)
-            assert _absorb(_clauses(t, mode)) == pairwise, mode
+            pairwise = _minimal(c for c in disc_matrix(t, mode).entries.values() if c)
+            assert _minimal(_clauses(t, mode)) == pairwise, mode
         assert core(t) == reducts(t, "decision_relative").core
 
     @settings(max_examples=300, deadline=None)
@@ -312,6 +318,54 @@ class TestImplicantBound:
         monkeypatch.setattr(somrough.rough, "MAX_IMPLICANTS", 15)
         with pytest.raises(DataError):
             disc_function(m)
+
+
+ATTRS = [f"a{i}" for i in range(8)]
+
+
+@st.composite
+def _clause_families(draw):
+    """Non-empty clauses over up to eight attributes, with duplicates and
+    supersets of drawn clauses mixed in, in shuffled order."""
+    clause = st.frozensets(st.sampled_from(ATTRS), min_size=1)
+    base = draw(st.lists(clause, max_size=10))
+    extra = [c | draw(st.frozensets(st.sampled_from(ATTRS))) for c in base if draw(st.booleans())]
+    return draw(st.permutations(base + extra))
+
+
+def _hitting_sets(clauses) -> frozenset:
+    """Minimal hitting sets by enumerating every subset of ATTRS."""
+    hits = [
+        frozenset(s)
+        for size in range(len(ATTRS) + 1)
+        for s in itertools.combinations(ATTRS, size)
+        if all(c & frozenset(s) for c in clauses)
+    ]
+    return _minimal(hits)
+
+
+class TestImplicants:
+    @settings(max_examples=300, deadline=None)
+    @given(_clause_families(), st.integers(1, 12))
+    @example([frozenset({"a1", "a2"}), frozenset({"a1"}), frozenset({"a1"})], 1)
+    def test_matches_brute_force(self, clauses, bound):
+        """The CNF is the clauses with no proper subset in the family, the
+        DNF their minimal hitting sets; under a bound the expansion fails
+        exactly when a prefix of the minimal clauses, shortest then by
+        names, has more minimal hitting sets than the bound."""
+        f = _implicants(clauses)
+        minimal = _minimal(clauses)
+        assert f.cnf == minimal
+        assert f.dnf == _hitting_sets(minimal)
+        ordered = sorted(minimal, key=lambda c: (len(c), sorted(c)))
+        over = any(len(_hitting_sets(ordered[:k])) > bound for k in range(1, len(ordered) + 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(somrough.rough, "MAX_IMPLICANTS", bound)
+            if over:
+                with pytest.raises(DataError, match=f"exceeds {bound} implicants"):
+                    _implicants(clauses)
+            else:
+                assert _implicants(clauses) == f
 
 
 class TestExhaustiveOracle:
