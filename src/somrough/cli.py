@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from .errors import DataError, UsageError
+from .errors import DataError, SomroughError, UsageError
 from .pipeline import (
     PipelineConfig,
     back_analyze,
@@ -36,8 +36,6 @@ from .surrogate import DEFAULT_STEEPNESS, generate_table
 from .table import dump_schema, load_schema, load_table, to_csv
 
 EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_DATA = 2
 EXIT_EL_NOT_MET = 3
 
 # Keys a config file may set, each with a same-named flag: the fields of
@@ -155,6 +153,7 @@ def cmd_backanalyze(args) -> int:
     try:
         doc = json.loads(_read(args.report))
         rules = report_rules_from_json(doc)
+        config_from_settings(doc["config"])  # a config some pipeline run could have had
         granular = granular_from_json(doc)
         decision = doc["decision"]
         if decision not in granular.decision_names:
@@ -290,15 +289,10 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None):
+def build_parser():
     """The ``somrough`` argument parser with one subparser per command.
 
-    With ``command`` set to one of ``COMMANDS``, only that command's
-    subparser is registered. It parses that command's arguments exactly as
-    the full parser does, and it costs less to build. The full parser
-    (``command=None``) is needed for top-level help and to name the
-    choices when the command is unknown. Parse errors raise
-    ``UsageError`` with argparse's message.
+    Parse errors raise ``UsageError`` with argparse's message.
     """
     # Imported here: only help, abbreviations and errors need argparse,
     # and importing it costs every call a few milliseconds.
@@ -311,11 +305,10 @@ def build_parser(command: str | None = None):
     parser = Parser(prog="somrough", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, handler, options) in COMMANDS.items():
-        if command is None or name == command:
-            p = sub.add_parser(name, help=help_text)
-            for flag, kwargs in options:
-                p.add_argument(flag, **kwargs)
-            p.set_defaults(func=handler)
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -359,17 +352,11 @@ def _direct_parse(argv: list):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _direct_parse(argv)
-        if args is None:
-            command = argv[0] if argv and argv[0] in COMMANDS else None
-            args = build_parser(command).parse_args(argv)
+        args = _direct_parse(argv) or build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except SomroughError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

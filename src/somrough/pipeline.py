@@ -460,7 +460,6 @@ def report_rules_from_json(doc: dict) -> RuleSet:
     best = doc["best"]
     return RuleSet(
         rules=tuple(rule_from_dict(r) for r in best["rules"]),
-        constraints=config_from_settings(doc["config"], RuleConstraints),
         uncovered=tuple(best.get("uncovered", ())),
         semantics=best.get("semantics", "cumulative"),
     )

@@ -20,6 +20,10 @@ Clauses are absorbed inside the implicant expansion: taken shortest
 first, one that contains an earlier clause is hit by every implicant so
 far and is skipped after one scan, so a wide table reaches the
 MAX_IMPLICANTS bound in seconds, with no quadratic absorption pass first.
+Clause generation compares every pair of distinct classes on every
+compared attribute; reducts refuses a table where that exceeds
+MAX_CLAUSE_CELLS before comparing any pair. The core's scan stops at each
+pair's second separating attribute and has no such bound.
 """
 
 from __future__ import annotations
@@ -37,6 +41,12 @@ MAX_EXHAUSTIVE_ATTRS = 16
 # The prime implicants of a discernibility function can grow exponentially
 # in the attribute count; past this many the expansion stops with an error.
 MAX_IMPLICANTS = 5000
+
+# Clause generation compares each pair of distinct classes on each compared
+# attribute; past this many such cells it stops with an error before the
+# first comparison. A cell took 0.12-0.24 us on a 2-core VM (Python 3.11),
+# so the bound is a few seconds there.
+MAX_CLAUSE_CELLS = 25_000_000
 
 
 class Partition(Record):
@@ -232,8 +242,16 @@ def _clauses(table: DecisionTable, mode: str = "decision_relative", decision=Non
     each pair of distinct keys once yields the same clause family. Under
     tolerant grouping this holds because identical vectors always share a
     partition_by block, hence the same positive-region membership.
+    Raises DataError, before comparing any pair, when the pairs times the
+    compared attributes exceed MAX_CLAUSE_CELLS.
     """
     attrs, keys = _mode_keys(table, mode, decision)
+    pairs = len(keys) * (len(keys) - 1) // 2
+    if pairs * len(attrs) > MAX_CLAUSE_CELLS:
+        raise DataError(
+            f"discernibility clauses need {pairs} class pairs x {len(attrs)} attributes, "
+            f"more than {MAX_CLAUSE_CELLS} compared cells"
+        )
     clauses = {
         _separating(attrs, vec_a, vec_b)
         for (vec_a, tag_a), (vec_b, tag_b) in itertools.combinations(keys, 2)

@@ -153,7 +153,6 @@ class RuleConstraints(Record):
 
 class RuleSet(Record):
     rules: tuple[Rule, ...]
-    constraints: RuleConstraints
     uncovered: tuple[int, ...] = ()  # objects with a decision that no rule covers
     semantics: str = "cumulative"
 
@@ -294,7 +293,6 @@ def induce_cover(
 
     return RuleSet(
         rules=tuple(rules),
-        constraints=constraints,
         uncovered=table.ids_in(decided & ~covered),
         semantics=semantics,
     )
@@ -456,6 +454,5 @@ def parse_rule(line: str) -> Rule:
     )
 
 
-def parse_rules(text: str, constraints: RuleConstraints | None = None) -> RuleSet:
-    rules = tuple(parse_rule(ln) for ln in text.splitlines() if ln.strip())
-    return RuleSet(rules=rules, constraints=constraints or RuleConstraints())
+def parse_rules(text: str) -> RuleSet:
+    return RuleSet(rules=tuple(parse_rule(ln) for ln in text.splitlines() if ln.strip()))

@@ -14,7 +14,7 @@ between adjacent centers mapped back into raw units.
 from __future__ import annotations
 
 import math
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 
 from . import _pcg
 from ._record import Record
@@ -218,11 +218,12 @@ def _train_line(values: list[float], config: SomConfig, w: list[float]) -> SomMa
 
     Quantizer fitting calls this thousands of times. All epochs stream by
     in one pass of presentations ``s = 0 .. total - 1``, each with ``frac =
-    1.0 - s / total`` from its own index: a neighborhood prefix while
-    ``int(radius0 * frac)`` is positive (empty for G = 2 and the quantile
-    fallback, one presentation for G = 3), then a winner-only suffix
-    (``_winner_only``), since ``frac`` never increases and the radius stays
-    0 once it gets there. The weights stay bit-identical to
+    1.0 - s / total`` from its own index. The neighborhood loop stops
+    itself after the first presentation whose radius ``int(radius0 *
+    frac)`` is 0, whose update is the winner's alone (one presentation for
+    G = 2 and the quantile fallback, two for G = 3); the rest of the stream
+    goes to ``_winner_only``, since ``frac`` never increases and the radius
+    stays 0 once it gets there. The weights stay bit-identical to
     ``update_step``'s: every rate, squared distance and blended update is
     the same float expression in the same order, and strict ``<`` in node
     order still gives a tie to the lowest node.
@@ -230,11 +231,8 @@ def _train_line(values: list[float], config: SomConfig, w: list[float]) -> SomMa
     eta0 = config.eta0
     radius0 = config.start_radius
     total = config.epochs * len(values)
-    prefix = 0
-    while prefix < total and int(radius0 * (1.0 - prefix / total)) > 0:
-        prefix += 1
     stream = zip(range(total), chain.from_iterable(repeat(values, config.epochs)))
-    for s, v in islice(stream, prefix):
+    for s, v in stream:
         frac = 1.0 - s / total
         radius = int(radius0 * frac)
         eta = eta0 * frac
@@ -247,6 +245,8 @@ def _train_line(values: list[float], config: SomConfig, w: list[float]) -> SomMa
         one_m_eta = 1.0 - eta
         for i in range(max(0, best - radius), min(len(w) - 1, best + radius) + 1):
             w[i] = one_m_eta * w[i] + eta * v
+        if radius == 0:
+            break
     w = _winner_only(w, stream, eta0, total)
     return SomMap(grid=config.grid, weights=tuple((wi,) for wi in w))
 

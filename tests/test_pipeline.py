@@ -21,7 +21,7 @@ from somrough.pipeline import (
     report_rules_from_json,
     report_to_json,
 )
-from somrough.rules import Condition, RuleConstraints, RuleSet, accuracy, parse_rules
+from somrough.rules import Condition, RuleSet, accuracy, parse_rules
 from somrough.som import Discretizer
 from somrough.surrogate import generate_table
 from somrough.table import AttributeSpec, DecisionTable, split_random
@@ -402,14 +402,14 @@ class TestBackAnalyze:
     def test_single_rule_single_bundle(self, corpus_report):
         rules = corpus_report.best_rules
         rule = rules.rules[0]
-        one = RuleSet(rules=(rule,), constraints=rules.constraints)
+        one = RuleSet(rules=(rule,))
         est = back_analyze(one, (rule.decision.attribute, rule.decision.granule))
         assert len(est.bundles) == 1
         assert len(est.bundles[0]) == rule.length
 
     def test_empty_rule_set_rejected(self):
         with pytest.raises(UsageError):
-            back_analyze(RuleSet(rules=(), constraints=RuleConstraints()), ("mvv", 1))
+            back_analyze(RuleSet(rules=()), ("mvv", 1))
 
     def test_core_flags_with_table(self, corpus_report):
         est = back_analyze(corpus_report.best_rules, ("mvv", 1), corpus_report.granular)

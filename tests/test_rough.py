@@ -320,6 +320,31 @@ class TestImplicantBound:
             disc_function(m)
 
 
+class TestClauseBound:
+    @settings(max_examples=200, deadline=None)
+    @given(_tables())
+    @example(SPLIT_CLASS)
+    def test_raises_exactly_past_bound(self, t):
+        """Without a decision argument the classes of both modes are the
+        distinct rows. Clause generation refuses, before comparing any pair,
+        exactly when the class pairs times the compared attributes exceed
+        MAX_CLAUSE_CELLS; at the bound it returns the unbounded clauses."""
+        k = len(set(t.rows))
+        pairs = k * (k - 1) // 2
+        for mode, width in (("plain", len(t.names)),
+                            ("decision_relative", len(t.condition_names))):
+            want = _clauses(t, mode)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(somrough.rough, "MAX_CLAUSE_CELLS", pairs * width)
+                assert _clauses(t, mode) == want
+                if pairs * width == 0:
+                    continue
+                mp.setattr(somrough.rough, "MAX_CLAUSE_CELLS", pairs * width - 1)
+                mp.setattr(somrough.rough, "_needed", None)  # no pair may be compared
+                with pytest.raises(DataError, match=f"{pairs} class pairs x {width} attributes"):
+                    _clauses(t, mode)
+
+
 ATTRS = [f"a{i}" for i in range(8)]
 
 

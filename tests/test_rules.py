@@ -183,26 +183,20 @@ class TestClassify:
         )
 
     def test_single_match(self):
-        rs = RuleSet(rules=(self._rule({1}, 1, 0.9),), constraints=LOOSE)
+        rs = RuleSet(rules=(self._rule({1}, 1, 0.9),))
         assert classify(rs, {"a": 1}) == 1
 
     def test_no_match_abstains(self):
-        rs = RuleSet(rules=(self._rule({1}, 1, 0.9),), constraints=LOOSE)
+        rs = RuleSet(rules=(self._rule({1}, 1, 0.9),))
         assert classify(rs, {"a": 3}) is None
         assert classify(rs, {"a": None}) is None
 
     def test_weighted_vote(self):
-        rs = RuleSet(
-            rules=(self._rule({1}, 1, 0.9), self._rule({1}, 2, 0.6)),
-            constraints=LOOSE,
-        )
+        rs = RuleSet(rules=(self._rule({1}, 1, 0.9), self._rule({1}, 2, 0.6)))
         assert classify(rs, {"a": 1}) == 1
 
     def test_tie_prefers_tighter_band(self):
-        rs = RuleSet(
-            rules=(self._rule({1}, 1, 0.7), self._rule({1}, 2, 0.7)),
-            constraints=LOOSE,
-        )
+        rs = RuleSet(rules=(self._rule({1}, 1, 0.7), self._rule({1}, 2, 0.7)))
         assert classify(rs, {"a": 1}) == 1
 
     def test_dead_even_tie_abstains(self):
@@ -211,7 +205,6 @@ class TestClassify:
                 self._rule({1}, 1, 0.7, kind="exactly"),
                 self._rule({1}, 2, 0.7, kind="exactly"),
             ),
-            constraints=LOOSE,
         )
         assert classify(rs, {"a": 1}) is None
 
@@ -222,7 +215,7 @@ class TestAccuracy:
         assert accuracy(rs, TOY, "d") == 1.0
 
     def test_empty_ruleset_scores_zero(self):
-        rs = RuleSet(rules=(), constraints=LOOSE)
+        rs = RuleSet(rules=())
         assert accuracy(rs, TOY, "d") == 0.0
 
     def test_four_of_five(self):
@@ -233,7 +226,7 @@ class TestAccuracy:
             support=4,
             strength=0.8,
         )
-        rs = RuleSet(rules=(rule,), constraints=LOOSE)
+        rs = RuleSet(rules=(rule,))
         assert accuracy(rs, t, "d") == pytest.approx(0.8)
 
     def test_empty_test_vacuous(self):
@@ -264,11 +257,11 @@ class TestMissingDecision:
         rs = induce_cover(MASKED, "d", LOOSE, semantics="exact")
         assert accuracy(rs, MASKED, "d") == 1.0  # objects 0, 2, 3
         # An abstention on the masked object is no correct answer.
-        empty = RuleSet(rules=(), constraints=LOOSE)
+        empty = RuleSet(rules=())
         assert accuracy(empty, MASKED, "d") == 0.0
 
     def test_no_decided_test_object_scores_zero(self):
-        empty = RuleSet(rules=(), constraints=LOOSE)
+        empty = RuleSet(rules=())
         assert accuracy(empty, MASKED, "d", rows=0b10) == 0.0  # object 1 only
 
 
@@ -346,7 +339,7 @@ class TestMaskOracle:
         try:
             rs = induce_cover(table, "d", cons, semantics, rows=mask)
         except DataError:
-            rs = RuleSet(rules=(), constraints=cons)
+            rs = RuleSet(rules=())
         scored = [
             dict(zip(table.names, r)) for i, r in enumerate(table.rows)
             if test_mask >> i & 1 and r[-1] is not None
