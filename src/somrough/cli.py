@@ -11,12 +11,13 @@ met (pipeline only; outputs are still written).
 from __future__ import annotations
 
 import json
+import os
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 from .errors import DataError, SomroughError, UsageError
 from .pipeline import (
+    SETTING_TYPES,
     PipelineConfig,
     back_analyze,
     close_open,
@@ -41,7 +42,7 @@ EXIT_EL_NOT_MET = 3
 # Keys a config file may set, each with a same-named flag: the fields of
 # PipelineConfig and RuleConstraints, with their defaults, plus the decision.
 DEFAULTS = {**config_settings(PipelineConfig()), "decision": None}
-CONFIG_KEYS = {key: str if value is None else type(value) for key, value in DEFAULTS.items()}
+CONFIG_KEYS = {**SETTING_TYPES, "decision": str}
 
 
 def parse_config_file(text: str) -> dict:
@@ -78,14 +79,19 @@ def _resolve(args) -> dict:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
-def _write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="")
+def _write(path: str, text: str):
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
 
 
 def _load_inputs(args):
@@ -109,11 +115,11 @@ def cmd_discretize(args) -> int:
     s = _resolve(args)
     table = _load_inputs(args)
     g = granulate(table, granules=s["granules"], seed=s["seed"])
-    out = Path(args.out)
     records = "".join(discretizer_record(g.discretizers[n]) + "\n" for n in table.names)
-    _write(out / "discretizers.txt", records)
-    _write(out / "granulated.csv", to_csv(g))
-    print(f"wrote {out / 'discretizers.txt'} and {out / 'granulated.csv'}", file=sys.stderr)
+    paths = os.path.join(args.out, "discretizers.txt"), os.path.join(args.out, "granulated.csv")
+    _write(paths[0], records)
+    _write(paths[1], to_csv(g))
+    print(f"wrote {paths[0]} and {paths[1]}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -125,7 +131,7 @@ def cmd_rules(args) -> int:
     check_semantics(s["semantics"])
     g = granulate(table, granules=s["granules"], seed=s["seed"])
     rs = induce_cover(g, decision, constraints, s["semantics"])
-    _write(Path(args.out) / "rules.txt", render_rules(rs))
+    _write(os.path.join(args.out, "rules.txt"), render_rules(rs))
     print(
         f"{len(rs.rules)} rule(s), {len(rs.uncovered)} uncovered object(s)", file=sys.stderr
     )
@@ -137,13 +143,13 @@ def cmd_pipeline(args) -> int:
     table = _load_inputs(args)
     decision = _need_decision(table, s)
     report = close_open(table, decision, config_from_settings(s))
-    out = Path(args.out)
-    _write(out / "report.json", report_to_json(report))
-    _write(out / "rules.txt", render_rules(report.best_rules))
+    report_path = os.path.join(args.out, "report.json")
+    _write(report_path, report_to_json(report))
+    _write(os.path.join(args.out, "rules.txt"), render_rules(report.best_rules))
     status = "met" if report.el_met else "NOT met"
     print(
         f"accuracy bar {status}: best {report.best_accuracy:.3f} over "
-        f"{report.total_iterations} iteration(s); wrote {out / 'report.json'}",
+        f"{report.total_iterations} iteration(s); wrote {report_path}",
         file=sys.stderr,
     )
     return EXIT_OK if report.el_met else EXIT_EL_NOT_MET
@@ -168,7 +174,7 @@ def cmd_backanalyze(args) -> int:
     est = back_analyze(rules, (decision, granule), granular)
     text = estimate_to_json(est)
     if args.out:
-        _write(Path(args.out), text)
+        _write(args.out, text)
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -196,10 +202,10 @@ def cmd_surrogate(args) -> int:
     table = generate_table(
         ranges=ranges, count=args.count, seed=s["seed"], steepness=args.steepness
     )
-    out = Path(args.out)
-    _write(out / "runs.csv", to_csv(table))
-    _write(out / "schema.json", dump_schema(list(table.specs)))
-    print(f"wrote {out / 'runs.csv'} and {out / 'schema.json'}", file=sys.stderr)
+    paths = os.path.join(args.out, "runs.csv"), os.path.join(args.out, "schema.json")
+    _write(paths[0], to_csv(table))
+    _write(paths[1], dump_schema(list(table.specs)))
+    print(f"wrote {paths[0]} and {paths[1]}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -213,7 +219,7 @@ def cmd_reducts(args) -> int:
     rs = reducts(g, args.mode, decision=decision)
     text = reduct_report(rs)
     if args.out:
-        _write(Path(args.out), text)
+        _write(args.out, text)
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)

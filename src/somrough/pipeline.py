@@ -103,12 +103,26 @@ def config_settings(cfg) -> dict:
     return out
 
 
+# Each setting's type: its default's.
+SETTING_TYPES = {key: type(value) for key, value in config_settings(PipelineConfig()).items()}
+
+
+def _setting(settings: dict, key: str):
+    """``settings[key]`` if it has the setting's type. An int passes for a
+    float, as ``json`` writes ``el=1`` as ``1``; a bool is never a number."""
+    value, kind = settings[key], SETTING_TYPES[key]
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise UsageError(f"{key} must be {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 def config_from_settings(settings: dict, cls=PipelineConfig):
     """Inverse of ``config_settings``: a ``PipelineConfig`` (or, with
     ``cls=RuleConstraints``, only the constraints) from flat settings.
-    Keys of neither record are ignored; a missing one is a KeyError."""
+    Keys of neither record are ignored; a missing one is a KeyError, and
+    a value not of its setting's type a UsageError."""
     return cls(**{
-        f.name: settings[f.name] if f.name != "constraints"
+        f.name: _setting(settings, f.name) if f.name != "constraints"
         else config_from_settings(settings, RuleConstraints)
         for f in fields(cls)
     })

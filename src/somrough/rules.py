@@ -42,8 +42,8 @@ class Condition(Record):
     present. The bounds are the quantizer's cuts, and a value on a cut
     takes the lower band, so the labels hold exactly the values v with
     lo < v <= hi: a value equal to ``lo`` falls in the next lower band,
-    outside the labels. ``matches_raw`` and the rule file's ``>=`` still
-    read ``lo`` as inclusive.
+    outside the labels. The rule file's ``>=`` still reads ``lo`` as
+    inclusive.
     """
 
     attribute: str
@@ -69,15 +69,6 @@ class Condition(Record):
                 f"condition on {self.attribute!r} has no granule form; bind a quantizer first"
             )
         return label in self.labels
-
-    def matches_raw(self, value) -> bool:
-        if value is None:
-            return False
-        if self.lo is not None and value < self.lo:
-            return False
-        if self.hi is not None and value > self.hi:
-            return False
-        return True
 
 
 class DecisionPart(Record):

@@ -76,10 +76,8 @@ class DecisionTable(Record):
             object.__setattr__(self, "object_ids", tuple(range(len(self.rows))))
         elif len(self.object_ids) != len(self.rows):
             raise DataError("object_ids length does not match row count")
-        row_of = {oid: i for i, oid in enumerate(self.object_ids)}
-        if len(row_of) != len(self.object_ids):
+        if len(set(self.object_ids)) != len(self.object_ids):
             raise DataError("object ids must be unique")
-        object.__setattr__(self, "_row_of", row_of)  # object id -> row index, not a field
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -111,13 +109,6 @@ class DecisionTable(Record):
     def column(self, name: str) -> list:
         j = self.col_index(name)
         return [row[j] for row in self.rows]
-
-    def value(self, object_id: int, name: str):
-        try:
-            i = self._row_of[object_id]
-        except KeyError:
-            raise UsageError(f"unknown object id {object_id}") from None
-        return self.rows[i][self.col_index(name)]
 
     def ids_in(self, rows: int) -> tuple[int, ...]:
         """Object ids of the rows in a row mask, in stored order."""

@@ -28,7 +28,7 @@ from somrough.rough import (
     upper_approx,
 )
 from somrough.rules import RuleConstraints, parse_rules, render_rules
-from somrough.som import SomConfig, fit_table_discretizer, train, update_step
+from somrough.som import SomConfig, assign_granule, fit_table_discretizer, train, update_step
 from somrough.surrogate import DECISION_NAME, generate_table
 from somrough.table import AttributeSpec, DecisionTable, scaled_matrix, split_random
 
@@ -226,7 +226,12 @@ def test_c7_surrogate_recovery():
         )
         truth = dict(zip(table.names, table.rows[row_id]))
         if not est.no_match and any(
-            all(c.matches_raw(truth[c.attribute]) for c in bundle) for bundle in est.bundles
+            all(
+                assign_granule(report.granular.discretizers[c.attribute], truth[c.attribute])
+                in c.labels
+                for c in bundle
+            )
+            for bundle in est.bundles
         ):
             recovered += 1
 

@@ -33,7 +33,7 @@ from somrough.cli import (
 )
 from somrough.corpus import JEFFREY_OBSERVED_RATE_MS
 from somrough.errors import DataError, UsageError
-from somrough.pipeline import PipelineConfig
+from somrough.pipeline import SETTING_TYPES, PipelineConfig
 from somrough.rules import RuleConstraints
 from somrough.surrogate import DEFAULT_RANGES
 
@@ -342,6 +342,34 @@ def test_bad_input_file_is_2(case, tmp_path, capsys, corpus_report_doc):
     assert "Traceback" not in capsys.readouterr().err
 
 
+# The argv of each command that writes to --out, short of --out; the
+# report path feeds backanalyze.
+_TABLE = ["--data", CORPUS, "--schema", SCHEMA]
+OUT_COMMANDS = {
+    "discretize": lambda report: ["discretize", *_TABLE],
+    "rules": lambda report: ["rules", *_TABLE, "--decision", "mvv"],
+    "pipeline": lambda report: ["pipeline", *_TABLE, "--decision", "mvv"],
+    "backanalyze": _backanalyze,
+    "surrogate": lambda report: ["surrogate", "--count", "5"],
+    "reducts": lambda report: ["reducts", *_TABLE],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_unwritable_output_is_2(command, tmp_path, capsys, corpus_report_doc):
+    """An output path under a regular file cannot be written: a data error
+    naming the path, never a traceback."""
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(corpus_report_doc))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "out.json")
+    capsys.readouterr()
+    assert _run(*OUT_COMMANDS[command](str(report)), "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot write {out}") and "Traceback" not in err
+
+
 class TestDiscretize:
     def test_outputs_and_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -436,6 +464,38 @@ class TestBackanalyze:
         assert code == 2
         assert capsys.readouterr().err.startswith("data error: malformed report file: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        pytest.param(key, value, id=f"{key}-{type(value).__name__}")
+        for key, kind in SETTING_TYPES.items()
+        for value in ("x", True, None, [1], {"a": 1}, 2.5, 3)
+        if type(value) is not kind and not (kind is float and type(value) is int)
+    ])
+    def test_mistyped_config_is_2(self, tmp_path, capsys, corpus_report_doc, key, value):
+        """Each report config value must have its setting's type, as every
+        pipeline run writes it: a bool is never a number, and a float is
+        not an int."""
+        bad = _report_with(tmp_path, corpus_report_doc, ("config", key), value)
+        out = tmp_path / "estimate.json"
+        capsys.readouterr()
+        assert _run(*_backanalyze(bad), "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("data error: malformed report file: ")
+        assert not out.exists()
+
+    def test_int_for_float_config_is_0(self, tmp_path, corpus_report_doc):
+        """An int passes where a float is declared: ``json`` writes an API
+        caller's ``el=1`` as ``1``. Both this report and the unmodified one
+        exit 0 with the same estimate."""
+        doc = copy.deepcopy(corpus_report_doc)
+        doc["config"]["el"] = 1
+        estimates = []
+        for i, report in enumerate((corpus_report_doc, doc)):
+            path = tmp_path / f"report{i}.json"
+            path.write_text(json.dumps(report))
+            out = tmp_path / f"estimate{i}.json"
+            assert _run(*_backanalyze(str(path)), "--out", str(out)) == 0
+            estimates.append(out.read_bytes())
+        assert estimates[0] == estimates[1]
 
 
 class TestSurrogate:
@@ -847,7 +907,7 @@ def test_cli_path_loads_no_numpy(tmp_path):
 def test_cli_import_loads_no_heavy_modules():
     """``import somrough.cli`` in an interpreter without ``site`` loads
     neither the record machinery of ``dataclasses`` (with ``inspect``), nor
-    ``threading``, numpy, argparse or logging."""
+    ``threading``, numpy, argparse, logging or pathlib."""
     script = (
         "import sys; before = set(sys.modules); import somrough.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
@@ -860,7 +920,7 @@ def test_cli_import_loads_no_heavy_modules():
     assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.split())
     assert "somrough.cli" in loaded
-    heavy = {"dataclasses", "inspect", "threading", "numpy", "argparse", "logging"}
+    heavy = {"dataclasses", "inspect", "threading", "numpy", "argparse", "logging", "pathlib"}
     assert not loaded & heavy, sorted(loaded & heavy)
 
 

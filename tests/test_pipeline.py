@@ -21,7 +21,7 @@ from somrough.pipeline import (
     report_rules_from_json,
     report_to_json,
 )
-from somrough.rules import Condition, RuleSet, accuracy, parse_rules
+from somrough.rules import RuleSet, accuracy, parse_rules
 from somrough.som import Discretizer
 from somrough.surrogate import generate_table
 from somrough.table import AttributeSpec, DecisionTable, split_random
@@ -446,12 +446,3 @@ class TestReportJson:
         for bundle in doc["bundles"]:
             for iv in bundle:
                 assert set(iv) == {"attribute", "lo", "hi"}
-
-
-class TestIntervals:
-    def test_contains(self):
-        c = Condition("x", 1.0, 2.0)
-        assert c.matches_raw(1.0) and c.matches_raw(2.0) and c.matches_raw(1.5)
-        assert not c.matches_raw(0.9) and not c.matches_raw(2.1)
-        assert Condition("x", None, 5.0).matches_raw(-1e30)
-        assert Condition("x", 5.0, None).matches_raw(1e30)

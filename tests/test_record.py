@@ -117,10 +117,10 @@ def test_post_init_is_looked_up_per_call(monkeypatch):
 
 
 def test_non_fields_stay_out():
-    """The row index and the row masks are attributes, not fields: they take
-    no part in equality, hashing or ``repr``."""
+    """The row masks are an attribute, not a field: they take no part in
+    equality, hashing or ``repr``."""
     table = GranularTable(specs=SPECS, rows=((1, 1), (2, 2)), discretizers={"a": DISC})
     table.masks()
-    assert "_masks" in vars(table) and "_row_of" in vars(table)
-    assert "_masks" not in repr(table) and "_row_of" not in repr(table)
+    assert "_masks" in vars(table)
+    assert "_masks" not in repr(table)
     assert table == GranularTable(specs=SPECS, rows=table.rows, discretizers={"a": DISC})

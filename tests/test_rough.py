@@ -241,17 +241,22 @@ class TestClassClauses:
         assert core(t) == reducts(t).core == reducts_exhaustive(t).core
 
 
+def _value(t, oid, name):
+    """The cell of object ``oid`` in column ``name``."""
+    return t.rows[t.object_ids.index(oid)][t.col_index(name)]
+
+
 def _greedy_blocks(t, attrs):
     """Per-object reference: objects in id order, each joining the first
     block it is tolerant with every member of."""
     blocks = []
     for oid in sorted(t.object_ids):
-        vec = [t.value(oid, a) for a in attrs]
+        vec = [_value(t, oid, a) for a in attrs]
         for block in blocks:
             if all(
                 x is None or y is None or x == y
                 for other in block
-                for x, y in zip(vec, (t.value(other, a) for a in attrs))
+                for x, y in zip(vec, (_value(t, other, a) for a in attrs))
             ):
                 block.append(oid)
                 break
@@ -269,7 +274,7 @@ def _pure_objects(t, attrs, d_attrs):
         if all(
             x is None or y is None or x == y
             for d in d_attrs
-            for x, y in itertools.combinations([t.value(i, d) for i in block], 2)
+            for x, y in itertools.combinations([_value(t, i, d) for i in block], 2)
         )
         for oid in block
     )
@@ -282,9 +287,9 @@ def _pairwise_core(t):
     pos = _pure_objects(t, conds, decs)
     found = set()
     for a, b in itertools.combinations(t.object_ids, 2):
-        dec_a, dec_b = ([t.value(i, d) for d in decs] for i in (a, b))
+        dec_a, dec_b = ([_value(t, i, d) for d in decs] for i in (a, b))
         if (a in pos) != (b in pos) or (a in pos and dec_a != dec_b):
-            cells = [(c, t.value(a, c), t.value(b, c)) for c in conds]
+            cells = [(c, _value(t, a, c), _value(t, b, c)) for c in conds]
             sep = [c for c, x, y in cells if x is not None and y is not None and x != y]
             found.update(sep if len(sep) == 1 else ())
     return frozenset(found)

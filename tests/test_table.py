@@ -37,8 +37,8 @@ class TestLoadTable:
         assert len(t.names) == 10
         assert t.condition_names == ["cp", "phip", "cb", "phib", "csz", "phisz", "tp", "tb"]
         assert t.decision_names == ["tmd", "mvv"]
-        assert t.value(0, "cb") == 3.00e05
-        assert t.value(11, "mvv") == 8.14e-16
+        assert t.rows[0][t.col_index("cb")] == 3.00e05
+        assert t.rows[11][t.col_index("mvv")] == 8.14e-16
 
     def test_empty_body(self):
         t = load_table("a0,a1,d\n", _schema())
@@ -209,7 +209,7 @@ class TestProjection:
         )
         assert sub.ids_in(0b110) == (3, 5)
         assert sub.ids_in(0b111) == (7, 3, 5)
-        assert sub.value(3, "cb") == 3.75e05
+        assert sub.rows[1][sub.col_index("cb")] == 3.75e05
 
 
 class TestInferScale:
@@ -237,15 +237,6 @@ class TestInvariants:
     def test_missing_decision_rejected_at_load(self):
         with pytest.raises(DataError):
             load_table("a\n1\n", [AttributeSpec("a", "condition")])
-
-    def test_value_by_non_contiguous_ids(self):
-        t = DecisionTable(
-            specs=tuple(_schema(1)), rows=((1.0, 2.0), (3.0, 4.0)), object_ids=(9, 4)
-        )
-        assert t.value(4, "a0") == 3.0
-        assert t.value(9, "d") == 2.0
-        with pytest.raises(UsageError, match="unknown object id"):
-            t.value(5, "a0")
 
     def test_unknown_attribute_is_usage_error(self):
         t = jeffrey_table()
