@@ -2,18 +2,47 @@
 
 A ``Record`` subclass declares its fields as annotations, defaults as class
 attributes; inherited fields come first. Defining the class runs one
-``exec`` that builds two methods: ``__init__`` sets the fields, then calls
-``__post_init__`` (looked up per call) if the class has one; ``_values``
-returns the field values as a tuple. Equality, hashing, ``repr`` and
-frozenness are the base class's and match a dataclass's.
+``exec`` that builds two methods: ``__init__`` checks and sets the fields,
+then calls ``__post_init__`` (looked up per call) if the class has one;
+``_values`` returns the field values as a tuple. Equality, hashing, ``repr``
+and frozenness are the base class's and match a dataclass's.
+
+A field's annotation (its source text) is its one type declaration.
+``__init__`` checks each field of form ``X``, ``X | None`` or ``tuple[X, ...]``
+with ``X`` one of ``int``, ``float``, ``str`` and ``bool``: types must match
+exactly, except that an int passes as a float (so a bool or a numpy scalar is
+never a number), and a mismatch raises ``UsageError`` naming the class and the
+field. ``from_json`` reads a record back from JSON by the same annotations.
 """
+
+import sys
+
+from .errors import UsageError
+
+# The built-in type of each scalar annotation; and per checked form, the value
+# types it accepts and whether it is a tuple of such values.
+SCALARS = {"int": int, "float": float, "str": str, "bool": bool}
+_ACCEPTS = {k: {t, int} if t is float else {t} for k, t in SCALARS.items()}
+_FORMS = {
+    **{k: (ts, False) for k, ts in _ACCEPTS.items()},
+    **{f"{k} | None": (ts | {type(None)}, False) for k, ts in _ACCEPTS.items()},
+    **{f"tuple[{k}, ...]": (ts, True) for k, ts in _ACCEPTS.items()},
+}
 
 
 class Field:
-    __slots__ = ("name",)  # all that ``fields`` callers read
+    __slots__ = ("name", "type", "read")  # annotation text; JSON reader (None: as read)
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self, name, type, read):
+        self.name, self.type, self.read = name, type, read
+
+
+def _check(record, checks, values):
+    """Raise for the first value its field's annotation does not accept."""
+    for (name, text, accepts, many), v in zip(checks, values):
+        ok = type(v) is tuple and set(map(type, v)) <= accepts if many else type(v) in accepts
+        if not ok:
+            raise UsageError(f"{type(record).__qualname__}.{name} must be {text}, got {v!r:.60}")
 
 
 class Record:
@@ -21,15 +50,21 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        known = {f.name for f in cls._fields}
+        own = [(n, t) for n, t in cls.__annotations__.items() if n not in known]
+        defined = vars(sys.modules[cls.__module__])  # the names annotations use, so far
+        cls._fields += tuple(Field(n, t, _reader(t, defined)) for n, t in own)
         names = [f.name for f in cls._fields]
-        names += [n for n in cls.__annotations__ if n not in names]
         defaults = {n: getattr(cls, n) for n in names if hasattr(cls, n)}
         params = ", ".join(f"{n}=_d[{n!r}]" if n in defaults else n for n in names)
-        body = "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
+        checks = tuple((f.name, f.type, *_FORMS[f.type]) for f in cls._fields if f.type in _FORMS)
+        scope = {"_d": defaults, "_set": object.__setattr__, "_check": _check, "_checks": checks}
+        checked = "".join(f"{c[0]}, " for c in checks)
+        body = f"    _check(self, _checks, ({checked}))\n" if checks else ""
+        body += "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
         if hasattr(cls, "__post_init__"):
             body += "    self.__post_init__()\n"
         values = "".join(f"self.{n}, " for n in names)
-        scope = {"_d": defaults, "_set": object.__setattr__}
         exec(
             f"def __init__(self, {params}):\n{body or '    pass'}\n"
             f"def _values(self):\n    return ({values})\n",
@@ -38,7 +73,6 @@ class Record:
         for name in ("__init__", "_values"):
             scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
             setattr(cls, name, scope[name])
-        cls._fields = tuple(map(Field, names))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -67,3 +101,32 @@ def replace(record: Record, **changes) -> Record:
     """A copy with ``changes``, built (and so checked) by ``__init__``."""
     values = {f.name: getattr(record, f.name) for f in record._fields}
     return record.__class__(**{**values, **changes})
+
+
+def from_json(cls, d: dict) -> Record:
+    """Inverse of ``table.json_record``: a ``cls`` built from one JSON
+    object by the field annotations. Lists become tuples (label lists,
+    frozensets) and objects under a record's name, records; keys that are
+    not fields are ignored, and a missing field takes its default."""
+    if type(d) is not dict:
+        raise TypeError(f"a {cls.__qualname__} record must be a JSON object, got {d!r:.60}")
+    kw = {f.name: f.read(d[f.name]) if f.read else d[f.name] for f in cls._fields if f.name in d}
+    return cls(**kw)
+
+
+def _reader(text: str, names: dict):
+    """The function taking a JSON value to one of a field annotated ``text``,
+    or None to take the value as read. A record's name resolves in
+    ``names`` when its field is declared."""
+    base = text.removesuffix(" | None")
+    if base.startswith("tuple"):
+        item = _reader(base[6:-6], names) if base.endswith(", ...]") else None
+        if item is not None:  # records, say: every item is read, so none goes unchecked
+            return lambda v: tuple(map(item, v))
+        return lambda v: tuple(v) if type(v) is list else v
+    if base == "frozenset":
+        return lambda v: frozenset(v) if type(v) is list else v
+    record = names.get(base)
+    if isinstance(record, type) and issubclass(record, Record):
+        return lambda v: from_json(record, v)
+    return None

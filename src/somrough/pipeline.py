@@ -24,7 +24,7 @@ import sys
 from collections import Counter
 
 from . import _pcg
-from ._record import Record, fields, replace
+from ._record import SCALARS, Record, fields, from_json, replace
 from .errors import DataError, UsageError
 from .rough import core
 # Not called here: perfbench/tracer.py wraps ``somrough.pipeline.reducts``
@@ -32,7 +32,6 @@ from .rough import core
 from .rough import reducts  # noqa: F401
 from .rules import (
     Condition,
-    DecisionPart,
     Rule,
     RuleConstraints,
     RuleSet,
@@ -42,7 +41,8 @@ from .rules import (
     render_rule,
 )
 from .som import FIT_EPOCHS, Discretizer, assign_granule, fit_table_discretizer
-from .table import DecisionTable, GranularTable, json_record, split_random, split_train_size
+from .table import AttributeSpec, DecisionTable, GranularTable, json_record
+from .table import split_random, split_train_size
 
 # Documented reconstruction notes echoed into every report.
 POLICY_NOTES = (
@@ -103,26 +103,18 @@ def config_settings(cfg) -> dict:
     return out
 
 
-# Each setting's type: its default's.
-SETTING_TYPES = {key: type(value) for key, value in config_settings(PipelineConfig()).items()}
-
-
-def _setting(settings: dict, key: str):
-    """``settings[key]`` if it has the setting's type. An int passes for a
-    float, as ``json`` writes ``el=1`` as ``1``; a bool is never a number."""
-    value, kind = settings[key], SETTING_TYPES[key]
-    if type(value) is not kind and not (kind is float and type(value) is int):
-        raise UsageError(f"{key} must be {kind.__name__}, not {type(value).__name__}")
-    return value
+# Each setting's type: its field's annotation, in setting order.
+_ANNOTATIONS = {f.name: f.type for cls in (PipelineConfig, RuleConstraints) for f in fields(cls)}
+SETTING_TYPES = {key: SCALARS[_ANNOTATIONS[key]] for key in config_settings(PipelineConfig())}
 
 
 def config_from_settings(settings: dict, cls=PipelineConfig):
     """Inverse of ``config_settings``: a ``PipelineConfig`` (or, with
     ``cls=RuleConstraints``, only the constraints) from flat settings.
     Keys of neither record are ignored; a missing one is a KeyError, and
-    a value not of its setting's type a UsageError."""
+    the records reject a value not of its setting's type (UsageError)."""
     return cls(**{
-        f.name: _setting(settings, f.name) if f.name != "constraints"
+        f.name: settings[f.name] if f.name != "constraints"
         else config_from_settings(settings, RuleConstraints)
         for f in fields(cls)
     })
@@ -252,7 +244,7 @@ def _fit_split(table: DecisionTable, granules: int, jobs: list) -> list | None:
         with os.fdopen(r, "rb") as pipe:
             fitted[0::2] = [fit_table_discretizer(table, n, granules, s) for n, s in jobs[0::2]]
             # A short payload fails to load, or to fill the helper's slots.
-            fitted[1::2] = [discretizer_from_dict(d) for d in marshal.loads(pipe.read())]
+            fitted[1::2] = [from_json(Discretizer, d) for d in marshal.loads(pipe.read())]
     except Exception:  # the caller refits every attribute, raising the serial error
         return None
     finally:
@@ -366,9 +358,7 @@ def granulate_observation(disc: Discretizer, measured: float) -> int:
     extreme band."""
     if measured is None or not math.isfinite(measured):
         raise UsageError("measured value must be finite")
-    label = assign_granule(disc, measured)
-    assert label is not None
-    return label
+    return assign_granule(disc, measured)
 
 
 def back_analyze(
@@ -410,35 +400,6 @@ def back_analyze(
 # --- JSON serialization ----------------------------------------------------
 
 
-def rule_from_dict(d: dict) -> Rule:
-    conds = tuple(
-        Condition(
-            attribute=c["attribute"],
-            lo=c["lo"],
-            hi=c["hi"],
-            labels=frozenset(c["labels"]) if c.get("labels") is not None else None,
-        )
-        for c in d["conditions"]
-    )
-    dec = d["decision"]
-    return Rule(
-        conditions=conds,
-        decision=DecisionPart(dec["attribute"], dec["kind"], dec["granule"]),
-        support=d.get("support", 0),
-        strength=d.get("strength", 0.0),
-    )
-
-
-def discretizer_from_dict(d: dict) -> Discretizer:
-    """Inverse of ``json_record`` on a ``Discretizer``; centers and cuts must be JSON
-    numbers, ints or finite floats (``ValueError`` otherwise)."""
-    centers, cuts = tuple(d["centers"]), tuple(d["cuts"])
-    for v in centers + cuts:
-        if type(v) is not int and not (type(v) is float and math.isfinite(v)):
-            raise ValueError(f"quantizer of {d['name']!r}: {v!r} is not a finite number")
-    return Discretizer(name=d["name"], scale=d["scale"], centers=centers, cuts=cuts)
-
-
 def report_to_json(report: RunReport) -> str:
     doc = {
         "config": config_settings(report.config),
@@ -471,38 +432,22 @@ def report_to_json(report: RunReport) -> str:
 
 
 def report_rules_from_json(doc: dict) -> RuleSet:
-    best = doc["best"]
-    return RuleSet(
-        rules=tuple(rule_from_dict(r) for r in best["rules"]),
-        uncovered=tuple(best.get("uncovered", ())),
-        semantics=best.get("semantics", "cumulative"),
-    )
+    return from_json(RuleSet, doc["best"])
 
 
 def granular_from_json(doc: dict) -> GranularTable:
     """Rebuild the granulated table (and quantizers) embedded in a report."""
-    from .table import AttributeSpec
-
     discs = doc.get("discretizers", {})
     if not isinstance(discs, dict):
         raise TypeError("discretizers must be an object keyed by attribute")
-    discs = {name: discretizer_from_dict(d) for name, d in discs.items()}
+    discs = {name: from_json(Discretizer, d) for name, d in discs.items()}
     for name, d in discs.items():
         if d.name != name:
             raise ValueError(f"the quantizer under {name!r} is named {d.name!r}")
     g = doc["granular"]
-    if not all(isinstance(name, str) for name in g["attributes"]):
-        raise TypeError("granular attribute names must be strings")
-    if not set(map(type, g["object_ids"])) <= {int}:
-        raise TypeError("granular object ids must be integers")
-    specs = tuple(
-        AttributeSpec(name, role) for name, role in zip(g["attributes"], g["roles"])
-    )
-    # Labels go in as read: GranularTable rejects anything but a positive int.
-    rows = tuple(map(tuple, g["rows"]))
     return GranularTable(
-        specs=specs,
-        rows=rows,
+        specs=tuple(map(AttributeSpec, g["attributes"], g["roles"])),
+        rows=tuple(map(tuple, g["rows"])),  # labels as read: GranularTable checks them
         object_ids=tuple(g["object_ids"]),
         discretizers=discs,
     )

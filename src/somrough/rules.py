@@ -79,12 +79,10 @@ class DecisionPart(Record):
     granule: int
 
     def __post_init__(self):
-        if not isinstance(self.attribute, str):
-            raise UsageError(f"decision attribute must be a string, got {self.attribute!r}")
         if self.kind not in ("at_most", "at_least", "exactly"):
             raise UsageError(f"unknown decision kind {self.kind!r}")
-        if not is_label(self.granule):
-            raise UsageError(f"decision granule must be an int >= 1, got {self.granule!r}")
+        if self.granule < 1:
+            raise UsageError(f"decision granule must be >= 1, got {self.granule!r}")
 
     def covers(self, label) -> bool:
         if label is None:
@@ -116,11 +114,10 @@ class Rule(Record):
         attrs = [c.attribute for c in self.conditions]
         if len(set(attrs)) != len(attrs):
             raise UsageError("rule conditions must use distinct attributes")
-        if isinstance(self.support, bool) or not isinstance(self.support, int) or self.support < 0:
-            raise UsageError(f"rule support must be an int >= 0, got {self.support!r}")
-        s = self.strength
-        if isinstance(s, bool) or not isinstance(s, (int, float)) or not 0 <= s <= 1:
-            raise UsageError(f"rule strength must be a number in [0, 1], got {s!r}")
+        if self.support < 0:
+            raise UsageError(f"rule support must be >= 0, got {self.support!r}")
+        if not 0 <= self.strength <= 1:
+            raise UsageError(f"rule strength must be in [0, 1], got {self.strength!r}")
 
     @property
     def length(self) -> int:
@@ -199,13 +196,11 @@ def check_rules(rs: RuleSet, table: GranularTable, decision: str) -> None:
                 c.labels
                 and (g is None or max(c.labels) <= g.granules)
                 and c == _interval_condition(table, c.attribute, min(c.labels), max(c.labels))
-                and bool not in (type(c.lo), type(c.hi))  # true equals a cut of 1.0
             ):
                 raise UsageError(
                     f"rule condition on {c.attribute!r} does not match its quantizer's granules"
                 )
-    ids = set(table.object_ids)
-    if not all(type(o) is int and o in ids for o in rs.uncovered):
+    if not set(rs.uncovered) <= set(table.object_ids):
         raise UsageError("uncovered objects must be object ids of the table")
 
 

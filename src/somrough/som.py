@@ -311,6 +311,8 @@ class Discretizer(Record):
     def __post_init__(self):
         if self.scale not in SCALES:
             raise UsageError(f"quantizer of {self.name!r}: scale must be one of {SCALES}")
+        if not all(map(math.isfinite, self.centers + self.cuts)):
+            raise UsageError(f"quantizer of {self.name!r}: centers and cuts must be finite")
         if len(self.cuts) != len(self.centers) - 1:
             raise UsageError("need exactly G - 1 cuts for G centers")
         if any(b >= a for a, b in zip(self.centers, self.centers[1:])):

@@ -115,7 +115,8 @@ def generate_table(
     range checks keep every draw finite, so no NaN hides from them). If any
     ``UsageError`` is raised, the rows are run again one at a time, each
     validated and then modelled, so the error raised is the first row's,
-    as if every row had been checked on its own.
+    as if every row had been checked on its own. A count too large for
+    memory is a ``DataError``.
     """
     ranges = dict(DEFAULT_RANGES if ranges is None else ranges)
     unknown = set(ranges) - set(DEFAULT_RANGES)
@@ -147,19 +148,20 @@ def generate_table(
     rng = np.random.default_rng(seed)
     names = list(DEFAULT_RANGES)
     columns = []
-    for name in names:
-        lo, hi = ranges[name]
-        # One stratum per row, shuffled independently per dimension.
-        strata = rng.permutation(count)
-        u = rng.uniform(size=count)
-        columns.append((lo + (hi - lo) * (strata + u) / count).tolist())
-
     try:
+        for name in names:
+            lo, hi = ranges[name]
+            # One stratum per row, shuffled independently per dimension.
+            strata = rng.permutation(count)
+            u = rng.uniform(size=count)
+            columns.append((lo + (hi - lo) * (strata + u) / count).tolist())
         SlopeParams(*map(min, columns), steepness=steepness)
         SlopeParams(*map(max, columns), steepness=steepness)
         rows = [
             p + (displacement_proxy(_factor_of_safety(*p), steepness),) for p in zip(*columns)
         ]
+    except MemoryError:
+        raise DataError(f"count {count} is too large for memory") from None
     except UsageError:
         for p in zip(*columns):  # raises the first failing row's error
             displacement_proxy(factor_of_safety(SlopeParams(*p, steepness=steepness)), steepness)

@@ -19,7 +19,7 @@ import math
 import numbers
 
 from . import _pcg
-from ._record import Record, fields
+from ._record import Record, fields, from_json
 from .errors import DataError, UsageError
 
 MISSING_TOKEN = "?"
@@ -251,23 +251,13 @@ def load_schema(json_text: str) -> list[AttributeSpec]:
         raise DataError(f"schema is not valid JSON: {exc}") from None
     if not isinstance(records, list):
         raise DataError("schema must be a JSON array of attribute records")
-    specs = []
     for rec in records:
         if not isinstance(rec, dict) or "name" not in rec or "role" not in rec:
             raise DataError("schema record must be an object with at least 'name' and 'role'")
-        if not isinstance(rec["name"], str):
-            raise DataError(f"schema record name must be a string, got {rec['name']!r}")
-        try:
-            spec = AttributeSpec(
-                name=rec["name"],
-                role=rec["role"],
-                scale=rec.get("scale", "linear"),
-                units=rec.get("units", ""),
-            )
-        except UsageError as exc:
-            raise DataError(str(exc)) from None
-        specs.append(spec)
-    return specs
+    try:
+        return [from_json(AttributeSpec, rec) for rec in records]
+    except UsageError as exc:
+        raise DataError(str(exc)) from None
 
 
 def json_record(o):

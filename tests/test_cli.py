@@ -116,6 +116,17 @@ class TestExitCodes:
         assert "steepness 10000.0 underflows" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_count_too_large_for_memory_is_2(self, tmp_path, capsys):
+        """A count that numpy refuses to allocate (8 PB per column) is a data
+        error naming the count, and nothing is written (a MemoryError
+        traceback and exit 1 before)."""
+        code = _run("surrogate", "--count", str(10**15), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"data error: count {10**15} is too large for memory")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
     def test_non_finite_cell_is_2(self, tmp_path, capsys, cell):
         lines = Path(CORPUS).read_text().splitlines()
@@ -318,6 +329,24 @@ BAD_INPUTS = {
     "report-uncovered-string": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("best", "uncovered"), ["x"])
     ),
+    "report-uncovered-not-a-list": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("best", "uncovered"), "12")
+    ),
+    # Lists of records given as another JSON type.
+    "report-rules-string": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("best", "rules"), "rules")
+    ),
+    "report-rules-object": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("best", "rules"), {"a": 1})
+    ),
+    "report-conditions-object": lambda tmp, doc: _rule_with(
+        tmp, doc, ("conditions",), {"attribute": "cb"}
+    ),
+    "report-conditions-string": lambda tmp, doc: _rule_with(tmp, doc, ("conditions",), "cb"),
+    "report-decision-string": lambda tmp, doc: _rule_with(tmp, doc, ("decision",), "mvv"),
+    "report-labels-object": lambda tmp, doc: _rule_with(
+        tmp, doc, ("conditions", 0, "labels"), {"1": 1}
+    ),
     "csv-repeated-column": lambda tmp, _: _discretize(tmp, data=_repeated_column(tmp)),
     "ranges-list": lambda tmp, _: _surrogate_ranges(tmp, [1, 2]),
     "ranges-object-bounds": lambda tmp, _: _surrogate_ranges(tmp, {"cohesion": {"lo": 1}}),
@@ -481,6 +510,21 @@ class TestBackanalyze:
         assert _run(*_backanalyze(bad), "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith("data error: malformed report file: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("bound", ["lo", "hi"])
+    def test_condition_without_bound(self, tmp_path, corpus_report_doc, bound):
+        """A rule condition that omits ``lo`` or ``hi`` reads it as None, so
+        the report is well formed exactly when the quantizer gives that
+        bound as None too (a KeyError, read as malformed, before). The
+        corpus report's first condition has ``lo`` None and ``hi`` a cut."""
+        for i, rule in enumerate(corpus_report_doc["best"]["rules"]):
+            for j, cond in enumerate(rule["conditions"]):
+                doc = copy.deepcopy(corpus_report_doc)
+                del doc["best"]["rules"][i]["conditions"][j][bound]
+                path = tmp_path / f"report{i}-{j}.json"
+                path.write_text(json.dumps(doc))
+                code = _run(*_backanalyze(str(path)), "--out", str(tmp_path / "estimate.json"))
+                assert code == (0 if cond[bound] is None else 2)
 
     def test_int_for_float_config_is_0(self, tmp_path, corpus_report_doc):
         """An int passes where a float is declared: ``json`` writes an API
@@ -907,7 +951,7 @@ def test_cli_path_loads_no_numpy(tmp_path):
 def test_cli_import_loads_no_heavy_modules():
     """``import somrough.cli`` in an interpreter without ``site`` loads
     neither the record machinery of ``dataclasses`` (with ``inspect``), nor
-    ``threading``, numpy, argparse, logging or pathlib."""
+    ``typing``, ``threading``, numpy, argparse, logging or pathlib."""
     script = (
         "import sys; before = set(sys.modules); import somrough.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
@@ -920,7 +964,9 @@ def test_cli_import_loads_no_heavy_modules():
     assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.split())
     assert "somrough.cli" in loaded
-    heavy = {"dataclasses", "inspect", "threading", "numpy", "argparse", "logging", "pathlib"}
+    heavy = {
+        "dataclasses", "inspect", "typing", "threading", "numpy", "argparse", "logging", "pathlib"
+    }
     assert not loaded & heavy, sorted(loaded & heavy)
 
 

@@ -1,17 +1,33 @@
 """Records against ``dataclasses``: a frozen dataclass built from the same
 field names and values is the oracle for equality, hashing, ``repr``,
-field order and frozenness."""
+field order and frozenness. The field type checks are tested on every
+record class of the package against the annotation, and ``from_json``
+against ``json_record``, its writer."""
 
 import dataclasses
+import json
+import re
 
+import numpy as np
 import pytest
 
-from somrough._record import fields, replace
+from somrough import cli  # noqa: F401  (imports every module that defines records)
+from somrough._record import Record, fields, from_json, replace
+from somrough.corpus import jeffrey_table
 from somrough.errors import DataError, UsageError
-from somrough.pipeline import Iteration, PipelineConfig
-from somrough.rules import Condition, DecisionPart, Rule, RuleConstraints
-from somrough.som import Discretizer
-from somrough.table import AttributeSpec, GranularTable
+from somrough.pipeline import (
+    Iteration,
+    PipelineConfig,
+    back_analyze,
+    close_open,
+    report_rules_from_json,
+    report_to_json,
+)
+from somrough.rough import disc_function, disc_matrix, partition_by, reducts
+from somrough.rules import Condition, DecisionPart, Rule, RuleConstraints, RuleSet
+from somrough.som import Discretizer, SomConfig, train
+from somrough.surrogate import SlopeParams, generate_table
+from somrough.table import AttributeSpec, DecisionTable, GranularTable, json_record
 
 SPECS = (AttributeSpec("a", "condition"), AttributeSpec("d", "decision"))
 DISC = Discretizer("a", "linear", (3.0, 2.0, 1.0), (2.5, 1.5))
@@ -124,3 +140,193 @@ def test_non_fields_stay_out():
     assert "_masks" in vars(table)
     assert "_masks" not in repr(table)
     assert table == GranularTable(specs=SPECS, rows=table.rows, discretizers={"a": DISC})
+
+
+# --- field type checks and from_json -----------------------------------------
+
+
+def _record_classes(cls=Record) -> set:
+    subs = set(cls.__subclasses__())
+    return subs.union(*map(_record_classes, subs))
+
+
+RECORD_CLASSES = sorted(_record_classes(), key=lambda c: c.__qualname__)
+
+# The value types a checked annotation accepts, by its text: exact types,
+# an int for a float, and None only where ``| None`` is declared.
+SCALAR_TYPES = {"int": {int}, "float": {float, int}, "str": {str}, "bool": {bool}}
+
+
+def _accepts(text: str):
+    """(value types, whether the field is a tuple of them), or None for an
+    annotation the records leave unchecked."""
+    base = text.removesuffix(" | None")
+    if base in SCALAR_TYPES:
+        return SCALAR_TYPES[base] | ({type(None)} if base != text else set()), False
+    if text.startswith("tuple[") and text.endswith(", ...]") and text[6:-6] in SCALAR_TYPES:
+        return SCALAR_TYPES[text[6:-6]], True
+    return None
+
+
+CHECKED = [
+    (cls, f.name, f.type) for cls in RECORD_CLASSES for f in fields(cls) if _accepts(f.type)
+]
+# One value of each JSON type.
+JSON_VALUES = {
+    "string": "x", "int": 3, "float": 2.5, "true": True, "null": None,
+    "array": [1], "object": {"a": 1},
+}
+
+_SAMPLES = {}
+
+
+def _samples() -> dict:
+    """One valid instance of every record class, from a corpus run."""
+    if not _SAMPLES:
+        table = jeffrey_table()
+        report = close_open(table, "mvv", PipelineConfig())
+        g, rule = report.granular, report.best_rules.rules[0]
+        matrix = disc_matrix(g, decision="mvv")
+        som_config = SomConfig(grid=(2, 1), epochs=3)
+        found = [
+            table, g, g.specs[0], g.discretizers["mvv"], report, report.config,
+            report.config.constraints, report.best_iteration, report.best_rules, rule,
+            rule.conditions[0], rule.decision, back_analyze(report.best_rules, ("mvv", 1), g),
+            partition_by(g, g.condition_names), matrix, disc_function(matrix),
+            reducts(g, decision="mvv"), som_config, train([[0.0], [1.0]], som_config),
+            SlopeParams(30.0, 20.0, 45.0, 1000.0, 40.0),
+        ]
+        _SAMPLES.update((type(r), r) for r in found)
+    return _SAMPLES
+
+
+def test_every_record_class_has_a_sample():
+    assert set(_samples()) == set(RECORD_CLASSES)
+    assert len(CHECKED) > 40
+
+
+@pytest.mark.parametrize(
+    "cls, name, text", CHECKED, ids=[f"{c.__qualname__}.{n}" for c, n, _ in CHECKED]
+)
+def test_field_type_is_checked(cls, name, text, monkeypatch):
+    """Every checked field refuses a value of each JSON type its annotation
+    does not accept (a bool is never a number; None only where ``| None``
+    is declared) with a ``UsageError`` naming the class and the field, and
+    takes each value it does accept (an int where a float is declared).
+    ``__post_init__`` is stubbed out so that only the type check speaks."""
+    record = _samples()[cls]
+    monkeypatch.setattr(cls, "__post_init__", lambda self: None, raising=False)
+    accepts, many = _accepts(text)
+    cases = list(JSON_VALUES.values())
+    if many:  # a tuple of each JSON value, the empty tuple and a list
+        cases += [(v,) for v in JSON_VALUES.values()] + [(), []]
+    for value in cases:
+        if many:
+            ok = type(value) is tuple and all(type(v) in accepts for v in value)
+        else:
+            ok = type(value) in accepts
+        if ok:
+            assert getattr(replace(record, **{name: value}), name) == value
+        else:
+            message = rf"^{cls.__qualname__}\.{name} must be {re.escape(text)}, got "
+            with pytest.raises(UsageError, match=message):
+                replace(record, **{name: value})
+
+
+def test_checks_with_post_init():
+    """The type check runs before ``__post_init__``; an int still passes
+    where a float is declared once the range checks run too."""
+    assert RuleConstraints(min_strength=1).min_strength == 1
+    assert Condition("a", lo=1, hi=2).lo == 1
+    assert Rule((COND,), DecisionPart("d", "exactly", 1), support=2, strength=1).strength == 1
+    with pytest.raises(UsageError, match="RuleConstraints.max_rules must be int, got 2.5"):
+        RuleConstraints(max_rules=2.5)
+    with pytest.raises(UsageError, match="PipelineConfig.granules must be int, got '3'"):
+        PipelineConfig(granules="3")
+    with pytest.raises(UsageError, match="SomConfig.seed must be int, got 1.5"):
+        SomConfig(grid=(2, 1), seed=1.5)
+
+
+@pytest.mark.parametrize("value", [np.float64(1.5), np.int64(1), np.bool_(True)])
+def test_numpy_scalars_are_no_field_values(value):
+    with pytest.raises(UsageError, match="Condition.lo must be float"):
+        Condition("a", lo=value)
+    with pytest.raises(UsageError, match="Discretizer.centers must be tuple"):
+        Discretizer("a", "linear", (3.0, value), (2.5,))
+
+
+def test_non_finite_quantizer_is_refused():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(UsageError, match="centers and cuts must be finite"):
+            Discretizer("a", "linear", (3.0, 2.0), (bad,))
+
+
+@pytest.fixture(scope="module")
+def pipeline_reports():
+    """Corpus reports at two seeds and a report on a 40-row surrogate table
+    at the criterion-7 settings."""
+    reports = [close_open(jeffrey_table(), "mvv", PipelineConfig(seed=s)) for s in (0, 1)]
+    c7 = PipelineConfig(
+        granules=2, semantics="exact", seed=3,
+        constraints=RuleConstraints(min_strength=0.0, max_length=3, max_rules=8),
+    )
+    reports.append(close_open(generate_table(count=40, seed=5), "displacement", c7))
+    return reports
+
+
+def test_from_json_inverts_json_record(pipeline_reports):
+    """Every rule, condition, decision, quantizer and schema record of the
+    reports survives a trip through ``json`` with ``json_record`` as the
+    writer and ``from_json`` as the reader."""
+    kinds = {Rule: 0, Condition: 0, DecisionPart: 0, Discretizer: 0, AttributeSpec: 0}
+    for report in pipeline_reports:
+        records = [*report.granular.discretizers.values(), *report.granular.specs]
+        for rule in report.best_rules.rules:
+            records += [rule, rule.decision, *rule.conditions]
+        for r in records:
+            kinds[type(r)] += 1
+            assert from_json(type(r), json.loads(json.dumps(r, default=json_record))) == r
+        doc = json.loads(report_to_json(report))
+        assert report_rules_from_json(doc) == report.best_rules
+    assert all(kinds.values()), kinds
+
+
+def test_from_json_reads_by_annotation():
+    """Lists become tuples or label sets and nested objects records; other
+    keys are ignored and missing fields take their defaults. A value of the
+    wrong type is refused by the record, a record that is no JSON object by
+    the reader."""
+    rule = from_json(Rule, {
+        "conditions": [{"attribute": "a", "hi": 2.5, "labels": [2, 1], "note": 1}],
+        "decision": {"attribute": "d", "kind": "at_most", "granule": 1},
+        "rules_text": "ignored",
+    })
+    cond = Condition("a", hi=2.5, labels=frozenset({1, 2}))
+    assert rule == Rule((cond,), DecisionPart("d", "at_most", 1))  # missing: the defaults
+    assert from_json(Condition, {"attribute": "a", "lo": 1, "labels": None}).labels is None
+    assert from_json(RuleSet, {"rules": [], "uncovered": [3, 1]}).uncovered == (3, 1)
+    assert from_json(Discretizer, json_record(DISC)) == DISC
+    with pytest.raises(UsageError, match="Rule.support must be int, got 1.5"):
+        from_json(Rule, {**json.loads(json.dumps(rule, default=json_record)), "support": 1.5})
+    with pytest.raises(UsageError, match="RuleSet.uncovered must be tuple"):
+        from_json(RuleSet, {"rules": [], "uncovered": "12"})
+    for bad in (["a"], "a", None):
+        with pytest.raises(TypeError, match="a Condition record must be a JSON object"):
+            from_json(Rule, {"conditions": [bad], "decision": json_record(rule.decision)})
+    with pytest.raises(TypeError, match="missing"):
+        from_json(DecisionPart, {"attribute": "d", "kind": "exactly"})
+
+
+def test_readers_are_built_with_the_class():
+    """Each field's reader is made once, when its class is defined, and an
+    inherited field keeps its reader."""
+    readers = [f.read for f in fields(Rule)]
+    assert [r is None for r in readers] == [False, False, True, True]  # support, strength as read
+    rule = CASES[1][0]
+    assert from_json(Rule, json.loads(json.dumps(rule, default=json_record))) == rule
+    assert all(f.read is r for f, r in zip(fields(Rule), readers))
+    doc = {"name": "a", "role": "condition"}
+    assert fields(GranularTable)[:3] == fields(DecisionTable)
+    table = {"specs": [doc], "rows": [[1]], "object_ids": [5]}
+    assert from_json(DecisionTable, table).object_ids == (5,)
+    assert from_json(GranularTable, table).discretizers == {}
