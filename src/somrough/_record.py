@@ -9,10 +9,12 @@ and frozenness are the base class's and match a dataclass's.
 
 A field's annotation (its source text) is its one type declaration.
 ``__init__`` checks each field of form ``X``, ``X | None`` or ``tuple[X, ...]``
-with ``X`` one of ``int``, ``float``, ``str`` and ``bool``: types must match
-exactly, except that an int passes as a float (so a bool or a numpy scalar is
-never a number), and a mismatch raises ``UsageError`` naming the class and the
-field. ``from_json`` reads a record back from JSON by the same annotations.
+with ``X`` one of ``int``, ``float``, ``str`` and ``bool`` or a record class.
+Scalar types must match exactly, except that an int passes as a float (so a
+bool or a numpy scalar is never a number); a record passes if it is an
+instance of ``X``. A mismatch raises ``UsageError`` naming the class and the
+field. ``dict`` and ``frozenset`` fields are not checked. ``from_json`` reads
+a record back from JSON by the same annotations.
 """
 
 import sys
@@ -38,9 +40,18 @@ class Field:
 
 
 def _check(record, checks, values):
-    """Raise for the first value its field's annotation does not accept."""
+    """Raise for the first value its field's annotation does not accept.
+    ``accepts`` is a set of scalar types, matched exactly, or a record class
+    (with ``NoneType`` for ``X | None``), matched by ``isinstance``."""
     for (name, text, accepts, many), v in zip(checks, values):
-        ok = type(v) is tuple and set(map(type, v)) <= accepts if many else type(v) in accepts
+        if type(accepts) is set:
+            ok = type(v) is tuple and set(map(type, v)) <= accepts if many else type(v) in accepts
+        else:
+            ok = (
+                type(v) is tuple and all(isinstance(x, accepts) for x in v)
+                if many
+                else isinstance(v, accepts)
+            )
         if not ok:
             raise UsageError(f"{type(record).__qualname__}.{name} must be {text}, got {v!r:.60}")
 
@@ -57,7 +68,8 @@ class Record:
         names = [f.name for f in cls._fields]
         defaults = {n: getattr(cls, n) for n in names if hasattr(cls, n)}
         params = ", ".join(f"{n}=_d[{n!r}]" if n in defaults else n for n in names)
-        checks = tuple((f.name, f.type, *_FORMS[f.type]) for f in cls._fields if f.type in _FORMS)
+        forms = ((f, _FORMS.get(f.type) or _record_form(f.type, defined)) for f in cls._fields)
+        checks = tuple((f.name, f.type, *form) for f, form in forms if form)
         scope = {"_d": defaults, "_set": object.__setattr__, "_check": _check, "_checks": checks}
         checked = "".join(f"{c[0]}, " for c in checks)
         body = f"    _check(self, _checks, ({checked}))\n" if checks else ""
@@ -114,6 +126,23 @@ def from_json(cls, d: dict) -> Record:
     return cls(**kw)
 
 
+def _record_class(text: str, names: dict):
+    """The record class named ``text`` in ``names``, or None."""
+    record = names.get(text)
+    return record if isinstance(record, type) and issubclass(record, Record) else None
+
+
+def _record_form(text: str, names: dict):
+    """``(accepts, many)`` of a field annotated with a record class ``X`` as
+    ``X``, ``X | None`` or ``tuple[X, ...]``, or None for other annotations."""
+    if text.startswith("tuple[") and text.endswith(", ...]"):
+        record = _record_class(text[6:-6], names)
+        return record and (record, True)
+    optional = text.endswith(" | None")
+    record = _record_class(text.removesuffix(" | None"), names)
+    return record and ((record, type(None)) if optional else record, False)
+
+
 def _reader(text: str, names: dict):
     """The function taking a JSON value to one of a field annotated ``text``,
     or None to take the value as read. A record's name resolves in
@@ -126,7 +155,7 @@ def _reader(text: str, names: dict):
         return lambda v: tuple(v) if type(v) is list else v
     if base == "frozenset":
         return lambda v: frozenset(v) if type(v) is list else v
-    record = names.get(base)
-    if isinstance(record, type) and issubclass(record, Record):
+    record = _record_class(base, names)
+    if record is not None:
         return lambda v: from_json(record, v)
     return None

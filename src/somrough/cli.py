@@ -77,19 +77,28 @@ def _resolve(args) -> dict:
     return settings
 
 
+# Files are read and written as UTF-8 bytes: a text-mode file object costs a
+# one-shot call more than the bytes do. Every reader splits lines itself, so
+# a CRLF file reads like its LF copy.
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
+        with open(path, "rb") as f:
+            return f.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
 def _write(path: str, text: str):
+    """Write ``text`` to ``path``, making its folder only when it is missing."""
+    data = text.encode("utf-8")
     try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+        try:
+            f = open(path, "wb")
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            f = open(path, "wb")
+        with f:
+            f.write(data)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from None
 

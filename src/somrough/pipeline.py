@@ -16,12 +16,10 @@ parameter bundles, with a reduct-based sensitivity ranking.
 
 from __future__ import annotations
 
-import json
 import marshal
 import math
 import os
 import sys
-from collections import Counter
 
 from . import _pcg
 from ._record import SCALARS, Record, fields, from_json, replace
@@ -41,7 +39,7 @@ from .rules import (
     render_rule,
 )
 from .som import FIT_EPOCHS, Discretizer, assign_granule, fit_table_discretizer
-from .table import AttributeSpec, DecisionTable, GranularTable, json_record
+from .table import AttributeSpec, DecisionTable, GranularTable, json_record, json_text
 from .table import split_random, split_train_size
 
 # Documented reconstruction notes echoed into every report.
@@ -379,7 +377,10 @@ def back_analyze(
     matched = tuple(
         r for r in rs.rules if r.decision.attribute == attr and r.decision.covers(label)
     )
-    freq = Counter(c.attribute for r in matched for c in r.conditions)
+    freq = {}  # a plain dict: Counter's first use costs a cold call an ABC walk
+    for r in matched:
+        for c in r.conditions:
+            freq[c.attribute] = freq.get(c.attribute, 0) + 1
     core_attrs = frozenset()
     attrs = set(freq)
     if granular is not None:
@@ -387,7 +388,7 @@ def back_analyze(
         attrs |= set(granular.condition_names)
     # (attribute, in core, frequency): core first, then by falling
     # frequency, then by name.
-    entries = ((a, a in core_attrs, freq[a]) for a in attrs)
+    entries = ((a, a in core_attrs, freq.get(a, 0)) for a in attrs)
     return ParameterEstimate(
         decision=attr,
         observed_granule=label,
@@ -428,7 +429,7 @@ def report_to_json(report: RunReport) -> str:
             "rows": [list(row) for row in report.granular.rows],
         },
     }
-    return json.dumps(doc, indent=2, default=json_record) + "\n"
+    return json_text(doc) + "\n"
 
 
 def report_rules_from_json(doc: dict) -> RuleSet:
@@ -467,5 +468,5 @@ def estimate_to_json(est: ParameterEstimate) -> str:
             {"attribute": a, "core": c, "frequency": f} for a, c, f in est.sensitivity
         ],
     }
-    return json.dumps(doc, indent=2, default=json_record) + "\n"
+    return json_text(doc) + "\n"
 

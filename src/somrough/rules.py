@@ -66,7 +66,8 @@ class Condition(Record):
             return False
         if self.labels is None:
             raise UsageError(
-                f"condition on {self.attribute!r} has no granule form; bind a quantizer first"
+                f"condition on {self.attribute!r} has no granule labels, as a condition "
+                "parsed from rule text carries none"
             )
         return label in self.labels
 
@@ -409,8 +410,8 @@ def parse_rule(line: str) -> Rule:
     """Inverse of render_rule, up to the scores the text does not carry.
 
     Adjacent >=/<= conjuncts on the same attribute fold back into one
-    between-condition; parsed conditions have no granule form until bound
-    to a quantizer.
+    between-condition. Parsed conditions carry no granule labels, so a
+    parsed rule cannot be matched against granulated rows.
     """
     m = _RULE_RE.match(line.strip())
     if not m:

@@ -31,11 +31,15 @@ SCALES = ("linear", "log10")
 # quantization; a raw-scale quantizer would collapse the small values.
 LOG_SCALE_DECADES = 3.0
 
+# json's own string writer (its C form where built): ASCII-only output, every
+# other character, lone surrogates too, as a \u escape.
+_quote = json.encoder.encode_basestring_ascii
+
 
 def is_label(v) -> bool:
     """Whether ``v`` is a granule label: an int >= 1, and not a bool."""
-    # int first: the Integral ABC check is ten times slower.
-    return not isinstance(v, bool) and isinstance(v, (int, numbers.Integral)) and v >= 1
+    # Exact int first: the Integral ABC check is ten times slower.
+    return (type(v) is int or type(v) is not bool and isinstance(v, numbers.Integral)) and v >= 1
 
 
 class AttributeSpec(Record):
@@ -135,7 +139,9 @@ class GranularTable(DecisionTable):
         # only a failed check runs the row-major loop naming the first bad cell.
         for s, col in zip(self.specs, zip(*self.rows)):
             types = set(map(type, col)) - {type(None)}
-            if not all(t is not bool and issubclass(t, numbers.Integral) for t in types):
+            if not all(
+                t is int or t is not bool and issubclass(t, numbers.Integral) for t in types
+            ):
                 break
             labels, d = set(col) - {None}, self.discretizers.get(s.name)
             if labels and (min(labels) < 1 or d is not None and max(labels) > d.granules):
@@ -234,8 +240,8 @@ def to_csv(table: DecisionTable) -> str:
         for v in row:
             if v is None:
                 cells.append(MISSING_TOKEN)
-            elif not isinstance(v, float) and isinstance(v, numbers.Integral):
-                # Floats, the common case, skip the slow ABC check.
+            elif type(v) is int or not isinstance(v, float) and isinstance(v, numbers.Integral):
+                # Floats, the common case, and ints skip the slow ABC check.
                 cells.append(str(int(v)))
             else:
                 cells.append(f"{v:.12g}")
@@ -243,10 +249,10 @@ def to_csv(table: DecisionTable) -> str:
     return buf.getvalue()
 
 
-def load_schema(json_text: str) -> list[AttributeSpec]:
+def load_schema(text: str) -> list[AttributeSpec]:
     """Read a schema file: a JSON array of {name, role, scale, units}."""
     try:
-        records = json.loads(json_text)
+        records = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"schema is not valid JSON: {exc}") from None
     if not isinstance(records, list):
@@ -261,17 +267,58 @@ def load_schema(json_text: str) -> list[AttributeSpec]:
 
 
 def json_record(o):
-    """``json.dumps`` default: a record as a dict of its fields in field
-    order, a label set as a sorted list. It copies nothing; the encoder
-    reaches nested records through this hook."""
+    """A record as a dict of its fields in field order, a label set as a
+    sorted list: the hook through which ``json_text`` (or ``json.dumps``
+    with this as its ``default``) reaches records. It copies nothing."""
     if isinstance(o, frozenset):
         return sorted(o)
     return {f.name: getattr(o, f.name) for f in fields(o)}
 
 
+def json_text(o, newline: str = "\n") -> str:
+    """The JSON text ``json.dumps(o, indent=2, default=json_record)`` writes,
+    byte for byte; ``json.dumps`` is the oracle the tests hold it to. Dict
+    keys must be str. Types are tested in ``json``'s order, so a subclass of
+    str, int, float, list, tuple or dict is written as ``json`` writes it,
+    and anything else goes through ``json_record``. ``newline`` is the line
+    break and indent before the bracket that closes ``o``.
+
+    Unlike ``json.dumps`` with an indent, it builds no encoder, closures or
+    generators, which a one-shot CLI process pays for on first use, and it
+    joins each container from its items' texts instead of holding a list of
+    every piece of the output."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if math.isfinite(o):
+            return float.__repr__(o)
+        return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = newline + "  "
+        items = [json_text(v, inner) for v in o]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = newline + "  "
+        items = [f"{_quote(k)}: {json_text(v, inner)}" for k, v in o.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    return json_text(json_record(o), newline)
+
+
 def dump_schema(specs: list[AttributeSpec]) -> str:
     """Write a schema file: one record per spec, its fields in field order."""
-    return json.dumps(specs, indent=2, default=json_record) + "\n"
+    return json_text(specs) + "\n"
 
 
 def split_train_size(n: int, train_fraction: float) -> int:

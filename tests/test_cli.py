@@ -1,10 +1,12 @@
 """Exit-code contract and output shape of the command-line interface."""
 
+import abc
 import contextlib
 import copy
 import importlib.resources
 import io
 import json
+import os
 import random
 import shutil
 import subprocess
@@ -397,6 +399,24 @@ def test_unwritable_output_is_2(command, tmp_path, capsys, corpus_report_doc):
     assert _run(*OUT_COMMANDS[command](str(report)), "--out", out) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"data error: cannot write {out}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_output_under_missing_folders_is_written(command, tmp_path, corpus_report_doc):
+    """Folders on the way to an --out path that do not exist yet are made."""
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(corpus_report_doc))
+    out = tmp_path / "a" / "b" / "out"
+    assert _run(*OUT_COMMANDS[command](str(report)), "--out", str(out)) in (0, 3)
+    assert out.is_file() or any(out.iterdir())
+
+
+def test_bad_utf8_byte_is_reported_at_its_offset(tmp_path, capsys):
+    data = Path(CORPUS).read_bytes() + b"#" * 10_000
+    bad = tmp_path / "runs.csv"
+    bad.write_bytes(data + b"\xff\n")
+    assert _run("reducts", "--data", str(bad), "--schema", SCHEMA) == 2
+    assert f"can't decode byte 0xff in position {len(data)}:" in capsys.readouterr().err
 
 
 class TestDiscretize:
@@ -968,6 +988,58 @@ def test_cli_import_loads_no_heavy_modules():
         "dataclasses", "inspect", "typing", "threading", "numpy", "argparse", "logging", "pathlib"
     }
     assert not loaded & heavy, sorted(loaded & heavy)
+
+
+def test_one_shot_calls_skip_abc_checks_and_json_encoder(tmp_path, monkeypatch):
+    """A corpus ``pipeline`` into a new folder and a ``backanalyze`` on its
+    report make no ABC isinstance or issubclass check and build no
+    ``json.JSONEncoder``; only the pipeline's first write makes a folder."""
+    counts = {}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("__instancecheck__", "__subclasscheck__"):
+        count(abc.ABCMeta, name)
+    count(json.encoder.JSONEncoder, "__init__")
+    count(os, "makedirs")
+    out = tmp_path / "run"
+    assert main(["pipeline", *_TABLE, "--decision", "mvv", "--out", str(out)]) in (0, 3)
+    assert counts == {"makedirs": 1}
+    counts.clear()
+    argv = ["backanalyze", "--report", str(out / "report.json"),
+            "--observe", repr(JEFFREY_OBSERVED_RATE_MS), "--out", str(out / "estimate.json")]
+    assert main(argv) == 0
+    assert counts == {}
+
+
+def test_crlf_inputs_read_like_lf(tmp_path):
+    """CRLF copies of the corpus CSV, its schema and a config file give the
+    same ``report.json`` and ``rules.txt`` bytes as the LF files."""
+    config = "# a config file\nel = 0.5\ngranules = 3  # bands\n\nseed = 4\n"
+    outputs = []
+    for name, eol in (("lf", b"\n"), ("crlf", b"\r\n")):
+        inputs = tmp_path / name
+        inputs.mkdir()
+        for source, target in ((CORPUS, "runs.csv"), (SCHEMA, "schema.json")):
+            data = Path(source).read_bytes()
+            assert b"\r" not in data
+            (inputs / target).write_bytes(data.replace(b"\n", eol))
+        (inputs / "run.conf").write_bytes(config.encode().replace(b"\n", eol))
+        code = main([
+            "pipeline", "--data", str(inputs / "runs.csv"), "--schema", str(inputs / "schema.json"),
+            "--config", str(inputs / "run.conf"), "--decision", "mvv", "--out", str(inputs / "out"),
+        ])
+        assert code in (0, 3)
+        outputs.append([(inputs / "out" / f).read_bytes() for f in ("report.json", "rules.txt")])
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[1][0])["config"]["granules"] == 3
 
 
 # Cells of generated run tables: missing, repeated small values, large and

@@ -233,6 +233,78 @@ def test_field_type_is_checked(cls, name, text, monkeypatch):
                 replace(record, **{name: value})
 
 
+RECORDS_BY_NAME = {c.__qualname__: c for c in RECORD_CLASSES}
+
+
+def _record_accepts(text: str):
+    """(record class, None allowed, whether the field is a tuple of them) of
+    an annotation naming a record class, or None."""
+    if text.startswith("tuple[") and text.endswith(", ...]"):
+        cls = RECORDS_BY_NAME.get(text[6:-6])
+        return cls and (cls, False, True)
+    cls = RECORDS_BY_NAME.get(text.removesuffix(" | None"))
+    return cls and (cls, text.endswith(" | None"), False)
+
+
+RECORD_CHECKED = [
+    (cls, f.name, f.type) for cls in RECORD_CLASSES for f in fields(cls) if _record_accepts(f.type)
+]
+
+
+def test_record_fields_are_found():
+    named = {f"{c.__qualname__}.{n}" for c, n, _ in RECORD_CHECKED}
+    assert {"PipelineConfig.constraints", "Rule.conditions", "Rule.decision",
+            "RuleSet.rules", "RunReport.granular", "DecisionTable.specs"} <= named
+    assert not named & {"GranularTable.discretizers", "Condition.labels"}
+
+
+@pytest.mark.parametrize(
+    "cls, name, text", RECORD_CHECKED, ids=[f"{c.__qualname__}.{n}" for c, n, _ in RECORD_CHECKED]
+)
+def test_record_field_type_is_checked(cls, name, text, monkeypatch):
+    """Every field annotated with a record class takes an instance of it
+    and refuses each JSON value and a record of another
+    class with a ``UsageError`` naming the class and the field; a tuple of
+    records refuses a list and any item that is not such a record."""
+    record = _samples()[cls]
+    monkeypatch.setattr(cls, "__post_init__", lambda self: None, raising=False)
+    item_cls, optional, many = _record_accepts(text)
+    item = _samples()[item_cls]
+    other = next(r for c, r in _samples().items() if not issubclass(c, item_cls))
+    good = [(), (item,), (item, item)] if many else [item] + [None] * optional
+    bad = [v for v in JSON_VALUES.values() if v is not None or not optional] + [other]
+    if many:
+        bad += [[item], (item, other), (None,), (json_record(item),)]
+    for value in good:
+        assert getattr(replace(record, **{name: value}), name) == value
+    message = rf"^{cls.__qualname__}\.{name} must be {re.escape(text)}, got "
+    for value in bad:
+        with pytest.raises(UsageError, match=message):
+            replace(record, **{name: value})
+
+
+def test_record_field_takes_a_subclass():
+    class Holder(Record):
+        table: "DecisionTable"
+        best: "Rule | None" = None
+
+    g = _samples()[GranularTable]
+    assert Holder(g).table is g and Holder(g, _samples()[Rule]).best is _samples()[Rule]
+    with pytest.raises(UsageError, match=r"\.Holder\.table must be DecisionTable, got Attr"):
+        Holder(g.specs[0])
+    with pytest.raises(UsageError, match=r"\.Holder\.best must be Rule \| None, got \{"):
+        Holder(g, json_record(_samples()[Rule]))
+
+
+def test_record_typed_fields_are_checked_when_built():
+    """A record-typed field holding a string is a ``UsageError`` when the
+    record is built, not a later ``AttributeError``."""
+    with pytest.raises(UsageError, match="^PipelineConfig.constraints must be RuleConstraints"):
+        PipelineConfig(constraints="x")
+    with pytest.raises(UsageError, match=r"^Rule.conditions must be tuple\[Condition, ...\]"):
+        Rule(conditions=("x",), decision=DecisionPart("d", "exactly", 1))
+
+
 def test_checks_with_post_init():
     """The type check runs before ``__post_init__``; an int still passes
     where a float is declared once the range checks run too."""

@@ -402,6 +402,15 @@ class TestGrammar:
         assert r4.conditions[1].hi == 42844.0
         assert r4.decision == DecisionPart("mvv", "at_most", 1)
 
+    def test_parsed_rule_cannot_match_granules(self):
+        """A condition parsed from rule text carries no granule labels, and
+        matching a granulated row says so."""
+        rule = parse_rules(GOLDEN.read_text()).rules[3]
+        assert all(c.labels is None for c in rule.conditions)
+        with pytest.raises(UsageError, match="'phisz' has no granule labels, as a condition parsed"):
+            rule.matches_row({"phisz": 1, "tb": 1})
+        assert not rule.conditions[0].matches_label(None)  # a missing cell matches nothing
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(DataError):
             parse_rule("Rule one. cb low => mvv high")

@@ -1,11 +1,18 @@
-"""Tests for table ingestion, row masks, scaling and splitting."""
+"""Tests for table ingestion, row masks, scaling, splitting and JSON text."""
 
+import collections
+import enum
+import functools
+import json
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from somrough.corpus import jeffrey_table
 from somrough.errors import DataError, UsageError
+from somrough.pipeline import PipelineConfig, close_open
 from somrough.som import Discretizer
 from somrough.table import (
     AttributeSpec,
@@ -13,6 +20,8 @@ from somrough.table import (
     GranularTable,
     dump_schema,
     infer_scale,
+    json_record,
+    json_text,
     load_schema,
     load_table,
     scale_minmax,
@@ -297,3 +306,79 @@ class TestGranularLabels:
         # The masks take no part in equality.
         assert t == GranularTable(specs=self.SPECS, rows=t.rows, object_ids=t.object_ids,
                                   discretizers=self.DISCS)
+
+
+# --- JSON text ----------------------------------------------------------------
+
+
+@functools.cache
+def _written_records() -> list:
+    """Records of each type the report, estimate and schema writers emit,
+    from a corpus run, with the label sets of its conditions."""
+    report = close_open(jeffrey_table(), "mvv", PipelineConfig())
+    rules = report.best_rules.rules
+    conditions = [c for r in rules for c in r.conditions]
+    return [
+        *report.iterations, *rules, *conditions, *(r.decision for r in rules),
+        *report.granular.discretizers.values(), *report.granular.specs,
+        *(c.labels for c in conditions if c.labels is not None),
+    ]
+
+
+# Any code point, lone surrogates included, and strings json must escape.
+TEXT = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ["\ud800", "a\udfffb", "\u00e9t\u00e9", "\u2028", '"\\/', "\x00\x1f\x7f", "\U0001f600"]
+)
+LEAVES = st.one_of(
+    TEXT,
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64) | st.integers(max_value=-(2**64)),
+    st.floats(),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e-310, 1e16, 0.1]),
+    st.frozensets(st.integers(1, 9)),
+    st.deferred(lambda: st.sampled_from(_written_records())),
+)
+DOCS = st.recursive(
+    LEAVES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, kids, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(DOCS)
+@example([])
+@example({})
+@example(((), {}, [[]]))
+@example({"nan": math.nan, "zero": -0.0, "big": 2**70, "\u00e9": "\udc80"})
+def test_json_text_is_json_dumps(doc):
+    """``json.dumps`` with an indent of 2 and ``json_record`` as its default
+    is the oracle, byte for byte."""
+    assert json_text(doc) == json.dumps(doc, indent=2, default=json_record)
+
+
+def test_json_text_writes_subclasses_as_json_does():
+    """Types are tested in json's order: an IntEnum is an int, a bool never
+    one, and subclasses of str, float, list, tuple and dict are written as
+    their base types."""
+
+    class Text(str):
+        pass
+
+    class Real(float):
+        def __repr__(self):
+            return "real"
+
+    class Items(list):
+        pass
+
+    Colour = enum.IntEnum("Colour", "red green")
+    doc = collections.OrderedDict(
+        a=Colour.green, b=Text("t\u00e9"), c=Real(0.5), d=Items([True, None, Real("nan")]),
+        e=collections.namedtuple("Pair", "x y")(1, False), f=frozenset({3, 1}),
+    )
+    assert json_text(doc) == json.dumps(doc, indent=2, default=json_record)
+    assert '"a": 2' in json_text(doc) and '"c": 0.5' in json_text(doc)
