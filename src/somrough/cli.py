@@ -176,10 +176,7 @@ def cmd_backanalyze(args) -> int:
         check_rules(rules, granular, decision)
     except (KeyError, TypeError, ValueError, UsageError) as exc:
         raise DataError(f"malformed report file: {exc}") from None
-    disc = granular.discretizers.get(decision)
-    if disc is None:
-        raise DataError(f"report carries no quantizer for {decision!r}")
-    granule = granulate_observation(disc, args.observe)
+    granule = granulate_observation(granular.discretizers[decision], args.observe)
     est = back_analyze(rules, (decision, granule), granular)
     text = estimate_to_json(est)
     if args.out:

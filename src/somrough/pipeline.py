@@ -437,7 +437,8 @@ def report_rules_from_json(doc: dict) -> RuleSet:
 
 
 def granular_from_json(doc: dict) -> GranularTable:
-    """Rebuild the granulated table (and quantizers) embedded in a report."""
+    """Rebuild the granulated table and its quantizers embedded in a report;
+    ``GranularTable`` names every attribute the quantizers leave out."""
     discs = doc.get("discretizers", {})
     if not isinstance(discs, dict):
         raise TypeError("discretizers must be an object keyed by attribute")

@@ -37,13 +37,14 @@ class Condition(Record):
     """Interval constraint on one attribute.
 
     ``lo``/``hi`` are raw-unit bounds (None = unbounded); ``labels`` is the
-    matching granule set, non-empty positive ints, when the source
-    quantizer is known. At least one bound or the label set must be
-    present. The bounds are the quantizer's cuts, and a value on a cut
-    takes the lower band, so the labels hold exactly the values v with
-    lo < v <= hi: a value equal to ``lo`` falls in the next lower band,
-    outside the labels. The rule file's ``>=`` still reads ``lo`` as
-    inclusive.
+    matching granule set, non-empty positive ints. At least one bound or
+    the label set must be present. An induced condition carries both: its
+    labels are a proper sub-range of its quantizer's granules and its
+    bounds that quantizer's cuts. A condition parsed from rule text
+    carries bounds only. A value on a cut takes the lower band, so the
+    labels hold exactly the values v with lo < v <= hi: a value equal to
+    ``lo`` falls in the next lower band, outside the labels. The rule
+    file's ``>=`` still reads ``lo`` as inclusive.
     """
 
     attribute: str
@@ -149,42 +150,29 @@ class RuleSet(Record):
         check_semantics(self.semantics)
 
 
-def _granule_count(table: GranularTable, attr: str, rows: int) -> int:
-    d = table.discretizers.get(attr)
-    if d is not None:
-        return d.granules
-    labels = [g for g, m in table.masks()[0][attr].items() if m & rows]
-    if not labels:
-        raise DataError(f"attribute {attr!r} has no labels to infer a granule count from")
-    return max(labels)
-
-
 def _interval_condition(table: GranularTable, attr: str, g_lo: int, g_hi: int) -> Condition:
-    """Condition for granule labels g_lo..g_hi, with raw bounds when the
-    table carries the attribute's quantizer (cut k sits between labels k
-    and k+1, so labels {lo..hi} span (cut_hi, cut_{lo-1}])."""
-    disc = table.discretizers.get(attr)
-    labels = frozenset(range(g_lo, g_hi + 1))
-    if disc is None:
-        return Condition(attribute=attr, labels=labels)
-    cuts = disc.cuts
-    hi = cuts[g_lo - 2] if g_lo > 1 else None
-    lo = cuts[g_hi - 1] if g_hi < disc.granules else None
-    return Condition(attribute=attr, lo=lo, hi=hi, labels=labels)
+    """Condition for granule labels g_lo..g_hi with the raw bounds of the
+    attribute's quantizer (cut k sits between labels k and k+1, so labels
+    {lo..hi} span (cut_hi, cut_{lo-1}])."""
+    disc = table.discretizers[attr]
+    hi = disc.cuts[g_lo - 2] if g_lo > 1 else None
+    lo = disc.cuts[g_hi - 1] if g_hi < disc.granules else None
+    return Condition(attribute=attr, lo=lo, hi=hi, labels=frozenset(range(g_lo, g_hi + 1)))
 
 
 def check_rules(rs: RuleSet, table: GranularTable, decision: str) -> None:
     """Raise ``UsageError`` unless ``rs`` could have been induced on
     ``table`` for ``decision``: each condition is on a condition attribute
     and equals the condition its label range gives (labels within the
-    attribute's granules, bounds its quantizer's cuts), each decision band
-    is on ``decision`` within its granules, and every uncovered id is an
-    object of the table."""
+    granules of the attribute's quantizer, bounds that quantizer's cuts),
+    so a condition without labels fails; each decision band is on
+    ``decision`` within its quantizer's granules; and every uncovered id
+    is an object of the table."""
     cond_names = set(table.condition_names)
-    d = table.discretizers.get(decision)
+    g_count = table.discretizers[decision].granules
     for rule in rs.rules:
         part = rule.decision
-        if part.attribute != decision or d is not None and part.granule > d.granules:
+        if part.attribute != decision or part.granule > g_count:
             raise UsageError(
                 f"rule decision ({part.attribute} {part.kind} {part.granule}) "
                 f"is not a band of {decision!r}"
@@ -192,10 +180,9 @@ def check_rules(rs: RuleSet, table: GranularTable, decision: str) -> None:
         for c in rule.conditions:
             if c.attribute not in cond_names:
                 raise UsageError(f"rule condition on {c.attribute!r}, not a condition attribute")
-            g = table.discretizers.get(c.attribute)
             if not (
                 c.labels
-                and (g is None or max(c.labels) <= g.granules)
+                and max(c.labels) <= table.discretizers[c.attribute].granules
                 and c == _interval_condition(table, c.attribute, min(c.labels), max(c.labels))
             ):
                 raise UsageError(
@@ -216,12 +203,14 @@ def induce_cover(
     ``rows`` of ``table``, or every row when it is None.
 
     Targets are each decision class (exact semantics) or each proper
-    downward band "at most g" (cumulative). A rule grows one condition at
-    a time, picking the candidate that keeps the most still-uncovered
-    positives, then the fewest negatives, then the lowest attribute index;
-    it is accepted only when it matches no negative and its strength
-    clears the floor. Covered positives leave the pool until everything
-    coverable is covered or the rule budget runs out.
+    downward band "at most g", g < G (cumulative), with G the granule
+    count of the decision's quantizer, whatever labels ``rows`` holds. A
+    rule grows one condition at a time, picking the candidate that keeps
+    the most still-uncovered positives, then the fewest negatives, then
+    the lowest attribute index; it is accepted only when it matches no
+    negative and its strength clears the floor. Covered positives leave
+    the pool until everything coverable is covered or the rule budget
+    runs out.
     """
     if decision not in table.decision_names:
         raise UsageError(f"{decision!r} is not a decision attribute")
@@ -231,18 +220,19 @@ def induce_cover(
         rows = (1 << len(table)) - 1
     label_masks = table.masks()[0]
     by_label = {g: m & rows for g, m in label_masks[decision].items() if m & rows}
-    g_count = _granule_count(table, decision, rows)
+    g_count = table.discretizers[decision].granules
     if semantics == "exact":
         targets = [DecisionPart(decision, "exactly", g) for g in sorted(by_label)]
     else:
         targets = [DecisionPart(decision, "at_most", g) for g in range(1, g_count)]
 
     # Candidate label intervals (g_lo, g_hi) per attribute, each with the
-    # rows it matches: every contiguous proper sub-range of 1..G. A missing
+    # rows it matches: every contiguous proper sub-range of 1..G of the
+    # attribute's quantizer, so a chosen one has a cut to render. A missing
     # label matches nothing. Only chosen candidates become Conditions.
     candidates: dict[str, list[tuple[int, int, int]]] = {}
     for attr in table.condition_names:
-        ga = _granule_count(table, attr, rows)
+        ga = table.discretizers[attr].granules
         intervals = []
         for g_lo in range(1, ga + 1):
             matched = 0

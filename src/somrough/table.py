@@ -123,18 +123,20 @@ class DecisionTable(Record):
 class GranularTable(DecisionTable):
     """A table whose cells are granule labels (ints >= 1) or missing.
 
-    ``discretizers`` records, per attribute, the quantizer that produced
-    the labels so raw observations can be mapped into the same vocabulary.
-    Labels are checked once, when a table is constructed.
+    ``discretizers`` maps every attribute to the quantizer that produced
+    its labels, so raw observations map into the same vocabulary and rule
+    conditions take its cuts as raw bounds; a missing one is a
+    ``DataError``. Labels are checked once, when a table is constructed.
     """
 
-    discretizers: dict = None  # None: a fresh empty dict
+    discretizers: dict = None  # required; None only because object_ids has a default
     _masks = None  # not a field: built on first use by masks()
 
     def __post_init__(self):
         super().__post_init__()
-        if self.discretizers is None:
-            object.__setattr__(self, "discretizers", {})
+        missing = [n for n in self.names if n not in (self.discretizers or ())]
+        if missing:
+            raise DataError(f"no quantizer for attribute(s) {', '.join(map(repr, missing))}")
         # Per column, its cell types and the range of its distinct labels;
         # only a failed check runs the row-major loop naming the first bad cell.
         for s, col in zip(self.specs, zip(*self.rows)):
@@ -143,8 +145,8 @@ class GranularTable(DecisionTable):
                 t is int or t is not bool and issubclass(t, numbers.Integral) for t in types
             ):
                 break
-            labels, d = set(col) - {None}, self.discretizers.get(s.name)
-            if labels and (min(labels) < 1 or d is not None and max(labels) > d.granules):
+            labels = set(col) - {None}
+            if labels and (min(labels) < 1 or max(labels) > self.discretizers[s.name].granules):
                 break
         else:
             return
@@ -156,8 +158,8 @@ class GranularTable(DecisionTable):
                     raise DataError(
                         f"row {i}, attribute {s.name!r}: granule label must be a positive int"
                     )
-                d = self.discretizers.get(s.name)
-                if d is not None and v > d.granules:
+                d = self.discretizers[s.name]
+                if v > d.granules:
                     raise DataError(
                         f"row {i}, attribute {s.name!r}: label {v} exceeds granule count {d.granules}"
                     )

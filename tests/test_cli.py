@@ -373,6 +373,33 @@ def test_bad_input_file_is_2(case, tmp_path, capsys, corpus_report_doc):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("drop", ["unused-condition", "decision", "all"])
+def test_report_without_a_quantizer_is_2(drop, tmp_path, capsys, corpus_report_doc):
+    """A report whose quantizers leave out an attribute of its table is a
+    data error naming each such attribute, whether or not a rule uses it;
+    no estimate is written."""
+    doc = copy.deepcopy(corpus_report_doc)
+    g = doc["granular"]
+    used = {c["attribute"] for r in doc["best"]["rules"] for c in r["conditions"]}
+    unused = [a for a, r in zip(g["attributes"], g["roles"]) if r == "condition" and a not in used]
+    assert unused, "the corpus report's rules use every condition attribute"
+    if drop == "all":
+        del doc["discretizers"]
+        named = g["attributes"]
+    else:
+        named = [unused[0] if drop == "unused-condition" else doc["decision"]]
+        del doc["discretizers"][named[0]]
+    report, out = tmp_path / "report.json", tmp_path / "estimate.json"
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert _run(*_backanalyze(str(report)), "--out", str(out)) == 2
+    assert _run(*_backanalyze(str(report))) == 2
+    captured = capsys.readouterr()
+    message = f"data error: no quantizer for attribute(s) {', '.join(map(repr, named))}\n"
+    assert captured.err == message * 2
+    assert captured.out == "" and not out.exists()
+
+
 # The argv of each command that writes to --out, short of --out; the
 # report path feeds backanalyze.
 _TABLE = ["--data", CORPUS, "--schema", SCHEMA]

@@ -31,6 +31,7 @@ from somrough.table import AttributeSpec, DecisionTable, GranularTable, json_rec
 
 SPECS = (AttributeSpec("a", "condition"), AttributeSpec("d", "decision"))
 DISC = Discretizer("a", "linear", (3.0, 2.0, 1.0), (2.5, 1.5))
+DISCS = {"a": DISC, "d": Discretizer("d", "linear", (2.0, 1.0), (1.5,))}
 COND = Condition("a", lo=1.5, hi=2.5, labels=frozenset({2}))
 
 # (record, expected field order, a valid change, an invalid change and its error)
@@ -50,7 +51,7 @@ CASES = [
      ["run", "index", "split_seed", "budget", "n_rules", "accuracy", "accepted"],
      {"accepted": True}, None, None),
     (GranularTable(specs=SPECS, rows=((1, 1), (3, 2)), object_ids=(4, 7),
-                   discretizers={"a": DISC}),
+                   discretizers=DISCS),
      ["specs", "rows", "object_ids", "discretizers"],
      {"object_ids": (5, 6)}, {"rows": ((4, 1), (3, 2))}, DataError),
 ]
@@ -109,14 +110,6 @@ class TestAgainstDataclass:
             replace(record, no_such_field=1)
 
 
-def test_granular_tables_get_their_own_discretizers():
-    one = GranularTable(specs=SPECS, rows=((1, 1),))
-    two = GranularTable(specs=SPECS, rows=((1, 1),))
-    assert one.discretizers == two.discretizers == {}
-    assert one.discretizers is not two.discretizers
-    assert one == two and repr(one) == repr(_twin(one))
-
-
 def test_post_init_is_looked_up_per_call(monkeypatch):
     """A ``__post_init__`` set on the class after its definition runs on the
     next construction, as the benchmark's tracer relies on."""
@@ -128,18 +121,18 @@ def test_post_init_is_looked_up_per_call(monkeypatch):
         original(self)
 
     monkeypatch.setattr(GranularTable, "__post_init__", spy)
-    GranularTable(specs=SPECS, rows=((1, 1),))
+    GranularTable(specs=SPECS, rows=((1, 1),), discretizers=DISCS)
     assert seen == [((1, 1),)]
 
 
 def test_non_fields_stay_out():
     """The row masks are an attribute, not a field: they take no part in
     equality, hashing or ``repr``."""
-    table = GranularTable(specs=SPECS, rows=((1, 1), (2, 2)), discretizers={"a": DISC})
+    table = GranularTable(specs=SPECS, rows=((1, 1), (2, 2)), discretizers=DISCS)
     table.masks()
     assert "_masks" in vars(table)
     assert "_masks" not in repr(table)
-    assert table == GranularTable(specs=SPECS, rows=table.rows, discretizers={"a": DISC})
+    assert table == GranularTable(specs=SPECS, rows=table.rows, discretizers=DISCS)
 
 
 # --- field type checks and from_json -----------------------------------------
@@ -401,4 +394,6 @@ def test_readers_are_built_with_the_class():
     assert fields(GranularTable)[:3] == fields(DecisionTable)
     table = {"specs": [doc], "rows": [[1]], "object_ids": [5]}
     assert from_json(DecisionTable, table).object_ids == (5,)
-    assert from_json(GranularTable, table).discretizers == {}
+    assert from_json(GranularTable, {**table, "discretizers": {"a": DISC}}).discretizers == {
+        "a": DISC
+    }

@@ -3,7 +3,7 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from somrough.errors import DataError, UsageError
@@ -15,6 +15,7 @@ from somrough.rules import (
     RuleConstraints,
     RuleSet,
     accuracy,
+    check_rules,
     classify,
     induce_cover,
     parse_rule,
@@ -31,14 +32,22 @@ GOLDEN = Path(__file__).parent / "data" / "jeffrey_rules_golden.txt"
 LOOSE = RuleConstraints(min_strength=0.0, max_length=10, max_rules=100)
 
 
+def _quantizer(name: str, g: int) -> Discretizer:
+    """A linear quantizer with centers g, g - 1, ..., 1 and cuts halfway."""
+    centers = tuple(float(g - k) for k in range(g))
+    return Discretizer(name, "linear", centers, tuple(c - 0.5 for c in centers[:-1]))
+
+
 def _gtable(cond_cols: dict, decision_col: list):
-    """Granular table from named label columns (no quantizers attached)."""
+    """Granular table from named label columns, with a quantizer per column
+    whose granule count is the column's highest label."""
     specs = [AttributeSpec(n, "condition") for n in cond_cols]
     specs.append(AttributeSpec("d", "decision"))
     names = list(cond_cols) + ["d"]
     cols = list(cond_cols.values()) + [decision_col]
     rows = tuple(tuple(col[i] for col in cols) for i in range(len(decision_col)))
-    return GranularTable(specs=tuple(specs), rows=rows)
+    discs = {n: _quantizer(n, max(v for v in col if v is not None)) for n, col in zip(names, cols)}
+    return GranularTable(specs=tuple(specs), rows=rows, discretizers=discs)
 
 
 # Three objects: a distinguishes the decision perfectly.
@@ -268,19 +277,14 @@ class TestMissingDecision:
 @st.composite
 def _masked_case(draw):
     """A small granulated table with missing condition and decision cells,
-    with or without quantizers, and a training row mask."""
+    its quantizers, and a training row mask."""
     n = draw(st.integers(1, 14))
     n_cond = draw(st.integers(1, 3))
     grans = [draw(st.integers(2, 4)) for _ in range(n_cond + 1)]
     names = [f"a{j}" for j in range(n_cond)] + ["d"]
     cell = {g: st.one_of(st.none(), st.integers(1, g), st.integers(1, g)) for g in set(grans)}
     rows = tuple(tuple(draw(cell[g]) for g in grans) for _ in range(n))
-    discs = {}
-    if draw(st.booleans()):
-        for name, g in zip(names, grans):
-            centers = tuple(float(g - k) for k in range(g))
-            cuts = tuple(c - 0.5 for c in centers[:-1])
-            discs[name] = Discretizer(name, "linear", centers, cuts)
+    discs = {name: _quantizer(name, g) for name, g in zip(names, grans)}
     specs = tuple(AttributeSpec(nm, "decision" if nm == "d" else "condition") for nm in names)
     table = GranularTable(specs=specs, rows=rows, discretizers=discs)
     mask = draw(st.integers(0, (1 << n) - 1))
@@ -304,18 +308,16 @@ class TestMaskOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(case=_masked_case())
+    @example(case=(_gtable({"a": [1, 2, None]}, [2, None, 1]), 0, LOOSE, "cumulative"))
     def test_rules_scores_and_uncovered(self, case):
         table, mask, cons, semantics = case
         rows = [dict(zip(table.names, r)) for r in table.rows]
         picked = [i for i in range(len(rows)) if mask >> i & 1]
-        try:
-            rs = induce_cover(table, "d", cons, semantics, rows=mask)
-        except DataError:
-            # Without quantizers a granule count comes from the labels in
-            # the mask, and some column has none.
-            assert not table.discretizers
-            assert any(all(rows[i][a] is None for i in picked) for a in table.names)
-            return
+        rs = induce_cover(table, "d", cons, semantics, rows=mask)
+        check_rules(rs, table, "d")
+        assert render_rules(rs).count("\n") == len(rs.rules)
+        if not mask:
+            assert rs.rules == () and rs.uncovered == ()
         decided = [i for i in picked if rows[i]["d"] is not None]
         for rule in rs.rules:
             positives = [i for i in decided if rule.decision.covers(rows[i]["d"])]
@@ -336,10 +338,7 @@ class TestMaskOracle:
     def test_accuracy_per_object(self, case, test_mask):
         table, mask, cons, semantics = case
         test_mask &= (1 << len(table)) - 1
-        try:
-            rs = induce_cover(table, "d", cons, semantics, rows=mask)
-        except DataError:
-            rs = RuleSet(rules=())
+        rs = induce_cover(table, "d", cons, semantics, rows=mask)
         scored = [
             dict(zip(table.names, r)) for i, r in enumerate(table.rows)
             if test_mask >> i & 1 and r[-1] is not None

@@ -255,12 +255,27 @@ class TestInvariants:
 
 class TestGranularLabels:
     SPECS = (AttributeSpec("a", "condition"), AttributeSpec("d", "decision"))
-    DISCS = {"a": Discretizer("a", "linear", (3.0, 2.0, 1.0), (2.5, 1.5))}
+    DISCS = {
+        "a": Discretizer("a", "linear", (3.0, 2.0, 1.0), (2.5, 1.5)),
+        "b": Discretizer("b", "linear", (2.0, 1.0), (1.5,)),
+        "d": Discretizer("d", "linear", (2.0, 1.0), (1.5,)),
+    }
 
     @pytest.mark.parametrize("label", [0, -1, 1.5, 2.0, "1", True])
     def test_bad_label_rejected(self, label):
         with pytest.raises(DataError, match="granule label must be a positive int"):
             GranularTable(specs=self.SPECS, rows=((1, 1), (label, 2)), discretizers=self.DISCS)
+
+    @pytest.mark.parametrize("discretizers, named", [
+        ({"a": DISCS["a"]}, "'d'"),
+        ({"d": DISCS["d"]}, "'a'"),
+        ({}, "'a', 'd'"),
+        (None, "'a', 'd'"),
+    ])
+    def test_missing_quantizers_are_named(self, discretizers, named):
+        with pytest.raises(DataError) as exc:
+            GranularTable(specs=self.SPECS, rows=((1, 1),), discretizers=discretizers)
+        assert str(exc.value) == f"no quantizer for attribute(s) {named}"
 
     def test_label_above_granule_count_rejected(self):
         with pytest.raises(DataError, match="exceeds granule count 3"):
