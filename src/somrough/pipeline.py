@@ -78,6 +78,10 @@ class PipelineConfig(Record):
             raise UsageError("granules must be >= 2")
         if self.max_open_steps < 0:
             raise UsageError("max_open_steps must be >= 0")
+        if not 0.0 < self.train_fraction <= 1.0:
+            raise UsageError("train_fraction must be in (0, 1]")
+        if self.seed < 0:
+            raise UsageError("seed must be >= 0")
         check_semantics(self.semantics)
 
     @property
@@ -438,17 +442,22 @@ def report_rules_from_json(doc: dict) -> RuleSet:
 
 def granular_from_json(doc: dict) -> GranularTable:
     """Rebuild the granulated table and its quantizers embedded in a report;
-    ``GranularTable`` names every attribute the quantizers leave out."""
+    ``GranularTable`` names every attribute the quantizers leave out, and a
+    quantizer of an attribute the table lacks is refused here."""
     discs = doc.get("discretizers", {})
     if not isinstance(discs, dict):
         raise TypeError("discretizers must be an object keyed by attribute")
     discs = {name: from_json(Discretizer, d) for name, d in discs.items()}
+    g = doc["granular"]
+    specs = tuple(map(AttributeSpec, g["attributes"], g["roles"]))
+    names = {s.name for s in specs}
     for name, d in discs.items():
         if d.name != name:
             raise ValueError(f"the quantizer under {name!r} is named {d.name!r}")
-    g = doc["granular"]
+        if name not in names:
+            raise ValueError(f"quantizer of {name!r}, an attribute the table lacks")
     return GranularTable(
-        specs=tuple(map(AttributeSpec, g["attributes"], g["roles"])),
+        specs=specs,
         rows=tuple(map(tuple, g["rows"])),  # labels as read: GranularTable checks them
         object_ids=tuple(g["object_ids"]),
         discretizers=discs,

@@ -10,11 +10,11 @@ a missing value is tolerant (it matches anything), and blocks are then
 grown greedily in object-id order so the result stays deterministic.
 
 Partitions, positive regions, reducts and the core work over distinct
-object classes: one pass over the rows groups equal vectors, and a clause
-depends only on two classes' vectors (and, in decision_relative mode, on
-positive-region membership and decisions), so each pair of classes is
-compared once. The core is read off the singleton clauses without
-expanding the DNF. disc_matrix keeps the pairwise form as the reference.
+object classes: each call groups the rows once and tags a class by the
+decisions of its tolerance group. A clause depends only on two classes'
+vectors and tags, so each pair of classes is compared once. The core is
+read off the singleton clauses without expanding the DNF. disc_matrix
+keeps the pairwise form as the reference.
 
 Clauses are absorbed inside the implicant expansion: taken shortest
 first, one that contains an earlier clause is hit by every implicant so
@@ -55,9 +55,6 @@ class Partition(Record):
     blocks: tuple[frozenset, ...]
     universe: frozenset
 
-    def as_set(self) -> frozenset:
-        return frozenset(self.blocks)
-
 
 class DiscernibilityMatrix(Record):
     """Attribute sets separating object pairs (i > j), by object id."""
@@ -79,12 +76,31 @@ class ReductSet(Record):
     core: frozenset
 
 
-def _classes(table: DecisionTable, attrs, d_attrs=()) -> dict:
-    """Object ids per distinct (vector on attrs, vector on d_attrs) pair, in
-    first-occurrence order: one pass in object-id order groups equal rows,
-    and only the distinct rows are projected."""
+def _tolerance_groups(vecs) -> list[list[tuple]]:
+    """Group distinct vectors first-fit: in the given order, each joins the
+    first group it is tolerant with every member of (a missing value
+    matches anything)."""
+    # Distinct complete vectors are never tolerant with each other.
+    missing = any(None in vec for vec in vecs)
+    groups: list[list[tuple]] = []
+    for vec in vecs:
+        for group in groups if missing else ():
+            if all(x is None or y is None or x == y for other in group for x, y in zip(vec, other)):
+                group.append(vec)
+                break
+        else:
+            groups.append([vec])
+    return groups
+
+
+def _class_keys(table: DecisionTable, attrs, d_attrs=None) -> dict:
+    """Object ids per distinct (vector on attrs, tag) key, in first-occurrence
+    order; only the distinct rows are projected. The tag is None without
+    d_attrs, else (in the positive region, decision vector): a class is
+    positive when, per decision attribute, the present values across its
+    tolerance group (its partition_by block) agree."""
     c_idx = [table.col_index(a) for a in attrs]  # raises UsageError on unknown names
-    d_idx = [table.col_index(a) for a in d_attrs]
+    d_idx = [table.col_index(a) for a in d_attrs or ()]
     by_row: dict[tuple, list] = {}
     for oid, row in sorted(zip(table.object_ids, table.rows)):  # unique ids: rows never compared
         by_row.setdefault(row, []).append(oid)
@@ -92,7 +108,16 @@ def _classes(table: DecisionTable, attrs, d_attrs=()) -> dict:
     for row, members in by_row.items():
         key = (tuple([row[j] for j in c_idx]), tuple([row[j] for j in d_idx]))
         classes.setdefault(key, []).extend(members)
-    return classes
+    if d_attrs is None:
+        return {(vec, None): ids for (vec, _), ids in classes.items()}
+    decisions: dict[tuple, set] = {}  # vector on attrs -> its decision vectors
+    for vec, dec in classes:
+        decisions.setdefault(vec, set()).add(dec)
+    pure = {}
+    for group in _tolerance_groups(decisions):
+        decs = [dec for vec in group for dec in decisions[vec]]
+        pure.update(dict.fromkeys(group, all(len(set(v) - {None}) <= 1 for v in zip(*decs))))
+    return {(vec, (pure[vec], dec)): ids for (vec, dec), ids in classes.items()}
 
 
 def partition_by(table: DecisionTable, attrs) -> Partition:
@@ -107,19 +132,9 @@ def partition_by(table: DecisionTable, attrs) -> Partition:
     first one's block is tolerant with both), so the scan runs over the
     distinct vectors in order of first occurrence and gives the same blocks.
     """
-    classes = {vec: ids for (vec, _), ids in _classes(table, list(attrs)).items()}
-    # Distinct complete vectors are never tolerant with each other.
-    missing = any(None in vec for vec in classes)
-    groups: list[list[tuple]] = []
-    for vec in classes:
-        for group in groups if missing else ():
-            if all(x is None or y is None or x == y for other in group for x, y in zip(vec, other)):
-                group.append(vec)
-                break
-        else:
-            groups.append([vec])
-    blocks = [frozenset(oid for vec in group for oid in classes[vec]) for group in groups]
-    blocks.sort(key=min)
+    classes = {vec: ids for (vec, _), ids in _class_keys(table, list(attrs)).items()}
+    groups = _tolerance_groups(classes)
+    blocks = sorted((frozenset(oid for vec in g for oid in classes[vec]) for g in groups), key=min)
     return Partition(blocks=tuple(blocks), universe=frozenset(table.object_ids))
 
 
@@ -144,23 +159,6 @@ def _decision_attrs(table: DecisionTable, decision) -> list[str]:
     if isinstance(decision, str):
         decision = [decision]
     return [table.spec(d).name for d in decision]
-
-
-def _class_keys(table: DecisionTable, attrs, d_attrs=None) -> dict:
-    """Object ids per distinct (vector on attrs, tag) key, in first-occurrence
-    order. The tag is None without d_attrs, else (in the positive region,
-    decision vector). A partition_by block is in the positive region when,
-    per decision attribute, its present values agree; that is decided once
-    per block, from the block's distinct decision vectors."""
-    classes = _classes(table, attrs, d_attrs or ())
-    if d_attrs is None:
-        return {(vec, None): ids for (vec, _), ids in classes.items()}
-    block_of = {oid: k for k, b in enumerate(partition_by(table, attrs).blocks) for oid in b}
-    decisions: dict[int, set] = {}
-    for (_, dec), ids in classes.items():
-        decisions.setdefault(block_of[ids[0]], set()).add(dec)
-    pure = {k: all(len(set(v) - {None}) <= 1 for v in zip(*d)) for k, d in decisions.items()}
-    return {(vec, (pure[block_of[ids[0]]], dec)): ids for (vec, dec), ids in classes.items()}
 
 
 def positive_region(table: DecisionTable, attrs, decision=None) -> frozenset:
@@ -241,7 +239,7 @@ def _clauses(table: DecisionTable, mode: str = "decision_relative", decision=Non
     every other object and an empty entry against each other, so comparing
     each pair of distinct keys once yields the same clause family. Under
     tolerant grouping this holds because identical vectors always share a
-    partition_by block, hence the same positive-region membership.
+    tolerance group, hence the same positive-region membership.
     Raises DataError, before comparing any pair, when the pairs times the
     compared attributes exceed MAX_CLAUSE_CELLS.
     """
@@ -362,10 +360,10 @@ def reducts_exhaustive(
         attrs = table.names
         if len(attrs) > MAX_EXHAUSTIVE_ATTRS:
             raise UsageError(f"exhaustive search capped at {MAX_EXHAUSTIVE_ATTRS} attributes")
-        target = partition_by(table, attrs).as_set()
+        target = frozenset(partition_by(table, attrs).blocks)
 
         def preserves(subset):
-            return partition_by(table, subset).as_set() == target
+            return frozenset(partition_by(table, subset).blocks) == target
 
     elif mode == "decision_relative":
         attrs = table.condition_names

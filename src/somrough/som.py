@@ -14,6 +14,7 @@ between adjacent centers mapped back into raw units.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import chain, repeat
 
 from . import _pcg
@@ -311,7 +312,9 @@ class Discretizer(Record):
     def __post_init__(self):
         if self.scale not in SCALES:
             raise UsageError(f"quantizer of {self.name!r}: scale must be one of {SCALES}")
-        if not all(map(math.isfinite, self.centers + self.cuts)):
+        # Python compares an int with a float exactly; math.isfinite raises
+        # OverflowError on an int past the float range.
+        if not all(abs(v) <= sys.float_info.max for v in self.centers + self.cuts):
             raise UsageError(f"quantizer of {self.name!r}: centers and cuts must be finite")
         if len(self.cuts) != len(self.centers) - 1:
             raise UsageError("need exactly G - 1 cuts for G centers")

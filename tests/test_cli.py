@@ -309,6 +309,25 @@ BAD_INPUTS = {
     "report-quantizer-of-other-attribute": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("discretizers", "mvv", "name"), "cb")
     ),
+    "report-quantizer-of-missing-attribute": lambda tmp, doc: _backanalyze(_report_with(
+        tmp, doc, ("discretizers", "zzz"), dict(doc["discretizers"]["mvv"], name="zzz")
+    )),
+    "report-center-beyond-float-range": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("discretizers", "cb", "centers"), [10**400, 1.0, 0.5])
+    ),
+    # Config values that no pipeline run accepts.
+    "report-train-fraction-above-1": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("config", "train_fraction"), 1.5)
+    ),
+    "report-train-fraction-negative": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("config", "train_fraction"), -0.2)
+    ),
+    "report-train-fraction-zero": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("config", "train_fraction"), 0)
+    ),
+    "report-seed-negative": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("config", "seed"), -1)
+    ),
     "report-number-semantics": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("best", "semantics"), 5)
     ),

@@ -211,6 +211,25 @@ SPLIT_CLASS = DecisionTable(
     object_ids=(7, 3, 5),
 )
 
+# The first two vectors share one tolerant block with two decisions, so
+# only object 2 is in the positive region.
+TOLERANT_MIXED = DecisionTable(
+    specs=(AttributeSpec("a0", "condition"), AttributeSpec("d", "decision")),
+    rows=((1.0, 1.0), (None, 2.0), (2.0, 1.0)),
+)
+
+# The missing-cell vector joins the block of (2, 1), which comes first in
+# id order although it is second in row order.
+TOLERANT_BY_ID = DecisionTable(
+    specs=(
+        AttributeSpec("a0", "condition"),
+        AttributeSpec("a1", "condition"),
+        AttributeSpec("d", "decision"),
+    ),
+    rows=((1.0, 1.0, 1.0), (2.0, 1.0, 2.0), (None, 1.0, 1.0)),
+    object_ids=(5, 2, 9),
+)
+
 
 def _minimal(sets) -> frozenset:
     """Brute-force absorption: the sets with no proper subset among them."""
@@ -300,6 +319,8 @@ class TestClassLayerOracle:
     @given(_tables().flatmap(lambda t: st.tuples(
         st.just(t), st.lists(st.sampled_from(t.names), unique=True))))
     @example((SPLIT_CLASS, ["a0", "d1"]))
+    @example((TOLERANT_MIXED, ["a0"]))
+    @example((TOLERANT_BY_ID, ["a0", "a1"]))
     def test_matches_per_object_reference(self, case):
         """Blocks, positive region and core computed over distinct classes
         equal a per-object greedy scan and purity check, on tables with
