@@ -168,12 +168,12 @@ def cmd_backanalyze(args) -> int:
     try:
         doc = json.loads(_read(args.report))
         rules = report_rules_from_json(doc)
-        config_from_settings(doc["config"])  # a config some pipeline run could have had
+        config = config_from_settings(doc["config"])  # one some pipeline run could have had
         granular = granular_from_json(doc)
         decision = doc["decision"]
         if decision not in granular.decision_names:
             raise ValueError(f"{decision!r} is not a decision attribute")
-        check_rules(rules, granular, decision)
+        check_rules(rules, granular, decision, config.constraints, config.semantics)
     except (KeyError, TypeError, ValueError, UsageError) as exc:
         raise DataError(f"malformed report file: {exc}") from None
     granule = granulate_observation(granular.discretizers[decision], args.observe)

@@ -133,16 +133,26 @@ class Iteration(Record):
 
 
 class RunReport(Record):
+    """Every iteration of a close-open call, and the best one with its rule
+    set and its run's granulated table. ``best_accuracy`` and ``el_met``
+    are read off ``best_iteration``; ``notes`` is ``POLICY_NOTES``."""
+
     config: PipelineConfig
     decision: str
     iterations: tuple[Iteration, ...]
     best_rules: RuleSet
-    best_accuracy: float
     best_iteration: Iteration
     granular: GranularTable  # of the best run, with its quantizers
-    el_met: bool
     stop_reason: str
-    notes: tuple[str, ...] = POLICY_NOTES
+    notes = POLICY_NOTES  # not a field: the same in every report
+
+    @property
+    def best_accuracy(self) -> float:
+        return self.best_iteration.accuracy
+
+    @property
+    def el_met(self) -> bool:  # some iteration reached the bar exactly when the best did
+        return self.best_iteration.accepted
 
     @property
     def total_iterations(self) -> int:
@@ -151,13 +161,17 @@ class RunReport(Record):
 
 class ParameterEstimate(Record):
     """Back-analysis output: alternative condition bundles, one per
-    matched rule, plus a sensitivity ranking of the condition attributes."""
+    matched rule, plus a sensitivity ranking of the condition attributes.
+    ``no_match`` holds when no rule matched."""
 
     decision: str
     observed_granule: int
     matched_rules: tuple[Rule, ...]
     sensitivity: tuple[tuple[str, bool, int], ...]  # (attribute, in_core, frequency)
-    no_match: bool
+
+    @property
+    def no_match(self) -> bool:
+        return not self.matched_rules
 
     @property
     def bundles(self) -> tuple[tuple[Condition, ...], ...]:
@@ -258,10 +272,9 @@ def _fit_split(table: DecisionTable, granules: int, jobs: list) -> list | None:
 def close_open(table: DecisionTable, decision: str, cfg: PipelineConfig) -> RunReport:
     """Balance rule-budget simplicity against held-out accuracy.
 
-    Runs are independent; the reported best is the accepted iteration with
-    the highest accuracy (ties: fewer rules, then smaller total length,
-    then earlier), falling back to best-so-far with el_met=False when no
-    iteration reaches the bar.
+    Runs are independent; the reported best is the iteration with the
+    highest accuracy (ties: fewer rules, then smaller total length, then
+    earlier), so it reached the bar when any iteration did.
     """
     if len(table) == 0:
         raise DataError("cannot run the pipeline on an empty table")
@@ -275,7 +288,7 @@ def close_open(table: DecisionTable, decision: str, cfg: PipelineConfig) -> RunR
         )
 
     iterations: list[Iteration] = []
-    candidates = []  # (sort_key, accepted, iteration, ruleset, granulated table)
+    best = None  # (sort key, iteration, rule set, granulated table)
     stop_reasons = []
 
     for run in range(cfg.runs):
@@ -305,52 +318,39 @@ def close_open(table: DecisionTable, decision: str, cfg: PipelineConfig) -> RunR
                 accepted=accepted,
             )
             iterations.append(it)
-            total_len = sum(r.length for r in rs.rules)
-            candidates.append(
-                ((-acc, len(rs.rules), total_len, len(iterations)), accepted, it, rs, gtable)
-            )
+            # An accepted iteration outranks every other, as its accuracy is higher.
+            key = (-acc, len(rs.rules), sum(r.length for r in rs.rules), len(iterations))
+            if best is None or key < best[0]:
+                best = (key, it, rs, gtable)
 
-            if accepted:
-                if budget <= 1:
-                    stop = "stable success at minimal budget"
-                    break
-                if open_steps >= cfg.max_open_steps:
-                    stop = "budget-adjustment cap"
-                    break
-                budget -= 1
+            fails_here = 0 if accepted else fails_here + 1
+            if 0 < fails_here < cfg.max_closed:
+                continue  # another split at this budget
+            if accepted and budget <= 1:
+                stop = "stable success at minimal budget"
+            elif not accepted and tightening:
+                stop = "stable success above this budget"
+            elif not accepted and budget >= cfg.constraints.max_rules:
+                stop = "budget bound reached"
+            elif open_steps >= cfg.max_open_steps:
+                stop = "budget-adjustment cap"
+            else:  # one open step: tighten after a hit, relax after a round of misses
+                budget += -1 if accepted else 1
                 open_steps += 1
                 fails_here = 0
-                tightening = True
-            else:
-                fails_here += 1
-                if fails_here < cfg.max_closed:
-                    continue
-                if tightening:
-                    stop = "stable success above this budget"
-                    break
-                if budget >= cfg.constraints.max_rules:
-                    stop = "budget bound reached"
-                    break
-                if open_steps >= cfg.max_open_steps:
-                    stop = "budget-adjustment cap"
-                    break
-                budget += 1
-                open_steps += 1
-                fails_here = 0
+                tightening = tightening or accepted
+                continue
+            break
         stop_reasons.append(f"run {run}: {stop}")
 
-    accepted_pool = [c for c in candidates if c[1]]
-    pool = accepted_pool or candidates
-    _, _, best_it, best_rs, gtable = min(pool, key=lambda c: c[0])
+    _, best_it, best_rs, gtable = best
     return RunReport(
         config=cfg,
         decision=decision,
         iterations=tuple(iterations),
         best_rules=best_rs,
-        best_accuracy=best_it.accuracy,
         best_iteration=best_it,
         granular=gtable,
-        el_met=bool(accepted_pool),
         stop_reason="; ".join(stop_reasons),
     )
 
@@ -398,7 +398,6 @@ def back_analyze(
         observed_granule=label,
         matched_rules=matched,
         sensitivity=tuple(sorted(entries, key=lambda e: (not e[1], -e[2], e[0]))),
-        no_match=not matched,
     )
 
 
@@ -411,7 +410,7 @@ def report_to_json(report: RunReport) -> str:
         "decision": report.decision,
         "el_met": report.el_met,
         "stop_reason": report.stop_reason,
-        "notes": list(report.notes),
+        "notes": list(POLICY_NOTES),
         "iterations": report.iterations,
         "best": {
             "accuracy": report.best_accuracy,
@@ -441,15 +440,19 @@ def report_rules_from_json(doc: dict) -> RuleSet:
 
 
 def granular_from_json(doc: dict) -> GranularTable:
-    """Rebuild the granulated table and its quantizers embedded in a report;
-    ``GranularTable`` names every attribute the quantizers leave out, and a
-    quantizer of an attribute the table lacks is refused here."""
+    """Rebuild the granulated table and its quantizers embedded in a report,
+    each attribute with its quantizer's scale; ``GranularTable`` names every
+    attribute the quantizers leave out, and a quantizer of an attribute the
+    table lacks is refused here."""
     discs = doc.get("discretizers", {})
     if not isinstance(discs, dict):
         raise TypeError("discretizers must be an object keyed by attribute")
     discs = {name: from_json(Discretizer, d) for name, d in discs.items()}
     g = doc["granular"]
     specs = tuple(map(AttributeSpec, g["attributes"], g["roles"]))
+    # The report keeps a scale only in each quantizer; without one, the
+    # default stands and GranularTable names the attribute.
+    specs = tuple(replace(s, scale=discs[s.name].scale) if s.name in discs else s for s in specs)
     names = {s.name for s in specs}
     for name, d in discs.items():
         if d.name != name:

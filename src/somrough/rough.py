@@ -50,18 +50,15 @@ MAX_CLAUSE_CELLS = 25_000_000
 
 
 class Partition(Record):
-    """Disjoint blocks of object ids covering the universe."""
+    """Disjoint blocks of object ids covering the table's objects."""
 
     blocks: tuple[frozenset, ...]
-    universe: frozenset
 
 
 class DiscernibilityMatrix(Record):
-    """Attribute sets separating object pairs (i > j), by object id."""
+    """Attribute sets separating each pair of the table's objects (i > j), by id."""
 
     entries: dict  # (id_i, id_j) -> frozenset of attribute names
-    universe: frozenset
-    mode: str
 
 
 class BoolFormula(Record):
@@ -72,8 +69,13 @@ class BoolFormula(Record):
 
 
 class ReductSet(Record):
+    """Reducts, sorted by size then names; the core is their intersection."""
+
     reducts: tuple[frozenset, ...]
-    core: frozenset
+
+    @property
+    def core(self) -> frozenset:
+        return frozenset.intersection(*self.reducts) if self.reducts else frozenset()
 
 
 def _tolerance_groups(vecs) -> list[list[tuple]]:
@@ -135,7 +137,7 @@ def partition_by(table: DecisionTable, attrs) -> Partition:
     classes = {vec: ids for (vec, _), ids in _class_keys(table, list(attrs)).items()}
     groups = _tolerance_groups(classes)
     blocks = sorted((frozenset(oid for vec in g for oid in classes[vec]) for g in groups), key=min)
-    return Partition(blocks=tuple(blocks), universe=frozenset(table.object_ids))
+    return Partition(blocks=tuple(blocks))
 
 
 def lower_approx(p: Partition, x) -> frozenset:
@@ -221,15 +223,14 @@ def disc_matrix(
     """
     attrs, keys = _mode_keys(table, mode, decision)
     key_of = {oid: key for key, ids in keys.items() for oid in ids}
-    ids = table.object_ids
     entries = {}
     for (id_a, (vec_a, tag_a)), (id_b, (vec_b, tag_b)) in itertools.combinations(
-        ((oid, key_of[oid]) for oid in ids), 2
+        ((oid, key_of[oid]) for oid in table.object_ids), 2
     ):
         entries[(max(id_a, id_b), min(id_a, id_b))] = (
             _separating(attrs, vec_a, vec_b) if _needed(tag_a, tag_b) else frozenset()
         )
-    return DiscernibilityMatrix(entries=entries, universe=frozenset(ids), mode=mode)
+    return DiscernibilityMatrix(entries=entries)
 
 
 def _clauses(table: DecisionTable, mode: str = "decision_relative", decision=None) -> set:
@@ -313,9 +314,8 @@ def disc_function(matrix: DiscernibilityMatrix) -> BoolFormula:
 
 
 def _reduct_set(minimal) -> ReductSet:
-    """Reducts sorted by size then names, and their intersection as core."""
-    reds = tuple(sorted(minimal, key=lambda r: (len(r), tuple(sorted(r)))))
-    return ReductSet(reducts=reds, core=frozenset.intersection(*reds) if reds else frozenset())
+    """Reducts sorted by size then names."""
+    return ReductSet(reducts=tuple(sorted(minimal, key=lambda r: (len(r), tuple(sorted(r))))))
 
 
 def reducts(table: DecisionTable, mode: str = "decision_relative", decision=None) -> ReductSet:

@@ -160,29 +160,50 @@ def _interval_condition(table: GranularTable, attr: str, g_lo: int, g_hi: int) -
     return Condition(attribute=attr, lo=lo, hi=hi, labels=frozenset(range(g_lo, g_hi + 1)))
 
 
-def check_rules(rs: RuleSet, table: GranularTable, decision: str) -> None:
+def check_rules(
+    rs: RuleSet, table: GranularTable, decision: str, constraints: RuleConstraints, semantics: str
+) -> None:
     """Raise ``UsageError`` unless ``rs`` could have been induced on
-    ``table`` for ``decision``: each condition is on a condition attribute
-    and equals the condition its label range gives (labels within the
-    granules of the attribute's quantizer, bounds that quantizer's cuts),
-    so a condition without labels fails; each decision band is on
-    ``decision`` within its quantizer's granules; and every uncovered id
-    is an object of the table."""
+    ``table`` for ``decision`` under ``constraints`` and ``semantics``: the
+    rule set has that semantics and at most ``max_rules`` rules, each with
+    at most ``max_length`` conditions and a strength of at least
+    ``min_strength``; each condition is on a condition attribute and equals
+    the condition its label range gives, a proper sub-range of the granules
+    of the attribute's quantizer with that quantizer's cuts as bounds, so a
+    condition without labels fails; each decision band is on ``decision``,
+    ``at most g`` with g below its quantizer's granule count (cumulative)
+    or ``exactly g`` with g within it (exact); and every uncovered id is an
+    object of the table."""
+    if rs.semantics != semantics:
+        raise UsageError(f"rules of {rs.semantics} semantics in a {semantics} run")
+    if len(rs.rules) > constraints.max_rules:
+        raise UsageError(f"{len(rs.rules)} rules, more than max_rules {constraints.max_rules}")
     cond_names = set(table.condition_names)
     g_count = table.discretizers[decision].granules
+    kind, top = ("exactly", g_count) if semantics == "exact" else ("at_most", g_count - 1)
     for rule in rs.rules:
         part = rule.decision
-        if part.attribute != decision or part.granule > g_count:
+        if part.attribute != decision or part.kind != kind or part.granule > top:
             raise UsageError(
                 f"rule decision ({part.attribute} {part.kind} {part.granule}) "
-                f"is not a band of {decision!r}"
+                f"is not a {semantics} band of {decision!r}"
+            )
+        if rule.length > constraints.max_length:
+            raise UsageError(
+                f"a rule of {rule.length} conditions, more than max_length {constraints.max_length}"
+            )
+        if rule.strength < constraints.min_strength:
+            raise UsageError(
+                f"a rule of strength {rule.strength}, below min_strength {constraints.min_strength}"
             )
         for c in rule.conditions:
             if c.attribute not in cond_names:
                 raise UsageError(f"rule condition on {c.attribute!r}, not a condition attribute")
+            granules = table.discretizers[c.attribute].granules
             if not (
                 c.labels
-                and max(c.labels) <= table.discretizers[c.attribute].granules
+                and max(c.labels) <= granules
+                and len(c.labels) < granules
                 and c == _interval_condition(table, c.attribute, min(c.labels), max(c.labels))
             ):
                 raise UsageError(

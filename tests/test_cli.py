@@ -228,6 +228,53 @@ def _surrogate_ranges(tmp_path, ranges):
     return ["surrogate", "--count", "5", "--ranges", str(path), "--out", str(tmp_path / "o")]
 
 
+def _rule0(doc):
+    return doc["best"]["rules"][0]
+
+
+def _label_1(doc, attr):
+    """The condition "label 1" on ``attr``: its quantizer's first cut is the bound."""
+    return {"attribute": attr, "lo": doc["discretizers"][attr]["cuts"][0], "hi": None,
+            "labels": [1]}
+
+
+def _unused(doc):
+    """The condition attributes the first rule does not use."""
+    used = {c["attribute"] for c in _rule0(doc)["conditions"]}
+    g = doc["granular"]
+    return [a for a, r in zip(g["attributes"], g["roles"]) if r == "condition" and a not in used]
+
+
+def _edited(tmp_path, doc, edit, **settings):
+    """A copy of a report changed by ``edit``, with ``settings`` in its config."""
+    doc = copy.deepcopy(doc)
+    edit(doc)
+    doc["config"].update(settings)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# Edits of the corpus report (G = 3, cumulative, max_rules 5, max_length 2,
+# min_strength 0.6, one rule of one condition) whose rules no run of its
+# config could induce, each with the settings, if any, that admit it.
+UNINDUCIBLE = {
+    "band-at-most-3": (lambda doc: _rule0(doc)["decision"].update(kind="at_most", granule=3), {}),
+    "band-at-least-1": (lambda doc: _rule0(doc)["decision"].update(kind="at_least", granule=1), {}),
+    "band-exactly-2": (lambda doc: _rule0(doc)["decision"].update(kind="exactly", granule=2), {}),
+    "semantics-exact": (lambda doc: doc["best"].update(semantics="exact"), {}),
+    "condition-on-every-granule": (
+        lambda doc: _rule0(doc)["conditions"][0].update(lo=None, hi=None, labels=[1, 2, 3]), {}
+    ),
+    "three-conditions": (
+        lambda doc: _rule0(doc)["conditions"].extend(_label_1(doc, a) for a in _unused(doc)[:2]),
+        {"max_length": 3},
+    ),
+    "strength-0.1": (lambda doc: _rule0(doc).update(strength=0.1), {"min_strength": 0.1}),
+    "six-rules": (lambda doc: doc["best"].update(rules=[_rule0(doc)] * 6), {"max_rules": 6}),
+}
+
+
 # Each case builds the argv of one call on a bad input file.
 BAD_INPUTS = {
     "binary-data": lambda tmp, _: _discretize(tmp, data=_binary_file(tmp)),
@@ -368,6 +415,11 @@ BAD_INPUTS = {
     "report-labels-object": lambda tmp, doc: _rule_with(
         tmp, doc, ("conditions", 0, "labels"), {"1": 1}
     ),
+    # Rules that fit the table but not the report's config.
+    **{
+        f"report-{name}": lambda tmp, doc, edit=edit: _backanalyze(_edited(tmp, doc, edit))
+        for name, (edit, _) in UNINDUCIBLE.items()
+    },
     "csv-repeated-column": lambda tmp, _: _discretize(tmp, data=_repeated_column(tmp)),
     "ranges-list": lambda tmp, _: _surrogate_ranges(tmp, [1, 2]),
     "ranges-object-bounds": lambda tmp, _: _surrogate_ranges(tmp, {"cohesion": {"lo": 1}}),
@@ -390,6 +442,31 @@ def test_bad_input_file_is_2(case, tmp_path, capsys, corpus_report_doc):
     argv = BAD_INPUTS[case](tmp_path, corpus_report_doc)
     assert _run(*argv) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(UNINDUCIBLE))
+def test_uninducible_rules_are_malformed(case, tmp_path, capsys, corpus_report_doc):
+    """Rules that no run of the report's own config could induce make a
+    malformed report, and no estimate is written; where other settings
+    admit the edited rules, the report with those settings is read."""
+    edit, admitting = UNINDUCIBLE[case]
+    out = tmp_path / "estimate.json"
+    capsys.readouterr()
+    assert _run(*_backanalyze(_edited(tmp_path, corpus_report_doc, edit)), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("data error: malformed report file: ")
+    assert not out.exists()
+    if admitting:
+        report = _edited(tmp_path, corpus_report_doc, edit, **admitting)
+        assert _run(*_backanalyze(report), "--out", str(out)) == 0
+
+
+def test_report_without_rules_is_1(tmp_path, capsys, corpus_report_doc):
+    """A report with no rules fits any config, and back analysis refuses
+    its empty rule set as a usage error."""
+    report = _edited(tmp_path, corpus_report_doc, lambda doc: doc["best"].update(rules=[]))
+    capsys.readouterr()
+    assert _run(*_backanalyze(report)) == 1
+    assert capsys.readouterr().err == "usage error: cannot back-analyze with an empty rule set\n"
 
 
 @pytest.mark.parametrize("drop", ["unused-condition", "decision", "all"])

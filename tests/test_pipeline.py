@@ -21,7 +21,7 @@ from somrough.pipeline import (
     report_rules_from_json,
     report_to_json,
 )
-from somrough.rules import RuleSet, accuracy, parse_rules
+from somrough.rules import RuleConstraints, RuleSet, accuracy, parse_rules
 from somrough.som import Discretizer
 from somrough.surrogate import generate_table
 from somrough.table import AttributeSpec, DecisionTable, split_random
@@ -350,6 +350,57 @@ class TestCloseOpen:
             close_open(jeffrey_table(), "cb", PipelineConfig())
 
 
+class TestOpenSteps:
+    """The budget moves and stop reasons of one run, with ``accuracy``
+    scripted so that no rule's score decides them (corpus, G = 2, el 0.5,
+    max_rules 3)."""
+
+    @staticmethod
+    def _run(monkeypatch, scores, **settings):
+        script = iter(scores)
+        monkeypatch.setattr(pipeline, "accuracy", lambda *args: next(script))
+        cfg = PipelineConfig(
+            granules=2, el=0.5, constraints=RuleConstraints(max_rules=3), **settings
+        )
+        report = close_open(jeffrey_table(), "mvv", cfg)
+        assert [it.accuracy for it in report.iterations] == scores
+        assert report.el_met == report.best_iteration.accepted
+        return report
+
+    @pytest.mark.parametrize("scores, settings, budgets, stop", [
+        ([0.9], {}, [1], "stable success at minimal budget"),
+        ([0.0] * 6, {"max_open_steps": 3}, [1, 1, 2, 2, 3, 3], "budget bound reached"),
+        ([0.0, 0.0, 0.9, 0.0, 0.0], {}, [1, 1, 2, 1, 1], "stable success above this budget"),
+        ([0.0, 0.0], {"max_closed": 1, "max_open_steps": 1}, [1, 2], "budget-adjustment cap"),
+        ([0.0, 0.0, 0.0], {"max_closed": 2, "max_open_steps": 1}, [1, 1, 2], "iteration cap"),
+    ])
+    def test_transition(self, monkeypatch, scores, settings, budgets, stop):
+        report = self._run(monkeypatch, scores, **settings)
+        assert [it.budget for it in report.iterations] == budgets
+        assert report.stop_reason == f"run 0: {stop}"
+        assert report.el_met == (max(scores) >= 0.5)
+
+    @pytest.mark.parametrize("scores, best", [
+        ([0.4] * 6, 3),  # fewer rules, then shorter, then earlier
+        ([0.0, 0.0, 0.0, 0.0, 0.6, 0.0, 0.0], 5),  # a hit outranks every miss
+        ([0.4, 0.4, 0.4, 0.4, 0.45, 0.4], 5),  # accuracy first
+    ])
+    def test_best_iteration(self, monkeypatch, scores, best):
+        """The best iteration has the highest accuracy, then the fewest
+        rules, then the shortest total length, then the lowest index."""
+        short, long = parse_rules(
+            "Rule 1. (cb<=1.0) => (mvv at most 1);\n"
+            "Rule 2. (cb<=1.0) & (cp<=1.0) => (mvv at most 1);\n"
+        ).rules
+        sets = [(short, short), (long,), (short,), (short,), (short, short), (long,), (short,)]
+        script = iter(sets)
+        monkeypatch.setattr(pipeline, "induce_cover", lambda *args: RuleSet(rules=next(script)))
+        report = self._run(monkeypatch, scores)
+        assert report.best_iteration.index == best
+        assert report.best_rules.rules == sets[best - 1]
+        assert report.best_accuracy == scores[best - 1]
+
+
 class TestGranulateObservation:
     DISC = Discretizer(name="mvv", scale="log10", centers=(1e-13, 1e-15, 1e-21),
                        cuts=(1e-14, 1e-18))
@@ -431,6 +482,14 @@ class TestReportJson:
         assert g.rows == corpus_report.granular.rows
         assert g.discretizers == corpus_report.granular.discretizers
         assert [s.role for s in g.specs] == [s.role for s in corpus_report.granular.specs]
+
+    def test_spec_scales_are_the_quantizers(self, corpus_report):
+        """A report keeps each attribute's scale in its quantizer, and the
+        table read back takes it from there."""
+        g = granular_from_json(json.loads(report_to_json(corpus_report)))
+        assert [s.scale for s in g.specs] == [g.discretizers[s.name].scale for s in g.specs]
+        assert [s.scale for s in g.specs] == [s.scale for s in jeffrey_table().specs]
+        assert {s.name for s in g.specs if s.scale == "log10"} >= {"tmd", "mvv"}
 
     def test_estimate_json_shape(self, corpus_report):
         est = back_analyze(corpus_report.best_rules, ("mvv", 1), corpus_report.granular)

@@ -16,14 +16,25 @@ from somrough._record import Record, fields, from_json, replace
 from somrough.corpus import jeffrey_table
 from somrough.errors import DataError, UsageError
 from somrough.pipeline import (
+    POLICY_NOTES,
     Iteration,
+    ParameterEstimate,
     PipelineConfig,
+    RunReport,
     back_analyze,
     close_open,
     report_rules_from_json,
     report_to_json,
 )
-from somrough.rough import disc_function, disc_matrix, partition_by, reducts
+from somrough.rough import (
+    DiscernibilityMatrix,
+    Partition,
+    ReductSet,
+    disc_function,
+    disc_matrix,
+    partition_by,
+    reducts,
+)
 from somrough.rules import Condition, DecisionPart, Rule, RuleConstraints, RuleSet
 from somrough.som import Discretizer, SomConfig, train
 from somrough.surrogate import SlopeParams, generate_table
@@ -196,6 +207,22 @@ def _samples() -> dict:
 def test_every_record_class_has_a_sample():
     assert set(_samples()) == set(RECORD_CLASSES)
     assert len(CHECKED) > 40
+
+
+def test_derived_values_are_read_not_stored():
+    """A value that other fields decide is a property of the same name, so
+    it cannot disagree with them; the records hold only the fields."""
+    counts = [len(fields(c)) for c in
+              (RunReport, ParameterEstimate, ReductSet, Partition, DiscernibilityMatrix)]
+    assert counts == [7, 4, 1, 1, 1]
+    report, est, rs = _samples()[RunReport], _samples()[ParameterEstimate], _samples()[ReductSet]
+    assert report.best_accuracy == report.best_iteration.accuracy
+    assert report.el_met is report.best_iteration.accepted
+    assert report.notes == POLICY_NOTES
+    assert est.no_match is (not est.matched_rules)
+    assert replace(est, matched_rules=()).no_match is True
+    assert rs.core == frozenset.intersection(*rs.reducts)
+    assert ReductSet(reducts=()).core == frozenset()
 
 
 @pytest.mark.parametrize(

@@ -155,7 +155,7 @@ class TestDiscFunction:
         assert rs.core == frozenset({"a0"})
 
     def test_empty_matrix_gives_empty_reduct(self):
-        m = DiscernibilityMatrix(entries={}, universe=frozenset({0}), mode="plain")
+        m = DiscernibilityMatrix(entries={})
         f = disc_function(m)
         assert f.dnf == frozenset({frozenset()})
 
@@ -165,8 +165,6 @@ class TestDiscFunction:
                 (1, 0): frozenset({"a", "b"}),
                 (2, 0): frozenset({"b", "c"}),
             },
-            universe=frozenset({0, 1, 2}),
-            mode="plain",
         )
         f = disc_function(m)
         assert f.dnf == frozenset({frozenset({"b"}), frozenset({"a", "c"})})
@@ -177,8 +175,6 @@ class TestDiscFunction:
                 (1, 0): frozenset({"a"}),
                 (2, 0): frozenset({"a", "b"}),
             },
-            universe=frozenset({0, 1, 2}),
-            mode="plain",
         )
         f = disc_function(m)
         assert f.cnf == frozenset({frozenset({"a"})})
@@ -339,7 +335,7 @@ class TestImplicantBound:
     def test_disc_function_raises_past_bound(self, monkeypatch):
         # Clauses {a0, b0}, ..., {a3, b3} have 2^4 = 16 minimal hitting sets.
         entries = {(i + 1, 0): frozenset({f"a{i}", f"b{i}"}) for i in range(4)}
-        m = DiscernibilityMatrix(entries=entries, universe=frozenset(range(5)), mode="plain")
+        m = DiscernibilityMatrix(entries=entries)
         assert len(disc_function(m).dnf) == 16
         monkeypatch.setattr(somrough.rough, "MAX_IMPLICANTS", 15)
         with pytest.raises(DataError):

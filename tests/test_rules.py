@@ -314,7 +314,7 @@ class TestMaskOracle:
         rows = [dict(zip(table.names, r)) for r in table.rows]
         picked = [i for i in range(len(rows)) if mask >> i & 1]
         rs = induce_cover(table, "d", cons, semantics, rows=mask)
-        check_rules(rs, table, "d")
+        check_rules(rs, table, "d", cons, semantics)
         assert render_rules(rs).count("\n") == len(rs.rules)
         if not mask:
             assert rs.rules == () and rs.uncovered == ()
