@@ -449,6 +449,8 @@ def granular_from_json(doc: dict) -> GranularTable:
         raise TypeError("discretizers must be an object keyed by attribute")
     discs = {name: from_json(Discretizer, d) for name, d in discs.items()}
     g = doc["granular"]
+    if len(g["attributes"]) != len(g["roles"]):
+        raise ValueError("granular attributes and roles differ in length")
     specs = tuple(map(AttributeSpec, g["attributes"], g["roles"]))
     # The report keeps a scale only in each quantizer; without one, the
     # default stands and GranularTable names the attribute.

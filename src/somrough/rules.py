@@ -172,8 +172,11 @@ def check_rules(
     of the attribute's quantizer with that quantizer's cuts as bounds, so a
     condition without labels fails; each decision band is on ``decision``,
     ``at most g`` with g below its quantizer's granule count (cumulative)
-    or ``exactly g`` with g within it (exact); and every uncovered id is an
-    object of the table."""
+    or ``exactly g`` with g within it (exact); each rule's support and
+    strength are a split's, ``support / n`` for some n from ``support`` up
+    to the number of the table's objects in its band, as induction divides
+    by the training positives inside the band; and every uncovered id is
+    an object of the table."""
     if rs.semantics != semantics:
         raise UsageError(f"rules of {rs.semantics} semantics in a {semantics} run")
     if len(rs.rules) > constraints.max_rules:
@@ -181,6 +184,8 @@ def check_rules(
     cond_names = set(table.condition_names)
     g_count = table.discretizers[decision].granules
     kind, top = ("exactly", g_count) if semantics == "exact" else ("at_most", g_count - 1)
+    labels = table.column(decision)
+    per_label = {g: labels.count(g) for g in set(labels)}
     for rule in rs.rules:
         part = rule.decision
         if part.attribute != decision or part.kind != kind or part.granule > top:
@@ -195,6 +200,16 @@ def check_rules(
         if rule.strength < constraints.min_strength:
             raise UsageError(
                 f"a rule of strength {rule.strength}, below min_strength {constraints.min_strength}"
+            )
+        band = sum(count for g, count in per_label.items() if part.covers(g))
+        support, strength = rule.support, rule.strength
+        n = 0  # the training positives the scores imply; min() keeps n finite
+        if 1 <= support <= band and strength > 0:
+            n = round(min(support / strength, band + 1))
+        if not (1 <= support <= n <= band and support / n == strength):
+            raise UsageError(
+                f"a rule of support {support} and strength {strength}, which no training "
+                f"split of the {band} objects in its band gives"
             )
         for c in rule.conditions:
             if c.attribute not in cond_names:

@@ -22,10 +22,8 @@ from ._record import Record
 from .errors import DataError, UsageError
 from .table import SCALES, inverse_scale, scale_minmax, transform_scale
 
-# Box-seeded attempts before falling back to quantile-seeded centers.
-# Columns dominated by long runs of one value can starve a node no matter
-# the draw, so the fallback retrains winner-only from centers placed on
-# quantiles of the distinct values.
+# Box-seeded starts of a quantizer fit before the quantile-seeded one: long
+# runs of one value can starve a node whatever the draw.
 _FIT_RETRIES = 6
 
 # Training schedule of every quantizer fit.
@@ -356,11 +354,13 @@ def fit_discretizer(
     The values pass through the attribute scale, are min-max conditioned,
     and train a 1-D map whose sorted centers define the granules. Cut
     points are midpoints between adjacent centers, computed in the
-    transformed space and mapped back to raw units. Draws that leave two
-    centers collapsed or a granule empty are retried with derived seeds,
-    then with quantile-seeded winner-only training. A column needs at
-    least G distinct values after the conditioning: values it maps to one
-    float count as one.
+    transformed space and mapped back to raw units. A fit tries seven
+    starts: six box-seeded draws with derived seeds, then centers seeded on
+    quantiles of the distinct values and trained winner-only. A start fails
+    when its centers or cuts collapse in raw units (the ``Discretizer``
+    record refuses them) or when a granule is empty, and a column that no
+    start separates is a ``DataError``. A column needs at least G distinct
+    values after the conditioning: values it maps to one float count as one.
     """
     if granules < 2:
         raise UsageError("granule count must be at least 2")
@@ -380,34 +380,32 @@ def fit_discretizer(
         centers01 = sorted((float(w[0]) for w in som.weights), reverse=True)
         # Back out of the min-max conditioning into the transformed space.
         centers_t = [c * (hi - lo) + lo for c in centers01]
-        if any(a <= b for a, b in zip(centers_t, centers_t[1:])):
-            return None
         cuts_t = [(a + b) / 2.0 for a, b in zip(centers_t, centers_t[1:])]
-        d = Discretizer(
-            name=name,
-            scale=scale,
-            centers=tuple(inverse_scale(c, scale) for c in centers_t),
-            cuts=tuple(inverse_scale(c, scale) for c in cuts_t),
-        )
+        try:
+            d = Discretizer(
+                name=name,
+                scale=scale,
+                centers=tuple(inverse_scale(c, scale) for c in centers_t),
+                cuts=tuple(inverse_scale(c, scale) for c in cuts_t),
+            )
+        except UsageError:  # centers or cuts that collapse in raw units
+            return None
         got = {assign_granule(d, v) for v in present}
         return d if len(got) == granules else None
 
-    for attempt in range(_FIT_RETRIES):
+    # (seed, radius0, init_weights) of each start; the last, with no
+    # neighborhood coupling, cannot starve a node.
+    starts = [(seed + 1000003 * k, None, None) for k in range(_FIT_RETRIES)]
+    quantiles = [[distinct[int(round(p))]] for p in _linspace(len(distinct) - 1, granules)]
+    starts.append((seed, 0.0, quantiles))
+    for start_seed, radius0, init in starts:
         cfg = SomConfig(
-            grid=(granules, 1), epochs=FIT_EPOCHS, eta0=FIT_ETA0, seed=seed + 1000003 * attempt
+            grid=(granules, 1), epochs=FIT_EPOCHS, eta0=FIT_ETA0, radius0=radius0, seed=start_seed
         )
-        d = build(train(data, cfg, trace=False))
+        d = build(train(data, cfg, init_weights=init, trace=False))
         if d is not None:
             return d
-
-    # Fallback: centers seeded on quantiles of the distinct values and no
-    # neighborhood coupling, which cannot starve a node.
-    init = [[distinct[int(round(p))]] for p in _linspace(len(distinct) - 1, granules)]
-    cfg = SomConfig(grid=(granules, 1), epochs=FIT_EPOCHS, eta0=FIT_ETA0, radius0=0.0, seed=seed)
-    d = build(train(data, cfg, init_weights=init, trace=False))
-    if d is None:
-        raise DataError(f"could not separate {granules} quantizer centers")
-    return d
+    raise DataError(f"could not separate {granules} quantizer centers")
 
 
 def _linspace(stop: int, num: int) -> list[float]:

@@ -36,10 +36,15 @@ LOG_SCALE_DECADES = 3.0
 _quote = json.encoder.encode_basestring_ascii
 
 
+def _integral(t: type) -> bool:
+    """Whether ``t`` is int or another Integral type, and not bool."""
+    # Exact int first: the Integral ABC check is ten times slower.
+    return t is int or t is not bool and issubclass(t, numbers.Integral)
+
+
 def is_label(v) -> bool:
     """Whether ``v`` is a granule label: an int >= 1, and not a bool."""
-    # Exact int first: the Integral ABC check is ten times slower.
-    return (type(v) is int or type(v) is not bool and isinstance(v, numbers.Integral)) and v >= 1
+    return _integral(type(v)) and v >= 1
 
 
 class AttributeSpec(Record):
@@ -99,10 +104,7 @@ class DecisionTable(Record):
         return [s.name for s in self.specs if s.role == "decision"]
 
     def spec(self, name: str) -> AttributeSpec:
-        for s in self.specs:
-            if s.name == name:
-                return s
-        raise UsageError(f"unknown attribute {name!r}")
+        return self.specs[self.col_index(name)]
 
     def col_index(self, name: str) -> int:
         for i, s in enumerate(self.specs):
@@ -141,9 +143,7 @@ class GranularTable(DecisionTable):
         # only a failed check runs the row-major loop naming the first bad cell.
         for s, col in zip(self.specs, zip(*self.rows)):
             types = set(map(type, col)) - {type(None)}
-            if not all(
-                t is int or t is not bool and issubclass(t, numbers.Integral) for t in types
-            ):
+            if not all(map(_integral, types)):
                 break
             labels = set(col) - {None}
             if labels and (min(labels) < 1 or max(labels) > self.discretizers[s.name].granules):
@@ -242,8 +242,9 @@ def to_csv(table: DecisionTable) -> str:
         for v in row:
             if v is None:
                 cells.append(MISSING_TOKEN)
-            elif type(v) is int or not isinstance(v, float) and isinstance(v, numbers.Integral):
-                # Floats, the common case, and ints skip the slow ABC check.
+            elif not isinstance(v, float) and _integral(type(v)):
+                # Floats, the common case, skip the Integral check; a bool
+                # is not integral there, and formats below as 1 or 0.
                 cells.append(str(int(v)))
             else:
                 cells.append(f"{v:.12g}")

@@ -270,7 +270,15 @@ UNINDUCIBLE = {
         lambda doc: _rule0(doc)["conditions"].extend(_label_1(doc, a) for a in _unused(doc)[:2]),
         {"max_length": 3},
     ),
-    "strength-0.1": (lambda doc: _rule0(doc).update(strength=0.1), {"min_strength": 0.1}),
+    # The first rule (at most 2, support 6, strength 1.0) has 8 of the 12
+    # objects in its band, and a training split of n of them scores a rule
+    # support / n with support <= n <= 8: strength 0.1 needs n = 60.
+    "strength-0.1": (lambda doc: _rule0(doc).update(strength=0.1), {}),
+    "strength-0.7": (lambda doc: _rule0(doc).update(strength=0.7), {}),
+    "support-99": (lambda doc: _rule0(doc).update(support=99), {}),
+    "support-3-strength-0.375": (
+        lambda doc: _rule0(doc).update(support=3, strength=0.375), {"min_strength": 0.3}
+    ),
     "six-rules": (lambda doc: doc["best"].update(rules=[_rule0(doc)] * 6), {"max_rules": 6}),
 }
 
@@ -355,6 +363,12 @@ BAD_INPUTS = {
     ),
     "report-quantizer-of-other-attribute": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("discretizers", "mvv", "name"), "cb")
+    ),
+    "report-extra-role": lambda tmp, doc: _backanalyze(_report_with(
+        tmp, doc, ("granular", "roles"), doc["granular"]["roles"] + ["condition"]
+    )),
+    "report-missing-role": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("granular", "roles"), doc["granular"]["roles"][:-1])
     ),
     "report-quantizer-of-missing-attribute": lambda tmp, doc: _backanalyze(_report_with(
         tmp, doc, ("discretizers", "zzz"), dict(doc["discretizers"]["mvv"], name="zzz")
@@ -553,6 +567,34 @@ class TestDiscretize:
         assert len(records) == 10
         gran = (a / "granulated.csv").read_text().splitlines()
         assert len(gran) == 13  # header + 12 rows
+
+    @staticmethod
+    def _one_column(tmp_path, scale, ks, *flags):
+        """``discretize`` on a column ``k`` of that scale beside a decision
+        ``d = 0..5``."""
+        schema = [{"name": "k", "role": "condition", "scale": scale},
+                  {"name": "d", "role": "decision"}]
+        data = tmp_path / "runs.csv"
+        data.write_text("k,d\n" + "".join(f"{k!r},{d}\n" for d, k in enumerate(ks)))
+        return _run(*_discretize(tmp_path, str(data), _schema_file(tmp_path, schema)), *flags)
+
+    def test_log_column_of_mostly_ones_fits(self, tmp_path):
+        """A start whose centers meet in raw units but not in log10 units
+        fails like an empty granule, never as a usage error, and a later
+        start gives each distinct value its own granule."""
+        ks = [1.0, 1.0, 1.0, 30.0, 10000.0, 300.0]
+        assert self._one_column(tmp_path, "log10", ks, "--granules", "4", "--seed", "0") == 0
+        rows = (tmp_path / "o" / "granulated.csv").read_text().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == [4, 4, 4, 3, 1, 2]
+
+    def test_adjacent_float_column_is_a_data_error(self, tmp_path, capsys):
+        """Four distinct floats, each one ulp above the next: every start's
+        cuts collapse in raw units, so no start separates the column."""
+        ks = [1.0000000000000004e16, 1.0000000000000002e16, 1.0000000000000002e16,
+              1.0000000000000006e16, 1.0000000000000004e16, 1e16]
+        capsys.readouterr()
+        assert self._one_column(tmp_path, "linear", ks, "--granules", "3", "--seed", "137") == 2
+        assert capsys.readouterr().err == "data error: could not separate 3 quantizer centers\n"
 
 
 class TestPipelineReport:

@@ -431,6 +431,61 @@ class TestFitDiscretizer:
             assert labels == {1, 2, 3}
 
 
+def _ulps_up(base: float, k: int) -> float:
+    for _ in range(k):
+        base = math.nextafter(base, math.inf)
+    return base
+
+
+# Runs of adjacent floats above a base, plus one outlier: centers a start
+# separates in [0, 1] can meet, or their cuts can, once mapped back.
+ADJACENT_FLOAT_COLUMNS = st.builds(
+    lambda base, steps, factor: ("linear", [_ulps_up(base, k) for k in steps] + [base * factor]),
+    st.sampled_from([1.0, 123.456, 1e16]),
+    st.lists(st.integers(0, 4), min_size=2, max_size=10),
+    st.sampled_from([1.0, 1.5, 2.0, -1.0]),
+)
+
+# log10 columns that are mostly 1.0: 10 ** c of centers c near 0 is 1.0.
+MOSTLY_ONE_COLUMNS = st.builds(
+    lambda ones, others: ("log10", [1.0] * ones + others),
+    st.integers(3, 8),
+    st.lists(
+        st.sampled_from([1.0000000000000002, 1.1, 2.0, 30.0, 300.0, 1e4, 1e-3]),
+        min_size=1,
+        max_size=4,
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    column=st.one_of(ADJACENT_FLOAT_COLUMNS, MOSTLY_ONE_COLUMNS),
+    granules=st.integers(2, 5),
+    seed=st.integers(0, 1000),
+)
+@example(column=("log10", [1.0, 1.0, 1.0, 30.0, 10000.0, 300.0]), granules=4, seed=0)
+@example(
+    column=(
+        "linear",
+        [1.0000000000000004e16, 1.0000000000000002e16, 1.0000000000000002e16,
+         1.0000000000000006e16, 1.0000000000000004e16, 1e16],
+    ),
+    granules=3,
+    seed=137,
+)
+def test_fit_separates_or_raises_data_error(column, granules, seed):
+    """A fit returns a quantizer with no empty granule or raises
+    ``DataError``; a start the ``Discretizer`` record refuses is a failed
+    start, never a ``UsageError``."""
+    scale, values = column
+    try:
+        d = fit_discretizer(values, granules, scale=scale, seed=seed)
+    except DataError:
+        return
+    assert {assign_granule(d, v) for v in values} == set(range(1, granules + 1))
+
+
 # Reference quantizers (name, centers, cuts), recorded with the traced
 # trainer. Any change to the training loop must reproduce them to the bit.
 JEFFREY_G3_SEED0 = (
