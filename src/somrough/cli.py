@@ -108,18 +108,6 @@ def _load_inputs(args):
     return load_table(_read(args.data), schema)
 
 
-def _need_decision(table, settings) -> str:
-    decision = settings.get("decision")
-    if decision is None:
-        names = table.decision_names
-        if len(names) != 1:
-            raise UsageError(
-                f"--decision required: table has decision attributes {names}"
-            )
-        return names[0]
-    return decision
-
-
 def cmd_discretize(args) -> int:
     s = _resolve(args)
     table = _load_inputs(args)
@@ -135,7 +123,7 @@ def cmd_discretize(args) -> int:
 def cmd_rules(args) -> int:
     s = _resolve(args)
     table = _load_inputs(args)
-    decision = _need_decision(table, s)
+    decision = table.decision(s["decision"])
     constraints = config_from_settings(s, RuleConstraints)
     check_semantics(s["semantics"])
     g = granulate(table, granules=s["granules"], seed=s["seed"])
@@ -150,8 +138,7 @@ def cmd_rules(args) -> int:
 def cmd_pipeline(args) -> int:
     s = _resolve(args)
     table = _load_inputs(args)
-    decision = _need_decision(table, s)
-    report = close_open(table, decision, config_from_settings(s))
+    report = close_open(table, s["decision"], config_from_settings(s))
     report_path = os.path.join(args.out, "report.json")
     _write(report_path, report_to_json(report))
     _write(os.path.join(args.out, "rules.txt"), render_rules(report.best_rules))
@@ -170,9 +157,9 @@ def cmd_backanalyze(args) -> int:
         rules = report_rules_from_json(doc)
         config = config_from_settings(doc["config"])  # one some pipeline run could have had
         granular = granular_from_json(doc)
-        decision = doc["decision"]
-        if decision not in granular.decision_names:
-            raise ValueError(f"{decision!r} is not a decision attribute")
+        if doc["decision"] is None:  # a report names its decision: no default stands in
+            raise ValueError("the report's decision is null")
+        decision = granular.decision(doc["decision"])
         check_rules(rules, granular, decision, config.constraints, config.semantics)
     except (KeyError, TypeError, ValueError, UsageError) as exc:
         raise DataError(f"malformed report file: {exc}") from None
@@ -218,9 +205,7 @@ def cmd_surrogate(args) -> int:
 def cmd_reducts(args) -> int:
     s = _resolve(args)
     table = _load_inputs(args)
-    decision = s.get("decision")
-    if decision is not None and decision not in table.decision_names:
-        raise UsageError(f"{decision!r} is not a decision attribute")
+    decision = None if s["decision"] is None else table.decision(s["decision"])
     g = granulate(table, granules=s["granules"], seed=s["seed"])
     rs = reducts(g, args.mode, decision=decision)
     text = reduct_report(rs)

@@ -272,14 +272,15 @@ def _fit_split(table: DecisionTable, granules: int, jobs: list) -> list | None:
 def close_open(table: DecisionTable, decision: str, cfg: PipelineConfig) -> RunReport:
     """Balance rule-budget simplicity against held-out accuracy.
 
-    Runs are independent; the reported best is the iteration with the
-    highest accuracy (ties: fewer rules, then smaller total length, then
-    earlier), so it reached the bar when any iteration did.
+    ``decision`` goes through ``DecisionTable.decision`` before any fit, so
+    None names the table's only decision attribute. Runs are independent;
+    the reported best is the iteration with the highest accuracy (ties:
+    fewer rules, then smaller total length, then earlier), so it reached
+    the bar when any iteration did.
     """
+    decision = table.decision(decision)
     if len(table) == 0:
         raise DataError("cannot run the pipeline on an empty table")
-    if decision not in table.decision_names:
-        raise UsageError(f"{decision!r} is not a decision attribute")
     if split_train_size(len(table), cfg.train_fraction) == len(table):
         # Accuracy over an empty test split is vacuous, not earned.
         raise DataError(

@@ -24,6 +24,9 @@ Clause generation compares every pair of distinct classes on every
 compared attribute; reducts refuses a table where that exceeds
 MAX_CLAUSE_CELLS before comparing any pair. The core's scan stops at each
 pair's second separating attribute and has no such bound.
+
+A ``decision`` argument is a name, a list of names or None (every decision
+attribute); ``DecisionTable.decision`` refuses a name that is not one.
 """
 
 from __future__ import annotations
@@ -160,17 +163,17 @@ def _decision_attrs(table: DecisionTable, decision) -> list[str]:
         return names
     if isinstance(decision, str):
         decision = [decision]
-    return [table.spec(d).name for d in decision]
+    return [table.decision(d) for d in decision]
 
 
 def positive_region(table: DecisionTable, attrs, decision=None) -> frozenset:
-    """Objects whose block under attrs is decision-pure."""
+    """Objects whose block under attrs is pure on ``decision``."""
     keys = _class_keys(table, list(attrs), _decision_attrs(table, decision))
     return frozenset(oid for (_, (pure, _)), ids in keys.items() if pure for oid in ids)
 
 
 def approx_quality(table: DecisionTable, attrs, decision=None) -> float:
-    """Fraction of the universe whose decision is determined by attrs."""
+    """Fraction of the universe whose ``decision`` is determined by attrs."""
     if len(table) == 0:
         return 1.0
     return len(positive_region(table, attrs, decision)) / len(table)
@@ -214,7 +217,7 @@ def disc_matrix(
     plain: every pair, every attribute (conditions and decisions alike).
 
     decision_relative: condition attributes only, and only for pairs whose
-    separation the positive region depends on: both objects positive with
+    separation the positive region of ``decision`` depends on: both positive with
     different decisions, or exactly one of them positive. Hitting these
     entries is exactly what preserves the quality of approximation.
 
@@ -324,7 +327,7 @@ def reducts(table: DecisionTable, mode: str = "decision_relative", decision=None
 
 
 def core(table: DecisionTable, decision=None) -> frozenset:
-    """Decision-relative core without the implicant expansion.
+    """Core relative to ``decision``, without the implicant expansion.
 
     An attribute lies in every reduct exactly when it alone tells some
     needed pair apart, i.e. when it forms a singleton clause (Skowron &
@@ -354,7 +357,7 @@ def reducts_exhaustive(
 
     plain: minimal subsets inducing the same partition as all attributes.
     decision_relative: minimal condition subsets preserving the quality of
-    approximation of the full condition set.
+    approximation of ``decision`` by the full condition set.
     """
     if mode == "plain":
         attrs = table.names

@@ -236,7 +236,8 @@ def induce_cover(
     rows: int | None = None,
 ) -> RuleSet:
     """Greedy sequential covering of the training rows: the row mask
-    ``rows`` of ``table``, or every row when it is None.
+    ``rows`` of ``table``, or every row when it is None. ``decision`` goes
+    through ``DecisionTable.decision``, so None names the only one.
 
     Targets are each decision class (exact semantics) or each proper
     downward band "at most g", g < G (cumulative), with G the granule
@@ -248,8 +249,7 @@ def induce_cover(
     the pool until everything coverable is covered or the rule budget
     runs out.
     """
-    if decision not in table.decision_names:
-        raise UsageError(f"{decision!r} is not a decision attribute")
+    decision = table.decision(decision)
     check_semantics(semantics)
 
     if rows is None:

@@ -357,8 +357,8 @@ def fit_discretizer(
     transformed space and mapped back to raw units. A fit tries seven
     starts: six box-seeded draws with derived seeds, then centers seeded on
     quantiles of the distinct values and trained winner-only. A start fails
-    when its centers or cuts collapse in raw units (the ``Discretizer``
-    record refuses them) or when a granule is empty, and a column that no
+    when its centers or cuts collapse (the ``Discretizer`` record refuses
+    them) or overflow in raw units, or when a granule is empty; a column no
     start separates is a ``DataError``. A column needs at least G distinct
     values after the conditioning: values it maps to one float count as one.
     """
@@ -388,7 +388,7 @@ def fit_discretizer(
                 centers=tuple(inverse_scale(c, scale) for c in centers_t),
                 cuts=tuple(inverse_scale(c, scale) for c in cuts_t),
             )
-        except UsageError:  # centers or cuts that collapse in raw units
+        except (UsageError, OverflowError):  # raw centers or cuts that collapse or overflow
             return None
         got = {assign_granule(d, v) for v in present}
         return d if len(got) == granules else None

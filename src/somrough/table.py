@@ -68,6 +68,7 @@ class DecisionTable(Record):
     Rows are tuples of ``float | None``, each with its object id. Tables
     built from external data should come through :func:`load_table`, which
     additionally requires at least one condition and one decision attribute.
+    A name serves as the decision only through :meth:`decision`.
     """
 
     specs: tuple[AttributeSpec, ...]
@@ -102,6 +103,15 @@ class DecisionTable(Record):
     @property
     def decision_names(self) -> list[str]:
         return [s.name for s in self.specs if s.role == "decision"]
+
+    def decision(self, name: str | None = None) -> str:
+        """``name`` if it is a decision attribute, else UsageError; None: the only one."""
+        names = self.decision_names
+        if name is None and len(names) != 1:
+            raise UsageError(f"--decision required: table has decision attributes {names}")
+        if name is not None and name not in names:
+            raise UsageError(f"{name!r} is not a decision attribute")
+        return names[0] if name is None else name
 
     def spec(self, name: str) -> AttributeSpec:
         return self.specs[self.col_index(name)]

@@ -222,6 +222,31 @@ def _rule_with(tmp_path, doc, where, value):
     return _backanalyze(_report_with(tmp_path, doc, ("best", "rules", 0) + where, value))
 
 
+def _one_decision_report(tmp_path, doc, decision):
+    """A copy of a report without the ``tmd`` column, so that ``mvv`` is its
+    table's only decision attribute, naming ``decision`` as the decision."""
+    doc = copy.deepcopy(doc)
+    g = doc["granular"]
+    j = g["attributes"].index("tmd")
+    for cells in (g["attributes"], g["roles"], *g["rows"]):
+        del cells[j]
+    del doc["discretizers"]["tmd"]
+    return _report_with(tmp_path, doc, ("decision",), decision)
+
+
+def _overflow_column(tmp_path):
+    """discretize on a log10 column whose centers near the largest float
+    overflow in raw units at G = 3, seed 0."""
+    data = tmp_path / "runs.csv"
+    data.write_text("k,d\n" + "".join(
+        f"{k!r},{d}\n" for d, k in enumerate([1.7976931348623157e308] * 3 + [1e300, 1e-300])
+    ))
+    schema = _schema_file(tmp_path, [
+        {"name": "k", "role": "condition", "scale": "log10"}, {"name": "d", "role": "decision"}
+    ])
+    return _discretize(tmp_path, data=str(data), schema=schema) + ["--granules", "3", "--seed", "0"]
+
+
 def _surrogate_ranges(tmp_path, ranges):
     path = tmp_path / "ranges.json"
     path.write_text(json.dumps(ranges))
@@ -313,6 +338,16 @@ BAD_INPUTS = {
     ),
     "report-decision-condition": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("decision",), "cb")
+    ),
+    # A one-decision report names its decision: no default stands in for it.
+    "report-one-decision-null": lambda tmp, doc: _backanalyze(
+        _one_decision_report(tmp, doc, None)
+    ),
+    "report-one-decision-number": lambda tmp, doc: _backanalyze(
+        _one_decision_report(tmp, doc, 5)
+    ),
+    "report-one-decision-condition": lambda tmp, doc: _backanalyze(
+        _one_decision_report(tmp, doc, "cb")
     ),
     "report-label-zero": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("granular", "rows", 0, 0), 0)
@@ -435,6 +470,7 @@ BAD_INPUTS = {
         for name, (edit, _) in UNINDUCIBLE.items()
     },
     "csv-repeated-column": lambda tmp, _: _discretize(tmp, data=_repeated_column(tmp)),
+    "csv-log10-overflow": lambda tmp, _: _overflow_column(tmp),
     "ranges-list": lambda tmp, _: _surrogate_ranges(tmp, [1, 2]),
     "ranges-object-bounds": lambda tmp, _: _surrogate_ranges(tmp, {"cohesion": {"lo": 1}}),
 }
@@ -452,10 +488,25 @@ def corpus_report_doc(tmp_path_factory):
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_file_is_2(case, tmp_path, capsys, corpus_report_doc):
-    """Unreadable or malformed input files are data errors, never tracebacks."""
+    """Unreadable or malformed input files are data errors, never tracebacks,
+    and write nothing to stdout (back analysis writes no estimate)."""
     argv = BAD_INPUTS[case](tmp_path, corpus_report_doc)
+    capsys.readouterr()
     assert _run(*argv) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert err.startswith("data error: ") and "Traceback" not in err
+    assert out == ""
+
+
+def test_one_decision_report_names_its_decision(tmp_path, capsys, corpus_report_doc):
+    """The report the report-one-decision cases edit is read as it stands;
+    with a null, a number or a condition as its decision it is malformed,
+    though its table has one decision attribute that a default could name."""
+    assert _run(*_backanalyze(_one_decision_report(tmp_path, corpus_report_doc, "mvv"))) == 0
+    for decision in (None, 5, "cb"):
+        capsys.readouterr()
+        assert _run(*_backanalyze(_one_decision_report(tmp_path, corpus_report_doc, decision))) == 2
+        assert capsys.readouterr().err.startswith("data error: malformed report file: ")
 
 
 @pytest.mark.parametrize("case", sorted(UNINDUCIBLE))
@@ -843,14 +894,6 @@ class TestReducts:
         assert lines[-1].startswith("CORE: ")
         assert len(lines) >= 2
 
-    def test_condition_attribute_as_decision_is_1(self, tmp_path, capsys):
-        out = tmp_path / "reducts.txt"
-        code = _run("reducts", "--data", CORPUS, "--schema", SCHEMA,
-                    "--decision", "cb", "--out", str(out))
-        assert code == 1
-        assert "'cb' is not a decision attribute" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("n_cond, n_rows, seed, cell, fragment", [
         (22, 40, 5, lambda rng: f"{rng.uniform(1, 100):.6f}", "implicants"),
         (40, 400, 11, lambda rng: str(rng.randint(0, 50)), "implicants"),
@@ -891,20 +934,37 @@ class TestRulesCommand:
         assert (tmp_path / "rules.txt").exists()
 
 
-@pytest.mark.parametrize("command", ["pipeline", "rules"])
-def test_unknown_semantics_is_1_before_any_fit(command, tmp_path, capsys, monkeypatch):
-    """An unknown --semantics is rejected with the other settings, before
-    a quantizer is fitted."""
-    def no_fit(*args):
+@pytest.fixture()
+def no_fit(monkeypatch):
+    """Fail the test if any quantizer is fitted."""
+    def fit(*args):
         raise AssertionError("a quantizer was fitted")
 
-    monkeypatch.setattr(pipeline, "fit_table_discretizer", no_fit)
+    monkeypatch.setattr(pipeline, "fit_table_discretizer", fit)
+
+
+@pytest.mark.parametrize("command", ["pipeline", "rules"])
+def test_unknown_semantics_is_1_before_any_fit(command, tmp_path, capsys, no_fit):
+    """An unknown --semantics is rejected with the other settings, before
+    a quantizer is fitted."""
     code = _run(command, "--data", CORPUS, "--schema", SCHEMA, "--decision", "mvv",
                 "--semantics", "foo", "--out", str(tmp_path / "o"))
     err = capsys.readouterr().err
     assert code == 1
     assert "semantics must be one of" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "reducts", "rules"])
+def test_condition_attribute_as_decision_is_1(command, tmp_path, capsys, no_fit):
+    """A condition attribute given as --decision is refused before a
+    quantizer is fitted, and nothing is written."""
+    out = tmp_path / "o"
+    code = _run(command, "--data", CORPUS, "--schema", SCHEMA, "--decision", "cb",
+                "--out", str(out))
+    assert code == 1
+    assert "'cb' is not a decision attribute" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestConfigParsing:

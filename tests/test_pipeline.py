@@ -349,6 +349,11 @@ class TestCloseOpen:
         with pytest.raises(UsageError):
             close_open(jeffrey_table(), "cb", PipelineConfig())
 
+    def test_no_decision_name_means_the_only_one(self):
+        t = generate_table(count=20, seed=1)
+        got = report_to_json(close_open(t, None, PipelineConfig()))
+        assert got == report_to_json(close_open(t, t.decision_names[0], PipelineConfig()))
+
 
 class TestOpenSteps:
     """The budget moves and stop reasons of one run, with ``accuracy``

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import somrough.rough
 from somrough.corpus import jeffrey_table
 from somrough.errors import DataError, UsageError
+from somrough.pipeline import granulate
 from somrough.rough import (
     _clauses,
     _implicants,
@@ -455,6 +456,27 @@ class TestExhaustiveOracle:
                 want = reducts_exhaustive(t, mode)
                 assert set(got.reducts) == set(want.reducts), (mode, t.rows)
                 assert got.core == want.core
+
+
+@pytest.fixture(scope="module")
+def corpus_granular():
+    return granulate(jeffrey_table(), granules=3, seed=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: reducts(g, decision="cb"),
+    lambda g: reducts_exhaustive(g, decision="cb"),
+    lambda g: core(g, decision="cb"),
+    lambda g: positive_region(g, g.condition_names, decision="cb"),
+    lambda g: approx_quality(g, g.condition_names, decision="cb"),
+    lambda g: disc_matrix(g, decision="cb"),
+], ids=["reducts", "reducts_exhaustive", "core", "positive_region", "approx_quality",
+        "disc_matrix"])
+def test_condition_attribute_as_decision_is_usage_error(call, corpus_granular):
+    """A condition attribute never serves as the decision: on the granulated
+    corpus, ``cb`` as the decision would make ``{cb}`` a reduct."""
+    with pytest.raises(UsageError, match="'cb' is not a decision attribute"):
+        call(corpus_granular)
 
 
 class TestAxioms:

@@ -118,6 +118,9 @@ class TestInduceCover:
         with pytest.raises(UsageError):
             induce_cover(TOY, "a", LOOSE)
 
+    def test_no_decision_name_means_the_only_one(self):
+        assert induce_cover(TOY, None, LOOSE) == induce_cover(TOY, "d", LOOSE)
+
 
 # induce_cover on granulate(generate_table(count=200, seed=3), 2, seed=0)
 # under the criterion-7 limits, recorded from the per-object matching

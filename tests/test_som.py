@@ -474,10 +474,13 @@ MOSTLY_ONE_COLUMNS = st.builds(
     granules=3,
     seed=137,
 )
+# Centers near the largest float overflow when mapped back to raw units.
+@example(column=("log10", [1.7976931348623157e308] * 3 + [1e300, 1e-300]), granules=3, seed=0)
 def test_fit_separates_or_raises_data_error(column, granules, seed):
     """A fit returns a quantizer with no empty granule or raises
-    ``DataError``; a start the ``Discretizer`` record refuses is a failed
-    start, never a ``UsageError``."""
+    ``DataError``; a start the ``Discretizer`` record refuses, or whose
+    raw centers overflow, is a failed start, never a ``UsageError`` or an
+    ``OverflowError``."""
     scale, values = column
     try:
         d = fit_discretizer(values, granules, scale=scale, seed=seed)

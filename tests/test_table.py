@@ -221,6 +221,27 @@ class TestProjection:
         assert sub.rows[1][sub.col_index("cb")] == 3.75e05
 
 
+class TestDecision:
+    """``DecisionTable.decision``: the one check of a decision name."""
+
+    def test_decision_attribute_is_returned(self):
+        assert jeffrey_table().decision("mvv") == "mvv"
+
+    @pytest.mark.parametrize(
+        "name", ["cb", "zzz", 5, ["mvv"]], ids=["condition", "unknown", "number", "list"]
+    )
+    def test_other_names_are_refused(self, name):
+        with pytest.raises(UsageError, match="is not a decision attribute"):
+            jeffrey_table().decision(name)
+
+    def test_no_name_is_the_only_decision(self):
+        assert DecisionTable(specs=tuple(_schema()), rows=()).decision() == "d"
+
+    def test_no_name_needs_one_decision(self):
+        with pytest.raises(UsageError, match=r"table has decision attributes \['tmd', 'mvv'\]"):
+            jeffrey_table().decision()
+
+
 class TestInferScale:
     def test_wide_positive_column_goes_log(self):
         assert infer_scale([1e-22, 1e-13]) == "log10"
