@@ -26,7 +26,8 @@ MAX_CLAUSE_CELLS before comparing any pair. The core's scan stops at each
 pair's second separating attribute and has no such bound.
 
 A ``decision`` argument is a name, a list of names or None (every decision
-attribute); ``DecisionTable.decision`` refuses a name that is not one.
+attribute); ``DecisionTable.decision`` refuses a name that is not one,
+in plain mode too.
 """
 
 from __future__ import annotations
@@ -183,8 +184,10 @@ def _mode_keys(table: DecisionTable, mode: str, decision=None) -> tuple[list, di
     """The attributes a mode compares, and the object ids per distinct key
     (see _class_keys): all attributes untagged in plain mode, condition
     attributes tagged with the decisions in decision_relative mode. Two
-    objects' matrix entry depends on their keys alone."""
+    objects' matrix entry depends on their keys alone. Plain mode reads no
+    decision, yet still refuses a ``decision`` that names none."""
     if mode == "plain":
+        _decision_attrs(table, [] if decision is None else decision)
         return table.names, _class_keys(table, table.names)
     if mode != "decision_relative":
         raise UsageError(f"unknown discernibility mode {mode!r}")
@@ -360,6 +363,7 @@ def reducts_exhaustive(
     approximation of ``decision`` by the full condition set.
     """
     if mode == "plain":
+        _decision_attrs(table, [] if decision is None else decision)
         attrs = table.names
         if len(attrs) > MAX_EXHAUSTIVE_ATTRS:
             raise UsageError(f"exhaustive search capped at {MAX_EXHAUSTIVE_ATTRS} attributes")

@@ -25,12 +25,14 @@ from ._record import Record
 from .errors import DataError, UsageError
 from .table import GranularTable, is_label
 
-SEMANTICS = ("cumulative", "exact")
+# The band kind each semantics induces: downward unions "at most g" under
+# cumulative, single classes "exactly g" under exact.
+BAND_KIND = {"cumulative": "at_most", "exact": "exactly"}
 
 
 def check_semantics(semantics) -> None:
-    if semantics not in SEMANTICS:
-        raise UsageError(f"semantics must be one of {SEMANTICS}")
+    if semantics not in BAND_KIND:
+        raise UsageError(f"semantics must be one of {tuple(BAND_KIND)}")
 
 
 class Condition(Record):
@@ -74,14 +76,15 @@ class Condition(Record):
 
 
 class DecisionPart(Record):
-    """The rule's conclusion: a granule band on the decision attribute."""
+    """The rule's conclusion: a granule band on the decision attribute, of
+    a kind in ``BAND_KIND``: ``at_most`` (labels 1..g) or ``exactly`` (g)."""
 
     attribute: str
-    kind: str  # at_most | at_least | exactly
+    kind: str
     granule: int
 
     def __post_init__(self):
-        if self.kind not in ("at_most", "at_least", "exactly"):
+        if self.kind not in BAND_KIND.values():
             raise UsageError(f"unknown decision kind {self.kind!r}")
         if self.granule < 1:
             raise UsageError(f"decision granule must be >= 1, got {self.granule!r}")
@@ -89,19 +92,7 @@ class DecisionPart(Record):
     def covers(self, label) -> bool:
         if label is None:
             return False
-        if self.kind == "at_most":
-            return label <= self.granule
-        if self.kind == "at_least":
-            return label >= self.granule
-        return label == self.granule
-
-    def specificity(self) -> tuple:
-        """Sort key: smaller means a tighter decision band."""
-        if self.kind == "exactly":
-            return (0, 0)
-        if self.kind == "at_most":
-            return (1, self.granule)
-        return (1, -self.granule)
+        return label <= self.granule if self.kind == "at_most" else label == self.granule
 
 
 class Rule(Record):
@@ -142,12 +133,18 @@ class RuleConstraints(Record):
 
 
 class RuleSet(Record):
+    """Rules of one semantics: every decision band is of the kind
+    ``BAND_KIND`` gives that semantics, so a set never mixes kinds."""
+
     rules: tuple[Rule, ...]
     uncovered: tuple[int, ...] = ()  # objects with a decision that no rule covers
     semantics: str = "cumulative"
 
     def __post_init__(self):
         check_semantics(self.semantics)
+        for kind in (rule.decision.kind for rule in self.rules):
+            if kind != BAND_KIND[self.semantics]:
+                raise UsageError(f"rule decision kind {kind!r} under {self.semantics} semantics")
 
 
 def _interval_condition(table: GranularTable, attr: str, g_lo: int, g_hi: int) -> Condition:
@@ -166,7 +163,7 @@ def check_rules(
     """Raise ``UsageError`` unless ``rs`` could have been induced on
     ``table`` for ``decision`` under ``constraints`` and ``semantics``: the
     rule set has that semantics and at most ``max_rules`` rules, each with
-    at most ``max_length`` conditions and a strength of at least
+    at most ``max_length`` conditions and a strength no lower than
     ``min_strength``; each condition is on a condition attribute and equals
     the condition its label range gives, a proper sub-range of the granules
     of the attribute's quantizer with that quantizer's cuts as bounds, so a
@@ -183,12 +180,12 @@ def check_rules(
         raise UsageError(f"{len(rs.rules)} rules, more than max_rules {constraints.max_rules}")
     cond_names = set(table.condition_names)
     g_count = table.discretizers[decision].granules
-    kind, top = ("exactly", g_count) if semantics == "exact" else ("at_most", g_count - 1)
+    top = g_count if semantics == "exact" else g_count - 1  # "at most G" holds every label
     labels = table.column(decision)
     per_label = {g: labels.count(g) for g in set(labels)}
     for rule in rs.rules:
         part = rule.decision
-        if part.attribute != decision or part.kind != kind or part.granule > top:
+        if part.attribute != decision or part.granule > top:
             raise UsageError(
                 f"rule decision ({part.attribute} {part.kind} {part.granule}) "
                 f"is not a {semantics} band of {decision!r}"
@@ -257,10 +254,8 @@ def induce_cover(
     label_masks = table.masks()[0]
     by_label = {g: m & rows for g, m in label_masks[decision].items() if m & rows}
     g_count = table.discretizers[decision].granules
-    if semantics == "exact":
-        targets = [DecisionPart(decision, "exactly", g) for g in sorted(by_label)]
-    else:
-        targets = [DecisionPart(decision, "at_most", g) for g in range(1, g_count)]
+    granules = sorted(by_label) if semantics == "exact" else range(1, g_count)
+    targets = [DecisionPart(decision, BAND_KIND[semantics], g) for g in granules]
 
     # Candidate label intervals (g_lo, g_hi) per attribute, each with the
     # rows it matches: every contiguous proper sub-range of 1..G of the
@@ -354,28 +349,21 @@ def classify(rs: RuleSet, row: dict):
     """Weighted vote of all matching rules; None means abstain.
 
     Each matching rule votes with its strength for its decision granule.
-    Ties go to the tighter decision band; a dead-even tie abstains. A
-    missing value satisfies no condition.
+    A tie among the leaders goes to the lowest granule under cumulative
+    semantics, as "at most g" bands nest and the lowest is the tightest;
+    under exact semantics a tie abstains. A missing value satisfies no
+    condition.
     """
     votes: dict[int, float] = {}
-    tightness: dict[int, tuple] = {}
     for rule in rs.rules:
-        if not rule.matches_row(row):
-            continue
-        g = rule.decision.granule
-        votes[g] = votes.get(g, 0.0) + rule.strength
-        key = rule.decision.specificity()
-        if g not in tightness or key < tightness[g]:
-            tightness[g] = key
+        if rule.matches_row(row):
+            g = rule.decision.granule
+            votes[g] = votes.get(g, 0.0) + rule.strength
     if not votes:
         return None
     top = max(votes.values())
-    leaders = [g for g, v in votes.items() if v == top]
-    if len(leaders) == 1:
-        return leaders[0]
-    best_spec = min(tightness[g] for g in leaders)
-    tied = [g for g in leaders if tightness[g] == best_spec]
-    return tied[0] if len(tied) == 1 else None
+    leaders = sorted(g for g, v in votes.items() if v == top)
+    return leaders[0] if len(leaders) == 1 or rs.semantics == "cumulative" else None
 
 
 def accuracy(rs: RuleSet, table: GranularTable, decision: str, rows: int | None = None) -> float:
@@ -403,10 +391,8 @@ def accuracy(rs: RuleSet, table: GranularTable, decision: str, rows: int | None 
 
 # --- rendering and parsing -------------------------------------------------
 
-_DECISION_WORDS = {"at_most": "at most", "at_least": "at least", "exactly": "exactly"}
-_RULE_RE = re.compile(
-    r"^Rule (\d+)\. (.+) => \((\w+) (at most|at least|exactly) (\d+)\);$"
-)
+_DECISION_WORDS = {"at_most": "at most", "exactly": "exactly"}
+_RULE_RE = re.compile(r"^Rule (\d+)\. (.+) => \((\w+) (at most|exactly) (\d+)\);$")
 _COND_RE = re.compile(r"^\((\w+)(<=|>=)([-+0-9.eE]+)\)$")
 
 
@@ -468,4 +454,8 @@ def parse_rule(line: str) -> Rule:
 
 
 def parse_rules(text: str) -> RuleSet:
-    return RuleSet(rules=tuple(parse_rule(ln) for ln in text.splitlines() if ln.strip()))
+    """The rule set of a rule file, of the semantics whose band its first
+    rule carries (cumulative for none); ``RuleSet`` refuses mixed bands."""
+    rules = tuple(parse_rule(ln) for ln in text.splitlines() if ln.strip())
+    kind = rules[0].decision.kind if rules else "at_most"
+    return RuleSet(rules=rules, semantics={k: s for s, k in BAND_KIND.items()}[kind])

@@ -479,6 +479,29 @@ def test_condition_attribute_as_decision_is_usage_error(call, corpus_granular):
         call(corpus_granular)
 
 
+# The plain reducts of the raw corpus, with or without a decision argument.
+PLAIN_CORPUS_REDUCTS = {
+    frozenset({"mvv"}), frozenset({"tmd"}), frozenset({"cb", "csz", "phisz", "tb"}),
+    frozenset({"cb", "csz", "phisz", "tp"}), frozenset({"cp", "csz", "phisz", "tb"}),
+    frozenset({"cp", "csz", "phisz", "tp"}),
+}
+
+
+def test_plain_mode_refuses_a_name_that_is_no_decision():
+    """Plain mode compares every attribute and reads no decision, yet a
+    ``decision`` that names no decision attribute is still a usage error;
+    the decision attribute itself leaves the plain reducts as they are."""
+    t = jeffrey_table()
+    with pytest.raises(UsageError, match="'cb' is not a decision attribute"):
+        reducts(t, "plain", decision="cb")
+    with pytest.raises(UsageError, match="'zzz' is not a decision attribute"):
+        disc_matrix(t, "plain", decision="zzz")
+    with pytest.raises(UsageError, match="'cb' is not a decision attribute"):
+        reducts_exhaustive(t, "plain", decision="cb")
+    assert set(reducts(t, "plain", decision="mvv").reducts) == PLAIN_CORPUS_REDUCTS
+    assert set(reducts(t, "plain").reducts) == PLAIN_CORPUS_REDUCTS
+
+
 class TestAxioms:
     def test_sandwich_duality_monotone(self):
         """Classic containments on seeded random tables and subsets."""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from somrough.errors import DataError, UsageError
 from somrough.pipeline import granulate
 from somrough.rules import (
+    BAND_KIND,
     Condition,
     DecisionPart,
     Rule,
@@ -217,6 +218,7 @@ class TestClassify:
                 self._rule({1}, 1, 0.7, kind="exactly"),
                 self._rule({1}, 2, 0.7, kind="exactly"),
             ),
+            semantics="exact",
         )
         assert classify(rs, {"a": 1}) is None
 
@@ -238,7 +240,7 @@ class TestAccuracy:
             support=4,
             strength=0.8,
         )
-        rs = RuleSet(rules=(rule,))
+        rs = RuleSet(rules=(rule,), semantics="exact")
         assert accuracy(rs, t, "d") == pytest.approx(0.8)
 
     def test_empty_test_vacuous(self):
@@ -354,6 +356,52 @@ class TestMaskOracle:
             assert accuracy(rs, table, "d") == want
 
 
+def _reference_vote(rs, row):
+    """Per-row reference of classify: the granule with the highest summed
+    strength over the matching rules; a tie among the leaders goes to the
+    lowest granule under cumulative semantics and abstains under exact."""
+    votes = {}
+    for rule in rs.rules:
+        if _matches(rule, row):
+            g = rule.decision.granule
+            votes[g] = votes.get(g, 0.0) + rule.strength
+    leaders = [g for g, v in votes.items() if v == max(votes.values())]
+    if not leaders or (len(leaders) > 1 and rs.semantics == "exact"):
+        return None
+    return min(leaders)
+
+
+class TestSemanticsBands:
+    """A rule set's semantics fixes its band kind, its tie rule and the
+    semantics its rule file reads back with."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_masked_case())
+    # Row 1 ties "exactly 1" with "exactly 2"; row 0 ties "at most 1" with
+    # "at most 2".
+    @example(case=(
+        _gtable({"a0": [1, 1, None, 2], "a1": [None, 2, 2, 1]}, [2, None, 1, None]),
+        0b0101, LOOSE, "exact",
+    ))
+    @example(case=(
+        _gtable({"a0": [1, None, 2], "a1": [1, 1, 2]}, [1, 2, 3]), 0b011, LOOSE, "exact",
+    ))
+    def test_classify_band_and_round_trip(self, case):
+        table, mask, cons, _ = case
+        rows = [dict(zip(table.names, r)) for r in table.rows]
+        for semantics, other in (("cumulative", "exact"), ("exact", "cumulative")):
+            rs = induce_cover(table, "d", cons, semantics, rows=mask)
+            assert [classify(rs, row) for row in rows] == [_reference_vote(rs, r) for r in rows]
+            alien = Rule(
+                conditions=(Condition(table.condition_names[0], labels=frozenset({1})),),
+                decision=DecisionPart("d", BAND_KIND[other], 1),
+            )
+            with pytest.raises(UsageError, match=f"under {semantics} semantics"):
+                RuleSet(rules=rs.rules + (alien,), semantics=semantics)
+            if rs.rules:
+                assert parse_rules(render_rules(rs)).semantics == semantics
+
+
 class TestGrammar:
     def test_render_two_condition_rule(self):
         rule = Rule(
@@ -373,12 +421,13 @@ class TestGrammar:
         )
         assert render_rule(rule, 1) == "Rule 1. (cb<=220000.000000) => (mvv at most 1);"
 
-    def test_render_at_least(self):
-        rule = Rule(
-            conditions=(Condition("csz", lo=1000.0),),
-            decision=DecisionPart("mvv", "at_least", 3),
-        )
-        assert render_rule(rule, 2) == "Rule 2. (csz>=1000.000000) => (mvv at least 3);"
+    def test_at_least_is_refused(self):
+        """No semantics induces an upward band, so neither the record nor
+        the grammar holds one."""
+        with pytest.raises(UsageError, match="unknown decision kind 'at_least'"):
+            DecisionPart("mvv", "at_least", 3)
+        with pytest.raises(DataError, match="cannot parse rule line"):
+            parse_rule("Rule 2. (csz>=1000.000000) => (mvv at least 3);")
 
     def test_between_renders_two_conjuncts_and_folds_back(self):
         rule = Rule(
