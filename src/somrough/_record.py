@@ -13,8 +13,8 @@ with ``X`` one of ``int``, ``float``, ``str`` and ``bool`` or a record class.
 Scalar types must match exactly, except that an int passes as a float (so a
 bool or a numpy scalar is never a number); a record passes if it is an
 instance of ``X``. A mismatch raises ``UsageError`` naming the class and the
-field. ``dict`` and ``frozenset`` fields are not checked. ``from_json`` reads
-a record back from JSON by the same annotations.
+field. ``dict`` and ``frozenset`` fields are not checked; ``from_json`` reads
+records back by the same annotations, and ``dict[str, X]`` values as ``X``.
 """
 
 import sys
@@ -117,13 +117,19 @@ def replace(record: Record, **changes) -> Record:
 
 def from_json(cls, d: dict) -> Record:
     """Inverse of ``table.json_record``: a ``cls`` built from one JSON
-    object by the field annotations. Lists become tuples (label lists,
-    frozensets) and objects under a record's name, records; keys that are
-    not fields are ignored, and a missing field takes its default."""
-    if type(d) is not dict:
-        raise TypeError(f"a {cls.__qualname__} record must be a JSON object, got {d!r:.60}")
+    object by the field annotations: lists become tuples or frozensets, and
+    objects records, or for a ``dict[str, X]`` field a dict of ``X``. Keys
+    that are not fields are ignored; a missing field takes its default."""
+    d = _object(d, f"a {cls.__qualname__} record")
     kw = {f.name: f.read(d[f.name]) if f.read else d[f.name] for f in cls._fields if f.name in d}
     return cls(**kw)
+
+
+def _object(v, what: str) -> dict:
+    """``v`` if it is a JSON object, else TypeError naming ``what``."""
+    if type(v) is not dict:
+        raise TypeError(f"{what} must be a JSON object, got {v!r:.60}")
+    return v
 
 
 def _record_class(text: str, names: dict):
@@ -155,6 +161,9 @@ def _reader(text: str, names: dict):
         return lambda v: tuple(v) if type(v) is list else v
     if base == "frozenset":
         return lambda v: frozenset(v) if type(v) is list else v
+    if base.startswith("dict[str, ") and base.endswith("]"):
+        item = _reader(base[10:-1], names) or (lambda x: x)
+        return lambda v: {k: item(x) for k, x in _object(v, f"a {base}").items()}
     record = _record_class(base, names)
     if record is not None:
         return lambda v: from_json(record, v)

@@ -161,7 +161,7 @@ def cmd_backanalyze(args) -> int:
             raise ValueError("the report's decision is null")
         decision = granular.decision(doc["decision"])
         check_rules(rules, granular, decision, config.constraints, config.semantics)
-    except (KeyError, TypeError, ValueError, UsageError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError, UsageError) as exc:
         raise DataError(f"malformed report file: {exc}") from None
     granule = granulate_observation(granular.discretizers[decision], args.observe)
     est = back_analyze(rules, (decision, granule), granular)
@@ -190,7 +190,7 @@ def cmd_surrogate(args) -> int:
                         and all(type(x) in (int, float) for x in pair)):
                     raise TypeError(f"range for {name!r} is not a [low, high] pair of numbers")
             ranges = {k: (float(lo), float(hi)) for k, (lo, hi) in raw.items()}
-        except (ValueError, TypeError, OverflowError) as exc:
+        except (ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise DataError(f"malformed ranges file: {exc}") from None
     table = generate_table(
         ranges=ranges, count=args.count, seed=s["seed"], steepness=args.steepness

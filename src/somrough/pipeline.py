@@ -38,9 +38,9 @@ from .rules import (
     induce_cover,
     render_rule,
 )
-from .som import FIT_EPOCHS, Discretizer, assign_granule, fit_table_discretizer
-from .table import AttributeSpec, DecisionTable, GranularTable, json_record, json_text
-from .table import split_random, split_train_size
+from .som import FIT_EPOCHS, fit_table_discretizer
+from .table import DecisionTable, Discretizer, GranularTable, assign_granule, json_record
+from .table import SCALES, json_text, split_random, split_train_size
 
 # Documented reconstruction notes echoed into every report.
 POLICY_NOTES = (
@@ -441,33 +441,18 @@ def report_rules_from_json(doc: dict) -> RuleSet:
 
 
 def granular_from_json(doc: dict) -> GranularTable:
-    """Rebuild the granulated table and its quantizers embedded in a report,
-    each attribute with its quantizer's scale; ``GranularTable`` names every
-    attribute the quantizers leave out, and a quantizer of an attribute the
-    table lacks is refused here."""
-    discs = doc.get("discretizers", {})
-    if not isinstance(discs, dict):
-        raise TypeError("discretizers must be an object keyed by attribute")
-    discs = {name: from_json(Discretizer, d) for name, d in discs.items()}
-    g = doc["granular"]
+    """The granulated table a report embeds, quantizers and all. Its scales
+    live only in the quantizers: a spec takes a scale its quantizer holds."""
+    g, discs = doc["granular"], doc.get("discretizers", {})
     if len(g["attributes"]) != len(g["roles"]):
         raise ValueError("granular attributes and roles differ in length")
-    specs = tuple(map(AttributeSpec, g["attributes"], g["roles"]))
-    # The report keeps a scale only in each quantizer; without one, the
-    # default stands and GranularTable names the attribute.
-    specs = tuple(replace(s, scale=discs[s.name].scale) if s.name in discs else s for s in specs)
-    names = {s.name for s in specs}
-    for name, d in discs.items():
-        if d.name != name:
-            raise ValueError(f"the quantizer under {name!r} is named {d.name!r}")
-        if name not in names:
-            raise ValueError(f"quantizer of {name!r}, an attribute the table lacks")
-    return GranularTable(
-        specs=specs,
-        rows=tuple(map(tuple, g["rows"])),  # labels as read: GranularTable checks them
-        object_ids=tuple(g["object_ids"]),
-        discretizers=discs,
-    )
+    specs = []
+    for name, role in zip(g["attributes"], g["roles"]):
+        q = discs.get(name) if type(discs) is dict and type(name) is str else None
+        scale = q.get("scale") if type(q) is dict else None
+        specs.append({"name": name, "role": role, **({"scale": scale} if scale in SCALES else {})})
+    table = {"specs": specs, "rows": g["rows"], "object_ids": g["object_ids"]}
+    return from_json(GranularTable, {**table, "discretizers": discs})
 
 
 def estimate_to_json(est: ParameterEstimate) -> str:

@@ -14,13 +14,12 @@ between adjacent centers mapped back into raw units.
 from __future__ import annotations
 
 import math
-import sys
 from itertools import chain, repeat
 
 from . import _pcg
 from ._record import Record
 from .errors import DataError, UsageError
-from .table import SCALES, inverse_scale, scale_minmax, transform_scale
+from .table import Discretizer, assign_granule, inverse_scale, scale_minmax, transform_scale
 
 # Box-seeded starts of a quantizer fit before the quantile-seeded one: long
 # runs of one value can starve a node whatever the draw.
@@ -291,55 +290,6 @@ def _winner_only(w: list[float], stream, eta0: float, total: int) -> list[float]
         eta = eta0 * (1.0 - s / total)
         w[best] = (1.0 - eta) * w[best] + eta * v
     return w
-
-
-class Discretizer(Record):
-    """Ordinal quantizer for one attribute.
-
-    ``centers`` and ``cuts`` are in raw units, strictly descending; label
-    1 belongs to the highest center. A value lands in granule g when it
-    sits at or below cut g-1 and strictly above cut g (cut 0 = +inf,
-    cut G = -inf), so larger values never get larger labels.
-    """
-
-    name: str
-    scale: str
-    centers: tuple[float, ...]
-    cuts: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.scale not in SCALES:
-            raise UsageError(f"quantizer of {self.name!r}: scale must be one of {SCALES}")
-        # Python compares an int with a float exactly; math.isfinite raises
-        # OverflowError on an int past the float range.
-        if not all(abs(v) <= sys.float_info.max for v in self.centers + self.cuts):
-            raise UsageError(f"quantizer of {self.name!r}: centers and cuts must be finite")
-        if len(self.cuts) != len(self.centers) - 1:
-            raise UsageError("need exactly G - 1 cuts for G centers")
-        if any(b >= a for a, b in zip(self.centers, self.centers[1:])):
-            raise UsageError("centers must be strictly decreasing")
-        if any(b >= a for a, b in zip(self.cuts, self.cuts[1:])):
-            raise UsageError("cuts must be strictly decreasing")
-
-    @property
-    def granules(self) -> int:
-        return len(self.centers)
-
-
-def assign_granule(d: Discretizer, v) -> int | None:
-    """Label for a raw value; missing stays missing.
-
-    Boundary values (v exactly at a cut) take the lower-value side, i.e.
-    the larger label, matching a "<= cut" reading of the cut points.
-    """
-    if v is None:
-        return None
-    if isinstance(v, float) and math.isnan(v):
-        return None
-    for g, cut in enumerate(d.cuts, start=1):
-        if v > cut:
-            return g
-    return d.granules
 
 
 def fit_discretizer(

@@ -17,6 +17,7 @@ import io
 import json
 import math
 import numbers
+import sys
 
 from . import _pcg
 from ._record import Record, fields, from_json
@@ -132,21 +133,76 @@ class DecisionTable(Record):
         return tuple(oid for oid, bit in zip(self.object_ids, bits) if bit == "1")
 
 
+class Discretizer(Record):
+    """Ordinal quantizer for one attribute.
+
+    ``centers`` and ``cuts`` are in raw units, strictly descending; label
+    1 belongs to the highest center. A value lands in granule g when it
+    sits at or below cut g-1 and strictly above cut g (cut 0 = +inf,
+    cut G = -inf), so larger values never get larger labels.
+    """
+
+    name: str
+    scale: str
+    centers: tuple[float, ...]
+    cuts: tuple[float, ...]
+
+    def __post_init__(self):
+        if self.scale not in SCALES:
+            raise UsageError(f"quantizer of {self.name!r}: scale must be one of {SCALES}")
+        # Python compares an int with a float exactly; math.isfinite raises
+        # OverflowError on an int past the float range.
+        if not all(abs(v) <= sys.float_info.max for v in self.centers + self.cuts):
+            raise UsageError(f"quantizer of {self.name!r}: centers and cuts must be finite")
+        if len(self.cuts) != len(self.centers) - 1:
+            raise UsageError("need exactly G - 1 cuts for G centers")
+        if any(b >= a for a, b in zip(self.centers, self.centers[1:])):
+            raise UsageError("centers must be strictly decreasing")
+        if any(b >= a for a, b in zip(self.cuts, self.cuts[1:])):
+            raise UsageError("cuts must be strictly decreasing")
+
+    @property
+    def granules(self) -> int:
+        return len(self.centers)
+
+
+def assign_granule(d: Discretizer, v) -> int | None:
+    """Label for a raw value; missing stays missing.
+
+    Boundary values (v exactly at a cut) take the lower-value side, i.e.
+    the larger label, matching a "<= cut" reading of the cut points.
+    """
+    if v is None:
+        return None
+    if isinstance(v, float) and math.isnan(v):
+        return None
+    for g, cut in enumerate(d.cuts, start=1):
+        if v > cut:
+            return g
+    return d.granules
+
+
 class GranularTable(DecisionTable):
     """A table whose cells are granule labels (ints >= 1) or missing.
 
-    ``discretizers`` maps every attribute to the quantizer that produced
-    its labels, so raw observations map into the same vocabulary and rule
-    conditions take its cuts as raw bounds; a missing one is a
-    ``DataError``. Labels are checked once, when a table is constructed.
+    ``discretizers`` maps each attribute to the quantizer of its labels, so
+    raw observations map into the same vocabulary and rule conditions take
+    its cuts as raw bounds. A missing quantizer is a ``DataError``, a
+    misfiled or stray one a ``UsageError``. Labels are checked when built.
     """
 
-    discretizers: dict = None  # required; None only because object_ids has a default
+    discretizers: dict[str, Discretizer] | None = None  # required; None: object_ids has a default
     _masks = None  # not a field: built on first use by masks()
 
     def __post_init__(self):
         super().__post_init__()
-        missing = [n for n in self.names if n not in (self.discretizers or ())]
+        discs, names = self.discretizers or {}, self.names
+        for name, d in discs.items():
+            if d.name != name:
+                raise UsageError(f"the quantizer under {name!r} is named {d.name!r}")
+            if name not in names:
+                raise UsageError(f"quantizer of {name!r}, an attribute the table lacks")
+        missing = [n for n in names if n not in discs]
         if missing:
             raise DataError(f"no quantizer for attribute(s) {', '.join(map(repr, missing))}")
         # Per column, its cell types and the range of its distinct labels;
@@ -156,7 +212,7 @@ class GranularTable(DecisionTable):
             if not all(map(_integral, types)):
                 break
             labels = set(col) - {None}
-            if labels and (min(labels) < 1 or max(labels) > self.discretizers[s.name].granules):
+            if labels and (min(labels) < 1 or max(labels) > discs[s.name].granules):
                 break
         else:
             return
@@ -168,7 +224,7 @@ class GranularTable(DecisionTable):
                     raise DataError(
                         f"row {i}, attribute {s.name!r}: granule label must be a positive int"
                     )
-                d = self.discretizers[s.name]
+                d = discs[s.name]
                 if v > d.granules:
                     raise DataError(
                         f"row {i}, attribute {s.name!r}: label {v} exceeds granule count {d.granules}"
@@ -266,7 +322,7 @@ def load_schema(text: str) -> list[AttributeSpec]:
     """Read a schema file: a JSON array of {name, role, scale, units}."""
     try:
         records = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: a decode error, or too many digits
         raise DataError(f"schema is not valid JSON: {exc}") from None
     if not isinstance(records, list):
         raise DataError("schema must be a JSON array of attribute records")

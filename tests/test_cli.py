@@ -247,10 +247,28 @@ def _overflow_column(tmp_path):
     return _discretize(tmp_path, data=str(data), schema=schema) + ["--granules", "3", "--seed", "0"]
 
 
-def _surrogate_ranges(tmp_path, ranges):
+def _surrogate_ranges(tmp_path, ranges, text=None):
     path = tmp_path / "ranges.json"
-    path.write_text(json.dumps(ranges))
+    path.write_text(json.dumps(ranges) if text is None else text)
     return ["surrogate", "--count", "5", "--ranges", str(path), "--out", str(tmp_path / "o")]
+
+
+def _text_file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _pipeline(tmp_path, schema):
+    return ["pipeline", "--data", CORPUS, "--schema", schema, "--decision", "mvv",
+            "--out", str(tmp_path / "o")]
+
+
+# JSON that json.loads cannot decode: nesting past the recursion limit (Python
+# 3.13 decodes it, into no report, schema or ranges object), and an integer
+# past the int-to-str digit limit.
+DEEP_JSON = "[" * 2000 + "]" * 2000
+LONG_INT_JSON = "[" + "9" * 5000 + "]"
 
 
 def _rule0(doc):
@@ -473,6 +491,16 @@ BAD_INPUTS = {
     "csv-log10-overflow": lambda tmp, _: _overflow_column(tmp),
     "ranges-list": lambda tmp, _: _surrogate_ranges(tmp, [1, 2]),
     "ranges-object-bounds": lambda tmp, _: _surrogate_ranges(tmp, {"cohesion": {"lo": 1}}),
+    "report-nested-2000-deep": lambda tmp, _: _backanalyze(
+        _text_file(tmp, "report.json", DEEP_JSON)
+    ),
+    "ranges-nested-2000-deep": lambda tmp, _: _surrogate_ranges(tmp, None, text=DEEP_JSON),
+    "schema-nested-2000-deep": lambda tmp, _: _pipeline(
+        tmp, _text_file(tmp, "schema.json", DEEP_JSON)
+    ),
+    "schema-5000-digit-int": lambda tmp, _: _pipeline(
+        tmp, _text_file(tmp, "schema.json", LONG_INT_JSON)
+    ),
 }
 
 

@@ -421,6 +421,5 @@ def test_readers_are_built_with_the_class():
     assert fields(GranularTable)[:3] == fields(DecisionTable)
     table = {"specs": [doc], "rows": [[1]], "object_ids": [5]}
     assert from_json(DecisionTable, table).object_ids == (5,)
-    assert from_json(GranularTable, {**table, "discretizers": {"a": DISC}}).discretizers == {
-        "a": DISC
-    }
+    discs = {"a": json_record(DISC)}  # JSON, as from_json reads it
+    assert from_json(GranularTable, {**table, "discretizers": discs}).discretizers == {"a": DISC}

@@ -10,13 +10,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from somrough._record import from_json
 from somrough.corpus import jeffrey_table
 from somrough.errors import DataError, UsageError
 from somrough.pipeline import PipelineConfig, close_open
-from somrough.som import Discretizer
 from somrough.table import (
+    ROLES,
+    SCALES,
     AttributeSpec,
     DecisionTable,
+    Discretizer,
     GranularTable,
     dump_schema,
     infer_scale,
@@ -281,11 +284,12 @@ class TestGranularLabels:
         "b": Discretizer("b", "linear", (2.0, 1.0), (1.5,)),
         "d": Discretizer("d", "linear", (2.0, 1.0), (1.5,)),
     }
+    AD = {"a": DISCS["a"], "d": DISCS["d"]}  # the quantizers of SPECS
 
     @pytest.mark.parametrize("label", [0, -1, 1.5, 2.0, "1", True])
     def test_bad_label_rejected(self, label):
         with pytest.raises(DataError, match="granule label must be a positive int"):
-            GranularTable(specs=self.SPECS, rows=((1, 1), (label, 2)), discretizers=self.DISCS)
+            GranularTable(specs=self.SPECS, rows=((1, 1), (label, 2)), discretizers=self.AD)
 
     @pytest.mark.parametrize("discretizers, named", [
         ({"a": DISCS["a"]}, "'d'"),
@@ -298,9 +302,18 @@ class TestGranularLabels:
             GranularTable(specs=self.SPECS, rows=((1, 1),), discretizers=discretizers)
         assert str(exc.value) == f"no quantizer for attribute(s) {named}"
 
+    @pytest.mark.parametrize("discretizers, message", [
+        ({"a": DISCS["d"], "d": DISCS["d"]}, "the quantizer under 'a' is named 'd'"),
+        (DISCS, "quantizer of 'b', an attribute the table lacks"),
+    ])
+    def test_misfiled_and_stray_quantizers_refused(self, discretizers, message):
+        with pytest.raises(UsageError) as exc:
+            GranularTable(specs=self.SPECS, rows=((1, 1),), discretizers=discretizers)
+        assert str(exc.value) == message
+
     def test_label_above_granule_count_rejected(self):
         with pytest.raises(DataError, match="exceeds granule count 3"):
-            GranularTable(specs=self.SPECS, rows=((3, 1), (4, 2)), discretizers=self.DISCS)
+            GranularTable(specs=self.SPECS, rows=((3, 1), (4, 2)), discretizers=self.AD)
 
     @pytest.mark.parametrize("rows, message", [
         # Row-major order: (row 0, b) is reported before (row 1, a).
@@ -321,9 +334,9 @@ class TestGranularLabels:
     def test_numpy_integer_labels_accepted(self):
         np = pytest.importorskip("numpy")
         rows = ((np.int64(1), 1), (np.int64(3), 2))
-        assert GranularTable(specs=self.SPECS, rows=rows, discretizers=self.DISCS).rows == rows
+        assert GranularTable(specs=self.SPECS, rows=rows, discretizers=self.AD).rows == rows
         with pytest.raises(DataError) as exc:
-            GranularTable(specs=self.SPECS, rows=((np.int64(4), 1),), discretizers=self.DISCS)
+            GranularTable(specs=self.SPECS, rows=((np.int64(4), 1),), discretizers=self.AD)
         assert str(exc.value) == "row 0, attribute 'a': label 4 exceeds granule count 3"
 
     def test_row_masks(self):
@@ -332,7 +345,7 @@ class TestGranularLabels:
             specs=self.SPECS,
             rows=((1, 1), (None, 2), (3, 1), (1, 2)),
             object_ids=(7, 2, 5, 4),
-            discretizers=self.DISCS,
+            discretizers=self.AD,
         )
         labels, vectors = t.masks()
         assert labels == {"a": {1: 0b1001, 3: 0b0100}, "d": {1: 0b0101, 2: 0b1010}}
@@ -341,7 +354,7 @@ class TestGranularLabels:
         assert t.ids_in(labels["a"][1]) == (7, 4)
         # The masks take no part in equality.
         assert t == GranularTable(specs=self.SPECS, rows=t.rows, object_ids=t.object_ids,
-                                  discretizers=self.DISCS)
+                                  discretizers=self.AD)
 
 
 # --- JSON text ----------------------------------------------------------------
@@ -418,3 +431,32 @@ def test_json_text_writes_subclasses_as_json_does():
     )
     assert json_text(doc) == json.dumps(doc, indent=2, default=json_record)
     assert '"a": 2' in json_text(doc) and '"c": 0.5' in json_text(doc)
+
+
+@st.composite
+def granular_tables(draw):
+    """Tables of 1-12 rows and 1-4 attributes, each attribute with its own
+    quantizer of 2-4 granules, and some cells missing."""
+    n = draw(st.integers(1, 12))
+    specs, discs, columns = [], {}, []
+    for j in range(draw(st.integers(1, 4))):
+        name, g = f"x{j}", draw(st.integers(2, 4))
+        spec = AttributeSpec(name, draw(st.sampled_from(ROLES)), draw(st.sampled_from(SCALES)))
+        floats = st.floats(-1e6, 1e6)
+        centers, cuts = (
+            sorted(draw(st.lists(floats, min_size=k, max_size=k, unique=True)), reverse=True)
+            for k in (g, g - 1)
+        )
+        specs.append(spec)
+        discs[name] = Discretizer(name, spec.scale, tuple(centers), tuple(cuts))
+        columns.append(draw(st.lists(st.none() | st.integers(1, g), min_size=n, max_size=n)))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    return GranularTable(specs=tuple(specs), rows=tuple(zip(*columns)), object_ids=tuple(ids),
+                         discretizers=discs)
+
+
+@given(granular_tables())
+def test_granular_table_reads_back_from_json(g):
+    """``from_json`` reads a granulated table, quantizers and all, from the
+    JSON text ``json_text`` writes for it."""
+    assert from_json(GranularTable, json.loads(json_text(g))) == g
