@@ -8,13 +8,13 @@ then calls ``__post_init__`` (looked up per call) if the class has one;
 and frozenness are the base class's and match a dataclass's.
 
 A field's annotation (its source text) is its one type declaration.
-``__init__`` checks each field of form ``X``, ``X | None`` or ``tuple[X, ...]``
-with ``X`` one of ``int``, ``float``, ``str`` and ``bool`` or a record class.
-Scalar types must match exactly, except that an int passes as a float (so a
-bool or a numpy scalar is never a number); a record passes if it is an
-instance of ``X``. A mismatch raises ``UsageError`` naming the class and the
-field. ``dict`` and ``frozenset`` fields are not checked; ``from_json`` reads
-records back by the same annotations, and ``dict[str, X]`` values as ``X``.
+``__init__`` checks each field of form ``X``, ``X | None``, ``tuple[X, ...]``
+or ``dict[str, X]``, with ``X`` one of ``int``, ``float``, ``str`` and ``bool``
+or a record class (only a record class in a dict). Scalar types must match
+exactly, except that an int passes as a float (so a bool or a numpy scalar is
+never a number); a record passes if it is an instance of ``X``. A mismatch
+raises ``UsageError`` naming the class and the field. Other fields are not
+checked; ``from_json`` reads records back by the same annotations.
 """
 
 import sys
@@ -26,9 +26,9 @@ from .errors import UsageError
 SCALARS = {"int": int, "float": float, "str": str, "bool": bool}
 _ACCEPTS = {k: {t, int} if t is float else {t} for k, t in SCALARS.items()}
 _FORMS = {
-    **{k: (ts, False) for k, ts in _ACCEPTS.items()},
-    **{f"{k} | None": (ts | {type(None)}, False) for k, ts in _ACCEPTS.items()},
-    **{f"tuple[{k}, ...]": (ts, True) for k, ts in _ACCEPTS.items()},
+    **{k: (ts, None) for k, ts in _ACCEPTS.items()},
+    **{f"{k} | None": (ts | {type(None)}, None) for k, ts in _ACCEPTS.items()},
+    **{f"tuple[{k}, ...]": (ts, tuple) for k, ts in _ACCEPTS.items()},
 }
 
 
@@ -42,16 +42,19 @@ class Field:
 def _check(record, checks, values):
     """Raise for the first value its field's annotation does not accept.
     ``accepts`` is a set of scalar types, matched exactly, or a record class
-    (with ``NoneType`` for ``X | None``), matched by ``isinstance``."""
+    (with ``NoneType`` for ``X | None``), matched by ``isinstance``; ``many``
+    is ``tuple`` or ``dict`` for a field holding such values, else None."""
     for (name, text, accepts, many), v in zip(checks, values):
         if type(accepts) is set:
             ok = type(v) is tuple and set(map(type, v)) <= accepts if many else type(v) in accepts
-        else:
-            ok = (
-                type(v) is tuple and all(isinstance(x, accepts) for x in v)
-                if many
-                else isinstance(v, accepts)
+        elif many is tuple:
+            ok = type(v) is tuple and all(isinstance(x, accepts) for x in v)
+        elif many is dict:
+            ok = type(v) is dict and all(
+                type(k) is str and isinstance(x, accepts) for k, x in v.items()
             )
+        else:
+            ok = isinstance(v, accepts)
         if not ok:
             raise UsageError(f"{type(record).__qualname__}.{name} must be {text}, got {v!r:.60}")
 
@@ -139,14 +142,17 @@ def _record_class(text: str, names: dict):
 
 
 def _record_form(text: str, names: dict):
-    """``(accepts, many)`` of a field annotated with a record class ``X`` as
-    ``X``, ``X | None`` or ``tuple[X, ...]``, or None for other annotations."""
+    """``(accepts, many)`` of a field annotated ``X``, ``X | None``,
+    ``tuple[X, ...]`` or ``dict[str, X]`` for a record class ``X``, else None."""
     if text.startswith("tuple[") and text.endswith(", ...]"):
         record = _record_class(text[6:-6], names)
-        return record and (record, True)
+        return record and (record, tuple)
+    if text.startswith("dict[str, ") and text.endswith("]"):
+        record = _record_class(text[10:-1], names)
+        return record and (record, dict)
     optional = text.endswith(" | None")
     record = _record_class(text.removesuffix(" | None"), names)
-    return record and ((record, type(None)) if optional else record, False)
+    return record and ((record, type(None)) if optional else record, None)
 
 
 def _reader(text: str, names: dict):

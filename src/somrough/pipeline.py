@@ -190,12 +190,7 @@ def granulate(table: DecisionTable, granules: int = 3, seed: int = 0) -> Granula
     rows = tuple(
         tuple(assign_granule(d, v) for d, v in zip(columns, row)) for row in table.rows
     )
-    return GranularTable(
-        specs=table.specs,
-        rows=rows,
-        object_ids=table.object_ids,
-        discretizers=discretizers,
-    )
+    return GranularTable(specs=table.specs, rows=rows, discretizers=discretizers)
 
 
 def _fit_all(table: DecisionTable, granules: int, seed: int) -> dict:
@@ -429,7 +424,7 @@ def report_to_json(report: RunReport) -> str:
         "granular": {
             "attributes": report.granular.names,
             "roles": [s.role for s in report.granular.specs],
-            "object_ids": list(report.granular.object_ids),
+            "object_ids": list(range(len(report.granular))),
             "rows": [list(row) for row in report.granular.rows],
         },
     }
@@ -442,7 +437,8 @@ def report_rules_from_json(doc: dict) -> RuleSet:
 
 def granular_from_json(doc: dict) -> GranularTable:
     """The granulated table a report embeds, quantizers and all. Its scales
-    live only in the quantizers: a spec takes a scale its quantizer holds."""
+    live only in the quantizers: a spec takes a scale its quantizer holds.
+    Its ``object_ids`` must number the rows 0..n-1, as every report does."""
     g, discs = doc["granular"], doc.get("discretizers", {})
     if len(g["attributes"]) != len(g["roles"]):
         raise ValueError("granular attributes and roles differ in length")
@@ -451,8 +447,11 @@ def granular_from_json(doc: dict) -> GranularTable:
         q = discs.get(name) if type(discs) is dict and type(name) is str else None
         scale = q.get("scale") if type(q) is dict else None
         specs.append({"name": name, "role": role, **({"scale": scale} if scale in SCALES else {})})
-    table = {"specs": specs, "rows": g["rows"], "object_ids": g["object_ids"]}
-    return from_json(GranularTable, {**table, "discretizers": discs})
+    table = from_json(GranularTable, {"specs": specs, "rows": g["rows"], "discretizers": discs})
+    ids = g["object_ids"]
+    if ids != list(range(len(table))) or any(type(i) is not int for i in ids):
+        raise ValueError("granular object_ids must be the row numbers 0..n-1")
+    return table
 
 
 def estimate_to_json(est: ParameterEstimate) -> str:

@@ -5,9 +5,9 @@ approximation, the pairwise discernibility matrix, its Boolean function
 (CNF whose prime implicants are the reducts), and a brute-force subset
 enumeration kept as an independent oracle for all of it.
 
-Objects agreeing on every attribute of a subset B fall into one block;
-a missing value is tolerant (it matches anything), and blocks are then
-grown greedily in object-id order so the result stays deterministic.
+Objects (object i is row i) agreeing on every attribute of a subset B fall
+into one block; a missing value is tolerant (it matches anything), and
+blocks are grown first-fit in row order so the result stays deterministic.
 
 Partitions, positive regions, reducts and the core work over distinct
 object classes: each call groups the rows once and tags a class by the
@@ -54,15 +54,15 @@ MAX_CLAUSE_CELLS = 25_000_000
 
 
 class Partition(Record):
-    """Disjoint blocks of object ids covering the table's objects."""
+    """Disjoint blocks of row numbers covering the table's rows."""
 
     blocks: tuple[frozenset, ...]
 
 
 class DiscernibilityMatrix(Record):
-    """Attribute sets separating each pair of the table's objects (i > j), by id."""
+    """Attribute sets separating each pair of the table's rows (i > j)."""
 
-    entries: dict  # (id_i, id_j) -> frozenset of attribute names
+    entries: dict  # (i, j) -> frozenset of attribute names
 
 
 class BoolFormula(Record):
@@ -83,9 +83,9 @@ class ReductSet(Record):
 
 
 def _tolerance_groups(vecs) -> list[list[tuple]]:
-    """Group distinct vectors first-fit: in the given order, each joins the
-    first group it is tolerant with every member of (a missing value
-    matches anything)."""
+    """Group distinct vectors first-fit: in the given order (their first
+    rows' order, as the callers pass them), each joins the first group it is
+    tolerant with every member of (a missing value matches anything)."""
     # Distinct complete vectors are never tolerant with each other.
     missing = any(None in vec for vec in vecs)
     groups: list[list[tuple]] = []
@@ -100,7 +100,7 @@ def _tolerance_groups(vecs) -> list[list[tuple]]:
 
 
 def _class_keys(table: DecisionTable, attrs, d_attrs=None) -> dict:
-    """Object ids per distinct (vector on attrs, tag) key, in first-occurrence
+    """Row numbers per distinct (vector on attrs, tag) key, in first-occurrence
     order; only the distinct rows are projected. The tag is None without
     d_attrs, else (in the positive region, decision vector): a class is
     positive when, per decision attribute, the present values across its
@@ -108,14 +108,14 @@ def _class_keys(table: DecisionTable, attrs, d_attrs=None) -> dict:
     c_idx = [table.col_index(a) for a in attrs]  # raises UsageError on unknown names
     d_idx = [table.col_index(a) for a in d_attrs or ()]
     by_row: dict[tuple, list] = {}
-    for oid, row in sorted(zip(table.object_ids, table.rows)):  # unique ids: rows never compared
-        by_row.setdefault(row, []).append(oid)
+    for i, row in enumerate(table.rows):
+        by_row.setdefault(row, []).append(i)
     classes: dict[tuple, list] = {}
     for row, members in by_row.items():
         key = (tuple([row[j] for j in c_idx]), tuple([row[j] for j in d_idx]))
         classes.setdefault(key, []).extend(members)
     if d_attrs is None:
-        return {(vec, None): ids for (vec, _), ids in classes.items()}
+        return {(vec, None): rows for (vec, _), rows in classes.items()}
     decisions: dict[tuple, set] = {}  # vector on attrs -> its decision vectors
     for vec, dec in classes:
         decisions.setdefault(vec, set()).add(dec)
@@ -123,7 +123,7 @@ def _class_keys(table: DecisionTable, attrs, d_attrs=None) -> dict:
     for group in _tolerance_groups(decisions):
         decs = [dec for vec in group for dec in decisions[vec]]
         pure.update(dict.fromkeys(group, all(len(set(v) - {None}) <= 1 for v in zip(*decs))))
-    return {(vec, (pure[vec], dec)): ids for (vec, dec), ids in classes.items()}
+    return {(vec, (pure[vec], dec)): rows for (vec, dec), rows in classes.items()}
 
 
 def partition_by(table: DecisionTable, attrs) -> Partition:
@@ -131,16 +131,16 @@ def partition_by(table: DecisionTable, attrs) -> Partition:
 
     With missing values the relation is a tolerance, not an equivalence;
     each object joins the first existing block it is tolerant with every
-    member of, scanning objects in id order. The blocks therefore depend
-    on that order: renumbering objects can regroup them. Objects with
+    member of, scanning the rows in order. The blocks therefore depend
+    on that order: reordering rows can regroup them. Objects with
     identical vectors always share a block, whatever the order (an earlier
     block that rejected one rejects the other, and every member of the
     first one's block is tolerant with both), so the scan runs over the
     distinct vectors in order of first occurrence and gives the same blocks.
     """
-    classes = {vec: ids for (vec, _), ids in _class_keys(table, list(attrs)).items()}
+    classes = {vec: rows for (vec, _), rows in _class_keys(table, list(attrs)).items()}
     groups = _tolerance_groups(classes)
-    blocks = sorted((frozenset(oid for vec in g for oid in classes[vec]) for g in groups), key=min)
+    blocks = sorted((frozenset(i for vec in g for i in classes[vec]) for g in groups), key=min)
     return Partition(blocks=tuple(blocks))
 
 
@@ -170,7 +170,7 @@ def _decision_attrs(table: DecisionTable, decision) -> list[str]:
 def positive_region(table: DecisionTable, attrs, decision=None) -> frozenset:
     """Objects whose block under attrs is pure on ``decision``."""
     keys = _class_keys(table, list(attrs), _decision_attrs(table, decision))
-    return frozenset(oid for (_, (pure, _)), ids in keys.items() if pure for oid in ids)
+    return frozenset(i for (_, (pure, _)), rows in keys.items() if pure for i in rows)
 
 
 def approx_quality(table: DecisionTable, attrs, decision=None) -> float:
@@ -181,7 +181,7 @@ def approx_quality(table: DecisionTable, attrs, decision=None) -> float:
 
 
 def _mode_keys(table: DecisionTable, mode: str, decision=None) -> tuple[list, dict]:
-    """The attributes a mode compares, and the object ids per distinct key
+    """The attributes a mode compares, and the row numbers per distinct key
     (see _class_keys): all attributes untagged in plain mode, condition
     attributes tagged with the decisions in decision_relative mode. Two
     objects' matrix entry depends on their keys alone. Plain mode reads no
@@ -228,12 +228,12 @@ def disc_matrix(
     clauses over distinct object classes.
     """
     attrs, keys = _mode_keys(table, mode, decision)
-    key_of = {oid: key for key, ids in keys.items() for oid in ids}
+    key_of = {i: key for key, rows in keys.items() for i in rows}
     entries = {}
-    for (id_a, (vec_a, tag_a)), (id_b, (vec_b, tag_b)) in itertools.combinations(
-        ((oid, key_of[oid]) for oid in table.object_ids), 2
+    for (a, (vec_a, tag_a)), (b, (vec_b, tag_b)) in itertools.combinations(
+        ((i, key_of[i]) for i in range(len(table))), 2
     ):
-        entries[(max(id_a, id_b), min(id_a, id_b))] = (
+        entries[(b, a)] = (
             _separating(attrs, vec_a, vec_b) if _needed(tag_a, tag_b) else frozenset()
         )
     return DiscernibilityMatrix(entries=entries)

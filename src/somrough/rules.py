@@ -137,7 +137,7 @@ class RuleSet(Record):
     ``BAND_KIND`` gives that semantics, so a set never mixes kinds."""
 
     rules: tuple[Rule, ...]
-    uncovered: tuple[int, ...] = ()  # objects with a decision that no rule covers
+    uncovered: tuple[int, ...] = ()  # rows with a decision that no rule covers
     semantics: str = "cumulative"
 
     def __post_init__(self):
@@ -172,8 +172,8 @@ def check_rules(
     or ``exactly g`` with g within it (exact); each rule's support and
     strength are a split's, ``support / n`` for some n from ``support`` up
     to the number of the table's objects in its band, as induction divides
-    by the training positives inside the band; and every uncovered id is
-    an object of the table."""
+    by the training positives inside the band; and every uncovered entry
+    is a row number of the table, ``0 <= i < len(table)``."""
     if rs.semantics != semantics:
         raise UsageError(f"rules of {rs.semantics} semantics in a {semantics} run")
     if len(rs.rules) > constraints.max_rules:
@@ -221,8 +221,8 @@ def check_rules(
                 raise UsageError(
                     f"rule condition on {c.attribute!r} does not match its quantizer's granules"
                 )
-    if not set(rs.uncovered) <= set(table.object_ids):
-        raise UsageError("uncovered objects must be object ids of the table")
+    if not all(0 <= i < len(table) for i in rs.uncovered):
+        raise UsageError("uncovered objects must be rows of the table")
 
 
 def induce_cover(

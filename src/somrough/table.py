@@ -64,17 +64,16 @@ class AttributeSpec(Record):
 
 
 class DecisionTable(Record):
-    """Objects x attributes matrix with stable object ids.
+    """Objects x attributes matrix: object i is row i.
 
-    Rows are tuples of ``float | None``, each with its object id. Tables
-    built from external data should come through :func:`load_table`, which
-    additionally requires at least one condition and one decision attribute.
-    A name serves as the decision only through :meth:`decision`.
+    Rows are tuples of ``float | None``. Tables built from external data
+    should come through :func:`load_table`, which additionally requires at
+    least one condition and one decision attribute. A name serves as the
+    decision only through :meth:`decision`.
     """
 
     specs: tuple[AttributeSpec, ...]
     rows: tuple[tuple, ...]
-    object_ids: tuple[int, ...] = ()
 
     def __post_init__(self):
         names = [s.name for s in self.specs]
@@ -83,12 +82,6 @@ class DecisionTable(Record):
         for i, row in enumerate(self.rows):
             if len(row) != len(self.specs):
                 raise DataError(f"row {i} has {len(row)} cells, expected {len(self.specs)}")
-        if not self.object_ids:
-            object.__setattr__(self, "object_ids", tuple(range(len(self.rows))))
-        elif len(self.object_ids) != len(self.rows):
-            raise DataError("object_ids length does not match row count")
-        if len(set(self.object_ids)) != len(self.object_ids):
-            raise DataError("object ids must be unique")
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -128,9 +121,9 @@ class DecisionTable(Record):
         return [row[j] for row in self.rows]
 
     def ids_in(self, rows: int) -> tuple[int, ...]:
-        """Object ids of the rows in a row mask, in stored order."""
+        """The row numbers of a row mask's set bits, ascending."""
         bits = f"{rows:0{len(self.rows)}b}"[::-1]
-        return tuple(oid for oid, bit in zip(self.object_ids, bits) if bit == "1")
+        return tuple(i for i, bit in zip(range(len(self.rows)), bits) if bit == "1")
 
 
 class Discretizer(Record):
@@ -185,18 +178,18 @@ def assign_granule(d: Discretizer, v) -> int | None:
 class GranularTable(DecisionTable):
     """A table whose cells are granule labels (ints >= 1) or missing.
 
-    ``discretizers`` maps each attribute to the quantizer of its labels, so
+    ``discretizers`` (required) maps each attribute to its labels' quantizer, so
     raw observations map into the same vocabulary and rule conditions take
     its cuts as raw bounds. A missing quantizer is a ``DataError``, a
     misfiled or stray one a ``UsageError``. Labels are checked when built.
     """
 
-    discretizers: dict[str, Discretizer] | None = None  # required; None: object_ids has a default
+    discretizers: dict[str, Discretizer]
     _masks = None  # not a field: built on first use by masks()
 
     def __post_init__(self):
         super().__post_init__()
-        discs, names = self.discretizers or {}, self.names
+        discs, names = self.discretizers, self.names
         for name, d in discs.items():
             if d.name != name:
                 raise UsageError(f"the quantizer under {name!r} is named {d.name!r}")
@@ -252,7 +245,7 @@ def load_table(csv_text: str, schema: list[AttributeSpec]) -> DecisionTable:
     """Parse a CSV body (one header row) against an explicit schema.
 
     Cells are finite decimal or scientific-notation numbers; the literal
-    ``?`` marks a missing value. Object id = 0-based row index.
+    ``?`` marks a missing value.
     """
     schema = list(schema)
     if not any(s.role == "condition" for s in schema):

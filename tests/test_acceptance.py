@@ -250,7 +250,7 @@ def test_c8_rough_set_axioms():
     rng = random.Random(424242)
     for case in range(1000):
         t = _random_table(rng)
-        u = set(t.object_ids)
+        u = set(range(len(t)))
         conds = t.condition_names
         k = rng.randint(0, len(conds))
         b_small = rng.sample(conds, k)

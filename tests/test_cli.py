@@ -385,6 +385,13 @@ BAD_INPUTS = {
     "report-null-object-id": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("granular", "object_ids", 0), None)
     ),
+    # Object i is row i: the ids must be 0..n-1, not renumbered.
+    "report-object-ids-empty": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("granular", "object_ids"), [])
+    ),
+    "report-object-ids-reversed": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("granular", "object_ids"), doc["granular"]["object_ids"][::-1])
+    ),
     "report-discretizers-list": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("discretizers",), [1, 2])
     ),
@@ -535,6 +542,18 @@ def test_one_decision_report_names_its_decision(tmp_path, capsys, corpus_report_
         capsys.readouterr()
         assert _run(*_backanalyze(_one_decision_report(tmp_path, corpus_report_doc, decision))) == 2
         assert capsys.readouterr().err.startswith("data error: malformed report file: ")
+
+
+def test_report_object_ids_are_the_rows(tmp_path, capsys, corpus_report_doc):
+    """A report writes its table's object ids as the row numbers 0..n-1
+    and is read only with them: an empty or reversed list is malformed."""
+    g = corpus_report_doc["granular"]
+    assert g["object_ids"] == list(range(len(g["rows"])))
+    for case in ("report-object-ids-empty", "report-object-ids-reversed", "report-null-object-id"):
+        capsys.readouterr()
+        assert _run(*BAD_INPUTS[case](tmp_path, corpus_report_doc)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: malformed report file: ") and "object_ids" in err
 
 
 @pytest.mark.parametrize("case", sorted(UNINDUCIBLE))

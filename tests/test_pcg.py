@@ -68,8 +68,7 @@ def test_interleaved_calls_share_one_stream(seed, calls):
 
 def _table(n: int) -> DecisionTable:
     specs = (AttributeSpec("x", "condition"), AttributeSpec("d", "decision"))
-    ids = tuple(range(7, 7 + 3 * n, 3))  # non-contiguous ids
-    return DecisionTable(specs=specs, rows=tuple((float(i), 1.0) for i in range(n)), object_ids=ids)
+    return DecisionTable(specs=specs, rows=tuple((float(i), 1.0) for i in range(n)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -79,11 +78,11 @@ def _table(n: int) -> DecisionTable:
     fraction=st.sampled_from([0.05, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0]),
 )
 def test_split_random_partial_shuffle(seed, n, fraction):
-    """split_random runs only the steps that settle the test tail; its id
+    """split_random runs only the steps that settle the test tail; its row
     sets equal those of a full numpy permutation."""
     table = _table(n)
     n_train = split_train_size(n, fraction)
     perm = np.random.default_rng(seed).permutation(n)
     train, test = split_random(table, fraction, seed)
-    assert table.ids_in(train) == tuple(sorted(table.object_ids[i] for i in perm[:n_train]))
-    assert table.ids_in(test) == tuple(sorted(table.object_ids[i] for i in perm[n_train:]))
+    assert table.ids_in(train) == tuple(sorted(perm[:n_train].tolist()))
+    assert table.ids_in(test) == tuple(sorted(perm[n_train:].tolist()))

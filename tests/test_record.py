@@ -61,10 +61,9 @@ CASES = [
     (Iteration(run=1, index=2, split_seed=3, budget=4, n_rules=2, accuracy=0.5, accepted=False),
      ["run", "index", "split_seed", "budget", "n_rules", "accuracy", "accepted"],
      {"accepted": True}, None, None),
-    (GranularTable(specs=SPECS, rows=((1, 1), (3, 2)), object_ids=(4, 7),
-                   discretizers=DISCS),
-     ["specs", "rows", "object_ids", "discretizers"],
-     {"object_ids": (5, 6)}, {"rows": ((4, 1), (3, 2))}, DataError),
+    (GranularTable(specs=SPECS, rows=((1, 1), (3, 2)), discretizers=DISCS),
+     ["specs", "rows", "discretizers"],
+     {"rows": ((2, 1), (3, 2))}, {"rows": ((4, 1), (3, 2))}, DataError),
 ]
 IDS = [type(case[0]).__name__ for case in CASES]
 
@@ -325,6 +324,18 @@ def test_record_typed_fields_are_checked_when_built():
         Rule(conditions=("x",), decision=DecisionPart("d", "exactly", 1))
 
 
+@pytest.mark.parametrize("discretizers", [
+    {"a": "x", "d": DISCS["d"]}, None, {1: DISC, "d": DISCS["d"]}, [DISC], {**DISCS, "d": None},
+], ids=["str-value", "None", "int-key", "list", "None-value"])
+def test_dict_field_is_checked_when_built(discretizers):
+    """A ``dict[str, X]`` field takes only a dict with str keys and values
+    of ``X``: anything else is a ``UsageError`` naming the class and the
+    field when the record is built, before ``__post_init__`` reads it."""
+    message = r"^GranularTable\.discretizers must be dict\[str, Discretizer\], got "
+    with pytest.raises(UsageError, match=message):
+        GranularTable(specs=SPECS, rows=((1, 1),), discretizers=discretizers)
+
+
 def test_checks_with_post_init():
     """The type check runs before ``__post_init__``; an int still passes
     where a float is declared once the range checks run too."""
@@ -418,8 +429,8 @@ def test_readers_are_built_with_the_class():
     assert from_json(Rule, json.loads(json.dumps(rule, default=json_record))) == rule
     assert all(f.read is r for f, r in zip(fields(Rule), readers))
     doc = {"name": "a", "role": "condition"}
-    assert fields(GranularTable)[:3] == fields(DecisionTable)
-    table = {"specs": [doc], "rows": [[1]], "object_ids": [5]}
-    assert from_json(DecisionTable, table).object_ids == (5,)
+    assert fields(GranularTable)[:2] == fields(DecisionTable)
+    table = {"specs": [doc], "rows": [[1]]}
+    assert from_json(DecisionTable, table).rows == ((1,),)
     discs = {"a": json_record(DISC)}  # JSON, as from_json reads it
     assert from_json(GranularTable, {**table, "discretizers": discs}).discretizers == {"a": DISC}

@@ -184,16 +184,15 @@ class TestDiscFunction:
 @st.composite
 def _tables(draw, missing=True):
     """Small tables: cells in {1, 2, 3} (or missing), one or two decision
-    attributes, distinct object ids in shuffled order."""
+    attributes."""
     n = draw(st.integers(1, 9))
     k = draw(st.integers(1, 4))
     n_dec = draw(st.integers(1, 2))
     cell = st.sampled_from([1.0, 2.0, 3.0] + ([None] if missing else []))
     rows = draw(st.lists(st.tuples(*[cell] * (k + n_dec)), min_size=n, max_size=n))
-    ids = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
     specs = [AttributeSpec(f"a{i}", "condition") for i in range(k)]
     specs += [AttributeSpec(f"d{i}", "decision") for i in range(n_dec)]
-    return DecisionTable(specs=tuple(specs), rows=tuple(rows), object_ids=tuple(ids))
+    return DecisionTable(specs=tuple(specs), rows=tuple(rows))
 
 
 # Objects 0 and 1 share a pure block but not a decision vector: only
@@ -205,7 +204,6 @@ SPLIT_CLASS = DecisionTable(
         AttributeSpec("d1", "decision"),
     ),
     rows=((1.0, 1.0, None), (1.0, 1.0, 2.0), (2.0, 1.0, None)),
-    object_ids=(7, 3, 5),
 )
 
 # The first two vectors share one tolerant block with two decisions, so
@@ -215,16 +213,16 @@ TOLERANT_MIXED = DecisionTable(
     rows=((1.0, 1.0), (None, 2.0), (2.0, 1.0)),
 )
 
-# The missing-cell vector joins the block of (2, 1), which comes first in
-# id order although it is second in row order.
-TOLERANT_BY_ID = DecisionTable(
+# The missing-cell vector is tolerant with both complete vectors and joins
+# the block of (2, 1), the first in row order, although its decision is
+# that of (1, 1).
+TOLERANT_FIRST_FIT = DecisionTable(
     specs=(
         AttributeSpec("a0", "condition"),
         AttributeSpec("a1", "condition"),
         AttributeSpec("d", "decision"),
     ),
-    rows=((1.0, 1.0, 1.0), (2.0, 1.0, 2.0), (None, 1.0, 1.0)),
-    object_ids=(5, 2, 9),
+    rows=((2.0, 1.0, 2.0), (1.0, 1.0, 1.0), (None, 1.0, 1.0)),
 )
 
 
@@ -257,27 +255,27 @@ class TestClassClauses:
         assert core(t) == reducts(t).core == reducts_exhaustive(t).core
 
 
-def _value(t, oid, name):
-    """The cell of object ``oid`` in column ``name``."""
-    return t.rows[t.object_ids.index(oid)][t.col_index(name)]
+def _value(t, i, name):
+    """The cell of object (row) ``i`` in column ``name``."""
+    return t.rows[i][t.col_index(name)]
 
 
 def _greedy_blocks(t, attrs):
-    """Per-object reference: objects in id order, each joining the first
+    """Per-object reference: objects in row order, each joining the first
     block it is tolerant with every member of."""
     blocks = []
-    for oid in sorted(t.object_ids):
-        vec = [_value(t, oid, a) for a in attrs]
+    for i in range(len(t)):
+        vec = [_value(t, i, a) for a in attrs]
         for block in blocks:
             if all(
                 x is None or y is None or x == y
                 for other in block
                 for x, y in zip(vec, (_value(t, other, a) for a in attrs))
             ):
-                block.append(oid)
+                block.append(i)
                 break
         else:
-            blocks.append([oid])
+            blocks.append([i])
     return [frozenset(b) for b in blocks]
 
 
@@ -285,14 +283,14 @@ def _pure_objects(t, attrs, d_attrs):
     """Per-object reference: objects in blocks where, per decision
     attribute, every pair of present values agrees."""
     return frozenset(
-        oid
+        i
         for block in _greedy_blocks(t, attrs)
         if all(
             x is None or y is None or x == y
             for d in d_attrs
-            for x, y in itertools.combinations([_value(t, i, d) for i in block], 2)
+            for x, y in itertools.combinations([_value(t, j, d) for j in block], 2)
         )
-        for oid in block
+        for i in block
     )
 
 
@@ -302,7 +300,7 @@ def _pairwise_core(t):
     conds, decs = t.condition_names, t.decision_names
     pos = _pure_objects(t, conds, decs)
     found = set()
-    for a, b in itertools.combinations(t.object_ids, 2):
+    for a, b in itertools.combinations(range(len(t)), 2):
         dec_a, dec_b = ([_value(t, i, d) for d in decs] for i in (a, b))
         if (a in pos) != (b in pos) or (a in pos and dec_a != dec_b):
             cells = [(c, _value(t, a, c), _value(t, b, c)) for c in conds]
@@ -317,11 +315,11 @@ class TestClassLayerOracle:
         st.just(t), st.lists(st.sampled_from(t.names), unique=True))))
     @example((SPLIT_CLASS, ["a0", "d1"]))
     @example((TOLERANT_MIXED, ["a0"]))
-    @example((TOLERANT_BY_ID, ["a0", "a1"]))
+    @example((TOLERANT_FIRST_FIT, ["a0", "a1"]))
     def test_matches_per_object_reference(self, case):
         """Blocks, positive region and core computed over distinct classes
         equal a per-object greedy scan and purity check, on tables with
-        missing cells, shuffled sparse ids and one or two decisions."""
+        missing cells and one or two decisions."""
         t, attrs = case
         p = partition_by(t, attrs)
         assert set(p.blocks) == set(_greedy_blocks(t, attrs))
@@ -330,6 +328,44 @@ class TestClassLayerOracle:
         assert positive_region(t, conds) == _pure_objects(t, conds, decs)
         assert positive_region(t, attrs, decs[-1]) == _pure_objects(t, attrs, decs[-1:])
         assert core(t) == _pairwise_core(t)
+
+
+@st.composite
+def _reordered(draw):
+    """A complete table, the same objects with their rows permuted, a map
+    from each old row number to its new one, and a subset of attributes."""
+    t = draw(_tables(missing=False))
+    perm = draw(st.permutations(range(len(t))))  # new row k holds old row perm[k]
+    moved = DecisionTable(specs=t.specs, rows=tuple(t.rows[i] for i in perm))
+    new_row = {old: new for new, old in enumerate(perm)}
+    attrs = draw(st.lists(st.sampled_from(t.names), unique=True))
+    return t, moved, new_row, attrs
+
+
+class TestRowOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(_reordered())
+    def test_reordering_rows_maps_results(self, case):
+        """On a complete table, reordering the rows maps the positive region
+        and the partition blocks through the permutation and leaves the core
+        and the reducts of both routes unchanged."""
+        t, moved, new_row, attrs = case
+
+        def mapped(rows):
+            return frozenset(new_row[i] for i in rows)
+
+        conds = t.condition_names
+        assert positive_region(moved, conds) == mapped(positive_region(t, conds))
+        assert positive_region(moved, attrs, t.decision_names[-1]) == mapped(
+            positive_region(t, attrs, t.decision_names[-1])
+        )
+        assert set(partition_by(moved, attrs).blocks) == {
+            mapped(b) for b in partition_by(t, attrs).blocks
+        }
+        assert core(moved) == core(t)
+        for mode in ("plain", "decision_relative"):
+            assert reducts(moved, mode) == reducts(t, mode), mode
+            assert reducts_exhaustive(moved, mode) == reducts_exhaustive(t, mode), mode
 
 
 class TestImplicantBound:
@@ -508,7 +544,7 @@ class TestAxioms:
         rng = random.Random(7)
         for _ in range(250):
             t = _random_table(rng)
-            u = set(t.object_ids)
+            u = set(range(len(t)))
             conds = t.condition_names
             k = rng.randint(0, len(conds))
             b_small = rng.sample(conds, k)

@@ -332,7 +332,7 @@ class TestMaskOracle:
             assert rule.support == len(matched & set(positives))
             assert rule.strength == rule.support / len(positives)
         uncovered = tuple(
-            table.object_ids[i] for i in decided
+            i for i in decided
             if not any(_matches(r, rows[i]) and r.decision.covers(rows[i]["d"])
                        for r in rs.rules)
         )

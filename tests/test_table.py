@@ -140,7 +140,7 @@ class TestSplitRandom:
             for frac in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
                 train, test = split_random(t, frac, seed)
                 got = set(t.ids_in(train)) | set(t.ids_in(test))
-                assert got == set(t.object_ids)
+                assert got == set(range(len(t)))
                 assert not set(t.ids_in(train)) & set(t.ids_in(test))
 
     def test_empty_table_rejected(self):
@@ -211,17 +211,6 @@ class TestProjection:
         p_full = partition_by(t, names)
         p_proj = partition_by(proj, names)
         assert p_full.blocks == p_proj.blocks
-
-    def test_object_ids_stable(self):
-        """A row mask names rows by position; ids_in maps it back to the
-        object ids of those rows, in stored order."""
-        t = jeffrey_table()
-        sub = DecisionTable(
-            specs=t.specs, rows=tuple(t.rows[i] for i in (7, 3, 5)), object_ids=(7, 3, 5)
-        )
-        assert sub.ids_in(0b110) == (3, 5)
-        assert sub.ids_in(0b111) == (7, 3, 5)
-        assert sub.rows[1][sub.col_index("cb")] == 3.75e05
 
 
 class TestDecision:
@@ -295,7 +284,6 @@ class TestGranularLabels:
         ({"a": DISCS["a"]}, "'d'"),
         ({"d": DISCS["d"]}, "'a'"),
         ({}, "'a', 'd'"),
-        (None, "'a', 'd'"),
     ])
     def test_missing_quantizers_are_named(self, discretizers, named):
         with pytest.raises(DataError) as exc:
@@ -344,17 +332,15 @@ class TestGranularLabels:
         t = GranularTable(
             specs=self.SPECS,
             rows=((1, 1), (None, 2), (3, 1), (1, 2)),
-            object_ids=(7, 2, 5, 4),
             discretizers=self.AD,
         )
         labels, vectors = t.masks()
         assert labels == {"a": {1: 0b1001, 3: 0b0100}, "d": {1: 0b0101, 2: 0b1010}}
         assert vectors == {(1,): 0b1001, (None,): 0b0010, (3,): 0b0100}
         assert t.masks() is t.masks()
-        assert t.ids_in(labels["a"][1]) == (7, 4)
+        assert t.ids_in(labels["a"][1]) == (0, 3)
         # The masks take no part in equality.
-        assert t == GranularTable(specs=self.SPECS, rows=t.rows, object_ids=t.object_ids,
-                                  discretizers=self.AD)
+        assert t == GranularTable(specs=self.SPECS, rows=t.rows, discretizers=self.AD)
 
 
 # --- JSON text ----------------------------------------------------------------
@@ -450,9 +436,7 @@ def granular_tables(draw):
         specs.append(spec)
         discs[name] = Discretizer(name, spec.scale, tuple(centers), tuple(cuts))
         columns.append(draw(st.lists(st.none() | st.integers(1, g), min_size=n, max_size=n)))
-    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
-    return GranularTable(specs=tuple(specs), rows=tuple(zip(*columns)), object_ids=tuple(ids),
-                         discretizers=discs)
+    return GranularTable(specs=tuple(specs), rows=tuple(zip(*columns)), discretizers=discs)
 
 
 @given(granular_tables())
