@@ -7,36 +7,35 @@ then calls ``__post_init__`` (looked up per call) if the class has one;
 ``_values`` returns the field values as a tuple. Equality, hashing, ``repr``
 and frozenness are the base class's and match a dataclass's.
 
-A field's annotation (its source text) is its one type declaration.
-``__init__`` checks each field of form ``X``, ``X | None``, ``tuple[X, ...]``
-or ``dict[str, X]``, with ``X`` one of ``int``, ``float``, ``str`` and ``bool``
-or a record class (only a record class in a dict). Scalar types must match
-exactly, except that an int passes as a float (so a bool or a numpy scalar is
-never a number); a record passes if it is an instance of ``X``. A mismatch
-raises ``UsageError`` naming the class and the field. Other fields are not
-checked; ``from_json`` reads records back by the same annotations.
+A field's annotation (its source text) is its one type declaration, and
+one parser, ``_parse``, reads it once, when the class is defined, into both
+the field's check and its JSON reader. With ``X`` one of ``int``,
+``float``, ``str`` and ``bool`` or a record class, and ``T`` either ``X``
+or ``X | None``, ``__init__`` checks a field of form ``T``,
+``tuple[T, ...]`` or, for a record class ``X``, ``dict[str, T]``. Scalar
+types must match exactly, except that an int passes as a float (so a bool
+or a numpy scalar is never a number); a record passes if it is an instance
+of ``X``. A mismatch raises ``UsageError`` naming the class and the field.
+Other forms (``frozenset``, a plain ``dict``, fixed-length and nested
+tuples) are read but not checked. This module owns a record's JSON form
+both ways: ``json_record`` is the writers' hook and ``from_json`` its
+inverse.
 """
 
 import sys
 
 from .errors import UsageError
 
-# The built-in type of each scalar annotation; and per checked form, the value
-# types it accepts and whether it is a tuple of such values.
+# The built-in type of each scalar annotation, and the value types it accepts.
 SCALARS = {"int": int, "float": float, "str": str, "bool": bool}
 _ACCEPTS = {k: {t, int} if t is float else {t} for k, t in SCALARS.items()}
-_FORMS = {
-    **{k: (ts, None) for k, ts in _ACCEPTS.items()},
-    **{f"{k} | None": (ts | {type(None)}, None) for k, ts in _ACCEPTS.items()},
-    **{f"tuple[{k}, ...]": (ts, tuple) for k, ts in _ACCEPTS.items()},
-}
 
 
 class Field:
-    __slots__ = ("name", "type", "read")  # annotation text; JSON reader (None: as read)
+    __slots__ = ("name", "type", "accepts", "many", "read")  # annotation text, then _parse's
 
-    def __init__(self, name, type, read):
-        self.name, self.type, self.read = name, type, read
+    def __init__(self, name, type, accepts, many, read):
+        self.name, self.type, self.accepts, self.many, self.read = name, type, accepts, many, read
 
 
 def _check(record, checks, values):
@@ -67,12 +66,11 @@ class Record:
         known = {f.name for f in cls._fields}
         own = [(n, t) for n, t in cls.__annotations__.items() if n not in known]
         defined = vars(sys.modules[cls.__module__])  # the names annotations use, so far
-        cls._fields += tuple(Field(n, t, _reader(t, defined)) for n, t in own)
+        cls._fields += tuple(Field(n, t, *_parse(t, defined)) for n, t in own)
         names = [f.name for f in cls._fields]
         defaults = {n: getattr(cls, n) for n in names if hasattr(cls, n)}
         params = ", ".join(f"{n}=_d[{n!r}]" if n in defaults else n for n in names)
-        forms = ((f, _FORMS.get(f.type) or _record_form(f.type, defined)) for f in cls._fields)
-        checks = tuple((f.name, f.type, *form) for f, form in forms if form)
+        checks = tuple((f.name, f.type, f.accepts, f.many) for f in cls._fields if f.accepts)
         scope = {"_d": defaults, "_set": object.__setattr__, "_check": _check, "_checks": checks}
         checked = "".join(f"{c[0]}, " for c in checks)
         body = f"    _check(self, _checks, ({checked}))\n" if checks else ""
@@ -118,11 +116,21 @@ def replace(record: Record, **changes) -> Record:
     return record.__class__(**{**values, **changes})
 
 
+def json_record(o):
+    """A record as a dict of its fields in field order, a label set as a
+    sorted list: the hook through which ``table.json_text`` (or
+    ``json.dumps`` with this as its ``default``) reaches records. It copies
+    nothing."""
+    if isinstance(o, frozenset):
+        return sorted(o)
+    return {f.name: getattr(o, f.name) for f in o._fields}
+
+
 def from_json(cls, d: dict) -> Record:
-    """Inverse of ``table.json_record``: a ``cls`` built from one JSON
-    object by the field annotations: lists become tuples or frozensets, and
-    objects records, or for a ``dict[str, X]`` field a dict of ``X``. Keys
-    that are not fields are ignored; a missing field takes its default."""
+    """Inverse of ``json_record``: a ``cls`` built from one JSON object by
+    the field readers: lists become tuples or frozensets, and objects
+    records, or for a ``dict[str, X]`` field a dict of ``X``. Keys that are
+    not fields are ignored; a missing field takes its default."""
     d = _object(d, f"a {cls.__qualname__} record")
     kw = {f.name: f.read(d[f.name]) if f.read else d[f.name] for f in cls._fields if f.name in d}
     return cls(**kw)
@@ -135,42 +143,31 @@ def _object(v, what: str) -> dict:
     return v
 
 
-def _record_class(text: str, names: dict):
-    """The record class named ``text`` in ``names``, or None."""
-    record = names.get(text)
-    return record if isinstance(record, type) and issubclass(record, Record) else None
-
-
-def _record_form(text: str, names: dict):
-    """``(accepts, many)`` of a field annotated ``X``, ``X | None``,
-    ``tuple[X, ...]`` or ``dict[str, X]`` for a record class ``X``, else None."""
-    if text.startswith("tuple[") and text.endswith(", ...]"):
-        record = _record_class(text[6:-6], names)
-        return record and (record, tuple)
-    if text.startswith("dict[str, ") and text.endswith("]"):
-        record = _record_class(text[10:-1], names)
-        return record and (record, dict)
-    optional = text.endswith(" | None")
-    record = _record_class(text.removesuffix(" | None"), names)
-    return record and ((record, type(None)) if optional else record, None)
-
-
-def _reader(text: str, names: dict):
-    """The function taking a JSON value to one of a field annotated ``text``,
-    or None to take the value as read. A record's name resolves in
-    ``names`` when its field is declared."""
+def _parse(text: str, names: dict):
+    """``(accepts, many, read)`` of a field annotated ``text``: ``accepts``
+    and ``many`` as ``_check`` takes them (``accepts`` None: unchecked) and
+    ``read`` the function taking a JSON value to the field's (None: as
+    read). A record's name resolves in ``names`` when its field is declared."""
     base = text.removesuffix(" | None")
-    if base.startswith("tuple"):
-        item = _reader(base[6:-6], names) if base.endswith(", ...]") else None
-        if item is not None:  # records, say: every item is read, so none goes unchecked
-            return lambda v: tuple(map(item, v))
-        return lambda v: tuple(v) if type(v) is list else v
-    if base == "frozenset":
-        return lambda v: frozenset(v) if type(v) is list else v
-    if base.startswith("dict[str, ") and base.endswith("]"):
-        item = _reader(base[10:-1], names) or (lambda x: x)
-        return lambda v: {k: item(x) for k, x in _object(v, f"a {base}").items()}
-    record = _record_class(base, names)
-    if record is not None:
-        return lambda v: from_json(record, v)
-    return None
+    if base != text:
+        accepts, many, read = _parse(base, names)
+        if many or not accepts:
+            return None, None, read
+        none = type(None)
+        return accepts | {none} if type(accepts) is set else (accepts, none), None, read
+    record = names.get(text)
+    if isinstance(record, type) and issubclass(record, Record):
+        return record, None, lambda v: from_json(record, v)
+    if text.startswith("dict[str, ") and text.endswith("]"):
+        accepts, many, item = _parse(text[10:-1], names)
+        item = item or (lambda x: x)
+        read = lambda v: {k: item(x) for k, x in _object(v, f"a {text}").items()}
+        return None if many or type(accepts) is set else accepts, dict, read
+    if text.startswith("tuple"):
+        accepts, many, item = _parse(text[6:-6], names) if text.endswith(", ...]") else (None,) * 3
+        if item:  # records, say: every item is read, so none goes unchecked
+            return None if many else accepts, tuple, lambda v: tuple(map(item, v))
+        return None if many else accepts, tuple, lambda v: tuple(v) if type(v) is list else v
+    if text == "frozenset":
+        return None, None, lambda v: frozenset(v) if type(v) is list else v
+    return _ACCEPTS.get(text), None, None

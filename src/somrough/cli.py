@@ -152,8 +152,9 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_backanalyze(args) -> int:
+    raw = _read(args.report)  # a file that cannot be read is not a malformed one
     try:
-        doc = json.loads(_read(args.report))
+        doc = json.loads(raw)
         rules = report_rules_from_json(doc)
         config = config_from_settings(doc["config"])  # one some pipeline run could have had
         granular = granular_from_json(doc)
@@ -161,7 +162,7 @@ def cmd_backanalyze(args) -> int:
             raise ValueError("the report's decision is null")
         decision = granular.decision(doc["decision"])
         check_rules(rules, granular, decision, config.constraints, config.semantics)
-    except (KeyError, TypeError, ValueError, RecursionError, UsageError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError, UsageError, DataError) as exc:
         raise DataError(f"malformed report file: {exc}") from None
     granule = granulate_observation(granular.discretizers[decision], args.observe)
     est = back_analyze(rules, (decision, granule), granular)

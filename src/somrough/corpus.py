@@ -27,5 +27,5 @@ def jeffrey_schema():
 
 
 def jeffrey_table() -> DecisionTable:
-    """The 12-run slope corpus as a decision table (ids 0..11)."""
+    """The 12-run slope corpus as a decision table (rows 0..11)."""
     return load_table(_read("jeffrey_runs.csv"), jeffrey_schema())

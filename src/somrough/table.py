@@ -20,7 +20,7 @@ import numbers
 import sys
 
 from . import _pcg
-from ._record import Record, fields, from_json
+from ._record import Record, from_json, json_record
 from .errors import DataError, UsageError
 
 MISSING_TOKEN = "?"
@@ -326,15 +326,6 @@ def load_schema(text: str) -> list[AttributeSpec]:
         return [from_json(AttributeSpec, rec) for rec in records]
     except UsageError as exc:
         raise DataError(str(exc)) from None
-
-
-def json_record(o):
-    """A record as a dict of its fields in field order, a label set as a
-    sorted list: the hook through which ``json_text`` (or ``json.dumps``
-    with this as its ``default``) reaches records. It copies nothing."""
-    if isinstance(o, frozenset):
-        return sorted(o)
-    return {f.name: getattr(o, f.name) for f in fields(o)}
 
 
 def json_text(o, newline: str = "\n") -> str:

@@ -556,6 +556,22 @@ def test_report_object_ids_are_the_rows(tmp_path, capsys, corpus_report_doc):
         assert err.startswith("data error: malformed report file: ") and "object_ids" in err
 
 
+def test_report_table_faults_are_malformed_reports(tmp_path, capsys, corpus_report_doc):
+    """A fault that the granulated table finds in a report's rows carries
+    the prefix every other report fault has (for a missing quantizer see
+    ``test_report_without_a_quantizer_is_2``); a report that cannot be read
+    stays a read error, not a malformed file."""
+    capsys.readouterr()
+    assert _run(*BAD_INPUTS["report-label-zero"](tmp_path, corpus_report_doc)) == 2
+    assert capsys.readouterr().err == (
+        "data error: malformed report file: "
+        "row 0, attribute 'cp': granule label must be a positive int\n"
+    )
+    missing = str(tmp_path / "no-such-report.json")
+    assert _run(*_backanalyze(missing)) == 2
+    assert capsys.readouterr().err.startswith(f"data error: cannot read {missing}: ")
+
+
 @pytest.mark.parametrize("case", sorted(UNINDUCIBLE))
 def test_uninducible_rules_are_malformed(case, tmp_path, capsys, corpus_report_doc):
     """Rules that no run of the report's own config could induce make a
@@ -584,8 +600,8 @@ def test_report_without_rules_is_1(tmp_path, capsys, corpus_report_doc):
 @pytest.mark.parametrize("drop", ["unused-condition", "decision", "all"])
 def test_report_without_a_quantizer_is_2(drop, tmp_path, capsys, corpus_report_doc):
     """A report whose quantizers leave out an attribute of its table is a
-    data error naming each such attribute, whether or not a rule uses it;
-    no estimate is written."""
+    malformed report file naming each such attribute, whether or not a rule
+    uses it; no estimate is written."""
     doc = copy.deepcopy(corpus_report_doc)
     g = doc["granular"]
     used = {c["attribute"] for r in doc["best"]["rules"] for c in r["conditions"]}
@@ -603,7 +619,10 @@ def test_report_without_a_quantizer_is_2(drop, tmp_path, capsys, corpus_report_d
     assert _run(*_backanalyze(str(report)), "--out", str(out)) == 2
     assert _run(*_backanalyze(str(report))) == 2
     captured = capsys.readouterr()
-    message = f"data error: no quantizer for attribute(s) {', '.join(map(repr, named))}\n"
+    message = (
+        "data error: malformed report file: "
+        f"no quantizer for attribute(s) {', '.join(map(repr, named))}\n"
+    )
     assert captured.err == message * 2
     assert captured.out == "" and not out.exists()
 

@@ -252,6 +252,33 @@ def test_field_type_is_checked(cls, name, text, monkeypatch):
                 replace(record, **{name: value})
 
 
+# The fields whose annotations lie outside the checked grammar: label sets,
+# plain dicts, and fixed-length or nested tuples.
+UNCHECKED = {
+    "BoolFormula.cnf", "BoolFormula.dnf", "Condition.labels", "DecisionTable.rows",
+    "DiscernibilityMatrix.entries", "GranularTable.rows", "ParameterEstimate.sensitivity",
+    "Partition.blocks", "ReductSet.reducts", "SomConfig.grid", "SomMap.grid", "SomMap.weights",
+}
+
+
+def test_unchecked_fields_are_pinned(monkeypatch):
+    """Exactly the ``UNCHECKED`` fields take a value of no declared type
+    when a record is built; every other field refuses it with a
+    ``UsageError`` naming the class, the field and its annotation. A
+    grammar change that starts or stops checking a field shows here."""
+    unchecked = set()
+    for cls in RECORD_CLASSES:
+        monkeypatch.setattr(cls, "__post_init__", lambda self: None, raising=False)
+        for f in fields(cls):
+            try:
+                replace(_samples()[cls], **{f.name: object()})
+            except UsageError as exc:
+                assert str(exc).startswith(f"{cls.__qualname__}.{f.name} must be {f.type}, got ")
+            else:
+                unchecked.add(f"{cls.__qualname__}.{f.name}")
+    assert unchecked == UNCHECKED
+
+
 RECORDS_BY_NAME = {c.__qualname__: c for c in RECORD_CLASSES}
 
 
@@ -313,6 +340,21 @@ def test_record_field_takes_a_subclass():
         Holder(g.specs[0])
     with pytest.raises(UsageError, match=r"\.Holder\.best must be Rule \| None, got \{"):
         Holder(g, json_record(_samples()[Rule]))
+
+
+def test_optional_items_are_checked():
+    """``X | None`` is an item type too: a tuple or dict of such items
+    takes None items and refuses other values."""
+    class Optionals(Record):
+        ints: "tuple[int | None, ...]" = ()
+        rules: "dict[str, Rule | None]" = {}
+
+    rule = _samples()[Rule]
+    assert Optionals((1, None), {"a": rule, "b": None}).ints == (1, None)
+    with pytest.raises(UsageError, match=r"\.Optionals\.ints must be tuple\[int \| None, ...\]"):
+        Optionals((1.5,))
+    with pytest.raises(UsageError, match=r"\.Optionals\.rules must be dict\[str, Rule \| None\]"):
+        Optionals(rules={"a": 1})
 
 
 def test_record_typed_fields_are_checked_when_built():
