@@ -17,17 +17,7 @@ from .pipeline import (
     granulate,
     granulate_observation,
 )
-from .rough import (
-    approx_quality,
-    core,
-    disc_function,
-    disc_matrix,
-    lower_approx,
-    partition_by,
-    reducts,
-    reducts_exhaustive,
-    upper_approx,
-)
+from .rough import core, disc_function, disc_matrix, partition_by, reducts
 from .rules import (
     Rule,
     RuleConstraints,
@@ -79,7 +69,6 @@ __all__ = [
     "SomroughError",
     "UsageError",
     "accuracy",
-    "approx_quality",
     "assign_granule",
     "back_analyze",
     "classify",
@@ -96,19 +85,16 @@ __all__ = [
     "induce_cover",
     "load_schema",
     "load_table",
-    "lower_approx",
     "parse_rule",
     "parse_rules",
     "partition_by",
     "quantization_error",
     "reducts",
-    "reducts_exhaustive",
     "render_rule",
     "render_rules",
     "scale_minmax",
     "split_random",
     "train",
-    "upper_approx",
     "winner",
 ]
 __version__ = "0.1.0"

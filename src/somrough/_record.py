@@ -129,8 +129,10 @@ def json_record(o):
 def from_json(cls, d: dict) -> Record:
     """Inverse of ``json_record``: a ``cls`` built from one JSON object by
     the field readers: lists become tuples or frozensets, and objects
-    records, or for a ``dict[str, X]`` field a dict of ``X``. Keys that are
-    not fields are ignored; a missing field takes its default."""
+    records, or for a ``dict[str, X]`` field a dict of ``X``. A tuple field
+    reads only an array and a record or dict field only an object, else
+    TypeError. Keys that are not fields are ignored; a missing field takes
+    its default."""
     d = _object(d, f"a {cls.__qualname__} record")
     kw = {f.name: f.read(d[f.name]) if f.read else d[f.name] for f in cls._fields if f.name in d}
     return cls(**kw)
@@ -140,6 +142,14 @@ def _object(v, what: str) -> dict:
     """``v`` if it is a JSON object, else TypeError naming ``what``."""
     if type(v) is not dict:
         raise TypeError(f"{what} must be a JSON object, got {v!r:.60}")
+    return v
+
+
+def _array(v, what: str):
+    """``v`` if it is a JSON array (a list, or the tuple that ``marshal``
+    gives for one), else TypeError naming ``what``."""
+    if type(v) is not list and type(v) is not tuple:
+        raise TypeError(f"{what} must be a JSON array, got {v!r:.60}")
     return v
 
 
@@ -165,9 +175,10 @@ def _parse(text: str, names: dict):
         return None if many or type(accepts) is set else accepts, dict, read
     if text.startswith("tuple"):
         accepts, many, item = _parse(text[6:-6], names) if text.endswith(", ...]") else (None,) * 3
+        what = f"a {text}"
         if item:  # records, say: every item is read, so none goes unchecked
-            return None if many else accepts, tuple, lambda v: tuple(map(item, v))
-        return None if many else accepts, tuple, lambda v: tuple(v) if type(v) is list else v
+            return None if many else accepts, tuple, lambda v: tuple(map(item, _array(v, what)))
+        return None if many else accepts, tuple, lambda v: tuple(_array(v, what))
     if text == "frozenset":
         return None, None, lambda v: frozenset(v) if type(v) is list else v
     return _ACCEPTS.get(text), None, None

@@ -29,6 +29,7 @@ from .pipeline import (
     granulate_observation,
     report_rules_from_json,
     report_to_json,
+    rules_text,
 )
 from .rough import reduct_report, reducts
 from .rules import RuleConstraints, check_rules, check_semantics, induce_cover, render_rules
@@ -162,6 +163,8 @@ def cmd_backanalyze(args) -> int:
             raise ValueError("the report's decision is null")
         decision = granular.decision(doc["decision"])
         check_rules(rules, granular, decision, config.constraints, config.semantics)
+        if doc["best"]["rules_text"] != rules_text(rules):
+            raise ValueError("best.rules_text is not the text of best.rules")
     except (KeyError, TypeError, ValueError, RecursionError, UsageError, DataError) as exc:
         raise DataError(f"malformed report file: {exc}") from None
     granule = granulate_observation(granular.discretizers[decision], args.observe)

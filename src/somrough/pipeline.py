@@ -400,6 +400,11 @@ def back_analyze(
 # --- JSON serialization ----------------------------------------------------
 
 
+def rules_text(rs: RuleSet) -> list[str]:
+    """The rendered rule lines a report keeps beside its rules."""
+    return [render_rule(r, i) for i, r in enumerate(rs.rules, start=1)]
+
+
 def report_to_json(report: RunReport) -> str:
     doc = {
         "config": config_settings(report.config),
@@ -416,9 +421,7 @@ def report_to_json(report: RunReport) -> str:
             "semantics": report.best_rules.semantics,
             "uncovered": list(report.best_rules.uncovered),
             "rules": report.best_rules.rules,
-            "rules_text": [
-                render_rule(r, i) for i, r in enumerate(report.best_rules.rules, start=1)
-            ],
+            "rules_text": rules_text(report.best_rules),
         },
         "discretizers": dict(sorted(report.granular.discretizers.items())),
         "granular": {

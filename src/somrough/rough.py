@@ -1,20 +1,20 @@
 """Rough-set mathematics over attribute-value tables.
 
-Indiscernibility partitions, lower and upper approximations, quality of
-approximation, the pairwise discernibility matrix, its Boolean function
-(CNF whose prime implicants are the reducts), and a brute-force subset
-enumeration kept as an independent oracle for all of it.
+Indiscernibility partitions, the pairwise discernibility matrix, its
+Boolean function (CNF whose prime implicants are the reducts), the reducts
+and the core. Pawlak's object-level approximations and an exhaustive
+subset search for the reducts live in tests/oracles.py, as references.
 
 Objects (object i is row i) agreeing on every attribute of a subset B fall
 into one block; a missing value is tolerant (it matches anything), and
 blocks are grown first-fit in row order so the result stays deterministic.
 
-Partitions, positive regions, reducts and the core work over distinct
-object classes: each call groups the rows once and tags a class by the
-decisions of its tolerance group. A clause depends only on two classes'
-vectors and tags, so each pair of classes is compared once. The core is
-read off the singleton clauses without expanding the DNF. disc_matrix
-keeps the pairwise form as the reference.
+Partitions, reducts and the core work over distinct object classes: each
+call groups the rows once and tags a class with its decisions and whether
+its tolerance group agrees on them (the positive region). A clause
+depends only on two classes' vectors and tags, so each pair of classes is
+compared once. The core is read off the singleton clauses without
+expanding the DNF. disc_matrix keeps the pairwise form as the reference.
 
 Clauses are absorbed inside the implicant expansion: taken shortest
 first, one that contains an earlier clause is hit by every implicant so
@@ -37,10 +37,6 @@ import itertools
 from ._record import Record
 from .errors import DataError, UsageError
 from .table import DecisionTable
-
-# Exhaustive subset search is exponential; instances here are small by
-# construction, anything bigger is a caller mistake.
-MAX_EXHAUSTIVE_ATTRS = 16
 
 # The prime implicants of a discernibility function can grow exponentially
 # in the attribute count; past this many the expansion stops with an error.
@@ -144,18 +140,6 @@ def partition_by(table: DecisionTable, attrs) -> Partition:
     return Partition(blocks=tuple(blocks))
 
 
-def lower_approx(p: Partition, x) -> frozenset:
-    """Union of blocks entirely inside x."""
-    x = frozenset(x)
-    return frozenset(i for b in p.blocks if b <= x for i in b)
-
-
-def upper_approx(p: Partition, x) -> frozenset:
-    """Union of blocks meeting x."""
-    x = frozenset(x)
-    return frozenset(i for b in p.blocks if b & x for i in b)
-
-
 def _decision_attrs(table: DecisionTable, decision) -> list[str]:
     if decision is None:
         names = table.decision_names
@@ -165,19 +149,6 @@ def _decision_attrs(table: DecisionTable, decision) -> list[str]:
     if isinstance(decision, str):
         decision = [decision]
     return [table.decision(d) for d in decision]
-
-
-def positive_region(table: DecisionTable, attrs, decision=None) -> frozenset:
-    """Objects whose block under attrs is pure on ``decision``."""
-    keys = _class_keys(table, list(attrs), _decision_attrs(table, decision))
-    return frozenset(i for (_, (pure, _)), rows in keys.items() if pure for i in rows)
-
-
-def approx_quality(table: DecisionTable, attrs, decision=None) -> float:
-    """Fraction of the universe whose ``decision`` is determined by attrs."""
-    if len(table) == 0:
-        return 1.0
-    return len(positive_region(table, attrs, decision)) / len(table)
 
 
 def _mode_keys(table: DecisionTable, mode: str, decision=None) -> tuple[list, dict]:
@@ -351,49 +322,6 @@ def core(table: DecisionTable, decision=None) -> frozenset:
         else:
             found.add(sep)
     return frozenset(found - {None})
-
-
-def reducts_exhaustive(
-    table: DecisionTable, mode: str = "decision_relative", decision=None
-) -> ReductSet:
-    """Independent oracle: enumerate attribute subsets directly.
-
-    plain: minimal subsets inducing the same partition as all attributes.
-    decision_relative: minimal condition subsets preserving the quality of
-    approximation of ``decision`` by the full condition set.
-    """
-    if mode == "plain":
-        _decision_attrs(table, [] if decision is None else decision)
-        attrs = table.names
-        if len(attrs) > MAX_EXHAUSTIVE_ATTRS:
-            raise UsageError(f"exhaustive search capped at {MAX_EXHAUSTIVE_ATTRS} attributes")
-        target = frozenset(partition_by(table, attrs).blocks)
-
-        def preserves(subset):
-            return frozenset(partition_by(table, subset).blocks) == target
-
-    elif mode == "decision_relative":
-        attrs = table.condition_names
-        if len(attrs) > MAX_EXHAUSTIVE_ATTRS:
-            raise UsageError(f"exhaustive search capped at {MAX_EXHAUSTIVE_ATTRS} attributes")
-        d_attrs = _decision_attrs(table, decision)
-        target = len(positive_region(table, attrs, d_attrs))
-
-        def preserves(subset):
-            return len(positive_region(table, subset, d_attrs)) == target
-
-    else:
-        raise UsageError(f"unknown discernibility mode {mode!r}")
-
-    minimal: list[frozenset] = []
-    for size in range(len(attrs) + 1):
-        for combo in itertools.combinations(attrs, size):
-            cand = frozenset(combo)
-            if any(m <= cand for m in minimal):
-                continue
-            if preserves(cand):
-                minimal.append(cand)
-    return _reduct_set(minimal)
 
 
 def reduct_report(rs: ReductSet) -> str:

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import lower_approx, positive_region, reducts_exhaustive, upper_approx
 from somrough.corpus import jeffrey_table
 from somrough.pipeline import (
     PipelineConfig,
@@ -19,14 +20,7 @@ from somrough.pipeline import (
     close_open,
     granulate_observation,
 )
-from somrough.rough import (
-    lower_approx,
-    partition_by,
-    positive_region,
-    reducts,
-    reducts_exhaustive,
-    upper_approx,
-)
+from somrough.rough import partition_by, reducts
 from somrough.rules import RuleConstraints, parse_rules, render_rules
 from somrough.som import SomConfig, assign_granule, fit_table_discretizer, train, update_step
 from somrough.surrogate import DECISION_NAME, generate_table

@@ -1,0 +1,29 @@
+"""The public names of the package."""
+
+import pytest
+
+import somrough
+import somrough.rough
+
+# Object-level rough-set oracles that tests/oracles.py holds; the package
+# does not ship them.
+MOVED = [
+    "lower_approx",
+    "upper_approx",
+    "positive_region",
+    "approx_quality",
+    "reducts_exhaustive",
+    "MAX_EXHAUSTIVE_ATTRS",
+]
+
+
+def test_every_public_name_resolves_once():
+    assert len(somrough.__all__) == len(set(somrough.__all__))
+    assert [name for name in somrough.__all__ if not hasattr(somrough, name)] == []
+
+
+@pytest.mark.parametrize("name", MOVED)
+def test_oracles_are_not_in_the_package(name):
+    assert name not in somrough.__all__
+    assert not hasattr(somrough, name)
+    assert not hasattr(somrough.rough, name)

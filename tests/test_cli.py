@@ -23,7 +23,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from somrough import cli, pipeline
-from somrough._record import fields
+from somrough._record import fields, from_json
 from somrough.cli import (
     COMMANDS,
     CONFIG_KEYS,
@@ -36,7 +36,7 @@ from somrough.cli import (
 from somrough.corpus import JEFFREY_OBSERVED_RATE_MS
 from somrough.errors import DataError, UsageError
 from somrough.pipeline import SETTING_TYPES, PipelineConfig
-from somrough.rules import RuleConstraints
+from somrough.rules import Rule, RuleConstraints, render_rule
 from somrough.surrogate import DEFAULT_RANGES
 
 DATA_DIR = importlib.resources.files("somrough.data")
@@ -289,10 +289,15 @@ def _unused(doc):
 
 
 def _edited(tmp_path, doc, edit, **settings):
-    """A copy of a report changed by ``edit``, with ``settings`` in its config."""
+    """A copy of a report changed by ``edit``, with ``settings`` in its
+    config and ``best.rules_text`` rendered from the edited rules where
+    they build and render (else the old text stays)."""
     doc = copy.deepcopy(doc)
     edit(doc)
     doc["config"].update(settings)
+    with contextlib.suppress(UsageError):
+        rules = [from_json(Rule, r) for r in doc["best"]["rules"]]
+        doc["best"]["rules_text"] = [render_rule(r, i) for i, r in enumerate(rules, start=1)]
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -489,6 +494,23 @@ BAD_INPUTS = {
     "report-labels-object": lambda tmp, doc: _rule_with(
         tmp, doc, ("conditions", 0, "labels"), {"1": 1}
     ),
+    # Empty values of another JSON type read as no rules or no rows.
+    "report-rules-empty-object": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("best", "rules"), {})
+    ),
+    "report-rules-empty-string": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("best", "rules"), "")
+    ),
+    "report-rows-empty-object": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("granular", "rows"), {})
+    ),
+    # The rules must render to the report's own rule lines.
+    "report-rules-empty-beside-text": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("best", "rules"), [])
+    ),
+    "report-rules-text-edited": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("best", "rules_text", 0), "Rule 1. x;")
+    ),
     # Rules that fit the table but not the report's config.
     **{
         f"report-{name}": lambda tmp, doc, edit=edit: _backanalyze(_edited(tmp, doc, edit))
@@ -556,6 +578,19 @@ def test_report_object_ids_are_the_rows(tmp_path, capsys, corpus_report_doc):
         assert err.startswith("data error: malformed report file: ") and "object_ids" in err
 
 
+@pytest.mark.parametrize("case", [
+    "report-rules-empty-object", "report-rules-empty-string", "report-rows-empty-object",
+    "report-rules-empty-beside-text", "report-rules-text-edited",
+])
+def test_empty_or_unrendered_rules_are_malformed(case, tmp_path, capsys, corpus_report_doc):
+    """No rules or no rows given as an empty object or string, and rules
+    that do not render to ``best.rules_text``, are malformed reports (exit
+    2), not an empty rule set (exit 1)."""
+    capsys.readouterr()
+    assert _run(*BAD_INPUTS[case](tmp_path, corpus_report_doc)) == 2
+    assert capsys.readouterr().err.startswith("data error: malformed report file: ")
+
+
 def test_report_table_faults_are_malformed_reports(tmp_path, capsys, corpus_report_doc):
     """A fault that the granulated table finds in a report's rows carries
     the prefix every other report fault has (for a missing quantizer see
@@ -581,7 +616,8 @@ def test_uninducible_rules_are_malformed(case, tmp_path, capsys, corpus_report_d
     out = tmp_path / "estimate.json"
     capsys.readouterr()
     assert _run(*_backanalyze(_edited(tmp_path, corpus_report_doc, edit)), "--out", str(out)) == 2
-    assert capsys.readouterr().err.startswith("data error: malformed report file: ")
+    err = capsys.readouterr().err
+    assert err.startswith("data error: malformed report file: ") and "rules_text" not in err
     assert not out.exists()
     if admitting:
         report = _edited(tmp_path, corpus_report_doc, edit, **admitting)

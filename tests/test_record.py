@@ -439,8 +439,8 @@ def test_from_json_inverts_json_record(pipeline_reports):
 def test_from_json_reads_by_annotation():
     """Lists become tuples or label sets and nested objects records; other
     keys are ignored and missing fields take their defaults. A value of the
-    wrong type is refused by the record, a record that is no JSON object by
-    the reader."""
+    wrong type is refused by the record, a record that is no JSON object and
+    a tuple that is no JSON array by the reader."""
     rule = from_json(Rule, {
         "conditions": [{"attribute": "a", "hi": 2.5, "labels": [2, 1], "note": 1}],
         "decision": {"attribute": "d", "kind": "at_most", "granule": 1},
@@ -453,13 +453,25 @@ def test_from_json_reads_by_annotation():
     assert from_json(Discretizer, json_record(DISC)) == DISC
     with pytest.raises(UsageError, match="Rule.support must be int, got 1.5"):
         from_json(Rule, {**json.loads(json.dumps(rule, default=json_record)), "support": 1.5})
-    with pytest.raises(UsageError, match="RuleSet.uncovered must be tuple"):
+    with pytest.raises(TypeError, match=r"a tuple\[int, \.\.\.\] must be a JSON array, got '12'"):
         from_json(RuleSet, {"rules": [], "uncovered": "12"})
     for bad in (["a"], "a", None):
         with pytest.raises(TypeError, match="a Condition record must be a JSON object"):
             from_json(Rule, {"conditions": [bad], "decision": json_record(rule.decision)})
     with pytest.raises(TypeError, match="missing"):
         from_json(DecisionPart, {"attribute": "d", "kind": "exactly"})
+
+
+@pytest.mark.parametrize("value", [{}, ""], ids=["object", "string"])
+def test_tuple_field_reads_only_an_array(value):
+    """An empty object or string is no JSON array: a tuple of records, of
+    rows or of numbers refuses it rather than reading it as empty."""
+    with pytest.raises(TypeError, match=r"a tuple\[Rule, \.\.\.\] must be a JSON array"):
+        from_json(RuleSet, {"rules": value})
+    with pytest.raises(TypeError, match=r"a tuple\[tuple, \.\.\.\] must be a JSON array"):
+        from_json(DecisionTable, {"specs": [{"name": "a", "role": "condition"}], "rows": value})
+    with pytest.raises(TypeError, match=r"a tuple\[float, \.\.\.\] must be a JSON array"):
+        from_json(Discretizer, {**json_record(DISC), "centers": value})
 
 
 def test_readers_are_built_with_the_class():

@@ -8,23 +8,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import somrough.rough
+from oracles import (
+    approx_quality,
+    lower_approx,
+    positive_region,
+    reducts_exhaustive,
+    upper_approx,
+)
 from somrough.corpus import jeffrey_table
 from somrough.errors import DataError, UsageError
 from somrough.pipeline import granulate
 from somrough.rough import (
     _clauses,
     _implicants,
-    approx_quality,
     core,
     disc_function,
     disc_matrix,
-    lower_approx,
     partition_by,
-    positive_region,
     reduct_report,
     reducts,
-    reducts_exhaustive,
-    upper_approx,
     DiscernibilityMatrix,
 )
 from somrough.table import AttributeSpec, DecisionTable
