@@ -392,8 +392,10 @@ def accuracy(rs: RuleSet, table: GranularTable, decision: str, rows: int | None 
 # --- rendering and parsing -------------------------------------------------
 
 _DECISION_WORDS = {"at_most": "at most", "exactly": "exactly"}
-_RULE_RE = re.compile(r"^Rule (\d+)\. (.+) => \((\w+) (at most|exactly) (\d+)\);$")
-_COND_RE = re.compile(r"^\((\w+)(<=|>=)([-+0-9.eE]+)\)$")
+# parse_rule's patterns: re compiles and caches them on first use, so a
+# process that parses no rule file never compiles them.
+_RULE_RE = r"^Rule (\d+)\. (.+) => \((\w+) (at most|exactly) (\d+)\);$"
+_COND_RE = r"^\((\w+)(<=|>=)([-+0-9.eE]+)\)$"
 
 
 def render_condition(cond: Condition) -> str:
@@ -425,7 +427,7 @@ def parse_rule(line: str) -> Rule:
     between-condition. Parsed conditions carry no granule labels, so a
     parsed rule cannot be matched against granulated rows.
     """
-    m = _RULE_RE.match(line.strip())
+    m = re.match(_RULE_RE, line.strip())
     if not m:
         raise DataError(f"cannot parse rule line: {line!r}")
     _, cond_text, d_attr, d_word, d_gran = m.groups()
@@ -433,7 +435,7 @@ def parse_rule(line: str) -> Rule:
     bounds: dict[str, dict] = {}
     order: list[str] = []
     for piece in cond_text.split(" & "):
-        cm = _COND_RE.match(piece.strip())
+        cm = re.match(_COND_RE, piece.strip())
         if not cm:
             raise DataError(f"cannot parse condition {piece!r}")
         attr, op, value = cm.groups()

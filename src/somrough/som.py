@@ -13,8 +13,9 @@ between adjacent centers mapped back into raw units.
 
 from __future__ import annotations
 
+import functools
 import math
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 from . import _pcg
 from ._record import Record
@@ -220,16 +221,23 @@ def _train_line(values: list[float], config: SomConfig, w: list[float]) -> SomMa
     itself after the first presentation whose radius ``int(radius0 *
     frac)`` is 0, whose update is the winner's alone (one presentation for
     G = 2 and the quantile fallback, two for G = 3); the rest of the stream
-    goes to ``_winner_only``, since ``frac`` never increases and the radius
-    stays 0 once it gets there. The weights stay bit-identical to
-    ``update_step``'s: every rate, squared distance and blended update is
-    the same float expression in the same order, and strict ``<`` in node
-    order still gives a tie to the lowest node.
+    moves the winner alone, since ``frac`` never increases and the radius
+    stays 0 once it gets there.
+
+    A training of at most ``_RATES_MAX`` presentations reads the rest of
+    its rates from ``_rates``, the schedule that every training of that
+    length shares, and moves the winners in ``_winner_only``; a longer one
+    computes each rate as it goes in ``_winner_only_inline``, and keeps no
+    schedule. The weights stay bit-identical to ``update_step``'s either
+    way: every rate, squared distance and blended update is the same float
+    expression in the same order, and strict ``<`` in node order still
+    gives a tie to the lowest node.
     """
     eta0 = config.eta0
     radius0 = config.start_radius
     total = config.epochs * len(values)
-    stream = zip(range(total), chain.from_iterable(repeat(values, config.epochs)))
+    vals = chain.from_iterable(repeat(values, config.epochs))
+    stream = zip(range(total), vals)
     for s, v in stream:
         frac = 1.0 - s / total
         radius = int(radius0 * frac)
@@ -245,13 +253,78 @@ def _train_line(values: list[float], config: SomConfig, w: list[float]) -> SomMa
             w[i] = one_m_eta * w[i] + eta * v
         if radius == 0:
             break
-    w = _winner_only(w, stream, eta0, total)
+    if total <= _RATES_MAX:
+        w = _winner_only(w, zip(islice(_rates(eta0, total), s + 1, None), vals))
+    else:
+        w = _winner_only_inline(w, stream, eta0, total)
     return SomMap(grid=config.grid, weights=tuple((wi,) for wi in w))
 
 
-def _winner_only(w: list[float], stream, eta0: float, total: int) -> list[float]:
-    """Move only the winner toward each ``(s, v)`` presentation, at rate
-    ``eta0 * (1.0 - s / total)``; G = 2 and 3 unroll onto local floats."""
+# Longest training whose rates _rates keeps: 50 rows at FIT_EPOCHS. A kept
+# rate costs 32 bytes (a float and its slot): a 500-row table's schedule
+# would hold 3.2 MB, about an eighth of its pipeline's peak RSS, and keeping
+# it gave no clear gain in time there.
+_RATES_MAX = 10_000
+
+
+@functools.lru_cache(maxsize=4)
+def _rates(eta0: float, total: int) -> tuple[float, ...]:
+    """The rate ``eta0 * (1.0 - s / total)`` of each presentation ``s`` of
+    a training. Every quantizer fit on a column of n present values trains
+    at ``FIT_ETA0`` for ``FIT_EPOCHS * n`` presentations, so a table's fits
+    share one schedule, or a few when missing cells vary n per column."""
+    return tuple([eta0 * (1.0 - s / total) for s in range(total)])
+
+
+def _winner_only(w: list[float], pairs) -> list[float]:
+    """Move only the winner toward each ``(eta, v)`` presentation, by ``(1.0
+    - eta) * w + eta * v``; G = 2 and 3 unroll onto local floats."""
+    if len(w) == 2:
+        w0, w1 = w
+        for eta, v in pairs:
+            e0 = v - w0
+            e1 = v - w1
+            if e1 * e1 < e0 * e0:
+                w1 = (1.0 - eta) * w1 + eta * v
+            else:
+                w0 = (1.0 - eta) * w0 + eta * v
+        return [w0, w1]
+    if len(w) == 3:
+        w0, w1, w2 = w
+        for eta, v in pairs:
+            e0 = v - w0
+            e1 = v - w1
+            e2 = v - w2
+            d0 = e0 * e0
+            d1 = e1 * e1
+            d2 = e2 * e2
+            if d1 < d0:
+                if d2 < d1:
+                    w2 = (1.0 - eta) * w2 + eta * v
+                else:
+                    w1 = (1.0 - eta) * w1 + eta * v
+            elif d2 < d0:
+                w2 = (1.0 - eta) * w2 + eta * v
+            else:
+                w0 = (1.0 - eta) * w0 + eta * v
+        return [w0, w1, w2]
+    for eta, v in pairs:
+        best = 0
+        e = v - w[0]
+        best_d = e * e
+        for i in range(1, len(w)):
+            e = v - w[i]
+            d = e * e
+            if d < best_d:
+                best, best_d = i, d
+        w[best] = (1.0 - eta) * w[best] + eta * v
+    return w
+
+
+def _winner_only_inline(w: list[float], stream, eta0: float, total: int) -> list[float]:
+    """``_winner_only`` over ``(s, v)`` presentations, each at rate ``eta0 *
+    (1.0 - s / total)`` computed in the loop, for trainings too long to keep
+    their schedule."""
     if len(w) == 2:
         w0, w1 = w
         for s, v in stream:
@@ -266,9 +339,12 @@ def _winner_only(w: list[float], stream, eta0: float, total: int) -> list[float]
     if len(w) == 3:
         w0, w1, w2 = w
         for s, v in stream:
-            d0 = (v - w0) * (v - w0)
-            d1 = (v - w1) * (v - w1)
-            d2 = (v - w2) * (v - w2)
+            e0 = v - w0
+            e1 = v - w1
+            e2 = v - w2
+            d0 = e0 * e0
+            d1 = e1 * e1
+            d2 = e2 * e2
             eta = eta0 * (1.0 - s / total)
             if d1 < d0:
                 if d2 < d1:
@@ -282,9 +358,11 @@ def _winner_only(w: list[float], stream, eta0: float, total: int) -> list[float]
         return [w0, w1, w2]
     for s, v in stream:
         best = 0
-        best_d = (v - w[0]) * (v - w[0])
+        e = v - w[0]
+        best_d = e * e
         for i in range(1, len(w)):
-            d = (v - w[i]) * (v - w[i])
+            e = v - w[i]
+            d = e * e
             if d < best_d:
                 best, best_d = i, d
         eta = eta0 * (1.0 - s / total)

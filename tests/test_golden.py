@@ -2,9 +2,10 @@
 
 The SHA-256 digests were recorded before the random stream moved into the
 package (``somrough._pcg``), when numpy's ``default_rng`` drew the initial
-map weights, the split seeds and the splits. Any change to the quantizer,
-the splitting or the rule layer that moves one byte of ``report.json``,
-``rules.txt`` or ``estimate.json`` fails here.
+map weights, the split seeds and the splits; the two 40-row digests were
+recorded before quantizer trainings shared their learning-rate schedules.
+Any change to the quantizer, the splitting or the rule layer that moves one
+byte of ``report.json``, ``rules.txt`` or ``estimate.json`` fails here.
 """
 
 import hashlib
@@ -111,6 +112,18 @@ GOLDEN = {
         "rules.txt": "d239c6929816522b68a4a66036cff8d6a5738b0cd0885485b358e5d1b7a35cfe",
         "estimate.json": "55ba1e30dfe62f6e762781e6fdbfbfd7af4bca75ed7be089c5b802b3ca7c813c",
     },
+    "slope40-g4-0": {
+        "rc": (3, 0),
+        "report.json": "1b93525970eb50dc8b893cc245f8932a85465536079c584a198820b5a8746be2",
+        "rules.txt": "d6cb58d5af7df270cbf24adb3497b4a4e35a2c26a6f62b41db3cbabd1ed78175",
+        "estimate.json": "4e8fc03af6de13f45714185ff879959471130e1fd929b28fe2c0be56fb2ed01c",
+    },
+    "slope40-masked-g4-0": {
+        "rc": (3, 0),
+        "report.json": "a4da3ab38188d23e589a373f4cf96e724f0a9bbd3f36a8c89a6b55bdf174c7ee",
+        "rules.txt": "04a53023e84a6e67188b0fe81082e768f166848c4bd64b5dcdc2d284128ba55a",
+        "estimate.json": "c5efe660808723cda9a0d2db4f36072185d87d959421ca575aeb5e0a8719af62",
+    },
 }
 
 
@@ -131,19 +144,24 @@ def test_slope_table_outputs_pinned(tmp_path):
     assert got == GOLDEN["slope200-0"]
 
 
-# (golden key, table, pipeline flags): the masked table exercises missing
-# condition and decision cells, the cumulative run G = 3 downward bands.
+# golden key: (rows, masked, pipeline flags). The masked tables exercise
+# missing condition and decision cells, the cumulative run G = 3 downward
+# bands. The 40-row tables train short enough to keep their learning-rate
+# schedules, at G = 4 through the general winner loop; masked, their columns
+# hold 36, 37, 39 and 40 present values, four training lengths in one run.
 SLOPE_VARIANTS = {
-    "slope200-masked-0": (True, (*CRITERION7_FLAGS, "--seed", "0")),
-    "slope200-cumulative-g3-0": (False, ("--granules", "3", "--semantics", "cumulative",
-                                         "--seed", "0")),
+    "slope200-masked-0": (200, True, (*CRITERION7_FLAGS, "--seed", "0")),
+    "slope200-cumulative-g3-0": (200, False, ("--granules", "3", "--semantics", "cumulative",
+                                              "--seed", "0")),
+    "slope40-g4-0": (40, False, ("--granules", "4", "--seed", "0")),
+    "slope40-masked-g4-0": (40, True, ("--granules", "4", "--seed", "0")),
 }
 
 
 @pytest.mark.parametrize("key", sorted(SLOPE_VARIANTS))
 def test_slope_table_variants_pinned(tmp_path, key):
-    masked, flags = SLOPE_VARIANTS[key]
-    table = slope_table(200, seed=3)
+    rows, masked, flags = SLOPE_VARIANTS[key]
+    table = slope_table(rows, seed=3)
     if masked:
         table = masked_table(table, seed=11)
     data, schema = tmp_path / "runs.csv", tmp_path / "schema.json"

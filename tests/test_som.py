@@ -35,6 +35,10 @@ from somrough.table import scaled_matrix, transform_scale
 # Coarse grid of halves: many exact ties between squared distances.
 HALVES = st.integers(-8, 8).map(lambda k: k / 2)
 
+# 51 values in [-3, 3) on a grid of quarters, some repeated, and a start.
+LONG_VALUES = [(k * 37 % 24) / 4 - 3.0 for k in range(51)]
+LONG_INIT = [-2.5, 2.5, 0.0, 1.0, -1.0, 0.5, -0.5]
+
 
 def _kmeans1d(values, G):
     """Exact 1-D G-clustering oracle: enumerate contiguous splits, min SSE.
@@ -183,6 +187,20 @@ class TestTrain:
     @example(
         values=[0.5, -2.0, 3.0], init_values=[1.0] * 7, nodes=7, epochs=4, eta0=0.8, radius0=3.7
     )
+    # FIT_EPOCHS presentations of 50 values (the longest training that keeps
+    # its rates) and of 51 (the shortest that computes them inline).
+    @example(values=LONG_VALUES[:50], init_values=LONG_INIT, nodes=2, epochs=200, eta0=0.8,
+             radius0=None)
+    @example(values=LONG_VALUES, init_values=LONG_INIT, nodes=2, epochs=200, eta0=0.8,
+             radius0=None)
+    @example(values=LONG_VALUES[:50], init_values=LONG_INIT, nodes=3, epochs=200, eta0=0.8,
+             radius0=None)
+    @example(values=LONG_VALUES, init_values=LONG_INIT, nodes=3, epochs=200, eta0=0.8,
+             radius0=None)
+    @example(values=LONG_VALUES[:50], init_values=LONG_INIT, nodes=5, epochs=200, eta0=0.8,
+             radius0=None)
+    @example(values=LONG_VALUES, init_values=LONG_INIT, nodes=5, epochs=200, eta0=0.8,
+             radius0=None)
     def test_line_fast_path_matches_update_step(
         self, trace, values, init_values, nodes, epochs, eta0, radius0
     ):
@@ -195,7 +213,9 @@ class TestTrain:
         Values on a grid of halves give exact distance ties; radius0 = 2.5
         and 3.7 with up to six epochs let the neighborhood prefix cross
         epoch boundaries, and with one value and one epoch radius0 = 3.7
-        keeps the whole run inside it."""
+        keeps the whole run inside it. The 50- and 51-value examples put
+        the unrolled winner loops of G = 2 and 3 and the general one on
+        each side of the longest training whose rates are kept."""
         cfg = SomConfig(grid=(nodes, 1), epochs=epochs, eta0=eta0, radius0=radius0)
         x = np.array(values).reshape(-1, 1)
         init = np.array(init_values[:nodes]).reshape(-1, 1)
@@ -215,6 +235,31 @@ class TestTrain:
             qe_log.append(qe(w))
         assert np.array_equal(got.weights, w)
         assert got.qe_log == (tuple(qe_log) if trace else ())
+
+    def test_kept_rates_are_bounded(self, monkeypatch):
+        """Only trainings of at most _RATES_MAX presentations keep their
+        rates, and _rates keeps the schedules of at most four lengths: a
+        500-row fit stores nothing, and fits on columns of six lengths up
+        to 50 values store four schedules, none longer than the cap."""
+        assert som._RATES_MAX == 50 * som.FIT_EPOCHS
+        kept = som._rates
+        lengths = []
+
+        def spy(eta0, total):
+            rates = kept(eta0, total)
+            lengths.append(len(rates))
+            return rates
+
+        monkeypatch.setattr(som, "_rates", spy)
+        kept.cache_clear()
+        values = [(k * 7919 % 1000) / 10 for k in range(500)]
+        fit_discretizer(values, 2, seed=1)
+        assert lengths == [] and kept.cache_info().currsize == 0
+        for n in (12, 36, 37, 39, 40, 50, 51, 99):
+            fit_discretizer(values[:n], 3, seed=1)
+        assert sorted(set(lengths)) == [n * som.FIT_EPOCHS for n in (12, 36, 37, 39, 40, 50)]
+        info = kept.cache_info()
+        assert info.misses == 6 and info.currsize == info.maxsize == 4
 
     @settings(max_examples=100, deadline=None)
     @given(
