@@ -33,9 +33,8 @@ from .pipeline import (
 )
 from .rough import reduct_report, reducts
 from .rules import RuleConstraints, check_rules, check_semantics, induce_cover, render_rules
-from .som import discretizer_record
 from .surrogate import DEFAULT_STEEPNESS, generate_table
-from .table import dump_schema, load_schema, load_table, to_csv
+from .table import dump_schema, json_text, load_schema, load_table, to_csv
 
 EXIT_OK = 0
 EXIT_EL_NOT_MET = 3
@@ -104,6 +103,16 @@ def _write(path: str, text: str):
         raise DataError(f"cannot write {path}: {exc}") from None
 
 
+def _write_or_print(path: str | None, text: str):
+    """Write ``text`` to ``path`` and say so on stderr, or to stdout
+    when no path is given."""
+    if path:
+        _write(path, text)
+        print(f"wrote {path}", file=sys.stderr)
+    else:
+        sys.stdout.write(text)
+
+
 def _load_inputs(args):
     schema = load_schema(_read(args.schema))
     return load_table(_read(args.data), schema)
@@ -111,11 +120,9 @@ def _load_inputs(args):
 
 def cmd_discretize(args) -> int:
     s = _resolve(args)
-    table = _load_inputs(args)
-    g = granulate(table, granules=s["granules"], seed=s["seed"])
-    records = "".join(discretizer_record(g.discretizers[n]) + "\n" for n in table.names)
-    paths = os.path.join(args.out, "discretizers.txt"), os.path.join(args.out, "granulated.csv")
-    _write(paths[0], records)
+    g = granulate(_load_inputs(args), granules=s["granules"], seed=s["seed"])
+    paths = os.path.join(args.out, "discretizers.json"), os.path.join(args.out, "granulated.csv")
+    _write(paths[0], json_text(dict(sorted(g.discretizers.items()))) + "\n")
     _write(paths[1], to_csv(g))
     print(f"wrote {paths[0]} and {paths[1]}", file=sys.stderr)
     return EXIT_OK
@@ -169,12 +176,7 @@ def cmd_backanalyze(args) -> int:
         raise DataError(f"malformed report file: {exc}") from None
     granule = granulate_observation(granular.discretizers[decision], args.observe)
     est = back_analyze(rules, (decision, granule), granular)
-    text = estimate_to_json(est)
-    if args.out:
-        _write(args.out, text)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+    _write_or_print(args.out, estimate_to_json(est))
     if est.no_match:
         print("no rule matches the observed granule", file=sys.stderr)
     return EXIT_OK
@@ -212,12 +214,7 @@ def cmd_reducts(args) -> int:
     decision = None if s["decision"] is None else table.decision(s["decision"])
     g = granulate(table, granules=s["granules"], seed=s["seed"])
     rs = reducts(g, args.mode, decision=decision)
-    text = reduct_report(rs)
-    if args.out:
-        _write(args.out, text)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+    _write_or_print(args.out, reduct_report(rs))
     return EXIT_OK
 
 

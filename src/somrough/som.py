@@ -447,24 +447,3 @@ def fit_table_discretizer(table, name: str, granules: int, seed: int) -> Discret
     """Fit a named discretizer for one table column using its schema scale."""
     spec = table.spec(name)
     return fit_discretizer(table.column(name), granules, scale=spec.scale, seed=seed, name=name)
-
-
-# --- text records ---------------------------------------------------------
-#
-# One line per attribute, fixed 6-decimal values in the transformed space
-# (log10 attributes would lose everything in raw fixed-point):
-#
-#   name=<attr> scale=<scale> centers=<v1>,<v2>,... cuts=<w1>,...
-#
-# The record is for people; report.json carries the form that is read back.
-
-
-def discretizer_record(d: Discretizer) -> str:
-    centers_t = transform_scale(list(d.centers), d.scale)
-    cuts_t = transform_scale(list(d.cuts), d.scale)
-    return (
-        f"name={d.name} scale={d.scale} "
-        f"centers={','.join(f'{c:.6f}' for c in centers_t)} "
-        f"cuts={','.join(f'{c:.6f}' for c in cuts_t)}"
-    )
-

@@ -57,6 +57,8 @@ class AttributeSpec(Record):
     units: str = ""
 
     def __post_init__(self):
+        if not self.name.replace("_", "a").isalnum():  # re's \w+, all a rule file's grammar reads
+            raise UsageError(f"attribute {self.name!r}: name must be letters, digits and '_'")
         if self.role not in ROLES:
             raise UsageError(f"attribute {self.name!r}: role must be one of {ROLES}")
         if self.scale not in SCALES:

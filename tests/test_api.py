@@ -4,6 +4,7 @@ import pytest
 
 import somrough
 import somrough.rough
+import somrough.som
 
 # Object-level rough-set oracles that tests/oracles.py holds; the package
 # does not ship them.
@@ -27,3 +28,9 @@ def test_oracles_are_not_in_the_package(name):
     assert name not in somrough.__all__
     assert not hasattr(somrough, name)
     assert not hasattr(somrough.rough, name)
+
+
+def test_quantizer_text_record_is_gone():
+    """A quantizer's one written form is its JSON record: the lossy text
+    record that ``discretize`` wrote is not in the package."""
+    assert not hasattr(somrough.som, "discretizer_record")

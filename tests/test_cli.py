@@ -33,11 +33,12 @@ from somrough.cli import (
     main,
     parse_config_file,
 )
-from somrough.corpus import JEFFREY_OBSERVED_RATE_MS
+from somrough.corpus import JEFFREY_OBSERVED_RATE_MS, jeffrey_table
 from somrough.errors import DataError, UsageError
-from somrough.pipeline import SETTING_TYPES, PipelineConfig
+from somrough.pipeline import SETTING_TYPES, PipelineConfig, granulate
 from somrough.rules import Rule, RuleConstraints, render_rule
 from somrough.surrogate import DEFAULT_RANGES
+from somrough.table import Discretizer, load_schema, load_table
 
 DATA_DIR = importlib.resources.files("somrough.data")
 CORPUS = str(DATA_DIR.joinpath("jeffrey_runs.csv"))
@@ -442,6 +443,9 @@ BAD_INPUTS = {
         _report_with(tmp, doc, ("discretizers", "cb", "centers"), [10**400, 1.0, 0.5])
     ),
     # Config values that no pipeline run accepts.
+    "report-seed-string": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("config", "seed"), "x")
+    ),
     "report-train-fraction-above-1": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("config", "train_fraction"), 1.5)
     ),
@@ -709,44 +713,85 @@ def test_bad_utf8_byte_is_reported_at_its_offset(tmp_path, capsys):
     assert f"can't decode byte 0xff in position {len(data)}:" in capsys.readouterr().err
 
 
+def _one_column(tmp_path, scale, ks):
+    """The ``discretize`` argv on a column ``k`` of that scale beside a
+    decision ``d = 0..5``."""
+    schema = [{"name": "k", "role": "condition", "scale": scale},
+              {"name": "d", "role": "decision"}]
+    data = tmp_path / "runs.csv"
+    data.write_text("k,d\n" + "".join(f"{k!r},{d}\n" for d, k in enumerate(ks)))
+    return _discretize(tmp_path, str(data), _schema_file(tmp_path, schema))
+
+
+# A log10 column whose box-seeded starts meet in raw units, and a linear
+# column of floats one ulp apart that no start separates.
+LOG10_MOSTLY_ONES = [1.0, 1.0, 1.0, 30.0, 10000.0, 300.0]
+ADJACENT_FLOATS = [1.0000000000000004e16, 1.0000000000000002e16, 1.0000000000000002e16,
+                   1.0000000000000006e16, 1.0000000000000004e16, 1e16]
+
+
 class TestDiscretize:
     def test_outputs_and_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert _run("discretize", "--data", CORPUS, "--schema", SCHEMA, "--out", str(a)) == 0
         assert _run("discretize", "--data", CORPUS, "--schema", SCHEMA, "--out", str(b)) == 0
-        assert (a / "discretizers.txt").read_bytes() == (b / "discretizers.txt").read_bytes()
+        assert (a / "discretizers.json").read_bytes() == (b / "discretizers.json").read_bytes()
         assert (a / "granulated.csv").read_bytes() == (b / "granulated.csv").read_bytes()
-        records = (a / "discretizers.txt").read_text().splitlines()
-        assert len(records) == 10
+        doc = json.loads((a / "discretizers.json").read_text())
+        assert len(doc) == 10 and list(doc) == sorted(doc)
         gran = (a / "granulated.csv").read_text().splitlines()
         assert len(gran) == 13  # header + 12 rows
 
     @staticmethod
-    def _one_column(tmp_path, scale, ks, *flags):
-        """``discretize`` on a column ``k`` of that scale beside a decision
-        ``d = 0..5``."""
-        schema = [{"name": "k", "role": "condition", "scale": scale},
-                  {"name": "d", "role": "decision"}]
-        data = tmp_path / "runs.csv"
-        data.write_text("k,d\n" + "".join(f"{k!r},{d}\n" for d, k in enumerate(ks)))
-        return _run(*_discretize(tmp_path, str(data), _schema_file(tmp_path, schema)), *flags)
+    def _quantizers(tmp_path, data, schema, decision, *flags):
+        """The object ``discretize`` writes, after checking that it is the
+        ``discretizers`` object of the report ``pipeline`` writes with the
+        same flags, and the quantizers it reads back to."""
+        d, p = tmp_path / "d", tmp_path / "p"
+        inputs = ["--data", data, "--schema", schema]
+        assert _run("discretize", *inputs, "--out", str(d), *flags) == 0
+        code = _run("pipeline", *inputs, "--decision", decision, "--runs", "1",
+                    "--out", str(p), *flags)
+        assert code in (0, 3)
+        doc = json.loads((d / "discretizers.json").read_text())
+        assert doc == json.loads((p / "report.json").read_text())["discretizers"]
+        return {name: from_json(Discretizer, q) for name, q in doc.items()}
+
+    @pytest.mark.parametrize("granules", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_quantizers_are_the_reports(self, tmp_path, granules, seed):
+        """``discretize`` writes the quantizers of ``report.json`` for the
+        same seed and granule count, and they read back to the fitted ones
+        exactly."""
+        flags = ("--granules", str(granules), "--seed", str(seed))
+        read = self._quantizers(tmp_path, CORPUS, SCHEMA, "mvv", *flags)
+        assert read == granulate(jeffrey_table(), granules, seed).discretizers
+
+    def test_forked_fits_are_the_reports(self, tmp_path):
+        """A 500-row table fits its quantizers in two processes where a
+        second CPU is free; the written quantizers are still the report's
+        and the fitted ones."""
+        assert _run("surrogate", "--count", "500", "--seed", "7", "--out", str(tmp_path)) == 0
+        data, schema = str(tmp_path / "runs.csv"), str(tmp_path / "schema.json")
+        read = self._quantizers(tmp_path, data, schema, "displacement", "--granules", "2")
+        table = load_table(Path(data).read_text(), load_schema(Path(schema).read_text()))
+        assert read == granulate(table, 2, 0).discretizers
 
     def test_log_column_of_mostly_ones_fits(self, tmp_path):
         """A start whose centers meet in raw units but not in log10 units
         fails like an empty granule, never as a usage error, and a later
         start gives each distinct value its own granule."""
-        ks = [1.0, 1.0, 1.0, 30.0, 10000.0, 300.0]
-        assert self._one_column(tmp_path, "log10", ks, "--granules", "4", "--seed", "0") == 0
+        argv = _one_column(tmp_path, "log10", LOG10_MOSTLY_ONES)
+        assert _run(*argv, "--granules", "4", "--seed", "0") == 0
         rows = (tmp_path / "o" / "granulated.csv").read_text().splitlines()[1:]
         assert [int(r.split(",")[0]) for r in rows] == [4, 4, 4, 3, 1, 2]
 
     def test_adjacent_float_column_is_a_data_error(self, tmp_path, capsys):
         """Four distinct floats, each one ulp above the next: every start's
         cuts collapse in raw units, so no start separates the column."""
-        ks = [1.0000000000000004e16, 1.0000000000000002e16, 1.0000000000000002e16,
-              1.0000000000000006e16, 1.0000000000000004e16, 1e16]
+        argv = _one_column(tmp_path, "linear", ADJACENT_FLOATS)
         capsys.readouterr()
-        assert self._one_column(tmp_path, "linear", ks, "--granules", "3", "--seed", "137") == 2
+        assert _run(*argv, "--granules", "3", "--seed", "137") == 2
         assert capsys.readouterr().err == "data error: could not separate 3 quantizer centers\n"
 
 
@@ -1069,6 +1114,29 @@ def test_condition_attribute_as_decision_is_1(command, tmp_path, capsys, no_fit)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["c-b", "a b", "a,b", "", "(x)"])
+def test_attribute_name_outside_the_rule_grammar_is_2(name, tmp_path, capsys, no_fit,
+                                                     corpus_report_doc):
+    """A rule file reads attribute names as ``\\w+``, so a schema name of
+    other characters is a data error naming it, before any fit, and a
+    report holding such a name is malformed."""
+    records = json.loads(Path(SCHEMA).read_text())
+    for rec in records:
+        rec["name"] = name if rec["name"] == "cb" else rec["name"]
+    lines = Path(CORPUS).read_text().split("\n", 1)
+    data = _text_file(tmp_path, "runs.csv", lines[0].replace("cb", name) + "\n" + lines[1])
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert _run("pipeline", "--data", data, "--schema", _schema_file(tmp_path, records),
+                "--decision", "mvv", "--out", str(out)) == 2
+    message = f"attribute {name!r}: name must be letters, digits and '_'\n"
+    assert capsys.readouterr().err == "data error: " + message
+    assert not out.exists()
+    report = json.dumps(corpus_report_doc).replace('"cb"', json.dumps(name))
+    assert _run(*_backanalyze(_text_file(tmp_path, "report.json", report))) == 2
+    assert capsys.readouterr().err == "data error: malformed report file: " + message
+
+
 class TestConfigParsing:
     def test_comments_and_blanks(self):
         got = parse_config_file("# a comment\n\nel = 0.5\nseed = 3  # trailing\n")
@@ -1293,6 +1361,79 @@ def test_cli_path_loads_no_numpy(tmp_path):
         env={"PYTHONPATH": src, "PATH": ""},
     )
     assert done.returncode == 0, done.stderr
+
+
+# Exit-code cases beside BAD_INPUTS that a numpy-free process must
+# reproduce; each has an in-process test of its own (named after it).
+EXIT_CASES = {
+    # TestSingleCommandParser.test_unknown_command_names_every_choice
+    "unknown-command": lambda tmp, doc: ["bogus"],
+    # TestExitCodes.test_unreadable_input_is_2
+    "missing-data": lambda tmp, doc: _discretize(tmp, data=str(tmp / "nope.csv")),
+    # test_condition_attribute_as_decision_is_1
+    "rules-condition-as-decision": lambda tmp, doc: [
+        "rules", *_TABLE, "--decision", "cb", "--out", str(tmp / "o")
+    ],
+    # test_report_without_a_quantizer_is_2
+    "report-no-decision-quantizer": lambda tmp, doc: _backanalyze(_report_with(
+        tmp, doc, ("discretizers",),
+        {k: v for k, v in doc["discretizers"].items() if k != doc["decision"]},
+    )),
+    # TestDiscretize.test_log_column_of_mostly_ones_fits
+    "discretize-log10-mostly-ones": lambda tmp, doc: [
+        *_one_column(tmp, "log10", LOG10_MOSTLY_ONES), "--granules", "4", "--seed", "0"
+    ],
+    # TestDiscretize.test_adjacent_float_column_is_a_data_error
+    "discretize-adjacent-floats": lambda tmp, doc: [
+        *_one_column(tmp, "linear", ADJACENT_FLOATS), "--granules", "3", "--seed", "137"
+    ],
+    # test_unwritable_output_is_2; surrogate needs numpy to draw its table.
+    **{
+        f"unwritable-{command}": lambda tmp, doc, argv=argv: [
+            *argv(_text_file(tmp, "report.json", json.dumps(doc))),
+            "--out", _text_file(tmp, "file", "") + "/out.json",
+        ]
+        for command, argv in OUT_COMMANDS.items() if command != "surrogate"
+    },
+}
+
+
+def test_error_exits_match_without_numpy(tmp_path, capsys, corpus_report_doc):
+    """Every BAD_INPUTS and EXIT_CASES argv, run through ``main`` in a
+    fresh interpreter, exits with the code and writes the stdout and
+    stderr of its in-process run, and none of them imports numpy."""
+    cases = {**BAD_INPUTS, **EXIT_CASES}
+    runs = []
+    for case in sorted(cases):
+        tmp = tmp_path / case
+        tmp.mkdir()
+        argv = cases[case](tmp, corpus_report_doc)
+        capsys.readouterr()
+        code = _run(*argv)
+        runs.append([case, argv, code, *capsys.readouterr()])
+    (tmp_path / "runs.json").write_text(json.dumps(runs))
+    script = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        from somrough.cli import main
+        differ = []
+        for case, argv, code, out, err in json.load(open(sys.argv[1])):
+            got_out, got_err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(got_out), contextlib.redirect_stderr(got_err):
+                got = main(argv)
+            if [got, got_out.getvalue(), got_err.getvalue()] != [code, out, err]:
+                differ.append([case, got, got_err.getvalue()])
+            assert "numpy" not in sys.modules, case
+        assert not differ, differ
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "runs.json")], capture_output=True,
+        text=True, timeout=300, env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert done.returncode == 0, done.stderr
+    assert {code for _, _, code, _, _ in runs} == {0, 1, 2}
 
 
 def test_cli_import_loads_no_heavy_modules():

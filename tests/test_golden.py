@@ -3,9 +3,13 @@
 The SHA-256 digests were recorded before the random stream moved into the
 package (``somrough._pcg``), when numpy's ``default_rng`` drew the initial
 map weights, the split seeds and the splits; the two 40-row digests were
-recorded before quantizer trainings shared their learning-rate schedules.
+recorded before quantizer trainings shared their learning-rate schedules;
+the ``discretize`` digests when it began writing its quantizers as JSON (its
+``granulated.csv`` bytes were unchanged by that).
 Any change to the quantizer, the splitting or the rule layer that moves one
-byte of ``report.json``, ``rules.txt`` or ``estimate.json`` fails here.
+byte of ``report.json``, ``rules.txt`` or ``estimate.json``, or of the
+``discretizers.json`` and ``granulated.csv`` that ``discretize`` writes,
+fails here.
 """
 
 import hashlib
@@ -64,6 +68,14 @@ def masked_table(table: DecisionTable, seed: int, rate: float = 0.05, decisions:
 
 def _sha(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _slope_files(tmp_path, table) -> tuple[str, str]:
+    """Write ``table`` and its schema under ``tmp_path``; their paths."""
+    data, schema = tmp_path / "runs.csv", tmp_path / "schema.json"
+    data.write_text(to_csv(table))
+    schema.write_text(dump_schema(list(table.specs)))
+    return str(data), str(schema)
 
 
 def run_cli(tmp_path, data, schema, flags, observed) -> dict:
@@ -136,11 +148,9 @@ def test_corpus_outputs_pinned(tmp_path, seed):
 
 def test_slope_table_outputs_pinned(tmp_path):
     table = slope_table(200, seed=3)
-    data, schema = tmp_path / "runs.csv", tmp_path / "schema.json"
-    data.write_text(to_csv(table))
-    schema.write_text(dump_schema(list(table.specs)))
+    data, schema = _slope_files(tmp_path, table)
     observed = max(table.column(DECISION_NAME))
-    got = run_cli(tmp_path, str(data), str(schema), (*CRITERION7_FLAGS, "--seed", "0"), observed)
+    got = run_cli(tmp_path, data, schema, (*CRITERION7_FLAGS, "--seed", "0"), observed)
     assert got == GOLDEN["slope200-0"]
 
 
@@ -158,15 +168,41 @@ SLOPE_VARIANTS = {
 }
 
 
+# Digests of the two files ``discretize`` writes. The 200-row table at
+# G = 2 (240,000 presentations) fits its quantizers in two processes where
+# a second CPU is free.
+DISCRETIZE_GOLDEN = {
+    "corpus-g3-0": {
+        "discretizers.json": "89a99b6b36eec7df613aff0aa3a2a187180c12cebebb81c16fb337807028e85a",
+        "granulated.csv": "cb003e3e6a66e644d9570a28da052811ee206e29668a21c3c4dc741e4f0df68a",
+    },
+    "slope200-g2-0": {
+        "discretizers.json": "0ba3d6c136ad28504665266989f405bd897db73dc556e682da6e485ba4561fe8",
+        "granulated.csv": "68c497c3e72b87da8599ed0decaf0498c863f81ab20d860f3e5f651d53ab8610",
+    },
+}
+
+
+@pytest.mark.parametrize("key", sorted(DISCRETIZE_GOLDEN))
+def test_discretize_outputs_pinned(tmp_path, key):
+    if key.startswith("corpus"):
+        data, schema, granules = CORPUS, SCHEMA, "3"
+    else:
+        data, schema = _slope_files(tmp_path, slope_table(200, seed=3))
+        granules = "2"
+    out = tmp_path / "out"
+    assert main(["discretize", "--data", data, "--schema", schema, "--out", str(out),
+                 "--granules", granules, "--seed", "0"]) == 0
+    assert {f.name: _sha(f) for f in out.iterdir()} == DISCRETIZE_GOLDEN[key]
+
+
 @pytest.mark.parametrize("key", sorted(SLOPE_VARIANTS))
 def test_slope_table_variants_pinned(tmp_path, key):
     rows, masked, flags = SLOPE_VARIANTS[key]
     table = slope_table(rows, seed=3)
     if masked:
         table = masked_table(table, seed=11)
-    data, schema = tmp_path / "runs.csv", tmp_path / "schema.json"
-    data.write_text(to_csv(table))
-    schema.write_text(dump_schema(list(table.specs)))
+    data, schema = _slope_files(tmp_path, table)
     observed = max(v for v in table.column(DECISION_NAME) if v is not None)
-    got = run_cli(tmp_path, str(data), str(schema), flags, observed)
+    got = run_cli(tmp_path, data, schema, flags, observed)
     assert got == GOLDEN[key]

@@ -1,6 +1,7 @@
 """Tests for map training, the update rule, and ordinal discretization."""
 
 import itertools
+import json
 import math
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from somrough import som
+from somrough._record import from_json
 from somrough.corpus import jeffrey_table
 from somrough.errors import DataError, UsageError
 from somrough.som import (
@@ -21,7 +23,6 @@ from somrough.som import (
     SomMap,
     _linspace,
     assign_granule,
-    discretizer_record,
     fit_discretizer,
     fit_table_discretizer,
     quantization_error,
@@ -30,7 +31,7 @@ from somrough.som import (
     winner,
 )
 from somrough.surrogate import generate_table
-from somrough.table import scaled_matrix, transform_scale
+from somrough.table import json_text, scaled_matrix, transform_scale
 
 # Coarse grid of halves: many exact ties between squared distances.
 HALVES = st.integers(-8, 8).map(lambda k: k / 2)
@@ -736,25 +737,19 @@ class TestAssignGranule:
                 assert l1 >= l2
 
 
-def _record_fields(line: str) -> dict:
-    return dict(token.split("=", 1) for token in line.split())
-
-
 class TestDiscretizerRecords:
+    """A quantizer's one written form, the JSON record of ``report.json``
+    and ``discretize``, reads back to the fitted quantizer exactly."""
+
+    @staticmethod
+    def _read_back(d: Discretizer) -> Discretizer:
+        return from_json(Discretizer, json.loads(json_text(d)))
+
     def test_roundtrip_linear(self):
-        t = jeffrey_table()
-        d = fit_table_discretizer(t, "cb", 3, seed=0)
-        rec = _record_fields(discretizer_record(d))
-        assert rec["name"] == "cb" and rec["scale"] == "linear"
-        centers = [float(v) for v in rec["centers"].split(",")]
-        cuts = [float(v) for v in rec["cuts"].split(",")]
-        assert centers == pytest.approx(d.centers, abs=1e-5)
-        assert cuts == pytest.approx(d.cuts, abs=1e-5)
+        d = fit_table_discretizer(jeffrey_table(), "cb", 3, seed=0)
+        assert d.scale == "linear" and self._read_back(d) == d
 
     def test_roundtrip_log10(self):
-        """Log-scale records keep precision for tiny velocities."""
-        t = jeffrey_table()
-        d = fit_table_discretizer(t, "mvv", 3, seed=0)
-        rec = _record_fields(discretizer_record(d))
-        cuts = [10.0 ** float(v) for v in rec["cuts"].split(",")]
-        assert cuts == pytest.approx(d.cuts, rel=1e-5)
+        """Log-scale records keep every bit of tiny velocities."""
+        d = fit_table_discretizer(jeffrey_table(), "mvv", 3, seed=0)
+        assert d.scale == "log10" and self._read_back(d) == d

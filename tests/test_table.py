@@ -5,6 +5,7 @@ import enum
 import functools
 import json
 import math
+import re
 
 import pytest
 from hypothesis import example, given
@@ -259,6 +260,24 @@ class TestInvariants:
     def test_missing_decision_rejected_at_load(self):
         with pytest.raises(DataError):
             load_table("a\n1\n", [AttributeSpec("a", "condition")])
+
+    @given(st.text(st.characters(exclude_categories=()), max_size=4))
+    @example("c_b")
+    @example("_")
+    @example("\u00b2")  # a digit that is not decimal
+    @example("\u216b")  # a numeric letter
+    @example("a\u0300")  # a combining mark
+    @example("a\n")
+    @example("")
+    def test_name_is_a_rule_file_word(self, name):
+        """A spec takes exactly the names the rule grammar reads: ``\\w+``."""
+        try:
+            AttributeSpec(name, "condition")
+        except UsageError:
+            built = False
+        else:
+            built = True
+        assert built == (re.fullmatch(r"\w+", name) is not None)
 
     def test_unknown_attribute_is_usage_error(self):
         t = jeffrey_table()
