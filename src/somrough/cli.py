@@ -79,11 +79,12 @@ def _resolve(args) -> dict:
 
 # Files are read and written as UTF-8 bytes: a text-mode file object costs a
 # one-shot call more than the bytes do. Every reader splits lines itself, so
-# a CRLF file reads like its LF copy.
+# a CRLF file reads like its LF copy. A leading byte-order mark is dropped
+# here, as "utf-8-sig" would, without the import of that codec.
 def _read(path: str) -> str:
     try:
         with open(path, "rb") as f:
-            return f.read().decode("utf-8")
+            return f.read().removeprefix(b"\xef\xbb\xbf").decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
 
@@ -169,6 +170,8 @@ def cmd_backanalyze(args) -> int:
         if doc["decision"] is None:  # a report names its decision: no default stands in
             raise ValueError("the report's decision is null")
         decision = granular.decision(doc["decision"])
+        if any(d.granules != config.granules for d in granular.discretizers.values()):
+            raise ValueError("a quantizer's granule count differs from config.granules")
         check_rules(rules, granular, decision, config.constraints, config.semantics)
         if doc["best"]["rules_text"] != rules_text(rules):
             raise ValueError("best.rules_text is not the text of best.rules")

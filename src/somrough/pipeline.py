@@ -42,15 +42,6 @@ from .som import FIT_EPOCHS, fit_table_discretizer
 from .table import DecisionTable, Discretizer, GranularTable, assign_granule, json_record
 from .table import SCALES, json_text, split_random, split_train_size
 
-# Documented reconstruction notes echoed into every report.
-POLICY_NOTES = (
-    "budget loop: start at one rule, k fresh splits per budget level, "
-    "relax budget by one after k misses, tighten by one after a hit, stop "
-    "at the smallest workable budget or at the adjustment cap",
-    "quantizers are fitted once per run on the full table, so train and "
-    "test splits share one granule vocabulary",
-)
-
 # Fit presentations (rows x FIT_EPOCHS x columns) below which a forked
 # helper costs more than it saves. Forking cost about 5 ms on a 2-core VM,
 # so the fits broke even near 48,000 presentations (a 40-row, six-column
@@ -135,7 +126,7 @@ class Iteration(Record):
 class RunReport(Record):
     """Every iteration of a close-open call, and the best one with its rule
     set and its run's granulated table. ``best_accuracy`` and ``el_met``
-    are read off ``best_iteration``; ``notes`` is ``POLICY_NOTES``."""
+    are read off ``best_iteration``."""
 
     config: PipelineConfig
     decision: str
@@ -144,7 +135,6 @@ class RunReport(Record):
     best_iteration: Iteration
     granular: GranularTable  # of the best run, with its quantizers
     stop_reason: str
-    notes = POLICY_NOTES  # not a field: the same in every report
 
     @property
     def best_accuracy(self) -> float:
@@ -353,9 +343,11 @@ def close_open(table: DecisionTable, decision: str, cfg: PipelineConfig) -> RunR
 
 def granulate_observation(disc: Discretizer, measured: float) -> int:
     """Granule of a monitored value; out-of-range values take the nearest
-    extreme band."""
+    extreme band. A log10 quantizer, like its column's fit, takes values > 0."""
     if measured is None or not math.isfinite(measured):
         raise UsageError("measured value must be finite")
+    if disc.scale == "log10" and measured <= 0:
+        raise UsageError(f"{disc.name!r} has a log10 scale: measured value {measured!r} is not > 0")
     return assign_granule(disc, measured)
 
 
@@ -411,7 +403,6 @@ def report_to_json(report: RunReport) -> str:
         "decision": report.decision,
         "el_met": report.el_met,
         "stop_reason": report.stop_reason,
-        "notes": list(POLICY_NOTES),
         "iterations": report.iterations,
         "best": {
             "accuracy": report.best_accuracy,
@@ -427,7 +418,6 @@ def report_to_json(report: RunReport) -> str:
         "granular": {
             "attributes": report.granular.names,
             "roles": [s.role for s in report.granular.specs],
-            "object_ids": list(range(len(report.granular))),
             "rows": [list(row) for row in report.granular.rows],
         },
     }
@@ -440,8 +430,7 @@ def report_rules_from_json(doc: dict) -> RuleSet:
 
 def granular_from_json(doc: dict) -> GranularTable:
     """The granulated table a report embeds, quantizers and all. Its scales
-    live only in the quantizers: a spec takes a scale its quantizer holds.
-    Its ``object_ids`` must number the rows 0..n-1, as every report does."""
+    live only in the quantizers: a spec takes a scale its quantizer holds."""
     g, discs = doc["granular"], doc.get("discretizers", {})
     if len(g["attributes"]) != len(g["roles"]):
         raise ValueError("granular attributes and roles differ in length")
@@ -450,11 +439,7 @@ def granular_from_json(doc: dict) -> GranularTable:
         q = discs.get(name) if type(discs) is dict and type(name) is str else None
         scale = q.get("scale") if type(q) is dict else None
         specs.append({"name": name, "role": role, **({"scale": scale} if scale in SCALES else {})})
-    table = from_json(GranularTable, {"specs": specs, "rows": g["rows"], "discretizers": discs})
-    ids = g["object_ids"]
-    if ids != list(range(len(table))) or any(type(i) is not int for i in ids):
-        raise ValueError("granular object_ids must be the row numbers 0..n-1")
-    return table
+    return from_json(GranularTable, {"specs": specs, "rows": g["rows"], "discretizers": discs})
 
 
 def estimate_to_json(est: ParameterEstimate) -> str:

@@ -3,6 +3,7 @@
 import pytest
 
 import somrough
+import somrough.pipeline
 import somrough.rough
 import somrough.som
 
@@ -34,3 +35,10 @@ def test_quantizer_text_record_is_gone():
     """A quantizer's one written form is its JSON record: the lossy text
     record that ``discretize`` wrote is not in the package."""
     assert not hasattr(somrough.som, "discretizer_record")
+
+
+def test_report_notes_are_gone():
+    """Reports no longer echo the same notes in every file: neither the
+    notes constant nor the report record's attribute remains."""
+    assert not hasattr(somrough.pipeline, "POLICY_NOTES")
+    assert not hasattr(somrough.pipeline.RunReport, "notes")

@@ -388,16 +388,6 @@ BAD_INPUTS = {
     "report-null-attribute": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("granular", "attributes", 0), None)
     ),
-    "report-null-object-id": lambda tmp, doc: _backanalyze(
-        _report_with(tmp, doc, ("granular", "object_ids", 0), None)
-    ),
-    # Object i is row i: the ids must be 0..n-1, not renumbered.
-    "report-object-ids-empty": lambda tmp, doc: _backanalyze(
-        _report_with(tmp, doc, ("granular", "object_ids"), [])
-    ),
-    "report-object-ids-reversed": lambda tmp, doc: _backanalyze(
-        _report_with(tmp, doc, ("granular", "object_ids"), doc["granular"]["object_ids"][::-1])
-    ),
     "report-discretizers-list": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("discretizers",), [1, 2])
     ),
@@ -457,6 +447,13 @@ BAD_INPUTS = {
     ),
     "report-seed-negative": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("config", "seed"), -1)
+    ),
+    # Every quantizer of a run has config.granules centers (3 here).
+    "report-config-granules-2": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("config", "granules"), 2)
+    ),
+    "report-config-granules-5": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("config", "granules"), 5)
     ),
     "report-number-semantics": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("best", "semantics"), 5)
@@ -570,16 +567,32 @@ def test_one_decision_report_names_its_decision(tmp_path, capsys, corpus_report_
         assert capsys.readouterr().err.startswith("data error: malformed report file: ")
 
 
-def test_report_object_ids_are_the_rows(tmp_path, capsys, corpus_report_doc):
-    """A report writes its table's object ids as the row numbers 0..n-1
-    and is read only with them: an empty or reversed list is malformed."""
-    g = corpus_report_doc["granular"]
-    assert g["object_ids"] == list(range(len(g["rows"])))
-    for case in ("report-object-ids-empty", "report-object-ids-reversed", "report-null-object-id"):
-        capsys.readouterr()
-        assert _run(*BAD_INPUTS[case](tmp_path, corpus_report_doc)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("data error: malformed report file: ") and "object_ids" in err
+def test_keys_of_older_reports_are_ignored(tmp_path, corpus_report_doc):
+    """Older reports also wrote ``notes`` and ``granular.object_ids``; no
+    reader uses them, so a report with them, even with its ids reversed,
+    gives the estimate of the report without them."""
+    older = copy.deepcopy(corpus_report_doc)
+    older["notes"] = ["budget loop", "quantizers"]
+    older["granular"]["object_ids"] = list(range(len(older["granular"]["rows"])))[::-1]
+    estimates = []
+    for i, doc in enumerate((corpus_report_doc, older)):
+        out = tmp_path / f"estimate{i}.json"
+        assert _run(*_backanalyze(_text_file(tmp_path, f"r{i}.json", json.dumps(doc))),
+                    "--out", str(out)) == 0
+        estimates.append(out.read_bytes())
+    assert estimates[0] == estimates[1]
+
+
+@pytest.mark.parametrize("granules", [2, 5])
+def test_config_granules_mismatch_is_malformed(granules, tmp_path, capsys, corpus_report_doc):
+    """A report whose ``config.granules`` is not the granule count of its
+    quantizers is malformed, though the config alone reads."""
+    capsys.readouterr()
+    assert _run(*BAD_INPUTS[f"report-config-granules-{granules}"](tmp_path, corpus_report_doc)) == 2
+    assert capsys.readouterr().err == (
+        "data error: malformed report file: "
+        "a quantizer's granule count differs from config.granules\n"
+    )
 
 
 @pytest.mark.parametrize("case", [
@@ -801,9 +814,14 @@ class TestPipelineReport:
              "--out", str(tmp_path))
         doc = json.loads((tmp_path / "report.json").read_text())
         assert set(doc) == {
-            "config", "decision", "el_met", "stop_reason", "notes",
+            "config", "decision", "el_met", "stop_reason",
             "iterations", "best", "discretizers", "granular",
         }
+        assert set(doc["best"]) == {
+            "accuracy", "run", "split_seed", "budget", "semantics", "uncovered", "rules",
+            "rules_text",
+        }
+        assert set(doc["granular"]) == {"attributes", "roles", "rows"}
         assert doc["config"]["el"] == 0.80
         assert doc["config"]["max_rules"] == 5
         for it in doc["iterations"]:
@@ -825,6 +843,29 @@ class TestPipelineReport:
         assert code == 0
         doc = json.loads((tmp_path / "b" / "report.json").read_text())
         assert doc["config"]["seed"] == 9
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    """The corpus CSV, its schema, a config file and a report, each saved
+    with a UTF-8 byte-order mark, give the output bytes of their plain
+    copies (a data error on the mark, before)."""
+    plain = [CORPUS, SCHEMA, _text_file(tmp_path, "run.conf", "seed = 2\n")]
+    marked = []
+    for path in plain:
+        marked.append(tmp_path / f"bom-{Path(path).name}")
+        marked[-1].write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+    runs = []
+    for i, (data, schema, config) in enumerate((plain, marked)):
+        out = tmp_path / f"o{i}"
+        assert _run("pipeline", "--data", str(data), "--schema", str(schema), "--config",
+                    str(config), "--decision", "mvv", "--out", str(out)) == 3
+        report = out / "report.json"
+        if i:
+            report.write_bytes(b"\xef\xbb\xbf" + report.read_bytes())
+        assert _run(*_backanalyze(str(report)), "--out", str(out / "estimate.json")) == 0
+        runs.append({f.name: f.read_bytes().removeprefix(b"\xef\xbb\xbf")
+                     for f in out.iterdir()})
+    assert runs[0] == runs[1]
 
 
 class TestBackanalyze:
@@ -851,6 +892,30 @@ class TestBackanalyze:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["no_match"] is True
+
+    @pytest.mark.parametrize("observed", ["0", "-0.0", "-5"])
+    def test_nonpositive_observation_on_log10_is_1(self, report_path, tmp_path, capsys, observed):
+        """``mvv`` is on a log10 scale, as its fit is: a value <= 0 is a
+        usage error naming it (the lowest band, exit 0, before)."""
+        out = tmp_path / "estimate.json"
+        capsys.readouterr()
+        assert _run("backanalyze", "--report", str(report_path), "--observe", observed,
+                    "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: 'mvv' has a log10 scale: measured value {float(observed)!r} is not > 0\n"
+        )
+        assert not out.exists()
+
+    def test_least_positive_observation_on_log10_reads(self, report_path):
+        assert _run("backanalyze", "--report", str(report_path), "--observe", "5e-324") == 0
+
+    def test_zero_observation_on_linear_decision_reads(self, tmp_path, capsys, corpus_report_doc):
+        """With its quantizer on a linear scale, ``mvv`` takes 0: the lowest band."""
+        where = ("discretizers", "mvv", "scale")
+        report = _report_with(tmp_path, corpus_report_doc, where, "linear")
+        capsys.readouterr()
+        assert _run("backanalyze", "--report", report, "--observe", "0") == 0
+        assert json.loads(capsys.readouterr().out)["observed_granule"] == 3
 
     def test_malformed_report_is_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -1379,6 +1444,14 @@ EXIT_CASES = {
         tmp, doc, ("discretizers",),
         {k: v for k, v in doc["discretizers"].items() if k != doc["decision"]},
     )),
+    # TestBackanalyze.test_nonpositive_observation_on_log10_is_1
+    **{
+        f"backanalyze-observe-{observed}": lambda tmp, doc, observed=observed: [
+            "backanalyze", "--report", _text_file(tmp, "report.json", json.dumps(doc)),
+            "--observe", observed,
+        ]
+        for observed in ("0", "-0.0", "-5")
+    },
     # TestDiscretize.test_log_column_of_mostly_ones_fits
     "discretize-log10-mostly-ones": lambda tmp, doc: [
         *_one_column(tmp, "log10", LOG10_MOSTLY_ONES), "--granules", "4", "--seed", "0"

@@ -5,7 +5,10 @@ package (``somrough._pcg``), when numpy's ``default_rng`` drew the initial
 map weights, the split seeds and the splits; the two 40-row digests were
 recorded before quantizer trainings shared their learning-rate schedules;
 the ``discretize`` digests when it began writing its quantizers as JSON (its
-``granulated.csv`` bytes were unchanged by that).
+``granulated.csv`` bytes were unchanged by that); the ``report.json`` digests
+when reports stopped writing ``notes`` and ``granular.object_ids`` (each
+report parsed equal to its predecessor without those two keys, and the
+``rules.txt`` and ``estimate.json`` digests did not move).
 Any change to the quantizer, the splitting or the rule layer that moves one
 byte of ``report.json``, ``rules.txt`` or ``estimate.json``, or of the
 ``discretizers.json`` and ``granulated.csv`` that ``discretize`` writes,
@@ -96,43 +99,43 @@ def run_cli(tmp_path, data, schema, flags, observed) -> dict:
 GOLDEN = {
     "corpus-0": {
         "rc": (3, 0),
-        "report.json": "401889c8a1e242d2b6ddc6d66241726bf3bdab189225483754c65fbbe84aa750",
+        "report.json": "3b5f4a175719feba11f2ebf35faab08cea07499bb4b40b51fd3b134d9f4a3f46",
         "rules.txt": "b03fa775349ef4528ea5e5d47bae3a23a33f8048efa1c93c1780444cd62b0989",
         "estimate.json": "bc726cebaffb1d8d80c61684c816f1f7037b082b8ec997a02508c5e28c748a56",
     },
     "corpus-2": {
         "rc": (3, 0),
-        "report.json": "c723275a72b1edf2d6a87ce58dbbb4b351d417697d5b6046f3a902296ed8ef11",
+        "report.json": "65a1746eda009129cbd6e945b40b8669d6208637ac90cad98e8f58be139f3f86",
         "rules.txt": "91e94c5cc19d98319f072fff89160536871e15053f6e9280b02dce0b6252c039",
         "estimate.json": "4a5311986d08b492904602db475fc15835d6e16f2a88d2fc9b5d1c6b8a6e613c",
     },
     "slope200-0": {
         "rc": (3, 0),
-        "report.json": "b8b5040e4d452cf5ad9c2a6bc0bd560e9974ca1fde1a67319184f849bb210318",
+        "report.json": "2d7333bcb2df49d3932eea5cc522aa272517c1090b7deeeaaba48c85a2a212b3",
         "rules.txt": "58cafacc1204533b9f529093ef1ad0da4355b5ddeeab6c54f0cebd3ea8f417b9",
         "estimate.json": "4a4035deeceaa5e82bb4f7e1c7d17d42121a5f4693115899b3fed69438978168",
     },
     "slope200-masked-0": {
         "rc": (0, 0),
-        "report.json": "0bcd30ad329bbb757cd8aeb4c37a1fb0b4fbfe22649c442b30028cb234f4fde2",
+        "report.json": "7bce05f3782914369d109b63895b33982f59640fd384ed83ed07bded3b0dc65d",
         "rules.txt": "1e004f7c8263b55d4958fe4668c27cfedd8fbf24afe943507cefe6a6bb9b6eb7",
         "estimate.json": "bbabff914ce3568c279b64a7a3ab9e5180d612a0546a61a3abd3d20d2654cc16",
     },
     "slope200-cumulative-g3-0": {
         "rc": (3, 0),
-        "report.json": "ae7e8e9bffe9103f7b6ff5757049069de8ad67bd721b988ddf47b57ff9cb8887",
+        "report.json": "64ae6a40da3cd163548c53b477fe382408e60667667496bd6abdb3df4d01638a",
         "rules.txt": "d239c6929816522b68a4a66036cff8d6a5738b0cd0885485b358e5d1b7a35cfe",
         "estimate.json": "55ba1e30dfe62f6e762781e6fdbfbfd7af4bca75ed7be089c5b802b3ca7c813c",
     },
     "slope40-g4-0": {
         "rc": (3, 0),
-        "report.json": "1b93525970eb50dc8b893cc245f8932a85465536079c584a198820b5a8746be2",
+        "report.json": "8cf4be5661fd0c654c3d80f4cec6dc66c6da8e18c5457871e5f62a2163969988",
         "rules.txt": "d6cb58d5af7df270cbf24adb3497b4a4e35a2c26a6f62b41db3cbabd1ed78175",
         "estimate.json": "4e8fc03af6de13f45714185ff879959471130e1fd929b28fe2c0be56fb2ed01c",
     },
     "slope40-masked-g4-0": {
         "rc": (3, 0),
-        "report.json": "a4da3ab38188d23e589a373f4cf96e724f0a9bbd3f36a8c89a6b55bdf174c7ee",
+        "report.json": "720ab8d372b573f68a13960cd11929486321d2c834a9c2256f40f0d518792997",
         "rules.txt": "04a53023e84a6e67188b0fe81082e768f166848c4bd64b5dcdc2d284128ba55a",
         "estimate.json": "c5efe660808723cda9a0d2db4f36072185d87d959421ca575aeb5e0a8719af62",
     },

@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from somrough import pipeline
+from somrough._record import replace
 from somrough.corpus import JEFFREY_OBSERVED_RATE_MS, jeffrey_table
 from somrough.errors import DataError, UsageError
 from somrough.pipeline import (
@@ -425,6 +426,14 @@ class TestGranulateObservation:
     def test_nonfinite_rejected(self):
         with pytest.raises(UsageError):
             granulate_observation(self.DISC, float("nan"))
+
+    @pytest.mark.parametrize("measured", [0.0, -0.0, -5.0])
+    def test_nonpositive_rejected_on_log10_only(self, measured):
+        """A log10 quantizer, like its column's fit, takes values > 0; a
+        linear one with the same cuts puts them in its lowest band."""
+        with pytest.raises(UsageError, match="'mvv' has a log10 scale"):
+            granulate_observation(self.DISC, measured)
+        assert granulate_observation(replace(self.DISC, scale="linear"), measured) == 3
 
 
 class TestBackAnalyze:

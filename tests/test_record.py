@@ -16,7 +16,6 @@ from somrough._record import Record, fields, from_json, replace
 from somrough.corpus import jeffrey_table
 from somrough.errors import DataError, UsageError
 from somrough.pipeline import (
-    POLICY_NOTES,
     Iteration,
     ParameterEstimate,
     PipelineConfig,
@@ -217,7 +216,6 @@ def test_derived_values_are_read_not_stored():
     report, est, rs = _samples()[RunReport], _samples()[ParameterEstimate], _samples()[ReductSet]
     assert report.best_accuracy == report.best_iteration.accuracy
     assert report.el_met is report.best_iteration.accepted
-    assert report.notes == POLICY_NOTES
     assert est.no_match is (not est.matched_rules)
     assert replace(est, matched_rules=()).no_match is True
     assert rs.core == frozenset.intersection(*rs.reducts)
