@@ -22,7 +22,6 @@ from .pipeline import (
     back_analyze,
     close_open,
     config_from_settings,
-    config_settings,
     estimate_to_json,
     granular_from_json,
     granulate,
@@ -32,16 +31,16 @@ from .pipeline import (
     rules_text,
 )
 from .rough import reduct_report, reducts
-from .rules import RuleConstraints, check_rules, check_semantics, induce_cover, render_rules
+from .rules import check_rules, induce_cover, render_rules
 from .surrogate import DEFAULT_STEEPNESS, generate_table
-from .table import dump_schema, json_text, load_schema, load_table, to_csv
+from .table import dump_schema, json_record, json_text, load_schema, load_table, to_csv
 
 EXIT_OK = 0
 EXIT_EL_NOT_MET = 3
 
 # Keys a config file may set, each with a same-named flag: the fields of
-# PipelineConfig and RuleConstraints, with their defaults, plus the decision.
-DEFAULTS = {**config_settings(PipelineConfig()), "decision": None}
+# PipelineConfig, with their defaults, plus the decision.
+DEFAULTS = {**json_record(PipelineConfig()), "decision": None}
 CONFIG_KEYS = {**SETTING_TYPES, "decision": str}
 
 
@@ -65,8 +64,9 @@ def parse_config_file(text: str) -> dict:
     return out
 
 
-def _resolve(args) -> dict:
-    """defaults <- config file <- explicit flags."""
+def _resolve(args) -> tuple[PipelineConfig, str | None]:
+    """defaults <- config file <- explicit flags, as a checked config (so
+    every command refuses settings no pipeline run accepts) and the decision."""
     settings = dict(DEFAULTS)
     if getattr(args, "config", None):
         settings.update(parse_config_file(_read(args.config)))
@@ -74,7 +74,7 @@ def _resolve(args) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
-    return settings
+    return config_from_settings(settings), settings["decision"]
 
 
 # Files are read and written as UTF-8 bytes: a text-mode file object costs a
@@ -120,8 +120,8 @@ def _load_inputs(args):
 
 
 def cmd_discretize(args) -> int:
-    s = _resolve(args)
-    g = granulate(_load_inputs(args), granules=s["granules"], seed=s["seed"])
+    cfg, _ = _resolve(args)
+    g = granulate(_load_inputs(args), granules=cfg.granules, seed=cfg.seed)
     paths = os.path.join(args.out, "discretizers.json"), os.path.join(args.out, "granulated.csv")
     _write(paths[0], json_text(dict(sorted(g.discretizers.items()))) + "\n")
     _write(paths[1], to_csv(g))
@@ -130,13 +130,11 @@ def cmd_discretize(args) -> int:
 
 
 def cmd_rules(args) -> int:
-    s = _resolve(args)
+    cfg, decision = _resolve(args)
     table = _load_inputs(args)
-    decision = table.decision(s["decision"])
-    constraints = config_from_settings(s, RuleConstraints)
-    check_semantics(s["semantics"])
-    g = granulate(table, granules=s["granules"], seed=s["seed"])
-    rs = induce_cover(g, decision, constraints, s["semantics"])
+    decision = table.decision(decision)
+    g = granulate(table, granules=cfg.granules, seed=cfg.seed)
+    rs = induce_cover(g, decision, cfg, cfg.semantics)
     _write(os.path.join(args.out, "rules.txt"), render_rules(rs))
     print(
         f"{len(rs.rules)} rule(s), {len(rs.uncovered)} uncovered object(s)", file=sys.stderr
@@ -145,9 +143,8 @@ def cmd_rules(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    s = _resolve(args)
-    table = _load_inputs(args)
-    report = close_open(table, s["decision"], config_from_settings(s))
+    cfg, decision = _resolve(args)
+    report = close_open(_load_inputs(args), decision, cfg)
     report_path = os.path.join(args.out, "report.json")
     _write(report_path, report_to_json(report))
     _write(os.path.join(args.out, "rules.txt"), render_rules(report.best_rules))
@@ -172,7 +169,7 @@ def cmd_backanalyze(args) -> int:
         decision = granular.decision(doc["decision"])
         if any(d.granules != config.granules for d in granular.discretizers.values()):
             raise ValueError("a quantizer's granule count differs from config.granules")
-        check_rules(rules, granular, decision, config.constraints, config.semantics)
+        check_rules(rules, granular, decision, config, config.semantics)
         if doc["best"]["rules_text"] != rules_text(rules):
             raise ValueError("best.rules_text is not the text of best.rules")
     except (KeyError, TypeError, ValueError, RecursionError, UsageError, DataError) as exc:
@@ -186,7 +183,7 @@ def cmd_backanalyze(args) -> int:
 
 
 def cmd_surrogate(args) -> int:
-    s = _resolve(args)
+    cfg, _ = _resolve(args)
     ranges = None
     if args.ranges:
         try:
@@ -202,7 +199,7 @@ def cmd_surrogate(args) -> int:
         except (ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise DataError(f"malformed ranges file: {exc}") from None
     table = generate_table(
-        ranges=ranges, count=args.count, seed=s["seed"], steepness=args.steepness
+        ranges=ranges, count=args.count, seed=cfg.seed, steepness=args.steepness
     )
     paths = os.path.join(args.out, "runs.csv"), os.path.join(args.out, "schema.json")
     _write(paths[0], to_csv(table))
@@ -212,10 +209,10 @@ def cmd_surrogate(args) -> int:
 
 
 def cmd_reducts(args) -> int:
-    s = _resolve(args)
+    cfg, decision = _resolve(args)
     table = _load_inputs(args)
-    decision = None if s["decision"] is None else table.decision(s["decision"])
-    g = granulate(table, granules=s["granules"], seed=s["seed"])
+    decision = None if decision is None else table.decision(decision)
+    g = granulate(table, granules=cfg.granules, seed=cfg.seed)
     rs = reducts(g, args.mode, decision=decision)
     _write_or_print(args.out, reduct_report(rs))
     return EXIT_OK
@@ -318,11 +315,12 @@ def _direct_parse(argv: list):
 
     A plain argv is a command, then ``--flag value`` pairs: each flag the
     exact long name of one of the command's options, given once, each
-    value not starting with ``-``, every required option given, and every
-    value of its option's type and among its choices. For anything else
-    (help, abbreviations, ``--flag=value``, repeats, negative-looking
-    values, positionals, errors) this returns None and argparse parses
-    the argv, so every message is argparse's own.
+    value one argparse reads as a value (not starting with ``-``, or a
+    negative number as argparse matches it, ``-5`` or ``-0.5``), every
+    required option given, and every value of its option's type and among
+    its choices. For anything else (help, abbreviations, ``--flag=value``,
+    repeats, option-like values, positionals, errors) this returns None
+    and argparse parses the argv, so every message is argparse's own.
     """
     if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
         return None
@@ -338,7 +336,7 @@ def _direct_parse(argv: list):
                 return None
             ns[flag[2:]] = kwargs.get("default")
             continue
-        if value.startswith("-"):
+        if value.startswith("-") and not _negative_number(value):
             return None
         try:
             value = kwargs.get("type", str)(value)
@@ -348,6 +346,14 @@ def _direct_parse(argv: list):
             return None
         ns[flag[2:]] = value
     return SimpleNamespace(**ns)
+
+
+def _negative_number(value: str) -> bool:
+    r"""Whether argparse reads ``value`` as a negative number, so as a value
+    (no option here looks like one): ``^-\d+$|^-\d*\.\d+$``, matched by
+    ``str.isdecimal`` (a ``\d``) rather than a pattern."""
+    whole, dot, frac = value[1:].partition(".")
+    return (frac if dot else whole).isdecimal() and (not whole or whole.isdecimal())
 
 
 def main(argv=None) -> int:

@@ -49,11 +49,13 @@ from .table import SCALES, json_text, split_random, split_train_size
 _FORK_MIN_PRESENTATIONS = 60_000
 
 
-class PipelineConfig(Record):
+class PipelineConfig(RuleConstraints):
+    """A run's settings, the rule constraints first (``max_rules`` bounds
+    the budget): the CLI's config keys and flags, in ``report.json``'s order."""
+
     runs: int = 1  # independent outer runs, each with derived seed
     max_closed: int = 2  # splits tried per budget level before relaxing
     el: float = 0.80  # held-out accuracy bar
-    constraints: RuleConstraints = RuleConstraints()  # frozen, so one shared default
     train_fraction: float = 0.7
     granules: int = 3
     max_open_steps: int = 10  # budget adjustments allowed per run
@@ -61,6 +63,7 @@ class PipelineConfig(Record):
     semantics: str = "cumulative"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.runs < 1 or self.max_closed < 1:
             raise UsageError("runs and max_closed must be >= 1")
         if not 0.0 <= self.el <= 1.0:
@@ -81,36 +84,15 @@ class PipelineConfig(Record):
         return 1 + self.max_closed * self.max_open_steps
 
 
-def config_settings(cfg) -> dict:
-    """The run settings of a ``PipelineConfig`` as flat ``key: value``
-    pairs, in field order, with the ``RuleConstraints`` fields where
-    ``constraints`` sits. These keys are the config-file keys and flags of
-    the CLI, and ``report.json`` echoes them in this order."""
-    out = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.name == "constraints":
-            out.update(config_settings(value))
-        else:
-            out[f.name] = value
-    return out
+# Each setting's type, in field order.
+SETTING_TYPES = {f.name: SCALARS[f.type] for f in fields(PipelineConfig)}
 
 
-# Each setting's type: its field's annotation, in setting order.
-_ANNOTATIONS = {f.name: f.type for cls in (PipelineConfig, RuleConstraints) for f in fields(cls)}
-SETTING_TYPES = {key: SCALARS[_ANNOTATIONS[key]] for key in config_settings(PipelineConfig())}
-
-
-def config_from_settings(settings: dict, cls=PipelineConfig):
-    """Inverse of ``config_settings``: a ``PipelineConfig`` (or, with
-    ``cls=RuleConstraints``, only the constraints) from flat settings.
-    Keys of neither record are ignored; a missing one is a KeyError, and
-    the records reject a value not of its setting's type (UsageError)."""
-    return cls(**{
-        f.name: settings[f.name] if f.name != "constraints"
-        else config_from_settings(settings, RuleConstraints)
-        for f in fields(cls)
-    })
+def config_from_settings(settings: dict) -> PipelineConfig:
+    """A ``PipelineConfig`` from flat settings. Keys that are not fields are
+    ignored; a missing one is a KeyError, and the record rejects a value
+    not of its field's type (UsageError)."""
+    return PipelineConfig(**{f.name: settings[f.name] for f in fields(PipelineConfig)})
 
 
 class Iteration(Record):
@@ -290,7 +272,7 @@ def close_open(table: DecisionTable, decision: str, cfg: PipelineConfig) -> RunR
         for index in range(1, cfg.max_iterations + 1):
             split_seed = rng.integers(2**31 - 1)
             train, test = split_random(gtable, cfg.train_fraction, split_seed)
-            cons = replace(cfg.constraints, max_rules=budget)
+            cons = replace(cfg, max_rules=budget)
             rs = induce_cover(gtable, decision, cons, cfg.semantics, train)
             acc = accuracy(rs, gtable, decision, test)
             accepted = acc >= cfg.el
@@ -316,7 +298,7 @@ def close_open(table: DecisionTable, decision: str, cfg: PipelineConfig) -> RunR
                 stop = "stable success at minimal budget"
             elif not accepted and tightening:
                 stop = "stable success above this budget"
-            elif not accepted and budget >= cfg.constraints.max_rules:
+            elif not accepted and budget >= cfg.max_rules:
                 stop = "budget bound reached"
             elif open_steps >= cfg.max_open_steps:
                 stop = "budget-adjustment cap"
@@ -399,7 +381,7 @@ def rules_text(rs: RuleSet) -> list[str]:
 
 def report_to_json(report: RunReport) -> str:
     doc = {
-        "config": config_settings(report.config),
+        "config": report.config,
         "decision": report.decision,
         "el_met": report.el_met,
         "stop_reason": report.stop_reason,

@@ -21,7 +21,7 @@ from somrough.pipeline import (
     granulate_observation,
 )
 from somrough.rough import partition_by, reducts
-from somrough.rules import RuleConstraints, parse_rules, render_rules
+from somrough.rules import parse_rules, render_rules
 from somrough.som import SomConfig, assign_granule, fit_table_discretizer, train, update_step
 from somrough.surrogate import DECISION_NAME, generate_table
 from somrough.table import AttributeSpec, DecisionTable, scaled_matrix, split_random
@@ -106,13 +106,13 @@ def test_c4_pipeline_constraint_soundness():
 
     rules = report.best_rules.rules
     assert rules, "expected at least one emitted rule on the corpus"
-    assert len(rules) <= cfg.constraints.max_rules
+    assert len(rules) <= cfg.max_rules
 
     g = report.granular
     train, _ = split_random(g, cfg.train_fraction, report.best_iteration.split_seed)
     rows = [dict(zip(g.names, row)) for i, row in enumerate(g.rows) if train >> i & 1]
     for rule in rules:
-        assert rule.length <= cfg.constraints.max_length
+        assert rule.length <= cfg.max_length
         # independent re-scoring by direct counting over the split
         matches = [
             r
@@ -129,7 +129,7 @@ def test_c4_pipeline_constraint_soundness():
         assert len(correct) == rule.support
         got_strength = len(correct) / len(satisfying)
         assert got_strength == pytest.approx(rule.strength)
-        assert got_strength >= cfg.constraints.min_strength
+        assert got_strength >= cfg.min_strength
     print(
         f"criterion 4: PASS - {len(rules)} rule(s) re-scored clean over "
         f"{report.total_iterations} logged iteration(s); el_met={report.el_met} "
@@ -204,7 +204,9 @@ def test_c7_surrogate_recovery():
             el=0.80,
             granules=2,
             semantics="exact",
-            constraints=RuleConstraints(min_strength=0.0, max_length=3, max_rules=8),
+            min_strength=0.0,
+            max_length=3,
+            max_rules=8,
         )
         report = close_open(table, DECISION_NAME, cfg)
         if not report.el_met:

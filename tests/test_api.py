@@ -42,3 +42,13 @@ def test_report_notes_are_gone():
     notes constant nor the report record's attribute remains."""
     assert not hasattr(somrough.pipeline, "POLICY_NOTES")
     assert not hasattr(somrough.pipeline.RunReport, "notes")
+
+
+def test_settings_record_is_flat():
+    """A run's settings are one flat record: ``PipelineConfig`` is a
+    ``RuleConstraints``, with no nested ``constraints`` field and no
+    flattening helper."""
+    cfg = somrough.PipelineConfig()
+    assert isinstance(cfg, somrough.RuleConstraints)
+    assert not hasattr(cfg, "constraints")
+    assert not hasattr(somrough.pipeline, "config_settings")

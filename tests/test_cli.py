@@ -448,6 +448,17 @@ BAD_INPUTS = {
     "report-seed-negative": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("config", "seed"), -1)
     ),
+    # The flat config is read strictly: no key takes its default, and each
+    # keeps its type.
+    "report-config-missing-max_rules": lambda tmp, doc: _backanalyze(
+        _edited(tmp, doc, lambda d: d["config"].pop("max_rules"))
+    ),
+    "report-config-missing-runs": lambda tmp, doc: _backanalyze(
+        _edited(tmp, doc, lambda d: d["config"].pop("runs"))
+    ),
+    "report-config-min_strength-str": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("config", "min_strength"), "0.6")
+    ),
     # Every quantizer of a run has config.granules centers (3 here).
     "report-config-granules-2": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("config", "granules"), 2)
@@ -581,6 +592,18 @@ def test_keys_of_older_reports_are_ignored(tmp_path, corpus_report_doc):
                     "--out", str(out)) == 0
         estimates.append(out.read_bytes())
     assert estimates[0] == estimates[1]
+
+
+@pytest.mark.parametrize("case", [
+    "report-config-missing-max_rules", "report-config-missing-runs",
+    "report-config-min_strength-str",
+])
+def test_dropped_or_mistyped_config_key_is_malformed(case, tmp_path, capsys, corpus_report_doc):
+    """A report's config is a whole PipelineConfig: a dropped key takes
+    no default and a mistyped one is refused, each a malformed report."""
+    capsys.readouterr()
+    assert _run(*BAD_INPUTS[case](tmp_path, corpus_report_doc)) == 2
+    assert capsys.readouterr().err.startswith("data error: malformed report file: ")
 
 
 @pytest.mark.parametrize("granules", [2, 5])
@@ -1167,6 +1190,46 @@ def test_unknown_semantics_is_1_before_any_fit(command, tmp_path, capsys, no_fit
     assert not (tmp_path / "o").exists()
 
 
+# Config-file lines that no pipeline run accepts, with the message each
+# gets.
+BAD_CONFIG_LINES = {
+    "el = 5": "el must be in [0, 1]",
+    "runs = 0": "runs and max_closed must be >= 1",
+    "train_fraction = 3": "train_fraction must be in (0, 1]",
+    "semantics = bogus": "semantics must be one of ('cumulative', 'exact')",
+    "granules = 1": "granules must be >= 2",
+    "max_rules = 0": "max_length and max_rules must be positive",
+}
+
+
+@pytest.mark.parametrize("line", sorted(BAD_CONFIG_LINES))
+@pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"backanalyze"}))
+def test_bad_config_file_is_1_before_any_read(command, line, tmp_path, capsys, no_fit):
+    """Every command that takes --config refuses settings no pipeline run
+    accepts with the pipeline's message, before it reads a table (the data
+    path here does not exist) or fits a quantizer, and writes nothing."""
+    cfg = _text_file(tmp_path, "run.cfg", line + "\n")
+    out = tmp_path / "o"
+    table = ["--data", str(tmp_path / "nope.csv"), "--schema", SCHEMA]
+    argv = [command, *([] if command == "surrogate" else table), "--config", cfg, "--out", str(out)]
+    capsys.readouterr()
+    assert _run(*argv) == 1
+    assert capsys.readouterr() == ("", f"usage error: {BAD_CONFIG_LINES[line]}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["discretize", "reducts", "rules"])
+def test_one_granule_flag_is_1_before_any_read(command, tmp_path, capsys, no_fit):
+    """--granules 1 gets the pipeline's message before the table is read."""
+    out = tmp_path / "o"
+    argv = [command, "--data", str(tmp_path / "nope.csv"), "--schema", SCHEMA,
+            "--granules", "1", "--out", str(out)]
+    capsys.readouterr()
+    assert _run(*argv) == 1
+    assert capsys.readouterr().err == "usage error: granules must be >= 2\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["pipeline", "reducts", "rules"])
 def test_condition_attribute_as_decision_is_1(command, tmp_path, capsys, no_fit):
     """A condition attribute given as --decision is refused before a
@@ -1343,6 +1406,52 @@ class TestDirectParse:
             assert _parse_outcome(build_parser(), argv) == (
                 "parsed", repr(sorted(vars(ns).items()))
             )
+
+
+# Values that start with "-": the negative numbers argparse reads as
+# values, then ones it reads as options or refuses.
+NEGATIVE_NUMBERS = ["-5", "-0.5", "-.5", "-0", "-\u0665"]
+DASHED = NEGATIVE_NUMBERS + ["-5.", "-1e3", "-inf", "-nan", "--5", "-5_0", "-", "-.", "-1.2.3"]
+
+
+@pytest.mark.parametrize("value", DASHED)
+@pytest.mark.parametrize("base, parsed", [
+    (["backanalyze", "--report", "r.json", "--observe"], NEGATIVE_NUMBERS),
+    (["surrogate", "--out", "o", "--seed"], ["-5", "-0", "-\u0665"]),
+], ids=["float", "int"])
+def test_direct_parse_takes_the_negative_numbers_argparse_takes(base, parsed, value):
+    """A dashed value parses directly exactly when argparse parses it (a
+    negative number of the option's type), to argparse's namespace."""
+    argv = [*base, value]
+    ns = _direct_parse(argv)
+    outcome = _parse_outcome(build_parser(), argv)
+    assert (ns is not None) == (outcome[0] == "parsed") == (value in parsed)
+    if ns is not None:
+        assert outcome[1] == repr(sorted(vars(ns).items()))
+
+
+def test_negative_observation_loads_no_argparse(tmp_path, corpus_report_doc):
+    """A plain backanalyze argv with a negative --observe parses directly:
+    argparse is never imported. The corpus decision has a log10 scale, so
+    the value itself is refused."""
+    report = _text_file(tmp_path, "report.json", json.dumps(corpus_report_doc))
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from somrough.cli import main
+        for value in ("-5", "-0.5"):
+            rc = main(["backanalyze", "--report", {report!r}, "--observe", value])
+            assert rc == 1, rc
+        assert "argparse" not in sys.modules
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.count("is not > 0") == 2
 
 
 def _plain_argvs(root: Path) -> list:
@@ -1866,23 +1975,18 @@ def _is_range_pair(value) -> bool:
 
 
 def _setting_names() -> list:
-    """PipelineConfig's fields in order, RuleConstraints' in place of
-    ``constraints``."""
-    return [
-        g.name
-        for f in fields(PipelineConfig)
-        for g in (fields(RuleConstraints) if f.name == "constraints" else [f])
-    ]
+    """PipelineConfig's fields in order, RuleConstraints' three first."""
+    return [f.name for f in fields(PipelineConfig)]
 
 
 # A value other than the default for every setting, in field order.
 NON_DEFAULT = {
-    "runs": 2,
-    "max_closed": 1,
-    "el": 0.5,
     "min_strength": 0.5,
     "max_length": 3,
     "max_rules": 4,
+    "runs": 2,
+    "max_closed": 1,
+    "el": 0.5,
     "train_fraction": 0.6,
     "granules": 2,
     "max_open_steps": 2,
@@ -1892,16 +1996,15 @@ NON_DEFAULT = {
 
 
 class TestSettingsSchema:
-    """The run settings are the fields of PipelineConfig and RuleConstraints;
-    the config keys, their parse types, the flags and the report's echo
-    all follow from them."""
+    """The run settings are the fields of PipelineConfig, RuleConstraints'
+    among them; the config keys, their parse types, the flags and the
+    report's echo all follow from them."""
 
     def test_fields_are_keys_with_default_and_type(self):
-        defaults = {**vars(PipelineConfig()), **vars(RuleConstraints())}
-        hints = {
-            **typing.get_type_hints(PipelineConfig), **typing.get_type_hints(RuleConstraints)
-        }
+        defaults = vars(PipelineConfig())
+        hints = typing.get_type_hints(PipelineConfig)
         names = _setting_names()
+        assert names[:3] == [f.name for f in fields(RuleConstraints)]
         assert list(CONFIG_KEYS) == list(DEFAULTS) == names + ["decision"]
         for name in names:
             assert CONFIG_KEYS[name] is hints[name], name

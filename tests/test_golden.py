@@ -6,9 +6,9 @@ map weights, the split seeds and the splits; the two 40-row digests were
 recorded before quantizer trainings shared their learning-rate schedules;
 the ``discretize`` digests when it began writing its quantizers as JSON (its
 ``granulated.csv`` bytes were unchanged by that); the ``report.json`` digests
-when reports stopped writing ``notes`` and ``granular.object_ids`` (each
-report parsed equal to its predecessor without those two keys, and the
-``rules.txt`` and ``estimate.json`` digests did not move).
+when the run settings became one flat record, which moved the three rule
+constraints to the head of ``config`` (each report parsed equal to its
+predecessor, and the ``rules.txt`` and ``estimate.json`` digests did not move).
 Any change to the quantizer, the splitting or the rule layer that moves one
 byte of ``report.json``, ``rules.txt`` or ``estimate.json``, or of the
 ``discretizers.json`` and ``granulated.csv`` that ``discretize`` writes,
@@ -99,43 +99,43 @@ def run_cli(tmp_path, data, schema, flags, observed) -> dict:
 GOLDEN = {
     "corpus-0": {
         "rc": (3, 0),
-        "report.json": "3b5f4a175719feba11f2ebf35faab08cea07499bb4b40b51fd3b134d9f4a3f46",
+        "report.json": "28f09cc7022ce6bdc4af603235889fe524669196e7f1e2913151b422748fbcb9",
         "rules.txt": "b03fa775349ef4528ea5e5d47bae3a23a33f8048efa1c93c1780444cd62b0989",
         "estimate.json": "bc726cebaffb1d8d80c61684c816f1f7037b082b8ec997a02508c5e28c748a56",
     },
     "corpus-2": {
         "rc": (3, 0),
-        "report.json": "65a1746eda009129cbd6e945b40b8669d6208637ac90cad98e8f58be139f3f86",
+        "report.json": "aeeef812a4888d0df926978356f70f2517a11e6c5ee987962984875a4eef114f",
         "rules.txt": "91e94c5cc19d98319f072fff89160536871e15053f6e9280b02dce0b6252c039",
         "estimate.json": "4a5311986d08b492904602db475fc15835d6e16f2a88d2fc9b5d1c6b8a6e613c",
     },
     "slope200-0": {
         "rc": (3, 0),
-        "report.json": "2d7333bcb2df49d3932eea5cc522aa272517c1090b7deeeaaba48c85a2a212b3",
+        "report.json": "2b5e6fa739814882006349aa74447a801ebdf5038bff0945f26f0e2d028b1c2c",
         "rules.txt": "58cafacc1204533b9f529093ef1ad0da4355b5ddeeab6c54f0cebd3ea8f417b9",
         "estimate.json": "4a4035deeceaa5e82bb4f7e1c7d17d42121a5f4693115899b3fed69438978168",
     },
     "slope200-masked-0": {
         "rc": (0, 0),
-        "report.json": "7bce05f3782914369d109b63895b33982f59640fd384ed83ed07bded3b0dc65d",
+        "report.json": "4257a6eba3af5eaeb26be6f2df6404f7d35ee8132d2329b5bae4f314a73d7a2e",
         "rules.txt": "1e004f7c8263b55d4958fe4668c27cfedd8fbf24afe943507cefe6a6bb9b6eb7",
         "estimate.json": "bbabff914ce3568c279b64a7a3ab9e5180d612a0546a61a3abd3d20d2654cc16",
     },
     "slope200-cumulative-g3-0": {
         "rc": (3, 0),
-        "report.json": "64ae6a40da3cd163548c53b477fe382408e60667667496bd6abdb3df4d01638a",
+        "report.json": "64a8b588294276611adccf0fb45f1a3dbda8a42741c4a41be67dbaed9dbe17eb",
         "rules.txt": "d239c6929816522b68a4a66036cff8d6a5738b0cd0885485b358e5d1b7a35cfe",
         "estimate.json": "55ba1e30dfe62f6e762781e6fdbfbfd7af4bca75ed7be089c5b802b3ca7c813c",
     },
     "slope40-g4-0": {
         "rc": (3, 0),
-        "report.json": "8cf4be5661fd0c654c3d80f4cec6dc66c6da8e18c5457871e5f62a2163969988",
+        "report.json": "e47abd449539c43f20c349bda5f768bfc2ef61d72fe241eff614b3d5ac83800b",
         "rules.txt": "d6cb58d5af7df270cbf24adb3497b4a4e35a2c26a6f62b41db3cbabd1ed78175",
         "estimate.json": "4e8fc03af6de13f45714185ff879959471130e1fd929b28fe2c0be56fb2ed01c",
     },
     "slope40-masked-g4-0": {
         "rc": (3, 0),
-        "report.json": "720ab8d372b573f68a13960cd11929486321d2c834a9c2256f40f0d518792997",
+        "report.json": "0dd569b2a6d2ecb723d6d63197419037418986a545f5ae99bcf55fe69ba7fffe",
         "rules.txt": "04a53023e84a6e67188b0fe81082e768f166848c4bd64b5dcdc2d284128ba55a",
         "estimate.json": "c5efe660808723cda9a0d2db4f36072185d87d959421ca575aeb5e0a8719af62",
     },

@@ -6,15 +6,19 @@ import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from somrough import pipeline
 from somrough._record import replace
 from somrough.corpus import JEFFREY_OBSERVED_RATE_MS, jeffrey_table
 from somrough.errors import DataError, UsageError
 from somrough.pipeline import (
+    SETTING_TYPES,
     PipelineConfig,
     back_analyze,
     close_open,
+    config_from_settings,
     estimate_to_json,
     granular_from_json,
     granulate,
@@ -22,10 +26,10 @@ from somrough.pipeline import (
     report_rules_from_json,
     report_to_json,
 )
-from somrough.rules import RuleConstraints, RuleSet, accuracy, parse_rules
+from somrough.rules import RuleSet, accuracy, parse_rules
 from somrough.som import Discretizer
 from somrough.surrogate import generate_table
-from somrough.table import AttributeSpec, DecisionTable, split_random
+from somrough.table import AttributeSpec, DecisionTable, json_text, split_random
 
 
 @pytest.fixture(scope="module")
@@ -318,7 +322,7 @@ class TestCloseOpen:
         at most max_closed stays per level."""
         cfg = corpus_report.config
         budgets = [it.budget for it in corpus_report.iterations]
-        assert all(1 <= b <= cfg.constraints.max_rules for b in budgets)
+        assert all(1 <= b <= cfg.max_rules for b in budgets)
         stays = 1
         for prev, cur in zip(budgets, budgets[1:]):
             if cur == prev:
@@ -365,9 +369,7 @@ class TestOpenSteps:
     def _run(monkeypatch, scores, **settings):
         script = iter(scores)
         monkeypatch.setattr(pipeline, "accuracy", lambda *args: next(script))
-        cfg = PipelineConfig(
-            granules=2, el=0.5, constraints=RuleConstraints(max_rules=3), **settings
-        )
+        cfg = PipelineConfig(granules=2, el=0.5, max_rules=3, **settings)
         report = close_open(jeffrey_table(), "mvv", cfg)
         assert [it.accuracy for it in report.iterations] == scores
         assert report.el_met == report.best_iteration.accepted
@@ -485,6 +487,24 @@ class TestBackAnalyze:
         assert ranked_names[: len(core_flagged)] == core_flagged
 
 
+# Every config some run accepts; an int passes where a float is declared.
+UNIT = st.integers(0, 1) | st.floats(0.0, 1.0)
+VALID_CONFIGS = st.builds(
+    PipelineConfig,
+    min_strength=UNIT,
+    max_length=st.integers(1, 10),
+    max_rules=st.integers(1, 10),
+    runs=st.integers(1, 5),
+    max_closed=st.integers(1, 5),
+    el=UNIT,
+    train_fraction=st.just(1) | st.floats(0.0, 1.0, exclude_min=True),
+    granules=st.integers(2, 9),
+    max_open_steps=st.integers(0, 20),
+    seed=st.integers(0, 2**64),
+    semantics=st.sampled_from(["cumulative", "exact"]),
+)
+
+
 class TestReportJson:
     def test_roundtrip(self, corpus_report):
         doc = json.loads(report_to_json(corpus_report))
@@ -504,6 +524,21 @@ class TestReportJson:
         assert [s.scale for s in g.specs] == [g.discretizers[s.name].scale for s in g.specs]
         assert [s.scale for s in g.specs] == [s.scale for s in jeffrey_table().specs]
         assert {s.name for s in g.specs if s.scale == "log10"} >= {"tmd", "mvv"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=VALID_CONFIGS)
+    def test_config_round_trips_flat(self, cfg):
+        """A config written as JSON is flat, one key per setting in field
+        order, and reads back to itself."""
+        doc = json.loads(json_text(cfg))
+        assert list(doc) == list(SETTING_TYPES)
+        assert config_from_settings(doc) == cfg
+
+    def test_report_config_keys_are_the_settings(self, corpus_report):
+        doc = json.loads(report_to_json(corpus_report))
+        assert list(doc["config"]) == list(SETTING_TYPES)
+        assert list(SETTING_TYPES)[:3] == ["min_strength", "max_length", "max_rules"]
+        assert config_from_settings(doc["config"]) == corpus_report.config
 
     def test_estimate_json_shape(self, corpus_report):
         est = back_analyze(corpus_report.best_rules, ("mvv", 1), corpus_report.granular)

@@ -53,9 +53,9 @@ CASES = [
      {"support": 4}, {"conditions": ()}, UsageError),
     (DISC, ["name", "scale", "centers", "cuts"],
      {"name": "b"}, {"cuts": (2.5,)}, UsageError),
-    (PipelineConfig(runs=2, constraints=RuleConstraints(max_rules=3)),
-     ["runs", "max_closed", "el", "constraints", "train_fraction", "granules",
-      "max_open_steps", "seed", "semantics"],
+    (PipelineConfig(runs=2, max_rules=3),
+     ["min_strength", "max_length", "max_rules", "runs", "max_closed", "el", "train_fraction",
+      "granules", "max_open_steps", "seed", "semantics"],
      {"seed": 5}, {"granules": 1}, UsageError),
     (Iteration(run=1, index=2, split_seed=3, budget=4, n_rules=2, accuracy=0.5, accepted=False),
      ["run", "index", "split_seed", "budget", "n_rules", "accuracy", "accepted"],
@@ -192,7 +192,7 @@ def _samples() -> dict:
         som_config = SomConfig(grid=(2, 1), epochs=3)
         found = [
             table, g, g.specs[0], g.discretizers["mvv"], report, report.config,
-            report.config.constraints, report.best_iteration, report.best_rules, rule,
+            RuleConstraints(), report.best_iteration, report.best_rules, rule,
             rule.conditions[0], rule.decision, back_analyze(report.best_rules, ("mvv", 1), g),
             partition_by(g, g.condition_names), matrix, disc_function(matrix),
             reducts(g, decision="mvv"), som_config, train([[0.0], [1.0]], som_config),
@@ -297,7 +297,7 @@ RECORD_CHECKED = [
 
 def test_record_fields_are_found():
     named = {f"{c.__qualname__}.{n}" for c, n, _ in RECORD_CHECKED}
-    assert {"PipelineConfig.constraints", "Rule.conditions", "Rule.decision",
+    assert {"RunReport.config", "Rule.conditions", "Rule.decision",
             "RuleSet.rules", "RunReport.granular", "DecisionTable.specs"} <= named
     assert not named & {"GranularTable.discretizers", "Condition.labels"}
 
@@ -358,8 +358,8 @@ def test_optional_items_are_checked():
 def test_record_typed_fields_are_checked_when_built():
     """A record-typed field holding a string is a ``UsageError`` when the
     record is built, not a later ``AttributeError``."""
-    with pytest.raises(UsageError, match="^PipelineConfig.constraints must be RuleConstraints"):
-        PipelineConfig(constraints="x")
+    with pytest.raises(UsageError, match="^Rule.decision must be DecisionPart"):
+        Rule(conditions=(), decision="x")
     with pytest.raises(UsageError, match=r"^Rule.conditions must be tuple\[Condition, ...\]"):
         Rule(conditions=("x",), decision=DecisionPart("d", "exactly", 1))
 
@@ -410,8 +410,7 @@ def pipeline_reports():
     at the criterion-7 settings."""
     reports = [close_open(jeffrey_table(), "mvv", PipelineConfig(seed=s)) for s in (0, 1)]
     c7 = PipelineConfig(
-        granules=2, semantics="exact", seed=3,
-        constraints=RuleConstraints(min_strength=0.0, max_length=3, max_rules=8),
+        granules=2, semantics="exact", seed=3, min_strength=0.0, max_length=3, max_rules=8,
     )
     reports.append(close_open(generate_table(count=40, seed=5), "displacement", c7))
     return reports
