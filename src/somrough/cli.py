@@ -315,12 +315,11 @@ def _direct_parse(argv: list):
 
     A plain argv is a command, then ``--flag value`` pairs: each flag the
     exact long name of one of the command's options, given once, each
-    value one argparse reads as a value (not starting with ``-``, or a
-    negative number as argparse matches it, ``-5`` or ``-0.5``), every
-    required option given, and every value of its option's type and among
-    its choices. For anything else (help, abbreviations, ``--flag=value``,
-    repeats, option-like values, positionals, errors) this returns None
-    and argparse parses the argv, so every message is argparse's own.
+    value not starting with ``-``, every required option given, and every
+    value of its option's type and among its choices. For anything else
+    (help, abbreviations, ``--flag=value``, repeats, negative-looking
+    values, positionals, errors) this returns None and argparse parses
+    the argv, so every message is argparse's own.
     """
     if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
         return None
@@ -336,7 +335,7 @@ def _direct_parse(argv: list):
                 return None
             ns[flag[2:]] = kwargs.get("default")
             continue
-        if value.startswith("-") and not _negative_number(value):
+        if value.startswith("-"):
             return None
         try:
             value = kwargs.get("type", str)(value)
@@ -346,14 +345,6 @@ def _direct_parse(argv: list):
             return None
         ns[flag[2:]] = value
     return SimpleNamespace(**ns)
-
-
-def _negative_number(value: str) -> bool:
-    r"""Whether argparse reads ``value`` as a negative number, so as a value
-    (no option here looks like one): ``^-\d+$|^-\d*\.\d+$``, matched by
-    ``str.isdecimal`` (a ``\d``) rather than a pattern."""
-    whole, dot, frac = value[1:].partition(".")
-    return (frac if dot else whole).isdecimal() and (not whole or whole.isdecimal())
 
 
 def main(argv=None) -> int:

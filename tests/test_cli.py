@@ -558,12 +558,15 @@ def corpus_report_doc(tmp_path_factory):
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_file_is_2(case, tmp_path, capsys, corpus_report_doc):
     """Unreadable or malformed input files are data errors, never tracebacks,
-    and write nothing to stdout (back analysis writes no estimate)."""
+    and write nothing to stdout (back analysis writes no estimate); every
+    fault in a report is named as a malformed report file."""
     argv = BAD_INPUTS[case](tmp_path, corpus_report_doc)
     capsys.readouterr()
     assert _run(*argv) == 2
     out, err = capsys.readouterr()
     assert err.startswith("data error: ") and "Traceback" not in err
+    if case.startswith("report-"):
+        assert err.startswith("data error: malformed report file: ")
     assert out == ""
 
 
@@ -592,18 +595,6 @@ def test_keys_of_older_reports_are_ignored(tmp_path, corpus_report_doc):
                     "--out", str(out)) == 0
         estimates.append(out.read_bytes())
     assert estimates[0] == estimates[1]
-
-
-@pytest.mark.parametrize("case", [
-    "report-config-missing-max_rules", "report-config-missing-runs",
-    "report-config-min_strength-str",
-])
-def test_dropped_or_mistyped_config_key_is_malformed(case, tmp_path, capsys, corpus_report_doc):
-    """A report's config is a whole PipelineConfig: a dropped key takes
-    no default and a mistyped one is refused, each a malformed report."""
-    capsys.readouterr()
-    assert _run(*BAD_INPUTS[case](tmp_path, corpus_report_doc)) == 2
-    assert capsys.readouterr().err.startswith("data error: malformed report file: ")
 
 
 @pytest.mark.parametrize("granules", [2, 5])
@@ -1408,52 +1399,6 @@ class TestDirectParse:
             )
 
 
-# Values that start with "-": the negative numbers argparse reads as
-# values, then ones it reads as options or refuses.
-NEGATIVE_NUMBERS = ["-5", "-0.5", "-.5", "-0", "-\u0665"]
-DASHED = NEGATIVE_NUMBERS + ["-5.", "-1e3", "-inf", "-nan", "--5", "-5_0", "-", "-.", "-1.2.3"]
-
-
-@pytest.mark.parametrize("value", DASHED)
-@pytest.mark.parametrize("base, parsed", [
-    (["backanalyze", "--report", "r.json", "--observe"], NEGATIVE_NUMBERS),
-    (["surrogate", "--out", "o", "--seed"], ["-5", "-0", "-\u0665"]),
-], ids=["float", "int"])
-def test_direct_parse_takes_the_negative_numbers_argparse_takes(base, parsed, value):
-    """A dashed value parses directly exactly when argparse parses it (a
-    negative number of the option's type), to argparse's namespace."""
-    argv = [*base, value]
-    ns = _direct_parse(argv)
-    outcome = _parse_outcome(build_parser(), argv)
-    assert (ns is not None) == (outcome[0] == "parsed") == (value in parsed)
-    if ns is not None:
-        assert outcome[1] == repr(sorted(vars(ns).items()))
-
-
-def test_negative_observation_loads_no_argparse(tmp_path, corpus_report_doc):
-    """A plain backanalyze argv with a negative --observe parses directly:
-    argparse is never imported. The corpus decision has a log10 scale, so
-    the value itself is refused."""
-    report = _text_file(tmp_path, "report.json", json.dumps(corpus_report_doc))
-    script = textwrap.dedent(
-        f"""
-        import sys
-        from somrough.cli import main
-        for value in ("-5", "-0.5"):
-            rc = main(["backanalyze", "--report", {report!r}, "--observe", value])
-            assert rc == 1, rc
-        assert "argparse" not in sys.modules
-        """
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
-        env={"PYTHONPATH": src, "PATH": ""},
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stderr.count("is not > 0") == 2
-
-
 def _plain_argvs(root: Path) -> list:
     """The argv forms that perfbench and CI pass, on the corpus: exact
     long flags, each followed by its value."""
@@ -1974,11 +1919,6 @@ def _is_range_pair(value) -> bool:
     )
 
 
-def _setting_names() -> list:
-    """PipelineConfig's fields in order, RuleConstraints' three first."""
-    return [f.name for f in fields(PipelineConfig)]
-
-
 # A value other than the default for every setting, in field order.
 NON_DEFAULT = {
     "min_strength": 0.5,
@@ -2003,8 +1943,9 @@ class TestSettingsSchema:
     def test_fields_are_keys_with_default_and_type(self):
         defaults = vars(PipelineConfig())
         hints = typing.get_type_hints(PipelineConfig)
-        names = _setting_names()
+        names = list(SETTING_TYPES)
         assert names[:3] == [f.name for f in fields(RuleConstraints)]
+        assert names[:3] == ["min_strength", "max_length", "max_rules"]
         assert list(CONFIG_KEYS) == list(DEFAULTS) == names + ["decision"]
         for name in names:
             assert CONFIG_KEYS[name] is hints[name], name
@@ -2020,7 +1961,7 @@ class TestSettingsSchema:
         assert parsed == {**NON_DEFAULT, "decision": "mvv"}
 
     def test_config_file_echoed_in_report(self, tmp_path):
-        assert list(NON_DEFAULT) == _setting_names()
+        assert list(NON_DEFAULT) == list(SETTING_TYPES)
         assert all(NON_DEFAULT[k] != DEFAULTS[k] for k in NON_DEFAULT)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in NON_DEFAULT.items()) + "decision = mvv\n")

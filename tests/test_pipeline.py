@@ -534,12 +534,6 @@ class TestReportJson:
         assert list(doc) == list(SETTING_TYPES)
         assert config_from_settings(doc) == cfg
 
-    def test_report_config_keys_are_the_settings(self, corpus_report):
-        doc = json.loads(report_to_json(corpus_report))
-        assert list(doc["config"]) == list(SETTING_TYPES)
-        assert list(SETTING_TYPES)[:3] == ["min_strength", "max_length", "max_rules"]
-        assert config_from_settings(doc["config"]) == corpus_report.config
-
     def test_estimate_json_shape(self, corpus_report):
         est = back_analyze(corpus_report.best_rules, ("mvv", 1), corpus_report.granular)
         doc = json.loads(estimate_to_json(est))
