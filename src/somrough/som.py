@@ -72,24 +72,13 @@ class SomMap(Record):
     qe_log: tuple[float, ...] = ()  # error before training, then per epoch; empty if untraced
 
     @property
-    def nodes(self) -> int:
-        return len(self.weights)
-
-    @property
     def dim(self) -> int:
         return len(self.weights[0])
 
 
 def _rows(data, dim: int | None = None) -> list[tuple[float, ...]]:
-    """The rows of data as float tuples, None and NaN both read as NaN; a
-    flat sequence of numbers is read as one column."""
-    rows = []
-    for row in data:
-        try:
-            rows.append(tuple(map(float, row)))
-        except TypeError:  # a None cell, or a number of a flat sequence
-            cells = row if hasattr(row, "__iter__") else (row,)
-            rows.append(tuple(math.nan if v is None else float(v) for v in cells))
+    """The rows of data as float tuples; NaN marks a missing component."""
+    rows = [tuple(map(float, row)) for row in data]
     if not rows or not rows[0]:
         raise DataError("empty data")
     width = len(rows[0]) if dim is None else dim
@@ -159,8 +148,10 @@ def update_step(weights, x, grid: tuple[int, int], eta: float, radius: float):
 def train(data, config: SomConfig, init_weights=None, *, trace: bool = True) -> SomMap:
     """Train a map over the data's bounding box.
 
-    Weights start as seeded uniform draws inside the per-component data
-    range (or from ``init_weights``, one row per node, when given). The
+    Each row of data is a sequence of numbers, with NaN for a missing
+    component. Weights start as seeded uniform draws inside the
+    per-component data range (or from ``init_weights``, one row per node,
+    when given). The
     rows are presented in order, epoch after epoch, in one pass of
     ``total = epochs * n`` presentations; presentation ``s`` trains at rate
     ``eta0 * (1 - s / total)`` and radius ``radius0 * (1 - s / total)``.

@@ -304,6 +304,14 @@ def _edited(tmp_path, doc, edit, **settings):
     return str(path)
 
 
+def _exact_bands(doc):
+    """Exact semantics and an "exactly" band on every rule, so that the rule
+    set builds alone."""
+    doc["best"]["semantics"] = "exact"
+    for rule in doc["best"]["rules"]:
+        rule["decision"]["kind"] = "exactly"
+
+
 # Edits of the corpus report (G = 3, cumulative, max_rules 5, max_length 2,
 # min_strength 0.6, one rule of one condition) whose rules no run of its
 # config could induce, each with the settings, if any, that admit it.
@@ -485,6 +493,22 @@ BAD_INPUTS = {
     "report-rule-decision-condition": lambda tmp, doc: _rule_with(
         tmp, doc, ("decision", "attribute"), "cp"
     ),
+    "report-uncovered-past-last-row": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("best", "uncovered"), [12])
+    ),
+    "report-uncovered-negative": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("best", "uncovered"), [-1])
+    ),
+    "report-rules-exact-in-cumulative-run": lambda tmp, doc: _backanalyze(
+        _edited(tmp, doc, _exact_bands)
+    ),
+    "report-condition-attribute-repeated": lambda tmp, doc: _backanalyze(_edited(
+        tmp, doc, lambda d: _rule0(d)["conditions"].append(_rule0(d)["conditions"][0])
+    )),
+    "report-granule-zero": lambda tmp, doc: _rule_with(tmp, doc, ("decision", "granule"), 0),
+    "report-condition-unbounded": lambda tmp, doc: _rule_with(
+        tmp, doc, ("conditions", 0), {"attribute": "cb", "lo": None, "hi": None, "labels": None}
+    ),
     "report-uncovered-string": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("best", "uncovered"), ["x"])
     ),
@@ -620,6 +644,22 @@ def test_empty_or_unrendered_rules_are_malformed(case, tmp_path, capsys, corpus_
     capsys.readouterr()
     assert _run(*BAD_INPUTS[case](tmp_path, corpus_report_doc)) == 2
     assert capsys.readouterr().err.startswith("data error: malformed report file: ")
+
+
+@pytest.mark.parametrize("case, message", [
+    ("report-rules-exact-in-cumulative-run", "rules of exact semantics in a cumulative run"),
+    ("report-uncovered-past-last-row", "uncovered objects must be rows of the table"),
+    ("report-uncovered-negative", "uncovered objects must be rows of the table"),
+    ("report-condition-attribute-repeated", "rule conditions must use distinct attributes"),
+    ("report-granule-zero", "decision granule must be >= 1, got 0"),
+    ("report-condition-unbounded", "condition needs a bound or a label set"),
+])
+def test_rule_faults_are_named(case, message, tmp_path, capsys, corpus_report_doc):
+    """A report whose rules or uncovered objects no run could write is
+    malformed, with the record's own message."""
+    capsys.readouterr()
+    assert _run(*BAD_INPUTS[case](tmp_path, corpus_report_doc)) == 2
+    assert capsys.readouterr().err == f"data error: malformed report file: {message}\n"
 
 
 def test_report_table_faults_are_malformed_reports(tmp_path, capsys, corpus_report_doc):
@@ -1190,6 +1230,8 @@ BAD_CONFIG_LINES = {
     "semantics = bogus": "semantics must be one of ('cumulative', 'exact')",
     "granules = 1": "granules must be >= 2",
     "max_rules = 0": "max_length and max_rules must be positive",
+    "min_strength = 1.5": "min_strength must be in [0, 1]",
+    "max_open_steps = -1": "max_open_steps must be >= 0",
 }
 
 
@@ -1566,7 +1608,8 @@ def test_error_exits_match_without_numpy(tmp_path, capsys, corpus_report_doc):
 def test_cli_import_loads_no_heavy_modules():
     """``import somrough.cli`` in an interpreter without ``site`` loads
     neither the record machinery of ``dataclasses`` (with ``inspect``), nor
-    ``typing``, ``threading``, numpy, argparse, logging or pathlib."""
+    ``typing``, ``threading``, numpy, argparse, logging, pathlib or the
+    ``numbers`` ABCs."""
     script = (
         "import sys; before = set(sys.modules); import somrough.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
@@ -1580,7 +1623,8 @@ def test_cli_import_loads_no_heavy_modules():
     loaded = set(done.stdout.split())
     assert "somrough.cli" in loaded
     heavy = {
-        "dataclasses", "inspect", "typing", "threading", "numpy", "argparse", "logging", "pathlib"
+        "dataclasses", "inspect", "typing", "threading", "numpy", "argparse", "logging", "pathlib",
+        "numbers",
     }
     assert not loaded & heavy, sorted(loaded & heavy)
 

@@ -540,6 +540,17 @@ def test_plain_mode_refuses_a_name_that_is_no_decision():
     assert set(reducts(t, "plain").reducts) == PLAIN_CORPUS_REDUCTS
 
 
+def test_unknown_mode_and_missing_decision_refused():
+    """A mode other than plain and decision_relative is a usage error, and so
+    is a decision-relative reduct or core of a table with no decision."""
+    with pytest.raises(UsageError, match="unknown discernibility mode 'bogus'"):
+        reducts(TOY, "bogus")
+    no_decision = DecisionTable(specs=TOY.specs[:-1], rows=tuple(r[:-1] for r in TOY.rows))
+    for call in (reducts, core):
+        with pytest.raises(UsageError, match="table has no decision attribute"):
+            call(no_decision)
+
+
 class TestAxioms:
     def test_sandwich_duality_monotone(self):
         """Classic containments on seeded random tables and subsets."""

@@ -463,8 +463,13 @@ class TestGrammar:
         assert not rule.conditions[0].matches_label(None)  # a missing cell matches nothing
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(DataError):
-            parse_rule("Rule one. cb low => mvv high")
+        for line, message in [
+            ("Rule one. cb low => mvv high", "cannot parse rule line"),
+            ("Rule 1. (cb<=abc) => (mvv at most 2);", r"cannot parse condition '\(cb<=abc\)'"),
+            ("Rule 1. (cb>=1.0) & (cb>=2.0) => (mvv at most 2);", "duplicate >= bound for 'cb'"),
+        ]:
+            with pytest.raises(DataError, match=message):
+                parse_rule(line)
 
     def test_induced_rules_roundtrip(self):
         """render -> parse is the identity on conditions and decision."""

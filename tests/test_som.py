@@ -154,6 +154,24 @@ class TestTrain:
         with pytest.raises(DataError):
             train([], SomConfig(grid=(2, 1)))
 
+    @pytest.mark.parametrize("knobs, message", [
+        ({"grid": (0, 1)}, "grid dimensions must be positive"),
+        ({"eta0": 0.0}, r"eta0 must be in \(0, 1\]"),
+        ({"eta0": 1.5}, r"eta0 must be in \(0, 1\]"),
+        ({"epochs": 0}, "epochs must be positive"),
+        ({"radius0": -1.0}, "radius0 must be >= 0"),
+        ({"seed": -1}, "seed must be >= 0"),
+    ])
+    def test_config_out_of_range_refused(self, knobs, message):
+        with pytest.raises(UsageError, match=message):
+            SomConfig(**{"grid": (2, 1), **knobs})
+
+    @pytest.mark.parametrize("init", [[[0.1]], [[0.1, 0.2], [0.3, 0.4]]])
+    def test_init_weights_of_wrong_shape_refused(self, init):
+        """One row per node, one component per data column."""
+        with pytest.raises(UsageError, match="init_weights shape does not match grid"):
+            train([[0.1], [0.5]], SomConfig(grid=(2, 1)), init_weights=init)
+
     @pytest.mark.parametrize(
         "grid, dim", [((2, 1), 1), ((3, 1), 1), ((6, 1), 1), ((2, 2), 2), ((3, 1), 3)]
     )

@@ -338,13 +338,12 @@ class TestGranularLabels:
             GranularTable(specs=specs, rows=rows, discretizers=self.DISCS)
         assert str(exc.value) == message
 
-    def test_numpy_integer_labels_accepted(self):
+    def test_numpy_integer_labels_refused(self):
+        """A label is an exact int, as every record field is."""
         np = pytest.importorskip("numpy")
-        rows = ((np.int64(1), 1), (np.int64(3), 2))
-        assert GranularTable(specs=self.SPECS, rows=rows, discretizers=self.AD).rows == rows
         with pytest.raises(DataError) as exc:
-            GranularTable(specs=self.SPECS, rows=((np.int64(4), 1),), discretizers=self.AD)
-        assert str(exc.value) == "row 0, attribute 'a': label 4 exceeds granule count 3"
+            GranularTable(specs=self.SPECS, rows=((np.int64(1), 1),), discretizers=self.AD)
+        assert str(exc.value) == "row 0, attribute 'a': granule label must be a positive int"
 
     def test_row_masks(self):
         """Bit i of a mask is row i; a missing cell is in no label's mask."""
