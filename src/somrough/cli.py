@@ -10,6 +10,7 @@ met (pipeline only; outputs are still written).
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -349,12 +350,19 @@ def _direct_parse(argv: list):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    # No command leaves a reference cycle, so a collector pass finds nothing,
+    # and in a forked process it copies the inherited pages it walks.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = _direct_parse(argv) or build_parser().parse_args(argv)
         return args.func(args)
     except SomroughError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

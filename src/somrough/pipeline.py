@@ -43,9 +43,10 @@ from .table import DecisionTable, Discretizer, GranularTable, assign_granule, js
 from .table import SCALES, json_text, split_random, split_train_size
 
 # Fit presentations (rows x FIT_EPOCHS x columns) below which a forked
-# helper costs more than it saves. Forking cost about 5 ms on a 2-core VM,
-# so the fits broke even near 48,000 presentations (a 40-row, six-column
-# table); the 12-row, ten-column corpus (24,000) stays serial.
+# helper costs more than it saves. On a 2-core VM a fork round trip took
+# about 1.7 ms in a child forked like perfbench's; the 12-row, ten-column
+# corpus (24,000) fitted in 6.1 ms serially against 7.2 ms split, and a
+# 500-row surrogate table (600,000) in 100 ms against 58 ms.
 _FORK_MIN_PRESENTATIONS = 60_000
 
 

@@ -3,6 +3,7 @@
 import abc
 import contextlib
 import copy
+import gc
 import importlib.resources
 import io
 import json
@@ -39,6 +40,7 @@ from somrough.pipeline import SETTING_TYPES, PipelineConfig, granulate
 from somrough.rules import Rule, RuleConstraints, render_rule
 from somrough.surrogate import DEFAULT_RANGES
 from somrough.table import Discretizer, load_schema, load_table
+from test_golden import _slope_files, slope_table
 
 DATA_DIR = importlib.resources.files("somrough.data")
 CORPUS = str(DATA_DIR.joinpath("jeffrey_runs.csv"))
@@ -1656,6 +1658,103 @@ def test_one_shot_calls_skip_abc_checks_and_json_encoder(tmp_path, monkeypatch):
             "--observe", repr(JEFFREY_OBSERVED_RATE_MS), "--out", str(out / "estimate.json")]
     assert main(argv) == 0
     assert counts == {}
+
+
+def _cycle_free_argvs(root: Path) -> list:
+    """(exit code, plain argv) of every command on the corpus, of two error
+    exits, and of a ``discretize`` whose 200-row table (240,000
+    presentations) fits its quantizers in two processes where a second CPU
+    is free."""
+    out = str(root)
+    report = out + "/p/report.json"
+    bad = root / "bad.json"
+    bad.write_text('{"decision": "mvv"}')
+    data, schema = _slope_files(root, slope_table(200, seed=3))
+    return [
+        (3, ["pipeline", *_TABLE, "--decision", "mvv", "--out", out + "/p"]),
+        (0, ["backanalyze", "--report", report, "--observe", repr(JEFFREY_OBSERVED_RATE_MS),
+             "--out", out + "/e.json"]),
+        (0, ["discretize", *_TABLE, "--out", out + "/d"]),
+        (0, ["rules", *_TABLE, "--decision", "mvv", "--out", out + "/rules"]),
+        (0, ["reducts", *_TABLE, "--decision", "mvv", "--out", out + "/reducts.txt"]),
+        (0, ["surrogate", "--count", "50", "--seed", "7", "--out", out + "/table"]),
+        (2, ["backanalyze", "--report", str(bad), "--observe", "1.0"]),
+        (1, ["backanalyze", "--report", report, "--observe", "0"]),
+        (0, ["discretize", "--data", data, "--schema", schema, "--out", out + "/slope",
+             "--granules", "2", "--seed", "0"]),
+    ]
+
+
+def test_commands_leave_no_reference_cycles(tmp_path):
+    """``main`` pauses the cyclic collector because it would find nothing:
+    after a warm-up call (first-use caches), a second call of each plain
+    argv leaves no unreachable object behind. argparse's path is left out:
+    its parser graph leaves about 430 objects in cycles (429 for
+    ``backanalyze --report``), which the collector frees once ``main``
+    turns it back on."""
+    leaks = []
+    for code, argv in _cycle_free_argvs(tmp_path):
+        assert main(argv) == code, argv
+        collecting, flags = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(argv) == code, argv
+            found = gc.collect()
+            kinds = sorted({type(o).__name__ for o in gc.garbage})
+        finally:
+            gc.garbage.clear()
+            gc.set_debug(flags)
+            if collecting:
+                gc.enable()
+        if found or kinds:
+            leaks.append((argv, found, kinds))
+    assert not leaks, leaks
+
+
+WAYS_OUT = {
+    "exit-0": (0, lambda out: ["reducts", *_TABLE]),
+    "exit-3": (3, lambda out: ["pipeline", *_TABLE, "--decision", "mvv", "--out", out]),
+    "usage-error": (1, lambda out: ["pipeline", *_TABLE, "--out", out, "--granules", "1"]),
+    "data-error": (2, lambda out: ["discretize", "--data", out + "/nope.csv", "--schema",
+                                   SCHEMA, "--out", out]),
+    "argparse-usage-error": (1, lambda out: ["pipeline", "--data", CORPUS]),
+    "help": (SystemExit, lambda out: ["backanalyze", "--help"]),
+}
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("case", sorted(WAYS_OUT))
+def test_main_restores_the_collector(case, collecting, tmp_path):
+    """``main`` leaves the cyclic collector as its caller had it, on every
+    way out: an exit code, a ``SomroughError``, an argparse error, help."""
+    expected, argv = WAYS_OUT[case]
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if expected is SystemExit:
+            with pytest.raises(SystemExit):
+                main(argv(str(tmp_path)))
+        else:
+            assert main(argv(str(tmp_path))) == expected
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_command_runs_with_the_collector_paused(tmp_path, monkeypatch):
+    seen = []
+    original = cli.close_open
+
+    def close_open(*args):
+        seen.append(gc.isenabled())
+        return original(*args)
+
+    monkeypatch.setattr(cli, "close_open", close_open)
+    assert gc.isenabled()
+    assert main(["pipeline", *_TABLE, "--decision", "mvv", "--out", str(tmp_path)]) == 3
+    assert seen == [False] and gc.isenabled()
 
 
 def test_crlf_inputs_read_like_lf(tmp_path):
