@@ -16,6 +16,7 @@ import os
 import sys
 from types import SimpleNamespace
 
+from ._record import fields
 from .errors import DataError, SomroughError, UsageError
 from .pipeline import (
     SETTING_TYPES,
@@ -29,10 +30,9 @@ from .pipeline import (
     granulate_observation,
     report_rules_from_json,
     report_to_json,
-    rules_text,
 )
 from .rough import reduct_report, reducts
-from .rules import check_rules, induce_cover, render_rules
+from .rules import RuleConstraints, check_rules, induce_cover, render_rules
 from .surrogate import DEFAULT_STEEPNESS, generate_table
 from .table import dump_schema, json_record, json_text, load_schema, load_table, to_csv
 
@@ -135,7 +135,7 @@ def cmd_rules(args) -> int:
     table = _load_inputs(args)
     decision = table.decision(decision)
     g = granulate(table, granules=cfg.granules, seed=cfg.seed)
-    rs = induce_cover(g, decision, cfg, cfg.semantics)
+    rs = induce_cover(g, decision, cfg)
     _write(os.path.join(args.out, "rules.txt"), render_rules(rs))
     print(
         f"{len(rs.rules)} rule(s), {len(rs.uncovered)} uncovered object(s)", file=sys.stderr
@@ -170,8 +170,8 @@ def cmd_backanalyze(args) -> int:
         decision = granular.decision(doc["decision"])
         if any(d.granules != config.granules for d in granular.discretizers.values()):
             raise ValueError("a quantizer's granule count differs from config.granules")
-        check_rules(rules, granular, decision, config, config.semantics)
-        if doc["best"]["rules_text"] != rules_text(rules):
+        check_rules(rules, granular, decision, config)
+        if doc["best"]["rules_text"] != render_rules(rules).splitlines():
             raise ValueError("best.rules_text is not the text of best.rules")
     except (KeyError, TypeError, ValueError, RecursionError, UsageError, DataError) as exc:
         raise DataError(f"malformed report file: {exc}") from None
@@ -235,7 +235,7 @@ def _table_options(keys):
     ) + _settings(keys)
 
 
-_RULE_KEYS = ("granules", "min_strength", "max_length", "max_rules", "semantics")
+_RULE_KEYS = ("granules", *(f.name for f in fields(RuleConstraints)))
 
 # name -> (help, handler, options), in help order. Each option is a flag
 # and the keyword arguments argparse's add_argument takes for it;

@@ -34,9 +34,8 @@ from .rules import (
     RuleConstraints,
     RuleSet,
     accuracy,
-    check_semantics,
     induce_cover,
-    render_rule,
+    render_rules,
 )
 from .som import FIT_EPOCHS, fit_table_discretizer
 from .table import DecisionTable, Discretizer, GranularTable, assign_granule, json_record
@@ -61,7 +60,6 @@ class PipelineConfig(RuleConstraints):
     granules: int = 3
     max_open_steps: int = 10  # budget adjustments allowed per run
     seed: int = 0
-    semantics: str = "cumulative"
 
     def __post_init__(self):
         super().__post_init__()
@@ -77,7 +75,6 @@ class PipelineConfig(RuleConstraints):
             raise UsageError("train_fraction must be in (0, 1]")
         if self.seed < 0:
             raise UsageError("seed must be >= 0")
-        check_semantics(self.semantics)
 
     @property
     def max_iterations(self) -> int:
@@ -274,7 +271,7 @@ def close_open(table: DecisionTable, decision: str, cfg: PipelineConfig) -> RunR
             split_seed = rng.integers(2**31 - 1)
             train, test = split_random(gtable, cfg.train_fraction, split_seed)
             cons = replace(cfg, max_rules=budget)
-            rs = induce_cover(gtable, decision, cons, cfg.semantics, train)
+            rs = induce_cover(gtable, decision, cons, train)
             acc = accuracy(rs, gtable, decision, test)
             accepted = acc >= cfg.el
             it = Iteration(
@@ -375,11 +372,6 @@ def back_analyze(
 # --- JSON serialization ----------------------------------------------------
 
 
-def rules_text(rs: RuleSet) -> list[str]:
-    """The rendered rule lines a report keeps beside its rules."""
-    return [render_rule(r, i) for i, r in enumerate(rs.rules, start=1)]
-
-
 def report_to_json(report: RunReport) -> str:
     doc = {
         "config": report.config,
@@ -392,10 +384,9 @@ def report_to_json(report: RunReport) -> str:
             "run": report.best_iteration.run,
             "split_seed": report.best_iteration.split_seed,
             "budget": report.best_iteration.budget,
-            "semantics": report.best_rules.semantics,
             "uncovered": list(report.best_rules.uncovered),
             "rules": report.best_rules.rules,
-            "rules_text": rules_text(report.best_rules),
+            "rules_text": render_rules(report.best_rules).splitlines(),
         },
         "discretizers": dict(sorted(report.granular.discretizers.items())),
         "granular": {
@@ -408,7 +399,10 @@ def report_to_json(report: RunReport) -> str:
 
 
 def report_rules_from_json(doc: dict) -> RuleSet:
-    return from_json(RuleSet, doc["best"])
+    """The best rule set of a report, of the semantics its config states.
+    A ``best.semantics``, which older reports carry, is not read."""
+    best, semantics = doc["best"], doc["config"]["semantics"]
+    return from_json(RuleSet, {**best, "semantics": semantics} if type(best) is dict else best)
 
 
 def granular_from_json(doc: dict) -> GranularTable:

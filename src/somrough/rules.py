@@ -121,15 +121,20 @@ class Rule(Record):
 
 
 class RuleConstraints(Record):
+    """What induction may produce: scores, sizes, and the band kind
+    (``BAND_KIND``) the semantics gives every rule's decision."""
+
     min_strength: float = 0.60
     max_length: int = 2
     max_rules: int = 5
+    semantics: str = "cumulative"
 
     def __post_init__(self):
         if not 0.0 <= self.min_strength <= 1.0:
             raise UsageError("min_strength must be in [0, 1]")
         if self.max_length < 1 or self.max_rules < 1:
             raise UsageError("max_length and max_rules must be positive")
+        check_semantics(self.semantics)
 
 
 class RuleSet(Record):
@@ -157,13 +162,11 @@ def _interval_condition(table: GranularTable, attr: str, g_lo: int, g_hi: int) -
     return Condition(attribute=attr, lo=lo, hi=hi, labels=frozenset(range(g_lo, g_hi + 1)))
 
 
-def check_rules(
-    rs: RuleSet, table: GranularTable, decision: str, constraints: RuleConstraints, semantics: str
-) -> None:
+def check_rules(rs: RuleSet, table: GranularTable, decision: str, constraints: RuleConstraints):
     """Raise ``UsageError`` unless ``rs`` could have been induced on
-    ``table`` for ``decision`` under ``constraints`` and ``semantics``: the
-    rule set has that semantics and at most ``max_rules`` rules, each with
-    at most ``max_length`` conditions and a strength no lower than
+    ``table`` for ``decision`` under ``constraints``: the rule set has
+    their semantics and at most ``max_rules`` rules, each with at most
+    ``max_length`` conditions and a strength no lower than
     ``min_strength``; each condition is on a condition attribute and equals
     the condition its label range gives, a proper sub-range of the granules
     of the attribute's quantizer with that quantizer's cuts as bounds, so a
@@ -174,6 +177,7 @@ def check_rules(
     to the number of the table's objects in its band, as induction divides
     by the training positives inside the band; and every uncovered entry
     is a row number of the table, ``0 <= i < len(table)``."""
+    semantics = constraints.semantics
     if rs.semantics != semantics:
         raise UsageError(f"rules of {rs.semantics} semantics in a {semantics} run")
     if len(rs.rules) > constraints.max_rules:
@@ -226,29 +230,24 @@ def check_rules(
 
 
 def induce_cover(
-    table: GranularTable,
-    decision: str,
-    constraints: RuleConstraints,
-    semantics: str = "cumulative",
-    rows: int | None = None,
+    table: GranularTable, decision: str, constraints: RuleConstraints, rows: int | None = None
 ) -> RuleSet:
     """Greedy sequential covering of the training rows: the row mask
     ``rows`` of ``table``, or every row when it is None. ``decision`` goes
     through ``DecisionTable.decision``, so None names the only one.
 
-    Targets are each decision class (exact semantics) or each proper
-    downward band "at most g", g < G (cumulative), with G the granule
-    count of the decision's quantizer, whatever labels ``rows`` holds. A
-    rule grows one condition at a time, picking the candidate that keeps
-    the most still-uncovered positives, then the fewest negatives, then
-    the lowest attribute index; it is accepted only when it matches no
-    negative and its strength clears the floor. Covered positives leave
-    the pool until everything coverable is covered or the rule budget
-    runs out.
+    Targets, under the constraints' semantics, are each decision class
+    (exact) or each proper downward band "at most g", g < G (cumulative),
+    with G the granule count of the decision's quantizer, whatever labels
+    ``rows`` holds. A rule grows one condition at a time, picking the
+    candidate that keeps the most still-uncovered positives, then the
+    fewest negatives, then the lowest attribute index; it is accepted only
+    when it matches no negative and its strength clears the floor. Covered
+    positives leave the pool until everything coverable is covered or the
+    rule budget runs out.
     """
     decision = table.decision(decision)
-    check_semantics(semantics)
-
+    semantics = constraints.semantics
     if rows is None:
         rows = (1 << len(table)) - 1
     label_masks = table.masks()[0]

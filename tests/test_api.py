@@ -1,11 +1,15 @@
 """The public names of the package."""
 
+import inspect
+
 import pytest
 
 import somrough
 import somrough.pipeline
 import somrough.rough
+import somrough.rules
 import somrough.som
+from somrough._record import fields
 
 # Object-level rough-set oracles that tests/oracles.py holds; the package
 # does not ship them.
@@ -52,3 +56,16 @@ def test_settings_record_is_flat():
     assert isinstance(cfg, somrough.RuleConstraints)
     assert not hasattr(cfg, "constraints")
     assert not hasattr(somrough.pipeline, "config_settings")
+
+
+def test_semantics_is_a_rule_constraint():
+    """A run's semantics is declared once, as the last field of
+    ``RuleConstraints``: induction and the rule check read it from there,
+    and reports render their rule text with ``render_rules``."""
+    assert [f.name for f in fields(somrough.RuleConstraints)] == [
+        "min_strength", "max_length", "max_rules", "semantics",
+    ]
+    assert "semantics" not in vars(somrough.PipelineConfig)["__annotations__"]
+    for function in (somrough.induce_cover, somrough.rules.check_rules):
+        assert "semantics" not in inspect.signature(function).parameters
+    assert not hasattr(somrough.pipeline, "rules_text")

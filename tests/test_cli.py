@@ -307,9 +307,7 @@ def _edited(tmp_path, doc, edit, **settings):
 
 
 def _exact_bands(doc):
-    """Exact semantics and an "exactly" band on every rule, so that the rule
-    set builds alone."""
-    doc["best"]["semantics"] = "exact"
+    """An "exactly" band on every rule, the band kind of exact semantics."""
     for rule in doc["best"]["rules"]:
         rule["decision"]["kind"] = "exactly"
 
@@ -321,7 +319,7 @@ UNINDUCIBLE = {
     "band-at-most-3": (lambda doc: _rule0(doc)["decision"].update(kind="at_most", granule=3), {}),
     "band-at-least-1": (lambda doc: _rule0(doc)["decision"].update(kind="at_least", granule=1), {}),
     "band-exactly-2": (lambda doc: _rule0(doc)["decision"].update(kind="exactly", granule=2), {}),
-    "semantics-exact": (lambda doc: doc["best"].update(semantics="exact"), {}),
+    "semantics-exact": (lambda doc: doc["config"].update(semantics="exact"), {}),
     "condition-on-every-granule": (
         lambda doc: _rule0(doc)["conditions"][0].update(lo=None, hi=None, labels=[1, 2, 3]), {}
     ),
@@ -477,7 +475,7 @@ BAD_INPUTS = {
         _report_with(tmp, doc, ("config", "granules"), 5)
     ),
     "report-number-semantics": lambda tmp, doc: _backanalyze(
-        _report_with(tmp, doc, ("best", "semantics"), 5)
+        _report_with(tmp, doc, ("config", "semantics"), 5)
     ),
     # Rule records that read well alone but contradict the report's table.
     "report-condition-unknown-attribute": lambda tmp, doc: _rule_with(
@@ -649,7 +647,8 @@ def test_empty_or_unrendered_rules_are_malformed(case, tmp_path, capsys, corpus_
 
 
 @pytest.mark.parametrize("case, message", [
-    ("report-rules-exact-in-cumulative-run", "rules of exact semantics in a cumulative run"),
+    ("report-rules-exact-in-cumulative-run",
+     "rule decision kind 'exactly' under cumulative semantics"),
     ("report-uncovered-past-last-row", "uncovered objects must be rows of the table"),
     ("report-uncovered-negative", "uncovered objects must be rows of the table"),
     ("report-condition-attribute-repeated", "rule conditions must use distinct attributes"),
@@ -874,8 +873,7 @@ class TestPipelineReport:
             "iterations", "best", "discretizers", "granular",
         }
         assert set(doc["best"]) == {
-            "accuracy", "run", "split_seed", "budget", "semantics", "uncovered", "rules",
-            "rules_text",
+            "accuracy", "run", "split_seed", "budget", "uncovered", "rules", "rules_text",
         }
         assert set(doc["granular"]) == {"attributes", "roles", "rows"}
         assert doc["config"]["el"] == 0.80
@@ -2067,6 +2065,7 @@ NON_DEFAULT = {
     "min_strength": 0.5,
     "max_length": 3,
     "max_rules": 4,
+    "semantics": "exact",
     "runs": 2,
     "max_closed": 1,
     "el": 0.5,
@@ -2074,7 +2073,6 @@ NON_DEFAULT = {
     "granules": 2,
     "max_open_steps": 2,
     "seed": 3,
-    "semantics": "exact",
 }
 
 
@@ -2087,8 +2085,8 @@ class TestSettingsSchema:
         defaults = vars(PipelineConfig())
         hints = typing.get_type_hints(PipelineConfig)
         names = list(SETTING_TYPES)
-        assert names[:3] == [f.name for f in fields(RuleConstraints)]
-        assert names[:3] == ["min_strength", "max_length", "max_rules"]
+        assert names[:4] == [f.name for f in fields(RuleConstraints)]
+        assert names[:4] == ["min_strength", "max_length", "max_rules", "semantics"]
         assert list(CONFIG_KEYS) == list(DEFAULTS) == names + ["decision"]
         for name in names:
             assert CONFIG_KEYS[name] is hints[name], name

@@ -8,7 +8,10 @@ the ``discretize`` digests when it began writing its quantizers as JSON (its
 ``granulated.csv`` bytes were unchanged by that); the ``report.json`` digests
 when the run settings became one flat record, which moved the three rule
 constraints to the head of ``config`` (each report parsed equal to its
-predecessor, and the ``rules.txt`` and ``estimate.json`` digests did not move).
+predecessor, and the ``rules.txt`` and ``estimate.json`` digests did not move),
+and again when ``semantics`` joined them and reports stopped writing
+``best.semantics`` (each report parsed equal to its predecessor without that
+key; the other digests did not move).
 Any change to the quantizer, the splitting or the rule layer that moves one
 byte of ``report.json``, ``rules.txt`` or ``estimate.json``, or of the
 ``discretizers.json`` and ``granulated.csv`` that ``discretize`` writes,
@@ -99,43 +102,43 @@ def run_cli(tmp_path, data, schema, flags, observed) -> dict:
 GOLDEN = {
     "corpus-0": {
         "rc": (3, 0),
-        "report.json": "28f09cc7022ce6bdc4af603235889fe524669196e7f1e2913151b422748fbcb9",
+        "report.json": "c68dfb903a3fffc3ae2098dee078ea0ac92799b9236f4a535b50614ff1ee3b22",
         "rules.txt": "b03fa775349ef4528ea5e5d47bae3a23a33f8048efa1c93c1780444cd62b0989",
         "estimate.json": "bc726cebaffb1d8d80c61684c816f1f7037b082b8ec997a02508c5e28c748a56",
     },
     "corpus-2": {
         "rc": (3, 0),
-        "report.json": "aeeef812a4888d0df926978356f70f2517a11e6c5ee987962984875a4eef114f",
+        "report.json": "73f908749118f9c9546b0c4be34756a490f4f242c47c1320bcca12d46a61da01",
         "rules.txt": "91e94c5cc19d98319f072fff89160536871e15053f6e9280b02dce0b6252c039",
         "estimate.json": "4a5311986d08b492904602db475fc15835d6e16f2a88d2fc9b5d1c6b8a6e613c",
     },
     "slope200-0": {
         "rc": (3, 0),
-        "report.json": "2b5e6fa739814882006349aa74447a801ebdf5038bff0945f26f0e2d028b1c2c",
+        "report.json": "0e47ed20a137515ed4e9863e05bad6572d772b35b5328aa21dfc41307f41e043",
         "rules.txt": "58cafacc1204533b9f529093ef1ad0da4355b5ddeeab6c54f0cebd3ea8f417b9",
         "estimate.json": "4a4035deeceaa5e82bb4f7e1c7d17d42121a5f4693115899b3fed69438978168",
     },
     "slope200-masked-0": {
         "rc": (0, 0),
-        "report.json": "4257a6eba3af5eaeb26be6f2df6404f7d35ee8132d2329b5bae4f314a73d7a2e",
+        "report.json": "f278ce9355506c5c09e974f4981b651aef87fe9345947c0bc42657a522b11909",
         "rules.txt": "1e004f7c8263b55d4958fe4668c27cfedd8fbf24afe943507cefe6a6bb9b6eb7",
         "estimate.json": "bbabff914ce3568c279b64a7a3ab9e5180d612a0546a61a3abd3d20d2654cc16",
     },
     "slope200-cumulative-g3-0": {
         "rc": (3, 0),
-        "report.json": "64a8b588294276611adccf0fb45f1a3dbda8a42741c4a41be67dbaed9dbe17eb",
+        "report.json": "e30164d187e82f3d1e4dab01e0a30133b7794f4085ffeb7df50f4bd71a3a17a7",
         "rules.txt": "d239c6929816522b68a4a66036cff8d6a5738b0cd0885485b358e5d1b7a35cfe",
         "estimate.json": "55ba1e30dfe62f6e762781e6fdbfbfd7af4bca75ed7be089c5b802b3ca7c813c",
     },
     "slope40-g4-0": {
         "rc": (3, 0),
-        "report.json": "e47abd449539c43f20c349bda5f768bfc2ef61d72fe241eff614b3d5ac83800b",
+        "report.json": "14bf21a60b28b947400853b2b79d8b33d81cb2c9dafd79fb71e1277ea8c756c9",
         "rules.txt": "d6cb58d5af7df270cbf24adb3497b4a4e35a2c26a6f62b41db3cbabd1ed78175",
         "estimate.json": "4e8fc03af6de13f45714185ff879959471130e1fd929b28fe2c0be56fb2ed01c",
     },
     "slope40-masked-g4-0": {
         "rc": (3, 0),
-        "report.json": "0dd569b2a6d2ecb723d6d63197419037418986a545f5ae99bcf55fe69ba7fffe",
+        "report.json": "ba0d73b10aca260126f2c12ea27e3233976cba299bceddd5938a29fdd90c2106",
         "rules.txt": "04a53023e84a6e67188b0fe81082e768f166848c4bd64b5dcdc2d284128ba55a",
         "estimate.json": "c5efe660808723cda9a0d2db4f36072185d87d959421ca575aeb5e0a8719af62",
     },

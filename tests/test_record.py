@@ -54,8 +54,8 @@ CASES = [
     (DISC, ["name", "scale", "centers", "cuts"],
      {"name": "b"}, {"cuts": (2.5,)}, UsageError),
     (PipelineConfig(runs=2, max_rules=3),
-     ["min_strength", "max_length", "max_rules", "runs", "max_closed", "el", "train_fraction",
-      "granules", "max_open_steps", "seed", "semantics"],
+     ["min_strength", "max_length", "max_rules", "semantics", "runs", "max_closed", "el",
+      "train_fraction", "granules", "max_open_steps", "seed"],
      {"seed": 5}, {"granules": 1}, UsageError),
     (Iteration(run=1, index=2, split_seed=3, budget=4, n_rules=2, accuracy=0.5, accepted=False),
      ["run", "index", "split_seed", "budget", "n_rules", "accuracy", "accepted"],

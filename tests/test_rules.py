@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from somrough._record import replace
 from somrough.errors import DataError, UsageError
 from somrough.pipeline import granulate
 from somrough.rules import (
@@ -31,6 +32,7 @@ from somrough.table import AttributeSpec, GranularTable
 GOLDEN = Path(__file__).parent / "data" / "jeffrey_rules_golden.txt"
 
 LOOSE = RuleConstraints(min_strength=0.0, max_length=10, max_rules=100)
+LOOSE_EXACT = replace(LOOSE, semantics="exact")
 
 
 def _quantizer(name: str, g: int) -> Discretizer:
@@ -58,7 +60,7 @@ TOY = _gtable({"a": [2, 1, 1]}, [2, 1, 1])
 class TestInduceCover:
     def test_toy_two_rule_cover(self):
         """One rule per class, both at full strength, nothing uncovered."""
-        rs = induce_cover(TOY, "d", LOOSE, semantics="exact")
+        rs = induce_cover(TOY, "d", LOOSE_EXACT)
         assert len(rs.rules) == 2
         by_class = {r.decision.granule: r for r in rs.rules}
         assert by_class[1].conditions[0].labels == frozenset({1})
@@ -67,20 +69,20 @@ class TestInduceCover:
         assert rs.uncovered == ()
 
     def test_rule_budget_clamp(self):
-        rs = induce_cover(TOY, "d", RuleConstraints(0.0, 10, 1), semantics="exact")
+        rs = induce_cover(TOY, "d", RuleConstraints(0.0, 10, 1, "exact"))
         assert len(rs.rules) == 1
         assert rs.uncovered != ()
 
     def test_consistent_table_fully_covered(self):
         t = _gtable({"a": [1, 1, 2, 2], "b": [1, 2, 1, 2]}, [1, 1, 2, 2])
-        rs = induce_cover(t, "d", LOOSE, semantics="exact")
+        rs = induce_cover(t, "d", LOOSE_EXACT)
         assert rs.uncovered == ()
 
     def test_emitted_rules_are_consistent(self):
         """No emitted rule may match an object outside its decision band."""
         t = _gtable({"a": [1, 1, 2, 2, 3], "b": [1, 2, 1, 2, 2]}, [1, 1, 2, 2, 3])
         for semantics in ("exact", "cumulative"):
-            rs = induce_cover(t, "d", LOOSE, semantics=semantics)
+            rs = induce_cover(t, "d", replace(LOOSE, semantics=semantics))
             rows = [dict(zip(t.names, row)) for row in t.rows]
             for rule in rs.rules:
                 for row in rows:
@@ -92,8 +94,8 @@ class TestInduceCover:
             {"a": [1, 1, 2, 2, 3, 3], "b": [1, 2, 1, 2, 1, 2], "c": [2, 2, 1, 1, 2, 1]},
             [1, 1, 1, 2, 2, 2],
         )
-        cons = RuleConstraints(min_strength=0.5, max_length=2, max_rules=3)
-        rs = induce_cover(t, "d", cons, semantics="exact")
+        cons = RuleConstraints(min_strength=0.5, max_length=2, max_rules=3, semantics="exact")
+        rs = induce_cover(t, "d", cons)
         assert len(rs.rules) <= 3
         for r in rs.rules:
             assert r.length <= 2
@@ -101,7 +103,7 @@ class TestInduceCover:
 
     def test_cumulative_targets_downward_bands(self):
         t = _gtable({"a": [1, 1, 2, 3]}, [1, 1, 2, 3])
-        rs = induce_cover(t, "d", LOOSE, semantics="cumulative")
+        rs = induce_cover(t, "d", LOOSE)
         assert all(r.decision.kind == "at_most" for r in rs.rules)
         assert all(r.decision.granule < 3 for r in rs.rules)
         # The lowest band can never be covered by a downward rule.
@@ -111,8 +113,8 @@ class TestInduceCover:
         t = _gtable(
             {"a": [1, 2, 1, 2, 3, 1], "b": [2, 1, 2, 2, 1, 1]}, [1, 1, 2, 2, 2, 1]
         )
-        a = induce_cover(t, "d", LOOSE, semantics="exact")
-        b = induce_cover(t, "d", LOOSE, semantics="exact")
+        a = induce_cover(t, "d", LOOSE_EXACT)
+        b = induce_cover(t, "d", LOOSE_EXACT)
         assert a == b
 
     def test_bad_decision_name(self):
@@ -162,7 +164,7 @@ def test_induce_cover_pinned_on_surrogate(semantics):
     recorded rules, scores and uncovered objects exactly."""
     text, scores, uncovered = SURROGATE_200_PIN[semantics]
     g = granulate(generate_table(count=200, seed=3), 2, seed=0)
-    rs = induce_cover(g, "displacement", CRITERION7, semantics=semantics)
+    rs = induce_cover(g, "displacement", replace(CRITERION7, semantics=semantics))
     assert render_rules(rs) == text
     assert tuple((r.support, r.strength) for r in rs.rules) == scores
     assert rs.uncovered == uncovered
@@ -170,7 +172,7 @@ def test_induce_cover_pinned_on_surrogate(semantics):
 
 class TestStrength:
     def test_full_class(self):
-        rs = induce_cover(TOY, "d", LOOSE, semantics="exact")
+        rs = induce_cover(TOY, "d", LOOSE_EXACT)
         rule = next(r for r in rs.rules if r.decision.granule == 1)
         assert rule.strength == 1.0
         assert rule.support == 2
@@ -179,7 +181,7 @@ class TestStrength:
         """Strength divides by the whole decision class, not by the objects
         still uncovered when the rule grows."""
         t = _gtable({"a": [1, 2, 2]}, [1, 1, 1])
-        rs = induce_cover(t, "d", LOOSE, semantics="exact")
+        rs = induce_cover(t, "d", LOOSE_EXACT)
         rule = rs.rules[1]
         assert rule.conditions[0].labels == frozenset({1})
         assert rule.support == 1
@@ -225,7 +227,7 @@ class TestClassify:
 
 class TestAccuracy:
     def test_all_correct(self):
-        rs = induce_cover(TOY, "d", LOOSE, semantics="exact")
+        rs = induce_cover(TOY, "d", LOOSE_EXACT)
         assert accuracy(rs, TOY, "d") == 1.0
 
     def test_empty_ruleset_scores_zero(self):
@@ -246,7 +248,7 @@ class TestAccuracy:
     def test_empty_test_vacuous(self):
         """An empty test set earns nothing: 0.0, as when no test object
         has a decision, not a vacuous 1.0."""
-        rs = induce_cover(TOY, "d", LOOSE, semantics="exact")
+        rs = induce_cover(TOY, "d", LOOSE_EXACT)
         assert accuracy(rs, TOY, "d", rows=0) == 0.0
 
 
@@ -260,7 +262,7 @@ class TestMissingDecision:
     def test_masked_object_is_not_a_negative(self, semantics):
         """The rule a = 1 => d 1 holds on every object with a decision; the
         masked object must not veto it."""
-        rs = induce_cover(MASKED, "d", LOOSE, semantics=semantics)
+        rs = induce_cover(MASKED, "d", replace(LOOSE, semantics=semantics))
         first = [r for r in rs.rules if r.decision.granule == 1]
         assert len(first) == 1
         assert first[0].conditions[0].labels == frozenset({1})
@@ -268,7 +270,7 @@ class TestMissingDecision:
         assert 0 not in rs.uncovered and 1 not in rs.uncovered
 
     def test_masked_test_object_is_not_scored(self):
-        rs = induce_cover(MASKED, "d", LOOSE, semantics="exact")
+        rs = induce_cover(MASKED, "d", LOOSE_EXACT)
         assert accuracy(rs, MASKED, "d") == 1.0  # objects 0, 2, 3
         # An abstention on the masked object is no correct answer.
         empty = RuleSet(rules=())
@@ -316,10 +318,11 @@ class TestMaskOracle:
     @example(case=(_gtable({"a": [1, 2, None]}, [2, None, 1]), 0, LOOSE, "cumulative"))
     def test_rules_scores_and_uncovered(self, case):
         table, mask, cons, semantics = case
+        cons = replace(cons, semantics=semantics)
         rows = [dict(zip(table.names, r)) for r in table.rows]
         picked = [i for i in range(len(rows)) if mask >> i & 1]
-        rs = induce_cover(table, "d", cons, semantics, rows=mask)
-        check_rules(rs, table, "d", cons, semantics)
+        rs = induce_cover(table, "d", cons, rows=mask)
+        check_rules(rs, table, "d", cons)
         assert render_rules(rs).count("\n") == len(rs.rules)
         if not mask:
             assert rs.rules == () and rs.uncovered == ()
@@ -343,7 +346,7 @@ class TestMaskOracle:
     def test_accuracy_per_object(self, case, test_mask):
         table, mask, cons, semantics = case
         test_mask &= (1 << len(table)) - 1
-        rs = induce_cover(table, "d", cons, semantics, rows=mask)
+        rs = induce_cover(table, "d", replace(cons, semantics=semantics), rows=mask)
         scored = [
             dict(zip(table.names, r)) for i, r in enumerate(table.rows)
             if test_mask >> i & 1 and r[-1] is not None
@@ -390,7 +393,7 @@ class TestSemanticsBands:
         table, mask, cons, _ = case
         rows = [dict(zip(table.names, r)) for r in table.rows]
         for semantics, other in (("cumulative", "exact"), ("exact", "cumulative")):
-            rs = induce_cover(table, "d", cons, semantics, rows=mask)
+            rs = induce_cover(table, "d", replace(cons, semantics=semantics), rows=mask)
             assert [classify(rs, row) for row in rows] == [_reference_vote(rs, r) for r in rows]
             alien = Rule(
                 conditions=(Condition(table.condition_names[0], labels=frozenset({1})),),
@@ -477,7 +480,7 @@ class TestGrammar:
         from somrough.surrogate import DECISION_NAME, generate_table
 
         g = granulate(generate_table(count=60, seed=3), granules=2, seed=0)
-        rs = induce_cover(g, DECISION_NAME, RuleConstraints(0.0, 3, 8), semantics="exact")
+        rs = induce_cover(g, DECISION_NAME, RuleConstraints(0.0, 3, 8, "exact"))
         assert rs.rules, "induction produced no rules on the surrogate table"
         for i, rule in enumerate(rs.rules, start=1):
             back = parse_rule(render_rule(rule, i))
