@@ -97,6 +97,7 @@ def displacement_proxy(fs: float, steepness: float = DEFAULT_STEEPNESS) -> float
 
 
 def generate_table(
+    *,
     ranges: dict | None = None,
     count: int = 30,
     seed: int = 0,
@@ -104,6 +105,8 @@ def generate_table(
 ) -> DecisionTable:
     """Seeded Latin-hypercube sample of slope parameters with the proxy
     response as decision column. Emits the standard ingestion format.
+    Every parameter is keyword-only, so ``generate_table(500)`` is a
+    ``TypeError`` that names the function.
 
     The sample is drawn with numpy's ``default_rng(seed)``: ``somrough
     surrogate`` is the one command that needs numpy, and its tables may

@@ -356,6 +356,16 @@ BAD_INPUTS = {
     "schema-bad-role": lambda tmp, _: _discretize(
         tmp, schema=_corpus_schema_with(tmp, "role", "bogus")
     ),
+    "schema-scale-ln": lambda tmp, _: _discretize(
+        tmp, schema=_corpus_schema_with(tmp, "scale", "ln")
+    ),
+    "schema-object": lambda tmp, _: _discretize(
+        tmp, schema=_schema_file(tmp, {"name": "cp", "role": "condition"})
+    ),
+    "schema-no-condition": lambda tmp, _: _discretize(
+        tmp, schema=_schema_file(tmp, [{"name": "mvv", "role": "decision"}])
+    ),
+    "data-empty": lambda tmp, _: _discretize(tmp, data=_text_file(tmp, "runs.csv", "")),
     "report-centers-not-decreasing": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("discretizers", "mvv", "centers"), [1.0, 2.0, 3.0])
     ),
@@ -2028,6 +2038,8 @@ class TestFuzzedRanges:
     # A subnormal weight on a near-flat slope: the driving force
     # underflows to zero.
     @example(ranges={"weight": [5e-324, 1e-323], "slope": [1e-7, 2e-7]})
+    # A slope so flat that its sine is below 1e-9: a usage error.
+    @example(ranges={"slope": [1e-12, 1e-11]})
     # Entries that are not [low, high] pairs but once read as one.
     @example(ranges={"cohesion": "12"})
     @example(ranges={"cohesion": [1, 2, 3]})

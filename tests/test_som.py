@@ -454,6 +454,8 @@ class TestFitDiscretizer:
     def test_too_few_distinct_values(self):
         with pytest.raises(DataError):
             fit_discretizer([1.0, 1.0, 2.0], 3)
+        with pytest.raises(UsageError, match="granule count must be at least 2"):
+            fit_discretizer([1.0, 2.0], 1)
 
     def test_values_merged_by_scaling_count_once(self):
         """Min-max scaling maps 0 and 1.4e-45 to one float (0 - (-1) and

@@ -65,6 +65,10 @@ class TestFactorOfSafety:
             _params(slope=95.0)
         with pytest.raises(UsageError):
             _params(weight=-1.0)
+        with pytest.raises(UsageError, match="slope angle too close to zero"):
+            factor_of_safety(_params(slope=1e-12))
+        with pytest.raises(UsageError, match="factor of safety must be positive"):
+            displacement_proxy(0.0)
 
 
 class TestDisplacementProxy:
@@ -122,6 +126,12 @@ class TestGenerateTable:
         t = generate_table(count=200, seed=7)
         rho = _spearman(t.column("cohesion"), t.column(DECISION_NAME))
         assert rho < -0.2
+
+    def test_parameters_are_keyword_only(self):
+        """A count passed by position is Python's own error naming the
+        function, not a failure inside its body."""
+        with pytest.raises(TypeError, match=r"^generate_table\(\) takes 0 positional"):
+            generate_table(500, seed=0)
 
     def test_bad_ranges_rejected(self):
         with pytest.raises(DataError):
