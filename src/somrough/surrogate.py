@@ -105,8 +105,6 @@ def generate_table(
 ) -> DecisionTable:
     """Seeded Latin-hypercube sample of slope parameters with the proxy
     response as decision column. Emits the standard ingestion format.
-    Every parameter is keyword-only, so ``generate_table(500)`` is a
-    ``TypeError`` that names the function.
 
     The sample is drawn with numpy's ``default_rng(seed)``: ``somrough
     surrogate`` is the one command that needs numpy, and its tables may
