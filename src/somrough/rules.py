@@ -162,7 +162,9 @@ def _interval_condition(table: GranularTable, attr: str, g_lo: int, g_hi: int) -
     return Condition(attribute=attr, lo=lo, hi=hi, labels=frozenset(range(g_lo, g_hi + 1)))
 
 
-def check_rules(rs: RuleSet, table: GranularTable, decision: str, constraints: RuleConstraints):
+def check_rules(
+    rs: RuleSet, table: GranularTable, decision: str, constraints: RuleConstraints
+) -> None:
     """Raise ``UsageError`` unless ``rs`` could have been induced on
     ``table`` for ``decision`` under ``constraints``: the rule set has
     their semantics and at most ``max_rules`` rules, each with at most
