@@ -1,11 +1,15 @@
-"""A census of single-value edits to a corpus report: what ``backanalyze``
+"""A census of single-value edits to two reports: what ``backanalyze``
 makes of each.
 
-The base report is the one ``pipeline`` wrote for the bundled corpus at
-seed 0 with ``--decision mvv`` while reports still carried ``best.semantics``,
-which the reader now ignores. It is kept in ``tests/data/report_census.json``
-beside the tallies, so a change of what ``pipeline`` writes does not move the
-census. Each edit from a fixed menu is applied to it, one at a time, and
+The base reports are kept beside their tallies, so a change of what
+``pipeline`` writes does not move the census:
+- ``tests/data/report_census.json``: the report ``pipeline`` wrote for the
+  bundled corpus at seed 0 with ``--decision mvv`` while reports still
+  carried ``best.semantics``, which the reader now ignores;
+- ``tests/data/report_census_surrogate.json``: the report ``pipeline``
+  writes for ``somrough surrogate --count 200 --seed 101`` at criterion 7's
+  flags and seed 1000 (``SURROGATE_FLAGS``).
+Each edit from a fixed menu is applied to a base report, one at a time, and
 ``backanalyze`` runs in-process once per center of the decision's quantizer.
 No edit may raise out of ``main``, and every exit is 0, 1 or 2. The tally of
 outcomes per edited path (the exit, and at exit 0 whether the estimate is
@@ -24,7 +28,7 @@ The menu:
 - an object with one key dropped, or a ``zzz`` key added.
 An edit that leaves the JSON text as it was is skipped.
 
-Rewrite the tallies with ``python tests/test_report_census.py``.
+Rewrite the tallies of both files with ``python tests/test_report_census.py``.
 """
 
 import contextlib
@@ -33,11 +37,18 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from somrough.cli import main
 from somrough.corpus import JEFFREY_OBSERVED_RATE_MS
 from test_golden import CORPUS, SCHEMA
 
-CENSUS = Path(__file__).parent / "data" / "report_census.json"
+DATA = Path(__file__).parent / "data"
+CENSUS = DATA / "report_census.json"
+SURROGATE_CENSUS = DATA / "report_census_surrogate.json"
+SURROGATE_FLAGS = ("--decision", "displacement", "--granules", "2", "--semantics", "exact",
+                   "--min_strength", "0", "--max_length", "3", "--max_rules", "8",
+                   "--seed", "1000")
 
 SIBLINGS = {"at_most": "exactly", "cumulative": "exact", "linear": "log10",
             "condition": "decision"}
@@ -126,8 +137,9 @@ def census_text(report: dict, tallies: dict) -> str:
     return f'{{\n "report": {json.dumps(report)},\n "tallies": {{\n{lines}\n }}\n}}\n'
 
 
-def test_report_edits_match_the_census(tmp_path):
-    committed = json.loads(CENSUS.read_text())
+@pytest.mark.parametrize("census_file", [CENSUS, SURROGATE_CENSUS], ids=lambda p: p.stem)
+def test_report_edits_match_the_census(census_file, tmp_path):
+    committed = json.loads(census_file.read_text())
     got = census(committed["report"], tmp_path)
     outcomes = {o for tally in got.values() for o in tally}
     assert outcomes <= {"exit 0, same", "exit 0, changed", "exit 1", "exit 2"}
@@ -150,9 +162,20 @@ def test_census_report_is_the_corpus_report(tmp_path):
         assert backanalyze(old, observed) == backanalyze(fresh, observed)
 
 
+def test_census_report_is_the_surrogate_report(tmp_path):
+    """The surrogate base report is what ``pipeline`` writes today."""
+    assert main(["surrogate", "--count", "200", "--seed", "101", "--out", str(tmp_path)]) == 0
+    assert main(["pipeline", "--data", str(tmp_path / "runs.csv"),
+                 "--schema", str(tmp_path / "schema.json"), *SURROGATE_FLAGS,
+                 "--out", str(tmp_path / "out")]) == 0
+    fresh = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert fresh == json.loads(SURROGATE_CENSUS.read_text())["report"]
+
+
 if __name__ == "__main__":
-    committed = json.loads(CENSUS.read_text())
-    with tempfile.TemporaryDirectory() as folder:
-        tallies = census(committed["report"], Path(folder))
-    CENSUS.write_text(census_text(committed["report"], tallies))
-    print(f"wrote {CENSUS}")
+    for census_file in (CENSUS, SURROGATE_CENSUS):
+        committed = json.loads(census_file.read_text())
+        with tempfile.TemporaryDirectory() as folder:
+            tallies = census(committed["report"], Path(folder))
+        census_file.write_text(census_text(committed["report"], tallies))
+        print(f"wrote {census_file}")
