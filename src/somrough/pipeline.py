@@ -399,10 +399,9 @@ def report_to_json(report: RunReport) -> str:
 
 
 def report_rules_from_json(doc: dict) -> RuleSet:
-    """The best rule set of a report, of the semantics its config states.
-    A ``best.semantics``, which older reports carry, is not read."""
-    best, semantics = doc["best"], doc["config"]["semantics"]
-    return from_json(RuleSet, {**best, "semantics": semantics} if type(best) is dict else best)
+    """The best rule set of a report. A ``best.semantics``, which older
+    reports carry, is not read."""
+    return from_json(RuleSet, doc["best"])
 
 
 def granular_from_json(doc: dict) -> GranularTable:

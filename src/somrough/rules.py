@@ -30,11 +30,6 @@ from .table import GranularTable, is_label
 BAND_KIND = {"cumulative": "at_most", "exact": "exactly"}
 
 
-def check_semantics(semantics) -> None:
-    if semantics not in BAND_KIND:
-        raise UsageError(f"semantics must be one of {tuple(BAND_KIND)}")
-
-
 class Condition(Record):
     """Interval constraint on one attribute.
 
@@ -134,22 +129,20 @@ class RuleConstraints(Record):
             raise UsageError("min_strength must be in [0, 1]")
         if self.max_length < 1 or self.max_rules < 1:
             raise UsageError("max_length and max_rules must be positive")
-        check_semantics(self.semantics)
+        if self.semantics not in BAND_KIND:
+            raise UsageError(f"semantics must be one of {tuple(BAND_KIND)}")
 
 
 class RuleSet(Record):
-    """Rules of one semantics: every decision band is of the kind
-    ``BAND_KIND`` gives that semantics, so a set never mixes kinds."""
+    """Rules of one band kind: a semantics induces one kind (``BAND_KIND``),
+    so a set never mixes them."""
 
     rules: tuple[Rule, ...]
     uncovered: tuple[int, ...] = ()  # rows with a decision that no rule covers
-    semantics: str = "cumulative"
 
     def __post_init__(self):
-        check_semantics(self.semantics)
-        for kind in (rule.decision.kind for rule in self.rules):
-            if kind != BAND_KIND[self.semantics]:
-                raise UsageError(f"rule decision kind {kind!r} under {self.semantics} semantics")
+        if len({rule.decision.kind for rule in self.rules}) > 1:
+            raise UsageError("rule decisions mix band kinds")
 
 
 def _interval_condition(table: GranularTable, attr: str, g_lo: int, g_hi: int) -> Condition:
@@ -167,21 +160,20 @@ def check_rules(
 ) -> None:
     """Raise ``UsageError`` unless ``rs`` could have been induced on
     ``table`` for ``decision`` under ``constraints``: the rule set has
-    their semantics and at most ``max_rules`` rules, each with at most
+    at most ``max_rules`` rules, each with at most
     ``max_length`` conditions and a strength no lower than
     ``min_strength``; each condition is on a condition attribute and equals
     the condition its label range gives, a proper sub-range of the granules
     of the attribute's quantizer with that quantizer's cuts as bounds, so a
     condition without labels fails; each decision band is on ``decision``,
-    ``at most g`` with g below its quantizer's granule count (cumulative)
-    or ``exactly g`` with g within it (exact); each rule's support and
+    of the kind their semantics gives (``BAND_KIND``): ``at most g`` with g
+    below its quantizer's granule count (cumulative) or ``exactly g`` with
+    g within it (exact); each rule's support and
     strength are a split's, ``support / n`` for some n from ``support`` up
     to the number of the table's objects in its band, as induction divides
     by the training positives inside the band; and every uncovered entry
     is a row number of the table, ``0 <= i < len(table)``."""
     semantics = constraints.semantics
-    if rs.semantics != semantics:
-        raise UsageError(f"rules of {rs.semantics} semantics in a {semantics} run")
     if len(rs.rules) > constraints.max_rules:
         raise UsageError(f"{len(rs.rules)} rules, more than max_rules {constraints.max_rules}")
     cond_names = set(table.condition_names)
@@ -191,7 +183,7 @@ def check_rules(
     per_label = {g: labels.count(g) for g in set(labels)}
     for rule in rs.rules:
         part = rule.decision
-        if part.attribute != decision or part.granule > top:
+        if part.attribute != decision or part.kind != BAND_KIND[semantics] or part.granule > top:
             raise UsageError(
                 f"rule decision ({part.attribute} {part.kind} {part.granule}) "
                 f"is not a {semantics} band of {decision!r}"
@@ -300,11 +292,7 @@ def induce_cover(
         if len(rules) >= constraints.max_rules:
             break
 
-    return RuleSet(
-        rules=tuple(rules),
-        uncovered=table.ids_in(decided & ~covered),
-        semantics=semantics,
-    )
+    return RuleSet(rules=tuple(rules), uncovered=table.ids_in(decided & ~covered))
 
 
 def _grow_rule(table, part, rows, remaining, positives, negatives, candidates, constraints):
@@ -350,9 +338,9 @@ def classify(rs: RuleSet, row: dict):
     """Weighted vote of all matching rules; None means abstain.
 
     Each matching rule votes with its strength for its decision granule.
-    A tie among the leaders goes to the lowest granule under cumulative
-    semantics, as "at most g" bands nest and the lowest is the tightest;
-    under exact semantics a tie abstains. A missing value satisfies no
+    A tie among the leaders goes to the lowest granule when the bands are
+    "at most g", as those nest and the lowest is the tightest; between
+    "exactly g" bands a tie abstains. A missing value satisfies no
     condition.
     """
     votes: dict[int, float] = {}
@@ -364,7 +352,8 @@ def classify(rs: RuleSet, row: dict):
         return None
     top = max(votes.values())
     leaders = sorted(g for g, v in votes.items() if v == top)
-    return leaders[0] if len(leaders) == 1 or rs.semantics == "cumulative" else None
+    # A vote was cast, so rs.rules is not empty.
+    return leaders[0] if len(leaders) == 1 or rs.rules[0].decision.kind == "at_most" else None
 
 
 def accuracy(rs: RuleSet, table: GranularTable, decision: str, rows: int | None = None) -> float:
@@ -457,8 +446,6 @@ def parse_rule(line: str) -> Rule:
 
 
 def parse_rules(text: str) -> RuleSet:
-    """The rule set of a rule file, of the semantics whose band its first
-    rule carries (cumulative for none); ``RuleSet`` refuses mixed bands."""
-    rules = tuple(parse_rule(ln) for ln in text.splitlines() if ln.strip())
-    kind = rules[0].decision.kind if rules else "at_most"
-    return RuleSet(rules=rules, semantics={k: s for s, k in BAND_KIND.items()}[kind])
+    """The rule set of a rule file, each rule with the band kind its line
+    states; ``RuleSet`` refuses mixed bands."""
+    return RuleSet(rules=tuple(parse_rule(ln) for ln in text.splitlines() if ln.strip()))

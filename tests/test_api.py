@@ -61,7 +61,8 @@ def test_settings_record_is_flat():
 def test_semantics_is_a_rule_constraint():
     """A run's semantics is declared once, as the last field of
     ``RuleConstraints``: induction and the rule check read it from there,
-    and reports render their rule text with ``render_rules``."""
+    and reports render their rule text with ``render_rules``. A rule set
+    keeps no copy of it: its bands' kind states it."""
     assert [f.name for f in fields(somrough.RuleConstraints)] == [
         "min_strength", "max_length", "max_rules", "semantics",
     ]
@@ -69,3 +70,5 @@ def test_semantics_is_a_rule_constraint():
     for function in (somrough.induce_cover, somrough.rules.check_rules):
         assert "semantics" not in inspect.signature(function).parameters
     assert not hasattr(somrough.pipeline, "rules_text")
+    assert [f.name for f in fields(somrough.RuleSet)] == ["rules", "uncovered"]
+    assert not hasattr(somrough.rules, "check_semantics")

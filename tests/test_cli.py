@@ -658,7 +658,7 @@ def test_empty_or_unrendered_rules_are_malformed(case, tmp_path, capsys, corpus_
 
 @pytest.mark.parametrize("case, message", [
     ("report-rules-exact-in-cumulative-run",
-     "rule decision kind 'exactly' under cumulative semantics"),
+     "rule decision (mvv exactly 2) is not a cumulative band of 'mvv'"),
     ("report-uncovered-past-last-row", "uncovered objects must be rows of the table"),
     ("report-uncovered-negative", "uncovered objects must be rows of the table"),
     ("report-condition-attribute-repeated", "rule conditions must use distinct attributes"),

@@ -220,7 +220,6 @@ class TestClassify:
                 self._rule({1}, 1, 0.7, kind="exactly"),
                 self._rule({1}, 2, 0.7, kind="exactly"),
             ),
-            semantics="exact",
         )
         assert classify(rs, {"a": 1}) is None
 
@@ -242,7 +241,7 @@ class TestAccuracy:
             support=4,
             strength=0.8,
         )
-        rs = RuleSet(rules=(rule,), semantics="exact")
+        rs = RuleSet(rules=(rule,))
         assert accuracy(rs, t, "d") == pytest.approx(0.8)
 
     def test_empty_test_vacuous(self):
@@ -362,21 +361,38 @@ class TestMaskOracle:
 def _reference_vote(rs, row):
     """Per-row reference of classify: the granule with the highest summed
     strength over the matching rules; a tie among the leaders goes to the
-    lowest granule under cumulative semantics and abstains under exact."""
+    lowest granule between "at most" bands and abstains between "exactly"
+    bands."""
     votes = {}
     for rule in rs.rules:
         if _matches(rule, row):
             g = rule.decision.granule
             votes[g] = votes.get(g, 0.0) + rule.strength
     leaders = [g for g, v in votes.items() if v == max(votes.values())]
-    if not leaders or (len(leaders) > 1 and rs.semantics == "exact"):
+    if not leaders or (len(leaders) > 1 and rs.rules[0].decision.kind == "exactly"):
         return None
     return min(leaders)
 
 
+def _with_kind(rs, kind):
+    """``rs`` with every decision band turned to ``kind``."""
+    return RuleSet(rules=tuple(replace(r, decision=replace(r.decision, kind=kind))
+                               for r in rs.rules))
+
+
 class TestSemanticsBands:
-    """A rule set's semantics fixes its band kind, its tie rule and the
-    semantics its rule file reads back with."""
+    """A run's semantics gives every band of its rules one kind; the kind
+    alone fixes the tie rule, what ``check_rules`` admits, and what a rule
+    file reads back as."""
+
+    def test_mixed_band_kinds_are_refused(self):
+        a = Condition("a", labels=frozenset({1}))
+        at_most, exactly = (Rule(conditions=(a,), decision=DecisionPart("d", kind, 1))
+                            for kind in ("at_most", "exactly"))
+        for rules in ((at_most, exactly), (exactly, at_most)):
+            with pytest.raises(UsageError, match="rule decisions mix band kinds"):
+                RuleSet(rules=rules)
+        assert RuleSet(rules=(exactly,)).rules == (exactly,)
 
     @settings(max_examples=200, deadline=None)
     @given(case=_masked_case())
@@ -392,17 +408,23 @@ class TestSemanticsBands:
     def test_classify_band_and_round_trip(self, case):
         table, mask, cons, _ = case
         rows = [dict(zip(table.names, r)) for r in table.rows]
+        induced = {
+            semantics: induce_cover(table, "d", replace(cons, semantics=semantics), rows=mask)
+            for semantics in BAND_KIND
+        }
         for semantics, other in (("cumulative", "exact"), ("exact", "cumulative")):
-            rs = induce_cover(table, "d", replace(cons, semantics=semantics), rows=mask)
-            assert [classify(rs, row) for row in rows] == [_reference_vote(rs, r) for r in rows]
-            alien = Rule(
-                conditions=(Condition(table.condition_names[0], labels=frozenset({1})),),
-                decision=DecisionPart("d", BAND_KIND[other], 1),
-            )
-            with pytest.raises(UsageError, match=f"under {semantics} semantics"):
-                RuleSet(rules=rs.rules + (alien,), semantics=semantics)
-            if rs.rules:
-                assert parse_rules(render_rules(rs)).semantics == semantics
+            rs, own = induced[semantics], replace(cons, semantics=semantics)
+            assert {r.decision.kind for r in rs.rules} <= {BAND_KIND[semantics]}
+            # The same votes under either band kind: the kind picks the tie rule.
+            for kinded in (rs, _with_kind(rs, BAND_KIND[other])):
+                want = [_reference_vote(kinded, r) for r in rows]
+                assert [classify(kinded, row) for row in rows] == want
+            check_rules(rs, table, "d", own)
+            if induced[other].rules:
+                with pytest.raises(UsageError, match=f"is not a {semantics} band of 'd'"):
+                    check_rules(induced[other], table, "d", own)
+            parsed = parse_rules(render_rules(rs))
+            assert [r.decision for r in parsed.rules] == [r.decision for r in rs.rules]
 
 
 class TestGrammar:
