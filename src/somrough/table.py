@@ -127,7 +127,9 @@ class Discretizer(Record):
     ``centers`` and ``cuts`` are in raw units, strictly descending; label
     1 belongs to the highest center. A value lands in granule g when it
     sits at or below cut g-1 and strictly above cut g (cut 0 = +inf,
-    cut G = -inf), so larger values never get larger labels.
+    cut G = -inf), so larger values never get larger labels. Cut k lies
+    between centers k and k+1, ends included: a fitted cut is their
+    midpoint, which may round onto one of them.
     """
 
     name: str
@@ -148,6 +150,8 @@ class Discretizer(Record):
             raise UsageError("centers must be strictly decreasing")
         if any(b >= a for a, b in zip(self.cuts, self.cuts[1:])):
             raise UsageError("cuts must be strictly decreasing")
+        if not all(a >= cut >= b for a, cut, b in zip(self.centers, self.cuts, self.centers[1:])):
+            raise UsageError(f"quantizer of {self.name!r}: a cut lies outside its two centers")
 
     @property
     def granules(self) -> int:

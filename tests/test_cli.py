@@ -450,6 +450,9 @@ BAD_INPUTS = {
     "report-center-beyond-float-range": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("discretizers", "cb", "centers"), [10**400, 1.0, 0.5])
     ),
+    "report-cut-outside-centers": lambda tmp, doc: _backanalyze(_report_with(
+        tmp, doc, ("discretizers", "mvv", "cuts", 0), doc["discretizers"]["mvv"]["centers"][0] + 1
+    )),
     # Config values that no pipeline run accepts.
     "report-seed-string": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("config", "seed"), "x")

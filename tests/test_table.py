@@ -446,13 +446,13 @@ def granular_tables(draw):
     for j in range(draw(st.integers(1, 4))):
         name, g = f"x{j}", draw(st.integers(2, 4))
         spec = AttributeSpec(name, draw(st.sampled_from(ROLES)), draw(st.sampled_from(SCALES)))
+        # Centers at the even and cuts at the odd places of one descending
+        # run, so each cut lies between its two centers.
         floats = st.floats(-1e6, 1e6)
-        centers, cuts = (
-            sorted(draw(st.lists(floats, min_size=k, max_size=k, unique=True)), reverse=True)
-            for k in (g, g - 1)
-        )
+        run = sorted(draw(st.lists(floats, min_size=2 * g - 1, max_size=2 * g - 1, unique=True)),
+                     reverse=True)
         specs.append(spec)
-        discs[name] = Discretizer(name, spec.scale, tuple(centers), tuple(cuts))
+        discs[name] = Discretizer(name, spec.scale, tuple(run[::2]), tuple(run[1::2]))
         columns.append(draw(st.lists(st.none() | st.integers(1, g), min_size=n, max_size=n)))
     return GranularTable(specs=tuple(specs), rows=tuple(zip(*columns)), discretizers=discs)
 
