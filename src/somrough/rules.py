@@ -159,20 +159,20 @@ def check_rules(
     rs: RuleSet, table: GranularTable, decision: str, constraints: RuleConstraints
 ) -> None:
     """Raise ``UsageError`` unless ``rs`` could have been induced on
-    ``table`` for ``decision`` under ``constraints``: the rule set has
-    at most ``max_rules`` rules, each with at most
-    ``max_length`` conditions and a strength no lower than
-    ``min_strength``; each condition is on a condition attribute and equals
-    the condition its label range gives, a proper sub-range of the granules
-    of the attribute's quantizer with that quantizer's cuts as bounds, so a
-    condition without labels fails; each decision band is on ``decision``,
-    of the kind their semantics gives (``BAND_KIND``): ``at most g`` with g
-    below its quantizer's granule count (cumulative) or ``exactly g`` with
-    g within it (exact); each rule's support and
-    strength are a split's, ``support / n`` for some n from ``support`` up
-    to the number of the table's objects in its band, as induction divides
-    by the training positives inside the band; and every uncovered entry
-    is a row number of the table, ``0 <= i < len(table)``."""
+    ``table`` for ``decision`` under ``constraints``: the rule set has at
+    most ``max_rules`` rules, each with at most ``max_length`` conditions
+    and a strength no lower than ``min_strength``; each condition is on a
+    condition attribute and equals the condition its label range gives, a
+    proper sub-range of the granules of the attribute's quantizer with that
+    quantizer's cuts as bounds, so a condition without labels fails; each
+    decision band is on ``decision``, of the kind their semantics gives
+    (``BAND_KIND``): ``at most g`` with g below its quantizer's granule
+    count (cumulative) or ``exactly g`` with g within it (exact); each
+    rule's support and strength are a split's, ``support / n`` for some n
+    from ``support`` up to the number of the table's objects in its band,
+    as induction divides by the training positives inside the band; and
+    every uncovered entry is a row number of the table,
+    ``0 <= i < len(table)``."""
     semantics = constraints.semantics
     if len(rs.rules) > constraints.max_rules:
         raise UsageError(f"{len(rs.rules)} rules, more than max_rules {constraints.max_rules}")
