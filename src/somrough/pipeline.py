@@ -38,8 +38,8 @@ from .rules import (
     render_rules,
 )
 from .som import FIT_EPOCHS, fit_table_discretizer
-from .table import DecisionTable, Discretizer, GranularTable, assign_granule, json_record
-from .table import SCALES, json_text, split_random, split_train_size
+from .table import AttributeSpec, DecisionTable, Discretizer, GranularTable, assign_granule
+from .table import json_record, json_text, split_random, split_train_size
 
 # Fit presentations (rows x FIT_EPOCHS x columns) below which a forked
 # helper costs more than it saves. On a 2-core VM a fork round trip took
@@ -153,14 +153,15 @@ def granulate(table: DecisionTable, granules: int = 3, seed: int = 0) -> Granula
     """Quantize every column; label 1 is always the highest value band.
 
     Discretizers are fitted per attribute with seeds derived from the base
-    seed.
+    seed. The table holds names, roles, labels and quantizers, no more.
     """
     discretizers = _fit_all(table, granules, seed)
     columns = [discretizers[name] for name in table.names]
     rows = tuple(
         tuple(assign_granule(d, v) for d, v in zip(columns, row)) for row in table.rows
     )
-    return GranularTable(specs=table.specs, rows=rows, discretizers=discretizers)
+    specs = tuple(AttributeSpec(s.name, s.role) for s in table.specs)
+    return GranularTable(specs=specs, rows=rows, discretizers=discretizers)
 
 
 def _fit_all(table: DecisionTable, granules: int, seed: int) -> dict:
@@ -405,16 +406,12 @@ def report_rules_from_json(doc: dict) -> RuleSet:
 
 
 def granular_from_json(doc: dict) -> GranularTable:
-    """The granulated table a report embeds, quantizers and all. Its scales
-    live only in the quantizers: a spec takes a scale its quantizer holds."""
+    """The granulated table a report embeds, quantizers and all: equal to
+    the table the report was written from."""
     g, discs = doc["granular"], doc.get("discretizers", {})
     if len(g["attributes"]) != len(g["roles"]):
         raise ValueError("granular attributes and roles differ in length")
-    specs = []
-    for name, role in zip(g["attributes"], g["roles"]):
-        q = discs.get(name) if type(discs) is dict and type(name) is str else None
-        scale = q.get("scale") if type(q) is dict else None
-        specs.append({"name": name, "role": role, **({"scale": scale} if scale in SCALES else {})})
+    specs = [{"name": name, "role": role} for name, role in zip(g["attributes"], g["roles"])]
     return from_json(GranularTable, {"specs": specs, "rows": g["rows"], "discretizers": discs})
 
 

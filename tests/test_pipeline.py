@@ -505,25 +505,62 @@ VALID_CONFIGS = st.builds(
 )
 
 
+def _blanked_corpus() -> DecisionTable:
+    """The corpus with condition cell k missing when k % 7 == 3, k counting
+    over the rows and, within a row, the eight condition columns left to
+    right: the masked corpus of CI's Python-floor step."""
+    t = jeffrey_table()
+    n = len(t.condition_names)  # the condition columns come first
+    rows = tuple(
+        tuple(None if j < n and (i * n + j) % 7 == 3 else v for j, v in enumerate(row))
+        for i, row in enumerate(t.rows)
+    )
+    return DecisionTable(specs=t.specs, rows=rows)
+
+
+# name: (table, decision, granule counts it takes); the blanked corpus's
+# phip keeps two distinct values.
+ROUND_TRIP_TABLES = {
+    "corpus": (jeffrey_table(), "mvv", (2, 3)),
+    "blanked-corpus": (_blanked_corpus(), "mvv", (2,)),
+    "surrogate60": (generate_table(count=60, seed=3), "displacement", (2, 3)),
+}
+
+
 class TestReportJson:
+    @pytest.mark.parametrize("name", sorted(ROUND_TRIP_TABLES))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_report_table_reads_back_equal(self, name, data):
+        """The granulated table a report embeds reads back equal to the run's."""
+        table, decision, granule_counts = ROUND_TRIP_TABLES[name]
+        cfg = PipelineConfig(
+            granules=data.draw(st.sampled_from(granule_counts)),
+            semantics=data.draw(st.sampled_from(["cumulative", "exact"])),
+            seed=data.draw(st.integers(0, 2**31)),
+        )
+        r = close_open(table, decision, cfg)
+        assert granular_from_json(json.loads(report_to_json(r))) == r.granular
+
     def test_roundtrip(self, corpus_report):
         doc = json.loads(report_to_json(corpus_report))
         assert doc["decision"] == "mvv"
         assert len(doc["iterations"]) == corpus_report.total_iterations
         rs = report_rules_from_json(doc)
         assert rs.rules == corpus_report.best_rules.rules
-        g = granular_from_json(doc)
-        assert g.rows == corpus_report.granular.rows
-        assert g.discretizers == corpus_report.granular.discretizers
-        assert [s.role for s in g.specs] == [s.role for s in corpus_report.granular.specs]
+        assert granular_from_json(doc) == corpus_report.granular
 
     def test_spec_scales_are_the_quantizers(self, corpus_report):
-        """A report keeps each attribute's scale in its quantizer, and the
-        table read back takes it from there."""
+        """A report keeps each attribute's scale in its quantizer alone: the
+        granulated table's specs are names and roles, so the table read back
+        equals the one written."""
         g = granular_from_json(json.loads(report_to_json(corpus_report)))
-        assert [s.scale for s in g.specs] == [g.discretizers[s.name].scale for s in g.specs]
-        assert [s.scale for s in g.specs] == [s.scale for s in jeffrey_table().specs]
-        assert {s.name for s in g.specs if s.scale == "log10"} >= {"tmd", "mvv"}
+        assert g == corpus_report.granular
+        assert g.specs == tuple(AttributeSpec(s.name, s.role) for s in jeffrey_table().specs)
+        assert [g.discretizers[n].scale for n in g.names] == [
+            s.scale for s in jeffrey_table().specs
+        ]
+        assert {n for n, d in g.discretizers.items() if d.scale == "log10"} >= {"tmd", "mvv"}
 
     @settings(max_examples=200, deadline=None)
     @given(cfg=VALID_CONFIGS)
