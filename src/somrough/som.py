@@ -385,14 +385,12 @@ def fit_discretizer(
         raise UsageError("granule count must be at least 2")
     present = [v for v in values if v is not None]
     if not present:
-        raise DataError("cannot discretize a column with no present values")
+        raise DataError("no present values to discretize")
     transformed = transform_scale(present, scale)
-    scaled, (lo, hi) = scale_minmax(transformed, name)
+    scaled, (lo, hi) = scale_minmax(transformed)
     distinct = sorted(set(scaled))
     if len(distinct) < granules:
-        raise DataError(
-            f"column has {len(distinct)} distinct values, fewer than {granules} granules"
-        )
+        raise DataError(f"{len(distinct)} distinct values, fewer than {granules} granules")
     data = [[v] for v in scaled]
 
     def build(som: SomMap) -> Discretizer | None:
@@ -435,6 +433,10 @@ def _linspace(stop: int, num: int) -> list[float]:
 
 
 def fit_table_discretizer(table, name: str, granules: int, seed: int) -> Discretizer:
-    """Fit a named discretizer for one table column using its schema scale."""
+    """Fit a named discretizer for one table column using its schema scale.
+    A ``DataError`` from the fit names the column: ``column 'x': ...``."""
     spec = table.spec(name)
-    return fit_discretizer(table.column(name), granules, scale=spec.scale, seed=seed, name=name)
+    try:
+        return fit_discretizer(table.column(name), granules, scale=spec.scale, seed=seed, name=name)
+    except DataError as exc:
+        raise DataError(f"column {name!r}: {exc}") from None

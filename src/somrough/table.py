@@ -181,6 +181,8 @@ class GranularTable(DecisionTable):
     raw observations map into the same vocabulary and rule conditions take
     its cuts as raw bounds. A missing quantizer is a ``DataError``, a
     misfiled or stray one a ``UsageError``. Labels are checked when built.
+    It holds names, roles, labels and quantizers (a column's scale is its
+    quantizer's), so the table a report embeds reads back equal.
     """
 
     discretizers: dict[str, Discretizer]
@@ -386,11 +388,11 @@ def split_random(table: DecisionTable, train_fraction: float, seed: int) -> tupl
     return ((1 << n) - 1) ^ test, test
 
 
-def scale_minmax(values: list, name: str = "") -> tuple[list, tuple[float, float]]:
+def scale_minmax(values: list) -> tuple[list, tuple[float, float]]:
     """Map values to [0, 1]; a constant column maps to all 0.5.
 
     Missing entries are ignored for the min/max and passed through. A
-    column whose span ``hi - lo`` overflows is a data error naming ``name``.
+    column whose span ``hi - lo`` overflows is a data error.
     """
     present = [v for v in values if v is not None]
     if not present:
@@ -400,7 +402,7 @@ def scale_minmax(values: list, name: str = "") -> tuple[list, tuple[float, float
         return [None if v is None else 0.5 for v in values], (lo, hi)
     span = hi - lo
     if math.isinf(span):
-        raise DataError(f"column {name!r}: span {lo!r} to {hi!r} exceeds the float range")
+        raise DataError(f"span {lo!r} to {hi!r} exceeds the float range")
     return [None if v is None else (v - lo) / span for v in values], (lo, hi)
 
 
@@ -450,6 +452,6 @@ def scaled_matrix(table: DecisionTable, names: list[str] | None = None):
     cols = []
     for name in names:
         spec = table.spec(name)
-        scaled, _ = scale_minmax(transform_scale(table.column(name), spec.scale), name)
+        scaled, _ = scale_minmax(transform_scale(table.column(name), spec.scale))
         cols.append([math.nan if v is None else v for v in scaled])
     return tuple(zip(*cols))

@@ -406,6 +406,9 @@ BAD_INPUTS = {
     "report-null-attribute": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("granular", "attributes", 0), None)
     ),
+    "report-list-attribute": lambda tmp, doc: _backanalyze(
+        _report_with(tmp, doc, ("granular", "attributes", 0), ["cp"])
+    ),
     "report-discretizers-list": lambda tmp, doc: _backanalyze(
         _report_with(tmp, doc, ("discretizers",), [1, 2])
     ),
@@ -873,7 +876,35 @@ class TestDiscretize:
         argv = _one_column(tmp_path, "linear", ADJACENT_FLOATS)
         capsys.readouterr()
         assert _run(*argv, "--granules", "3", "--seed", "137") == 2
-        assert capsys.readouterr().err == "data error: could not separate 3 quantizer centers\n"
+        assert capsys.readouterr().err == (
+            "data error: column 'k': could not separate 3 quantizer centers\n"
+        )
+
+
+# name: (column, row to edit or None for every row, new cell, message)
+FIT_FAILURES = {
+    "constant-mvv": ("mvv", None, "1e-13", "1 distinct values, fewer than 3 granules"),
+    "missing-mvv": ("mvv", None, "?", "no present values to discretize"),
+    "tmd-zero": ("tmd", 4, "0", "log10 scale requires strictly positive values, got 0.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIT_FAILURES))
+def test_fit_errors_name_their_column(case, tmp_path, capsys):
+    """A quantizer fit that fails is a data error naming its column."""
+    column, row, cell, message = FIT_FAILURES[case]
+    lines = Path(CORPUS).read_text().splitlines()
+    j = lines[0].split(",").index(column)
+    for i in range(1, len(lines)):
+        if row is None or i == row + 1:
+            cells = lines[i].split(",")
+            cells[j] = cell
+            lines[i] = ",".join(cells)
+    data = _text_file(tmp_path, "runs.csv", "\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert _run("pipeline", "--data", data, "--schema", SCHEMA, "--decision", "mvv",
+                "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == f"data error: column {column!r}: {message}\n"
 
 
 class TestPipelineReport:

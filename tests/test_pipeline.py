@@ -181,7 +181,7 @@ class TestTwoProcessFits:
                 granulate(table, 3, seed=0)
             messages.append(str(err.value))
             _no_child_left()
-        assert messages[0] == messages[1] == "column has 2 distinct values, fewer than 3 granules"
+        assert messages[0] == messages[1] == "column 'b': 2 distinct values, fewer than 3 granules"
 
     def test_helper_death_gives_serial_result(self, monkeypatch, fits_here):
         table = generate_table(count=60, seed=11)

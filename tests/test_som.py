@@ -461,7 +461,7 @@ class TestFitDiscretizer:
         """Min-max scaling maps 0 and 1.4e-45 to one float (0 - (-1) and
         1.4e-45 - (-1) both round to 1.0), which leaves two distinct values
         for three granules: a data error, not an IndexError."""
-        with pytest.raises(DataError, match="column has 2 distinct values, fewer than 3"):
+        with pytest.raises(DataError, match="^2 distinct values, fewer than 3 granules$"):
             fit_discretizer([0.0, -1.0, 1.4e-45], 3)
 
     @pytest.mark.parametrize("seed", [0, 2, 3])
