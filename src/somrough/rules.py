@@ -328,7 +328,7 @@ def _grow_rule(table, part, rows, remaining, positives, negatives, candidates, c
         return None
     support = (cover & positives).bit_count()
     strength_val = support / positives.bit_count()
-    if support == 0 or strength_val < constraints.min_strength:
+    if strength_val < constraints.min_strength:
         return None
     rule = Rule(conditions=tuple(chosen), decision=part, support=support, strength=strength_val)
     return rule, cover
