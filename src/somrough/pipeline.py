@@ -153,7 +153,8 @@ def granulate(table: DecisionTable, granules: int = 3, seed: int = 0) -> Granula
     """Quantize every column; label 1 is always the highest value band.
 
     Discretizers are fitted per attribute with seeds derived from the base
-    seed. The table holds names, roles, labels and quantizers, no more.
+    seed. The table holds names, roles, labels and quantizers, no more, so
+    the table a report embeds reads back equal (``granular_from_json``).
     """
     discretizers = _fit_all(table, granules, seed)
     columns = [discretizers[name] for name in table.names]
