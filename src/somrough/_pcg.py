@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import operator
 
+from .errors import UsageError
+
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
@@ -39,7 +41,7 @@ def _seed_pool(seed: int) -> list[int]:
     """SeedSequence's entropy pool for a non-negative integer seed."""
     seed = operator.index(seed)
     if seed < 0:
-        raise ValueError("expected non-negative integer")
+        raise UsageError("seed must be >= 0")
     words = [seed & _M32]  # least significant word first; 0 is one word
     while seed > _M32:
         seed >>= 32

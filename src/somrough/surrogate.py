@@ -14,7 +14,7 @@ import sys
 
 from ._record import Record
 from .errors import DataError, UsageError
-from .table import AttributeSpec, DecisionTable, infer_scale
+from .table import AttributeSpec, DecisionTable
 
 DEFAULT_STEEPNESS = 5.0
 
@@ -104,7 +104,10 @@ def generate_table(
     steepness: float = DEFAULT_STEEPNESS,
 ) -> DecisionTable:
     """Seeded Latin-hypercube sample of slope parameters with the proxy
-    response as decision column. Emits the standard ingestion format.
+    response as decision column. Emits the standard ingestion format:
+    the five parameters are linear conditions and the proxy is a log10
+    decision, whatever its span, as its log is linear in the factor of
+    safety over any box.
 
     The sample is drawn with numpy's ``default_rng(seed)``: ``somrough
     surrogate`` is the one command that needs numpy, and its tables may
@@ -170,6 +173,5 @@ def generate_table(
 
     units = {"cohesion": "kPa", "friction": "deg", "slope": "deg", "weight": "kN", "area": "m2"}
     specs = [AttributeSpec(n, "condition", "linear", units[n]) for n in names]
-    proxy_scale = infer_scale([r[-1] for r in rows])
-    specs.append(AttributeSpec(DECISION_NAME, "decision", proxy_scale, "relative"))
+    specs.append(AttributeSpec(DECISION_NAME, "decision", "log10", "relative"))
     return DecisionTable(specs=tuple(specs), rows=tuple(rows))

@@ -27,10 +27,6 @@ MISSING_TOKEN = "?"
 ROLES = ("condition", "decision")
 SCALES = ("linear", "log10")
 
-# Columns spanning more than this many decades default to log10 before
-# quantization; a raw-scale quantizer would collapse the small values.
-LOG_SCALE_DECADES = 3.0
-
 # json's own string writer (its C form where built): ASCII-only output, every
 # other character, lone surrogates too, as a \u escape.
 _quote = json.encoder.encode_basestring_ascii
@@ -429,17 +425,6 @@ def inverse_scale(value: float, scale: str) -> float:
     if scale == "log10":
         return 10.0**value
     raise UsageError(f"unknown scale {scale!r}")
-
-
-def infer_scale(values: list) -> str:
-    """Pick log10 for strictly positive columns spanning > 3 decades."""
-    present = [v for v in values if v is not None]
-    if not present or min(present) <= 0:
-        return "linear"
-    lo, hi = min(present), max(present)
-    if lo == hi:
-        return "linear"
-    return "log10" if math.log10(hi / lo) > LOG_SCALE_DECADES else "linear"
 
 
 def scaled_matrix(table: DecisionTable, names: list[str] | None = None):

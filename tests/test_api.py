@@ -9,6 +9,7 @@ import somrough.pipeline
 import somrough.rough
 import somrough.rules
 import somrough.som
+import somrough.table
 from somrough._record import fields
 
 # Object-level rough-set oracles that tests/oracles.py holds; the package
@@ -72,3 +73,10 @@ def test_semantics_is_a_rule_constraint():
     assert not hasattr(somrough.pipeline, "rules_text")
     assert [f.name for f in fields(somrough.RuleSet)] == ["rules", "uncovered"]
     assert not hasattr(somrough.rules, "check_semantics")
+
+
+def test_scale_inference_is_gone():
+    """Every scale is declared: a schema states each column's, and the
+    surrogate's decision is log10 by construction. No span rule is left."""
+    assert not hasattr(somrough.table, "infer_scale")
+    assert not hasattr(somrough.table, "LOG_SCALE_DECADES")

@@ -1186,6 +1186,22 @@ class TestSurrogate:
         assert "steepness" not in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_narrow_box_keeps_a_log10_decision(self, tmp_path):
+        """A narrowed cohesion box spans the proxy less than three decades;
+        its decision column, and the quantizer a criterion-7 pipeline fits
+        to it, stay log10."""
+        ranges = tmp_path / "ranges.json"
+        ranges.write_text(json.dumps({"cohesion": [13.0, 24.0]}))
+        assert _run("surrogate", "--count", "200", "--seed", "101", "--ranges", str(ranges),
+                    "--out", str(tmp_path)) == 0
+        code = _run("pipeline", "--data", str(tmp_path / "runs.csv"),
+                    "--schema", str(tmp_path / "schema.json"), "--granules", "2",
+                    "--semantics", "exact", "--min_strength", "0", "--max_length", "3",
+                    "--max_rules", "8", "--runs", "1", "--out", str(tmp_path / "p"))
+        assert code in (0, 3)
+        doc = json.loads((tmp_path / "p" / "report.json").read_text())
+        assert doc["discretizers"]["displacement"]["scale"] == "log10"
+
     def test_deterministic(self, tmp_path):
         _run("surrogate", "--count", "10", "--seed", "2", "--out", str(tmp_path / "a"))
         _run("surrogate", "--count", "10", "--seed", "2", "--out", str(tmp_path / "b"))

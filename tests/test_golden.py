@@ -33,7 +33,7 @@ from somrough.surrogate import (
     displacement_proxy,
     factor_of_safety,
 )
-from somrough.table import AttributeSpec, DecisionTable, dump_schema, infer_scale, to_csv
+from somrough.table import AttributeSpec, DecisionTable, dump_schema, to_csv
 
 DATA_DIR = importlib.resources.files("somrough.data")
 CORPUS = str(DATA_DIR.joinpath("jeffrey_runs.csv"))
@@ -56,7 +56,7 @@ def slope_table(count: int, seed: int) -> DecisionTable:
         proxy = displacement_proxy(factor_of_safety(SlopeParams(**params)))
         rows.append(tuple(params[n] for n in names) + (proxy,))
     specs = [AttributeSpec(n, "condition") for n in names]
-    specs.append(AttributeSpec(DECISION_NAME, "decision", infer_scale([r[-1] for r in rows])))
+    specs.append(AttributeSpec(DECISION_NAME, "decision", "log10"))
     return DecisionTable(specs=tuple(specs), rows=tuple(rows))
 
 

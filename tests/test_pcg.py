@@ -1,6 +1,7 @@
 """The in-package random stream against numpy's ``default_rng`` as oracle."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,6 +44,12 @@ def test_permutation(seed, n):
 def test_integers(seed, highs):
     rng, s = np.random.default_rng(seed), Stream(seed)
     assert [s.integers(h) for h in highs] == [int(rng.integers(h)) for h in highs]
+
+
+@pytest.mark.parametrize("high", [0, 2**32 + 1])
+def test_integers_outside_the_32_bit_range_refused(high):
+    with pytest.raises(ValueError, match=r"high must be in 1\.\.2\*\*32"):
+        Stream(0).integers(high)
 
 
 CALLS = st.one_of(

@@ -746,6 +746,7 @@ class TestAssignGranule:
 
     def test_missing_stays_missing(self):
         assert assign_granule(self.CUTS, None) is None
+        assert assign_granule(self.CUTS, math.nan) is None
 
     def test_totality_and_ordering(self):
         """Every finite value gets exactly one label, monotone in the value."""

@@ -19,7 +19,7 @@ from somrough.surrogate import (
     factor_of_safety,
     generate_table,
 )
-from somrough.table import AttributeSpec, DecisionTable, dump_schema, infer_scale, to_csv
+from somrough.table import AttributeSpec, DecisionTable, dump_schema, to_csv
 
 
 def _params(**kw):
@@ -98,6 +98,16 @@ class TestGenerateTable:
         row = dict(zip(t.names, t.rows[0]))
         p = SlopeParams(**{k: row[k] for k in ("cohesion", "friction", "slope", "weight", "area")})
         assert row[DECISION_NAME] == pytest.approx(displacement_proxy(factor_of_safety(p)))
+        assert t.specs[-1] == AttributeSpec(DECISION_NAME, "decision", "log10", "relative")
+
+    def test_narrow_box_keeps_a_log10_decision(self):
+        """The proxy's log is linear in the factor of safety, so the
+        decision is log10 even where the proxy spans under three decades,
+        as in this narrowed cohesion box (or one row, above)."""
+        t = generate_table(ranges={"cohesion": (13.0, 24.0)}, count=200, seed=101)
+        proxies = t.column(DECISION_NAME)
+        assert max(proxies) / min(proxies) < 1e3
+        assert t.specs[-1] == AttributeSpec(DECISION_NAME, "decision", "log10", "relative")
 
     def test_deterministic(self):
         a = generate_table(count=20, seed=3)
@@ -132,6 +142,14 @@ class TestGenerateTable:
         function, not a failure inside its body."""
         with pytest.raises(TypeError, match=r"^generate_table\(\) takes 0 positional"):
             generate_table(500, seed=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"count": 0}, "count must be >= 1"),
+        ({"seed": -1}, "seed must be >= 0"),
+    ])
+    def test_bad_count_and_seed_refused(self, kwargs, message):
+        with pytest.raises(UsageError, match=message):
+            generate_table(**kwargs)
 
     def test_bad_ranges_rejected(self):
         with pytest.raises(DataError):
@@ -186,8 +204,7 @@ def _row_by_row_table(ranges=None, count=30, seed=0, steepness=DEFAULT_STEEPNESS
 
     units = {"cohesion": "kPa", "friction": "deg", "slope": "deg", "weight": "kN", "area": "m2"}
     specs = [AttributeSpec(n, "condition", "linear", units[n]) for n in names]
-    proxy_scale = infer_scale([r[-1] for r in rows])
-    specs.append(AttributeSpec(DECISION_NAME, "decision", proxy_scale, "relative"))
+    specs.append(AttributeSpec(DECISION_NAME, "decision", "log10", "relative"))
     return DecisionTable(specs=tuple(specs), rows=tuple(rows))
 
 

@@ -15,6 +15,7 @@ from somrough._record import from_json
 from somrough.corpus import jeffrey_table
 from somrough.errors import DataError, UsageError
 from somrough.pipeline import PipelineConfig, close_open
+from somrough.som import fit_discretizer
 from somrough.table import (
     ROLES,
     SCALES,
@@ -23,7 +24,7 @@ from somrough.table import (
     Discretizer,
     GranularTable,
     dump_schema,
-    infer_scale,
+    inverse_scale,
     json_record,
     json_text,
     load_schema,
@@ -149,6 +150,14 @@ class TestSplitRandom:
         with pytest.raises(DataError):
             split_random(t, 0.5, seed=0)
 
+    @pytest.mark.parametrize("fraction, seed, message", [
+        (1.5, 0, r"train_fraction must be in \(0, 1\]"),
+        (0.7, -1, "seed must be >= 0"),
+    ])
+    def test_bad_fraction_and_seed_refused(self, fraction, seed, message):
+        with pytest.raises(UsageError, match=message):
+            split_random(jeffrey_table(), fraction, seed)
+
 
 class TestScaling:
     def test_linear_map(self):
@@ -163,6 +172,7 @@ class TestScaling:
     def test_log10_before_minmax(self):
         """A tiny velocity lands at its hand-computed log10 before scaling."""
         assert transform_scale([4.46e-14], "log10")[0] == pytest.approx(-13.3507, abs=5e-5)
+        assert transform_scale([None, 10.0], "log10") == [None, 1.0]
 
     def test_missing_excluded(self):
         scaled, (lo, hi) = scale_minmax([None, 2.0, 4.0])
@@ -195,6 +205,14 @@ class TestScaling:
     def test_log10_rejects_nonpositive(self):
         with pytest.raises(DataError):
             transform_scale([0.0], "log10")
+
+    @pytest.mark.parametrize("call", [
+        lambda: fit_discretizer([1.0, 2.0, 3.0], 2, scale="ln"),
+        lambda: inverse_scale(1.0, "ln"),
+    ])
+    def test_unknown_scale_refused(self, call):
+        with pytest.raises(UsageError, match="unknown scale 'ln'"):
+            call()
 
 
 class TestProjection:
@@ -233,17 +251,6 @@ class TestDecision:
     def test_no_name_needs_one_decision(self):
         with pytest.raises(UsageError, match=r"table has decision attributes \['tmd', 'mvv'\]"):
             jeffrey_table().decision()
-
-
-class TestInferScale:
-    def test_wide_positive_column_goes_log(self):
-        assert infer_scale([1e-22, 1e-13]) == "log10"
-
-    def test_narrow_column_stays_linear(self):
-        assert infer_scale([500.0, 1500.0]) == "linear"
-
-    def test_nonpositive_stays_linear(self):
-        assert infer_scale([-1.0, 1e9]) == "linear"
 
 
 class TestInvariants:
@@ -329,6 +336,8 @@ class TestGranularLabels:
         (((1, 1, 1), (True, 1, 2)), "row 1, attribute 'a': granule label must be a positive int"),
         (((True, 1, 1), (1, 1, 2)), "row 0, attribute 'a': granule label must be a positive int"),
         (((3, 1, 1), (4, 1, 2)), "row 1, attribute 'a': label 4 exceeds granule count 3"),
+        # A missing cell is skipped; the bad label after it is named.
+        (((None, 0, 1), (1, 1, 2)), "row 0, attribute 'b': granule label must be a positive int"),
     ])
     def test_error_message(self, rows, message):
         """The per-column check falls back to the row-major scan, which
