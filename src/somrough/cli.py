@@ -33,7 +33,6 @@ from .pipeline import (
 )
 from .rough import reduct_report, reducts
 from .rules import RuleConstraints, check_rules, induce_cover, render_rules
-from .surrogate import DEFAULT_STEEPNESS, generate_table
 from .table import dump_schema, json_record, json_text, load_schema, load_table, to_csv
 
 EXIT_OK = 0
@@ -184,7 +183,11 @@ def cmd_backanalyze(args) -> int:
 
 
 def cmd_surrogate(args) -> int:
+    # Imported here: no other command uses the surrogate model.
+    from .surrogate import DEFAULT_STEEPNESS, generate_table
+
     cfg, _ = _resolve(args)
+    steepness = DEFAULT_STEEPNESS if args.steepness is None else args.steepness
     ranges = None
     if args.ranges:
         try:
@@ -199,9 +202,7 @@ def cmd_surrogate(args) -> int:
             ranges = {k: (float(lo), float(hi)) for k, (lo, hi) in raw.items()}
         except (ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise DataError(f"malformed ranges file: {exc}") from None
-    table = generate_table(
-        ranges=ranges, count=args.count, seed=cfg.seed, steepness=args.steepness
-    )
+    table = generate_table(ranges=ranges, count=args.count, seed=cfg.seed, steepness=steepness)
     paths = os.path.join(args.out, "runs.csv"), os.path.join(args.out, "schema.json")
     _write(paths[0], to_csv(table))
     _write(paths[1], dump_schema(list(table.specs)))
@@ -269,7 +270,7 @@ COMMANDS = {
         (
             ("--count", {"type": int, "default": 30}),
             ("--ranges", {"help": "JSON file: {parameter: [low, high]}"}),
-            ("--steepness", {"type": float, "default": DEFAULT_STEEPNESS}),
+            ("--steepness", {"type": float}),
             ("--out", {"required": True}),
         )
         + _settings(("seed",)),

@@ -1,6 +1,11 @@
 """The public names of the package."""
 
+import importlib
 import inspect
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +32,65 @@ MOVED = [
 def test_every_public_name_resolves_once():
     assert len(somrough.__all__) == len(set(somrough.__all__))
     assert [name for name in somrough.__all__ if not hasattr(somrough, name)] == []
+
+
+def test_public_names_are_their_defining_modules_objects():
+    for name in somrough.__all__:
+        value = getattr(somrough, name)
+        assert value is getattr(importlib.import_module(value.__module__), name), name
+
+
+def test_public_names_are_sorted_and_unique():
+    assert somrough.__all__ == sorted(set(somrough.__all__))
+
+
+def test_star_import_binds_every_name_and_dir_lists_them():
+    namespace = {}
+    exec("from somrough import *", namespace)
+    assert [name for name in somrough.__all__ if name not in namespace] == []
+    assert dir(somrough) == somrough.__all__
+
+
+def test_unknown_name_is_an_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        somrough.no_such_name
+
+
+def _fresh_interpreter(script):
+    """Run ``script`` in ``python -S`` with only the source tree on the path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", textwrap.dedent(script)], capture_output=True, text=True,
+        timeout=60, env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_loads_no_package_module():
+    """A name's module loads on first use, not with the package."""
+    _fresh_interpreter(
+        """
+        import sys
+        import somrough
+        loaded = {m for m in sys.modules if m.startswith("somrough.")}
+        assert loaded <= {"somrough.errors"}, loaded
+        somrough.Discretizer
+        assert "somrough.table" in sys.modules and "somrough.som" not in sys.modules
+        somrough.close_open
+        assert "somrough.pipeline" in sys.modules and "somrough.surrogate" not in sys.modules
+        """
+    )
+
+
+def test_submodule_resolves_after_a_bare_import():
+    _fresh_interpreter(
+        """
+        import sys
+        import somrough
+        assert somrough.rough is sys.modules["somrough.rough"]
+        assert somrough.reducts is somrough.rough.reducts
+        """
+    )
 
 
 @pytest.mark.parametrize("name", MOVED)

@@ -1550,7 +1550,7 @@ def test_plain_argv_never_builds_argparse(tmp_path, monkeypatch):
 def test_cli_path_loads_no_numpy(tmp_path):
     """Importing the package and running every command but ``surrogate``
     on the corpus never imports numpy, and nothing on that path imports
-    logging, or argparse on plain argvs."""
+    logging, the surrogate model, or argparse on plain argvs."""
     script = textwrap.dedent(
         f"""
         import sys
@@ -1559,6 +1559,7 @@ def test_cli_path_loads_no_numpy(tmp_path):
         from somrough.cli import main
         assert "logging" not in sys.modules, "import somrough.cli"
         assert "argparse" not in sys.modules, "import somrough.cli"
+        assert "somrough.surrogate" not in sys.modules, "import somrough.cli"
         from somrough.corpus import JEFFREY_OBSERVED_RATE_MS
         data, schema, out = {CORPUS!r}, {SCHEMA!r}, {str(tmp_path)!r}
         inputs = ["--data", data, "--schema", schema]
@@ -1574,6 +1575,7 @@ def test_cli_path_loads_no_numpy(tmp_path):
         assert "numpy" not in sys.modules, "cli commands"
         assert "logging" not in sys.modules, "cli commands"
         assert "argparse" not in sys.modules, "cli commands"
+        assert "somrough.surrogate" not in sys.modules, "cli commands"
         """
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
